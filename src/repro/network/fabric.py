@@ -21,13 +21,13 @@ Three solver drives exist:
   departures then fire as bare precomputed timers with **zero**
   re-solves, and a later perturbation replays the plan to recover each
   member's exact remaining bytes;
-* **incremental** (``incremental=True`` / ``drive="incremental"``) —
+* **incremental** (``drive="incremental"``) —
   the PR 1 :class:`repro.network.incremental.IncrementalFairShare`
   engine re-solves only the connected component of flows and links an
   event touches, charges progress lazily per flow, and keeps projected
   completions in a deadline heap, so the per-event cost scales with the
   component, not the population;
-* **global** (``incremental=False`` / ``drive="global"``) — the
+* **global** (``drive="global"``) — the
   original from-scratch re-solve of every active flow on every event,
   kept as the baseline for the equivalence tests and the speedup
   microbenchmarks.
@@ -144,23 +144,15 @@ class NetworkFabric:
         topology: Topology,
         monitor: Optional[TrafficMonitor] = None,
         wan_flow_cap: Optional[float] = None,
-        incremental: Optional[bool] = None,
-        drive: Optional[str] = None,
+        drive: str = "vector",
     ) -> None:
         """``wan_flow_cap`` bounds any single WAN-crossing flow's rate
         (bytes/second), modelling TCP throughput over high-RTT paths —
         a single stream cannot fill an inter-region link even when the
         link itself is idle.
 
-        ``drive`` selects the solver drive (``"vector"`` when omitted);
-        the legacy ``incremental`` flag keeps working as shorthand for
-        ``drive="incremental"`` / ``drive="global"``.
+        ``drive`` selects the solver drive.
         """
-        if drive is None:
-            if incremental is None:
-                drive = "vector"
-            else:
-                drive = "incremental" if incremental else "global"
         if drive not in ("vector", "incremental", "global"):
             raise ValueError(f"unknown fabric drive: {drive!r}")
         self.sim = sim

@@ -7,6 +7,10 @@ instead of branching on strategy, so adding a shuffle strategy means
 adding a module here (plus, if it should appear in the experiment
 harness, one :class:`~repro.experiments.schemes.Scheme` member whose
 value matches the backend's ``scheme_label``).
+
+A backend module holds placement policy only; it composes the data-path
+primitives of :class:`~repro.shuffle.service.ShuffleBackend` (``_move``,
+the shared reduce read, the ``_stage`` hook, ``relocate_map_output``).
 """
 
 from __future__ import annotations

@@ -17,23 +17,26 @@ trade the backend exists to expose (ROADMAP item 2):
 
 Transient regional outages (the ``blob_outage`` chaos kind) delay
 requests until the window closes — retried, never failed — and with
-flow retries enabled the data flows themselves ride
-``transfer_with_retry`` like every other backend.
+flow retries enabled the GET flows themselves ride
+``transfer_with_retry`` like every other backend's reads.
 
 Reads concatenate shards in global map-index order, so reduce input is
 byte-identical to the fetch baseline (pinned by the equivalence suite).
+
+Own code: the object store, the PUT plan (``_stage``) and what a GET
+costs before its bytes move (``_before_remote_reads``); the rest is
+:class:`~repro.shuffle.service.ShuffleBackend`'s data path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 from repro.shuffle.service import ShuffleBackend
 from repro.storage.blob import BlobStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdd.dependencies import ShuffleDependency
-    from repro.scheduler.task_runtime import TaskRuntime
     from repro.shuffle.map_output_tracker import MapStatus
 
 
@@ -43,13 +46,12 @@ class BlobShuffleBackend(ShuffleBackend):
     name = "blob"
     scheme_label = "BlobShuffle"
     implicit_transfers = False
-    flow_tags = ("shuffle", "blob_put", "blob_get", "transfer_to")
+    flow_tags = ("blob_put", "blob_get", "transfer_to")
 
     def __init__(self) -> None:
-        super().__init__()
+        # One coalesced GET flow per endpoint host.
+        super().__init__(coalesced_reads=True, read_tag="blob_get")
         self._store: BlobStore | None = None
-        # Shuffles already written to the store (durable thereafter).
-        self._uploaded: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Store lifecycle
@@ -79,14 +81,11 @@ class BlobShuffleBackend(ShuffleBackend):
     # ------------------------------------------------------------------
     # Map barrier: PUT every map output to its region's endpoint
     # ------------------------------------------------------------------
-    def prepare_shuffle_input(self, dep: ShuffleDependency, tenant: str = ""):
-        if dep.shuffle_id in self._uploaded:
-            return
-        yield from self._upload(dep, recovery=False, tenant=tenant)
-
-    def _upload(self, dep: ShuffleDependency, recovery: bool, tenant: str = ""):
+    def _stage(self, dep: ShuffleDependency, recovery: bool, tenant: str):
+        """PUT every map output not yet durable.  Recovery is only
+        reachable when an output was lost *before* its PUT (the store
+        had no copy): the recomputed one is written, recovery-tagged."""
         shuffle_id = dep.shuffle_id
-        self._uploaded.add(shuffle_id)
         context = self.context
         topology = context.topology
         store = self._ensure_store()
@@ -110,22 +109,13 @@ class BlobShuffleBackend(ShuffleBackend):
             if region not in regions_touched:
                 regions_touched.append(region)
             latency = max(latency, store.request_latency("put"))
-            shards = [
-                context.shuffle_store.get_shard(
-                    shuffle_id, status.map_index, reduce_index
-                )
-                for reduce_index in range(len(status.shard_sizes))
-            ]
+            shards = self.shards_of(shuffle_id, status)
             if status.host != endpoint and status.total_size > 0:
                 flows.append(
-                    context.fabric.transfer(
+                    self._move(
                         status.host, endpoint, status.total_size,
-                        tag="blob_put", tenant=tenant,
+                        "blob_put", tenant, shuffle_id, recovery,
                     )
-                )
-                self._account_flow(
-                    status.host, endpoint, status.total_size,
-                    shuffle_id=shuffle_id, recovery=recovery,
                 )
             moves.append((status, region, endpoint, shards))
         for region in regions_touched:
@@ -148,85 +138,28 @@ class BlobShuffleBackend(ShuffleBackend):
             ):
                 # Relocation to the endpoint — or a restore, when the
                 # map host died while its PUT was in flight.
-                self.register_map_output(
+                self.relocate_map_output(
                     shuffle_id, status.map_index, endpoint, shards
                 )
-                self.counters.map_outputs_registered -= 1  # not a new output
 
     # ------------------------------------------------------------------
-    # Reduce-side GETs: coalesced per-endpoint flows
+    # Reduce-side GETs: what a request costs before its bytes move
     # ------------------------------------------------------------------
-    def shuffle_read(
-        self, runtime: TaskRuntime, dep: ShuffleDependency, reduce_index: int
-    ):
-        """One coalesced flow per endpoint host; one metered GET per map
-        output actually read.  Records concatenate in map-index order —
-        byte-identical to the fetch baseline."""
-        context = self.context
+    def _before_remote_reads(self, requests: int, remote: List[Tuple[str, float]]):
+        """One metered GET per map output actually read.  Each batched
+        request (one per endpoint host) pays one service-latency draw;
+        outage windows at any touched endpoint region delay (never
+        fail) it."""
         store = self._ensure_store()
-        statuses = context.map_output_tracker.map_statuses(dep.shuffle_id)
-        self.counters.reduce_reads += 1
-        records: List[Any] = []
-        by_source: Dict[str, float] = {}
-        gets = 0
-        for status in statuses:
-            shard = context.shuffle_store.get_shard(
-                dep.shuffle_id, status.map_index, reduce_index
-            )
-            records.extend(shard.records)
-            if shard.size_bytes > 0:
-                gets += 1
-                by_source[status.host] = (
-                    by_source.get(status.host, 0.0) + shard.size_bytes
-                )
-        store.note_get(gets)
-        self.counters.blob_gets += gets
-        local_bytes = by_source.pop(runtime.host, 0.0)
-        # Each batched request pays one service-latency draw; outage
-        # windows at any touched endpoint region delay (never fail) it.
+        store.note_get(requests)
+        self.counters.blob_gets += requests
         latency = 0.0
-        for source in sorted(by_source):
-            region = context.topology.datacenter_of(source)
+        for source, _ in remote:
+            region = self.context.topology.datacenter_of(source)
             yield from self._wait_out_outage(region)
             latency = max(latency, store.request_latency("get"))
         if latency > 0:
-            yield context.sim.timeout(latency)
-        flows = []
-        retry_enabled = context.config.health.flow_retry_enabled
-        for source in sorted(by_source):
-            size = by_source[source]
-            runtime.shuffle_bytes_fetched += size
-            self.counters.blocks_fetched += 1
-            if retry_enabled:
-                flows.append(
-                    context.sim.spawn(
-                        self._fetch_with_retry(runtime, dep, source, size),
-                        name=(
-                            f"blob-get-retry:s{dep.shuffle_id}"
-                            f"r{reduce_index}@{source}"
-                        ),
-                    )
-                )
-            else:
-                flows.append(
-                    context.fabric.transfer(
-                        source, runtime.host, size, tag="blob_get",
-                        tenant=runtime.tenant,
-                    )
-                )
-                self._account_flow(
-                    source, runtime.host, size, shuffle_id=dep.shuffle_id,
-                    recovery=runtime.task.recovery,
-                )
-        if local_bytes > 0:
-            yield context.sim.timeout(
-                context.config.disk.read_time(local_bytes)
-            )
-            runtime.bytes_read_local += local_bytes
-            self.counters.note_local_read(local_bytes)
-        if flows:
-            yield context.sim.all_of(flows)
-        return records
+            yield self.context.sim.timeout(latency)
 
     # ------------------------------------------------------------------
     # Failure handling: metadata repair from durable objects
@@ -248,23 +181,14 @@ class BlobShuffleBackend(ShuffleBackend):
             if tracker.has_map_output(shuffle_id, map_index):
                 continue
             endpoint = self._store.endpoint_host(obj.region)
-            self.register_map_output(
+            self.relocate_map_output(
                 shuffle_id, map_index, endpoint, obj.shards
             )
-            self.counters.map_outputs_registered -= 1  # restore, not new
-
-    def on_blocks_lost(self, dep: ShuffleDependency, tenant: str = ""):
-        """Only reachable when a map output was lost *before* its PUT
-        (the store had no copy): write the recomputed outputs durable,
-        recovery-tagged."""
-        self._uploaded.discard(dep.shuffle_id)
-        yield from self._upload(dep, recovery=True, tenant=tenant)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def remove_shuffle(self, shuffle_id: int) -> None:
         super().remove_shuffle(shuffle_id)
-        self._uploaded.discard(shuffle_id)
         if self._store is not None:
             self._store.drop_shuffle(shuffle_id)

@@ -13,21 +13,23 @@ which matters under per-flow fair sharing and the cluster's WAN flow
 cap.
 
 Correctness: the merge relocates shards without touching their records,
-and ``shuffle_read`` concatenates shards in global map-index order —
-byte-identical reduce input (hence byte-identical job output) to the
-fetch baseline; only time and traffic shape differ.  The
+and the shared ``shuffle_read`` concatenates shards in global map-index
+order — byte-identical reduce input (hence byte-identical job output)
+to the fetch baseline; only time and traffic shape differ.  The
 backend-equivalence suite in ``tests/shuffle`` pins this down.
+
+Own code: merger election and the consolidation plan (``_stage``); the
+rest is :class:`~repro.shuffle.service.ShuffleBackend`'s data path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.shuffle.service import ShuffleBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdd.dependencies import ShuffleDependency
-    from repro.scheduler.task_runtime import TaskRuntime
     from repro.shuffle.map_output_tracker import MapStatus
 
 
@@ -40,10 +42,10 @@ class PreMergeBackend(ShuffleBackend):
     flow_tags = ("shuffle", "shuffle_merge", "transfer_to")
 
     def __init__(self) -> None:
-        super().__init__()
-        # Shuffles whose outputs were already consolidated; a shuffle is
-        # merged at most once (iterative jobs reuse the merged layout).
-        self._merged: Set[int] = set()
+        # After the merge each datacenter exposes (at most) one source
+        # host, so a reducer opens at most one WAN flow per remote
+        # datacenter.
+        super().__init__(coalesced_reads=True)
         # Most recent merger host per datacenter — the single point of
         # failure chaos "merger" events target.
         self._mergers: Dict[str, str] = {}
@@ -60,11 +62,6 @@ class PreMergeBackend(ShuffleBackend):
     # ------------------------------------------------------------------
     # Pre-reduce consolidation
     # ------------------------------------------------------------------
-    def prepare_shuffle_input(self, dep: ShuffleDependency, tenant: str = ""):
-        if dep.shuffle_id in self._merged:
-            return
-        yield from self._consolidate(dep, recovery=False, tenant=tenant)
-
     def _choose_merger(
         self, datacenter: str, per_host: Dict[str, float]
     ) -> str | None:
@@ -103,11 +100,11 @@ class PreMergeBackend(ShuffleBackend):
             candidates, key=lambda host: (-per_host.get(host, 0.0), host)
         )
 
-    def _consolidate(
-        self, dep: ShuffleDependency, recovery: bool, tenant: str = ""
-    ):
+    def _stage(self, dep: ShuffleDependency, recovery: bool, tenant: str):
+        """Consolidate each datacenter's map output onto its merger.
+        On recovery the just-recomputed partitions sit at scattered
+        hosts: they join a *surviving* merger, recovery-tagged."""
         shuffle_id = dep.shuffle_id
-        self._merged.add(shuffle_id)
         context = self.context
         topology = context.topology
         statuses = context.map_output_tracker.map_statuses(shuffle_id)
@@ -159,15 +156,10 @@ class PreMergeBackend(ShuffleBackend):
                 moves.append((status, merger))
                 if status.total_size > 0:
                     flows.append(
-                        context.fabric.transfer(
+                        self._move(
                             status.host, merger, status.total_size,
-                            tag="shuffle_merge", tenant=tenant,
+                            "shuffle_merge", tenant, shuffle_id, recovery,
                         )
-                    )
-                    self._account_flow(
-                        status.host, merger, status.total_size,
-                        shuffle_id=shuffle_id,
-                        recovery=recovery,
                     )
         if flows:
             yield context.sim.all_of(flows)
@@ -175,108 +167,26 @@ class PreMergeBackend(ShuffleBackend):
         # reducers are not launched until this process returns, so no
         # read can observe a half-merged layout.
         for status, merger in moves:
-            shards = [
-                context.shuffle_store.get_shard(
-                    shuffle_id, status.map_index, reduce_index
-                )
-                for reduce_index in range(len(status.shard_sizes))
-            ]
-            self.register_map_output(
-                shuffle_id, status.map_index, merger, shards
+            self.relocate_map_output(
+                shuffle_id, status.map_index, merger,
+                self.shards_of(shuffle_id, status),
             )
-            self.counters.map_outputs_registered -= 1  # relocation, not new
-
-    # ------------------------------------------------------------------
-    # Coalesced reduce read
-    # ------------------------------------------------------------------
-    def shuffle_read(
-        self, runtime: TaskRuntime, dep: ShuffleDependency, reduce_index: int
-    ):
-        """One flow per *source host* instead of one per shard.
-
-        After the merge each datacenter exposes (at most) one source
-        host, so a reducer opens at most one WAN flow per remote
-        datacenter.  Records are concatenated in map-index order —
-        exactly the fetch backend's order — so reduce input is
-        byte-identical.
-        """
-        context = self.context
-        statuses = context.map_output_tracker.map_statuses(dep.shuffle_id)
-        store = context.shuffle_store
-        self.counters.reduce_reads += 1
-        records: List[Any] = []
-        by_source: Dict[str, float] = {}
-        for status in statuses:
-            shard = store.get_shard(
-                dep.shuffle_id, status.map_index, reduce_index
-            )
-            records.extend(shard.records)
-            if shard.size_bytes > 0:
-                by_source[status.host] = (
-                    by_source.get(status.host, 0.0) + shard.size_bytes
-                )
-        local_bytes = by_source.pop(runtime.host, 0.0)
-        flows = []
-        retry_enabled = context.config.health.flow_retry_enabled
-        for source in sorted(by_source):
-            size = by_source[source]
-            runtime.shuffle_bytes_fetched += size
-            self.counters.blocks_fetched += 1
-            if retry_enabled:
-                flows.append(
-                    context.sim.spawn(
-                        self._fetch_with_retry(runtime, dep, source, size),
-                        name=(
-                            f"fetch-retry:s{dep.shuffle_id}"
-                            f"r{reduce_index}@{source}"
-                        ),
-                    )
-                )
-            else:
-                flows.append(
-                    context.fabric.transfer(
-                        source, runtime.host, size, tag="shuffle",
-                        tenant=runtime.tenant,
-                    )
-                )
-                self._account_flow(
-                    source, runtime.host, size, shuffle_id=dep.shuffle_id,
-                    recovery=runtime.task.recovery,
-                )
-        if local_bytes > 0:
-            yield context.sim.timeout(
-                context.config.disk.read_time(local_bytes)
-            )
-            runtime.bytes_read_local += local_bytes
-            self.counters.note_local_read(local_bytes)
-        if flows:
-            yield context.sim.all_of(flows)
-        return records
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def remove_shuffle(self, shuffle_id: int) -> None:
         super().remove_shuffle(shuffle_id)
-        self._merged.discard(shuffle_id)
         self._fallback.discard(shuffle_id)
 
     def on_host_failure(self, host: str) -> None:
         """Re-run partitions register at new hosts; allow a re-merge so
         the recovered outputs are consolidated again before the next
         consuming stage."""
-        self._merged.clear()
+        self._staged.clear()
         for datacenter, merger in list(self._mergers.items()):
             if merger == host:
                 del self._mergers[datacenter]
-
-    def on_blocks_lost(self, dep: ShuffleDependency, tenant: str = ""):
-        """Mid-job recovery: the lost partitions were just recomputed at
-        scattered hosts — consolidate them onto a *surviving* merger
-        before any reducer retries, so recovered reads stay coalesced.
-        The merge flows are tagged as recovery traffic."""
-        self._merged.discard(dep.shuffle_id)
-        yield from self._consolidate(dep, recovery=True, tenant=tenant)
 
     def merger_host(self, datacenter: str) -> str | None:
         return self._mergers.get(datacenter)

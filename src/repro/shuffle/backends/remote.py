@@ -27,18 +27,21 @@ records, and reads concatenate in global map-index order — reduce input
 stays byte-identical to the fetch baseline (pinned by the equivalence
 suite).  Every flow is accounted at issue with an exact cancel refund,
 so counter==monitor reconciliation holds at every quiescent point.
+
+Own code: the worker pool, replication factor, hand-off plan
+(``_stage``), promotion and re-replication; the rest is
+:class:`~repro.shuffle.service.ShuffleBackend`'s data path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 from repro.shuffle.service import ShuffleBackend
 from repro.shuffle.worker_pool import ShuffleWorker, ShuffleWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdd.dependencies import ShuffleDependency
-    from repro.scheduler.task_runtime import TaskRuntime
     from repro.shuffle.map_output_tracker import MapStatus
     from repro.shuffle.stores import ShuffleShard
 
@@ -53,11 +56,10 @@ class RemoteShuffleBackend(ShuffleBackend):
                  "transfer_to")
 
     def __init__(self) -> None:
-        super().__init__()
+        # After the hand-off every datacenter exposes at most a few
+        # worker hosts: one coalesced flow per source worker host.
+        super().__init__(coalesced_reads=True)
         self._pool: ShuffleWorkerPool | None = None
-        # Shuffles whose outputs were handed to the worker pool; a
-        # shuffle uploads at most once (durability then maintains it).
-        self._uploaded: Set[int] = set()
         # Background re-replication processes still in flight; drained
         # at the next stage barrier so the backend is quiescent whenever
         # the scheduler observes it.
@@ -126,13 +128,14 @@ class RemoteShuffleBackend(ShuffleBackend):
             self._repairs = []
             if pending:
                 yield self.context.sim.all_of(pending)
-        if dep.shuffle_id in self._uploaded:
-            return
-        yield from self._upload(dep, recovery=False, tenant=tenant)
+        yield from super().prepare_shuffle_input(dep, tenant=tenant)
 
-    def _upload(self, dep: ShuffleDependency, recovery: bool, tenant: str = ""):
+    def _stage(self, dep: ShuffleDependency, recovery: bool, tenant: str):
+        """Hand every map output to the worker pool, then replicate.
+        On recovery (lineage fallback: the last replica died) only the
+        recomputed outputs, sitting at scattered executor hosts, go
+        back to the pool, recovery-tagged."""
         shuffle_id = dep.shuffle_id
-        self._uploaded.add(shuffle_id)
         context = self.context
         topology = context.topology
         pool = self._ensure_pool()
@@ -152,24 +155,15 @@ class RemoteShuffleBackend(ShuffleBackend):
             worker = pool.assign(topology.datacenter_of(status.host))
             if worker is None:
                 continue  # no workers left anywhere: stay scattered
-            shards = [
-                context.shuffle_store.get_shard(
-                    shuffle_id, status.map_index, reduce_index
-                )
-                for reduce_index in range(len(status.shard_sizes))
-            ]
+            shards = self.shards_of(shuffle_id, status)
             size = status.total_size
             spilled += worker.accept(size)
             if status.host != worker.host and size > 0:
                 upload_flows.append(
-                    context.fabric.transfer(
+                    self._move(
                         status.host, worker.host, size,
-                        tag="shuffle_upload", tenant=tenant,
+                        "shuffle_upload", tenant, shuffle_id, recovery,
                     )
-                )
-                self._account_flow(
-                    status.host, worker.host, size,
-                    shuffle_id=shuffle_id, recovery=recovery,
                 )
             plan.append((status, worker, shards))
         if upload_flows:
@@ -193,14 +187,10 @@ class RemoteShuffleBackend(ShuffleBackend):
                 self.counters.replication_bytes += size
                 if size > 0:
                     replica_flows.append(
-                        context.fabric.transfer(
+                        self._move(
                             worker.host, target.host, size,
-                            tag="shuffle_replicate", tenant=tenant,
+                            "shuffle_replicate", tenant, shuffle_id, recovery,
                         )
-                    )
-                    self._account_flow(
-                        worker.host, target.host, size,
-                        shuffle_id=shuffle_id, recovery=recovery,
                     )
             replica_plan.append((status.map_index, worker, shards, targets))
         if replica_flows:
@@ -209,83 +199,19 @@ class RemoteShuffleBackend(ShuffleBackend):
         # Relocate metadata/payloads only after every flow landed:
         # reducers launch after this process returns, so no read can
         # observe a half-made hand-off.
+        tracker = context.map_output_tracker
         for map_index, worker, shards, targets in replica_plan:
             key = (shuffle_id, map_index)
-            current = context.map_output_tracker.map_statuses(shuffle_id)
-            status_host = next(
-                (s.host for s in current if s.map_index == map_index), None
-            )
-            if status_host != worker.host:
-                self.register_map_output(
+            if not (
+                tracker.has_map_output(*key)
+                and tracker.map_status(*key).host == worker.host
+            ):
+                self.relocate_map_output(
                     shuffle_id, map_index, worker.host, shards
                 )
-                self.counters.map_outputs_registered -= 1  # relocation
             pool.record_primary(key, worker.host)
             for target in targets:
                 pool.record_replica(key, target.host, shards)
-
-    # ------------------------------------------------------------------
-    # Coalesced reduce read (one flow per source worker host)
-    # ------------------------------------------------------------------
-    def shuffle_read(
-        self, runtime: TaskRuntime, dep: ShuffleDependency, reduce_index: int
-    ):
-        """After the hand-off every datacenter exposes at most a few
-        worker hosts, so a reducer opens one coalesced flow per source
-        host.  Records concatenate in map-index order — byte-identical
-        reduce input to the fetch baseline."""
-        context = self.context
-        statuses = context.map_output_tracker.map_statuses(dep.shuffle_id)
-        store = context.shuffle_store
-        self.counters.reduce_reads += 1
-        records: List[Any] = []
-        by_source: Dict[str, float] = {}
-        for status in statuses:
-            shard = store.get_shard(
-                dep.shuffle_id, status.map_index, reduce_index
-            )
-            records.extend(shard.records)
-            if shard.size_bytes > 0:
-                by_source[status.host] = (
-                    by_source.get(status.host, 0.0) + shard.size_bytes
-                )
-        local_bytes = by_source.pop(runtime.host, 0.0)
-        flows = []
-        retry_enabled = context.config.health.flow_retry_enabled
-        for source in sorted(by_source):
-            size = by_source[source]
-            runtime.shuffle_bytes_fetched += size
-            self.counters.blocks_fetched += 1
-            if retry_enabled:
-                flows.append(
-                    context.sim.spawn(
-                        self._fetch_with_retry(runtime, dep, source, size),
-                        name=(
-                            f"fetch-retry:s{dep.shuffle_id}"
-                            f"r{reduce_index}@{source}"
-                        ),
-                    )
-                )
-            else:
-                flows.append(
-                    context.fabric.transfer(
-                        source, runtime.host, size, tag="shuffle",
-                        tenant=runtime.tenant,
-                    )
-                )
-                self._account_flow(
-                    source, runtime.host, size, shuffle_id=dep.shuffle_id,
-                    recovery=runtime.task.recovery,
-                )
-        if local_bytes > 0:
-            yield context.sim.timeout(
-                context.config.disk.read_time(local_bytes)
-            )
-            runtime.bytes_read_local += local_bytes
-            self.counters.note_local_read(local_bytes)
-        if flows:
-            yield context.sim.all_of(flows)
-        return records
 
     # ------------------------------------------------------------------
     # Failure handling: promote, then re-replicate in the background
@@ -300,7 +226,7 @@ class RemoteShuffleBackend(ShuffleBackend):
         pool = self._pool
         context = self.context
         datacenter = context.topology.datacenter_of(host)
-        was_worker = host in {w.host for w in pool.all_workers()}
+        was_worker = pool.is_worker(host)
         orphaned, degraded = pool.on_worker_lost(host)
         repair_keys: List[Tuple[int, int]] = []
         for key in orphaned:
@@ -308,12 +234,13 @@ class RemoteShuffleBackend(ShuffleBackend):
             if not survivors:
                 # Last copy died: the tracker stays incomplete and the
                 # next read escalates to lineage recovery.
-                self._uploaded.discard(key[0])
+                self._staged.discard(key[0])
                 continue
             new_primary = survivors[0]
-            shards = pool.replica_shards(key, new_primary)
-            self.register_map_output(key[0], key[1], new_primary, shards)
-            self.counters.map_outputs_registered -= 1  # promotion
+            self.relocate_map_output(
+                key[0], key[1], new_primary,
+                pool.replica_shards(key, new_primary),
+            )
             self.counters.replica_promotions += 1
             pool.record_primary(key, new_primary)
             repair_keys.append(key)
@@ -321,27 +248,15 @@ class RemoteShuffleBackend(ShuffleBackend):
         if was_worker:
             self._provision(datacenter)
         factor = self._replication_factor()
+        tracker = context.map_output_tracker
         for key in sorted(set(repair_keys)):
             primary = pool.primary(key)
             if primary is None:
                 continue
             missing = factor - pool.copy_count(key)
-            if missing <= 0:
+            if missing <= 0 or not tracker.has_map_output(*key):
                 continue
-            status = next(
-                (
-                    s
-                    for s in context.map_output_tracker.map_statuses(key[0])
-                    if s.map_index == key[1]
-                ),
-                None,
-            )
-            if status is None:
-                continue
-            shards = [
-                context.shuffle_store.get_shard(key[0], key[1], index)
-                for index in range(len(status.shard_sizes))
-            ]
+            shards = self.shards_of(key[0], tracker.map_status(*key))
             exclude = tuple(pool.replica_hosts(key))
             for target in pool.replica_targets(primary, missing, exclude):
                 self._repairs.append(
@@ -361,15 +276,11 @@ class RemoteShuffleBackend(ShuffleBackend):
         """Background copy restoring the replication factor (recovery-
         tagged; accounted at issue with the usual exactness)."""
         pool = self._pool
-        context = self.context
         size = sum(shard.size_bytes for shard in shards)
         if size > 0:
-            flow = context.fabric.transfer(
-                src_host, target.host, size,
-                tag="shuffle_replicate", tenant="",
-            )
-            self._account_flow(
-                src_host, target.host, size, shuffle_id=key[0], recovery=True,
+            flow = self._move(
+                src_host, target.host, size, "shuffle_replicate",
+                shuffle_id=key[0], recovery=True,
             )
             self.counters.replication_bytes += size
             self.counters.rereplication_bytes += size
@@ -378,25 +289,17 @@ class RemoteShuffleBackend(ShuffleBackend):
         # the target worker and the shuffle are still alive.
         if pool is None or pool.primary(key) is None:
             return
-        if target.host not in {w.host for w in pool.all_workers()}:
+        if not pool.is_worker(target.host):
             return
         spill = target.accept(size)
         if spill > 0:
             self.counters.spill_bytes += spill
         pool.record_replica(key, target.host, shards)
 
-    def on_blocks_lost(self, dep: ShuffleDependency, tenant: str = ""):
-        """Lineage fallback (last replica died): the recomputed outputs
-        sit at scattered executor hosts — hand them back to the worker
-        pool, recovery-tagged, before any consumer retries its read."""
-        self._uploaded.discard(dep.shuffle_id)
-        yield from self._upload(dep, recovery=True, tenant=tenant)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def remove_shuffle(self, shuffle_id: int) -> None:
         super().remove_shuffle(shuffle_id)
-        self._uploaded.discard(shuffle_id)
         if self._pool is not None:
             self._pool.drop_shuffle(shuffle_id)

@@ -19,9 +19,11 @@ Division of labour:
   one backend, exposes the uniform entry points the scheduler/runtime
   call, and snapshots counters for ``RunResult``/CLI reporting.
 
-The base class implements the Spark-semantics data path (per-shard
-concurrent fetches, staged-partition pulls), so backends override only
-what they change.  All metadata/payload bookkeeping stays in the
+The base class owns the one data path every backend composes (DESIGN.md
+§8): **move** (``_move`` / ``_move_read``, the only place a flow is
+issued and accounted), **read** (``shuffle_read``), **stage once** (the
+``_stage`` hook's lifecycle) and **snapshot / relocate** (``shards_of``
+/ ``relocate_map_output``).  All metadata/payload bookkeeping stays in the
 existing :class:`~repro.shuffle.map_output_tracker.MapOutputTracker`,
 :class:`~repro.shuffle.stores.ShuffleStore`, and
 :class:`~repro.shuffle.stores.TransferTracker`; backends reorganise
@@ -30,7 +32,7 @@ existing :class:`~repro.shuffle.map_output_tracker.MapOutputTracker`,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FetchFailedError
 from repro.failures.health import transfer_with_retry
@@ -60,6 +62,12 @@ class ShuffleBackend:
     * ``flow_tags``          — the traffic-monitor tags of every flow
       this backend issues; the counter/monitor equivalence property is
       stated over exactly these tags.
+
+    The one real difference between the backends' reduce reads is
+    passed to the constructor as data: ``coalesced_reads`` (one flow per
+    remote *source host* instead of one per remote shard — what staging
+    map output onto few hosts buys) and ``read_tag`` (the monitor tag of
+    those flows).
     """
 
     name: str = "abstract"
@@ -67,9 +75,17 @@ class ShuffleBackend:
     implicit_transfers: bool = False
     flow_tags: Tuple[str, ...] = ("shuffle", "transfer_to")
 
-    def __init__(self) -> None:
+    def __init__(
+        self, coalesced_reads: bool = False, read_tag: str = "shuffle"
+    ) -> None:
         self.context: ClusterContext = None  # type: ignore[assignment]
         self.counters = ShuffleCounters()
+        self._coalesced_reads = coalesced_reads
+        self._read_tag = read_tag
+        # Shuffles whose map output ``_stage`` already reorganised; a
+        # shuffle is staged at most once (iterative jobs reuse the
+        # layout) until a failure handler forgets it.
+        self._staged: Set[int] = set()
 
     def bind(self, context: ClusterContext) -> None:
         """Attach to one cluster context (called once by the service)."""
@@ -101,6 +117,18 @@ class ShuffleBackend:
         shards: List[ShuffleShard],
     ) -> None:
         """Publish one map partition's sharded output at ``host``."""
+        self.relocate_map_output(shuffle_id, map_index, host, shards)
+        self.counters.map_outputs_registered += 1
+
+    def relocate_map_output(
+        self,
+        shuffle_id: int,
+        map_index: int,
+        host: str,
+        shards: List[ShuffleShard],
+    ) -> None:
+        """(Re-)register an existing map output at ``host`` — a merge,
+        hand-off, promotion or restore — without counting a new one."""
         self.context.shuffle_store.put_map_output(
             shuffle_id, map_index, host, shards
         )
@@ -112,12 +140,22 @@ class ShuffleBackend:
                 shard_sizes=[shard.size_bytes for shard in shards],
             ),
         )
-        self.counters.map_outputs_registered += 1
+
+    def shards_of(
+        self, shuffle_id: int, status: MapStatus
+    ) -> List[ShuffleShard]:
+        """Snapshot of one map output's shard payloads, in reduce order."""
+        store = self.context.shuffle_store
+        return [
+            store.get_shard(shuffle_id, status.map_index, reduce_index)
+            for reduce_index in range(len(status.shard_sizes))
+        ]
 
     def remove_shuffle(self, shuffle_id: int) -> None:
         """Drop one shuffle's metadata and payloads."""
         self.context.map_output_tracker.unregister_shuffle(shuffle_id)
         self.context.shuffle_store.remove_shuffle(shuffle_id)
+        self._staged.discard(shuffle_id)
 
     def on_host_failure(self, host: str) -> None:
         """Invalidate backend state referring to ``host`` (no-op here)."""
@@ -125,15 +163,14 @@ class ShuffleBackend:
     def on_blocks_lost(self, dep: ShuffleDependency, tenant: str = ""):
         """Simulation process run by the DAG scheduler after the lost
         partitions of ``dep``'s producing stage were recomputed, before
-        any consumer retries its read.
+        any consumer retries its read: re-stage them, recovery-tagged.
 
-        The base path needs no repair — fetch simply re-fetches the
-        recovered outputs (over WAN when they are remote, Fig. 2a), and
-        push recovers through its receiver stage.  The pre-merge backend
-        re-consolidates here.
+        A no-op for fetch (it simply re-fetches the recovered outputs,
+        over WAN when they are remote, Fig. 2a) and push (it recovers
+        through its receiver stage).
         """
-        return
-        yield  # pragma: no cover - makes this a generator
+        self._staged.add(dep.shuffle_id)
+        yield from self._stage(dep, recovery=True, tenant=tenant)
 
     def merger_host(self, datacenter: str) -> Optional[str]:
         """The host this backend consolidated ``datacenter``'s map
@@ -156,9 +193,18 @@ class ShuffleBackend:
     # ------------------------------------------------------------------
     def prepare_shuffle_input(self, dep: ShuffleDependency, tenant: str = ""):
         """Simulation process run after the map barrier, before the
-        consuming stage's tasks launch.  The pre-merge backend uses it to
-        consolidate map output per datacenter; fetch/push do nothing.
-        ``tenant`` attributes the consolidation flows it may issue."""
+        consuming stage's tasks launch: stage the shuffle's map output
+        unless that already happened.  ``tenant`` attributes the flows
+        staging may issue."""
+        if dep.shuffle_id in self._staged:
+            return
+        self._staged.add(dep.shuffle_id)
+        yield from self._stage(dep, recovery=False, tenant=tenant)
+
+    def _stage(self, dep: ShuffleDependency, recovery: bool, tenant: str):
+        """Hook: reorganise where ``dep``'s map output lives before
+        reducers read it (consolidate / hand off / PUT).  Fetch and push
+        leave it where the map tasks wrote it."""
         return
         yield  # pragma: no cover - makes this a generator
 
@@ -168,61 +214,69 @@ class ShuffleBackend:
     def shuffle_read(
         self, runtime: TaskRuntime, dep: ShuffleDependency, reduce_index: int
     ):
-        """Fetch this reducer's shards from every map output location.
+        """Read this reducer's shards from every map output location.
 
-        All remote shards are fetched with *concurrent* flows — the
-        bursty all-to-all pattern of §II-B — while host-local shards
-        cost only disk time.  In push mode the tracker simply points at
-        receiver hosts, so the identical code becomes a mostly
-        datacenter-local read.
+        Shards are gathered in global map-index order — so reduce input
+        is byte-identical whatever the backend did to the layout —
+        host-local bytes cost only disk time, and remote bytes move as
+        *concurrent* flows: one per remote shard (the bursty all-to-all
+        of §II-B; in push mode the tracker points at receiver hosts, so
+        the same loop becomes a mostly datacenter-local read), or, with
+        ``coalesced_reads``, one per remote source host.
         """
         context = self.context
-        statuses = context.map_output_tracker.map_statuses(dep.shuffle_id)
+        shuffle_id = dep.shuffle_id
         store = context.shuffle_store
-        tenant = runtime.task.stage.tenant or ""
         self.counters.reduce_reads += 1
         records: List[Any] = []
-        flows = []
         local_bytes = 0.0
-        retry_enabled = context.config.health.flow_retry_enabled
-        for status in statuses:
-            shard = store.get_shard(
-                dep.shuffle_id, status.map_index, reduce_index
-            )
+        requests = 0
+        remote: List[Tuple[str, float]] = []
+        for status in context.map_output_tracker.map_statuses(shuffle_id):
+            shard = store.get_shard(shuffle_id, status.map_index, reduce_index)
             records.extend(shard.records)
             if shard.size_bytes <= 0:
                 continue
+            requests += 1
             if status.host == runtime.host:
                 local_bytes += shard.size_bytes
             else:
-                # Bytes and blocks are counted once per logical block,
-                # whatever number of flow attempts delivers it.
-                runtime.shuffle_bytes_fetched += shard.size_bytes
-                self.counters.blocks_fetched += 1
-                if retry_enabled:
-                    flows.append(
-                        context.sim.spawn(
-                            self._fetch_with_retry(
-                                runtime, dep, status.host, shard.size_bytes
-                            ),
-                            name=(
-                                f"fetch-retry:s{dep.shuffle_id}"
-                                f"m{status.map_index}r{reduce_index}"
-                            ),
-                        )
+                remote.append((status.host, shard.size_bytes))
+        if self._coalesced_reads:
+            by_source: Dict[str, float] = {}
+            for source, size in remote:
+                by_source[source] = by_source.get(source, 0.0) + size
+            remote = sorted(by_source.items())
+        yield from self._before_remote_reads(requests, remote)
+
+        def check() -> None:
+            if not context.map_output_tracker.is_complete(shuffle_id):
+                raise FetchFailedError(shuffle_id=shuffle_id)
+
+        tag = self._read_tag
+        retry_enabled = context.config.health.flow_retry_enabled
+        flows = []
+        for source, size in remote:
+            # Bytes and blocks are counted once per logical block,
+            # whatever number of flow attempts delivers it.
+            runtime.shuffle_bytes_fetched += size
+            self.counters.blocks_fetched += 1
+            move = (
+                source, runtime.host, size, tag,
+                runtime.tenant, shuffle_id, runtime.task.recovery,
+            )
+            if retry_enabled:
+                # A sub-process per source: a FetchFailedError raised by
+                # one (data gone mid-retry) fails the all_of below and
+                # propagates to this reducer like an inline raise.
+                flows.append(
+                    context.sim.spawn(
+                        self._move_read(check, *move),
+                        name=f"{tag}-retry:s{shuffle_id}r{reduce_index}@{source}",
                     )
-                else:
-                    flows.append(
-                        context.fabric.transfer(
-                            status.host, runtime.host, shard.size_bytes,
-                            tag="shuffle", tenant=tenant,
-                        )
-                    )
-                    self._account_flow(
-                        status.host, runtime.host, shard.size_bytes,
-                        shuffle_id=dep.shuffle_id,
-                        recovery=runtime.task.recovery,
-                    )
+                )
+            else:
+                flows.append(self._move(*move))
         if local_bytes > 0:
             yield context.sim.timeout(
                 context.config.disk.read_time(local_bytes)
@@ -230,48 +284,16 @@ class ShuffleBackend:
             runtime.bytes_read_local += local_bytes
             self.counters.note_local_read(local_bytes)
         if flows:
-            # With retries these are sub-processes; a FetchFailedError
-            # raised by one (data gone mid-retry) fails the all_of and
-            # propagates to this reducer exactly like the legacy raise.
             yield context.sim.all_of(flows)
         return records
 
-    def _fetch_with_retry(
-        self,
-        runtime: TaskRuntime,
-        dep: ShuffleDependency,
-        src_host: str,
-        size_bytes: float,
-    ):
-        """One remote shard's deadline-raced, re-issued fetch (see
-        :func:`repro.failures.health.transfer_with_retry`).  Counters
-        stay in lockstep with the traffic monitor: each issued flow is
-        accounted in full, each cancelled one refunds exactly its
-        undelivered remainder."""
-        context = self.context
-        recovery = runtime.task.recovery
-
-        def check() -> None:
-            if not context.map_output_tracker.is_complete(dep.shuffle_id):
-                raise FetchFailedError(shuffle_id=dep.shuffle_id)
-
-        yield from transfer_with_retry(
-            context,
-            [src_host],
-            runtime.host,
-            size_bytes,
-            tag="shuffle",
-            tenant=runtime.task.stage.tenant or "",
-            on_issue=lambda src: self._account_flow(
-                src, runtime.host, size_bytes,
-                shuffle_id=dep.shuffle_id, recovery=recovery,
-            ),
-            on_cancel=lambda src, undelivered: self._account_flow(
-                src, runtime.host, -undelivered,
-                shuffle_id=dep.shuffle_id, recovery=recovery,
-            ),
-            check=check,
-        )
+    def _before_remote_reads(self, requests: int, remote: List[Tuple[str, float]]):
+        """Hook (simulation process) run once per reduce read before its
+        flows are issued: ``requests`` non-empty shards are about to be
+        read, ``remote`` lists the (source host, bytes) flows.  The blob
+        backend meters and delays its GETs here."""
+        return
+        yield  # pragma: no cover - makes this a generator
 
     # ------------------------------------------------------------------
     # Transfer boundaries (the push path's unit of data movement)
@@ -295,57 +317,92 @@ class ShuffleBackend:
     ):
         """Pull a staged partition from its origin (receiver task);
         a no-op when the partition is already local."""
-        staged = self.context.transfer_tracker.try_get(dep.transfer_id, index)
-        if staged is None:
-            # The staged partition was lost with its host: FetchFailed,
-            # so the DAG scheduler resubmits the producer from lineage.
-            raise FetchFailedError(transfer_id=dep.transfer_id)
+        tracker = self.context.transfer_tracker
+
+        def lookup():
+            staged = tracker.try_get(dep.transfer_id, index)
+            if staged is None:
+                # The staged partition was lost with its host:
+                # FetchFailed, so the DAG scheduler resubmits the
+                # producer from lineage.
+                raise FetchFailedError(transfer_id=dep.transfer_id)
+            return staged
+
+        staged = lookup()
         if staged.host != runtime.host and staged.size_bytes > 0:
             runtime.bytes_transferred_in += staged.size_bytes
-            recovery = runtime.task.recovery
-            tenant = runtime.task.stage.tenant or ""
-            if self.context.config.health.flow_retry_enabled:
-                tracker = self.context.transfer_tracker
-
-                def check() -> None:
-                    if tracker.try_get(dep.transfer_id, index) is None:
-                        raise FetchFailedError(transfer_id=dep.transfer_id)
-
-                yield from transfer_with_retry(
-                    self.context,
-                    [staged.host],
-                    runtime.host,
-                    staged.size_bytes,
-                    tag="transfer_to",
-                    tenant=tenant,
-                    on_issue=lambda src: self._account_flow(
-                        src, runtime.host, staged.size_bytes,
-                        recovery=recovery,
-                    ),
-                    on_cancel=lambda src, undelivered: self._account_flow(
-                        src, runtime.host, -undelivered, recovery=recovery,
-                    ),
-                    check=check,
-                )
-            else:
-                flow = self.context.fabric.transfer(
-                    staged.host, runtime.host, staged.size_bytes,
-                    tag="transfer_to", tenant=tenant,
-                )
-                # Account at flow creation, not completion: if this
-                # attempt is interrupted (executor crash) the fabric
-                # still carries the flow to completion, and the counters
-                # must agree with the traffic monitor byte-for-byte.
-                self._account_flow(
-                    staged.host, runtime.host, staged.size_bytes,
-                    recovery=recovery,
-                )
-                yield flow
+            yield from self._move_read(
+                lookup, staged.host, runtime.host, staged.size_bytes,
+                "transfer_to", tenant=runtime.tenant,
+                recovery=runtime.task.recovery,
+            )
         return list(staged.records)
 
     # ------------------------------------------------------------------
-    # Accounting helper
+    # Move: the one place a flow is issued and accounted
     # ------------------------------------------------------------------
+    def _move(
+        self,
+        src: str,
+        dst: str,
+        size_bytes: float,
+        tag: str,
+        tenant: str = "",
+        shuffle_id: int | None = None,
+        recovery: bool = False,
+    ):
+        """Issue one flow and return its completion event.
+
+        Accounted at flow creation, not completion: if the issuing
+        attempt is interrupted (executor crash) the fabric still carries
+        the flow to completion, and the counters must agree with the
+        traffic monitor byte-for-byte.
+        """
+        flow = self.context.fabric.transfer(
+            src, dst, size_bytes, tag=tag, tenant=tenant
+        )
+        self._account_flow(src, dst, size_bytes, shuffle_id, recovery)
+        return flow
+
+    def _move_read(
+        self,
+        check: Callable[[], object],
+        src: str,
+        dst: str,
+        size_bytes: float,
+        tag: str,
+        tenant: str = "",
+        shuffle_id: int | None = None,
+        recovery: bool = False,
+    ):
+        """A *read's* move, as a simulation process: one plain flow, or —
+        with ``health.flow_retry_enabled`` — a deadline-raced, re-issued
+        one (see :func:`repro.failures.health.transfer_with_retry`).
+        ``check`` raises ``FetchFailedError`` when the data itself is
+        gone.  Counters stay in lockstep with the traffic monitor: each
+        issued flow is accounted in full, each cancelled one refunds
+        exactly its undelivered remainder."""
+        if not self.context.config.health.flow_retry_enabled:
+            yield self._move(
+                src, dst, size_bytes, tag, tenant, shuffle_id, recovery
+            )
+            return
+        yield from transfer_with_retry(
+            self.context,
+            [src],
+            dst,
+            size_bytes,
+            tag=tag,
+            tenant=tenant,
+            on_issue=lambda source: self._account_flow(
+                source, dst, size_bytes, shuffle_id, recovery
+            ),
+            on_cancel=lambda source, undelivered: self._account_flow(
+                source, dst, -undelivered, shuffle_id, recovery
+            ),
+            check=check,
+        )
+
     def _account_flow(
         self,
         src: str,

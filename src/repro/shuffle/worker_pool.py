@@ -115,6 +115,9 @@ class ShuffleWorkerPool:
     def all_workers(self) -> List[ShuffleWorker]:
         return [self._workers[host] for host in sorted(self._workers)]
 
+    def is_worker(self, host: str) -> bool:
+        return host in self._workers
+
     def worker_host(self, datacenter: str) -> Optional[str]:
         """The busiest worker of ``datacenter`` — the host a
         ``shuffle_worker`` chaos event meaningfully targets."""

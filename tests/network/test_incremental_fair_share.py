@@ -22,7 +22,7 @@ HOSTS = ["A0", "A1", "B0", "B1", "C0", "C1"]
 WAN_PAIRS = [("A", "B"), ("A", "C"), ("B", "C")]
 
 
-def build_mesh(incremental=True):
+def build_mesh(drive="incremental"):
     """Three fully-meshed DCs, two hosts each (one shared component)."""
     sim = Simulator()
     topo = Topology()
@@ -34,11 +34,11 @@ def build_mesh(incremental=True):
             )
     for src, dst in WAN_PAIRS:
         topo.connect_datacenters(src, dst, 100 * MBPS, latency=0.0)
-    fabric = NetworkFabric(sim, topo, incremental=incremental)
+    fabric = NetworkFabric(sim, topo, drive=drive)
     return sim, topo, fabric
 
 
-def build_pairs(num_pairs=3, incremental=True):
+def build_pairs(num_pairs=3, drive="incremental"):
     """Disjoint DC pairs (P0a-P0b, P1a-P1b, ...): one component each."""
     sim = Simulator()
     topo = Topology()
@@ -55,7 +55,7 @@ def build_pairs(num_pairs=3, incremental=True):
         topo.connect_datacenters(
             f"P{pair}a", f"P{pair}b", 100 * MBPS, latency=0.0
         )
-    fabric = NetworkFabric(sim, topo, incremental=incremental)
+    fabric = NetworkFabric(sim, topo, drive=drive)
     return sim, topo, fabric
 
 
@@ -154,7 +154,7 @@ def test_incremental_rates_equal_scratch_solve(transfers, jitters):
     """After arbitrary arrival/departure/jitter sequences the engine's
     rates are the unique max-min allocation (checked against a global
     from-scratch solve plus verify_allocation)."""
-    sim, topo, fabric = build_mesh(incremental=True)
+    sim, topo, fabric = build_mesh()
     for _checkpoint in _apply_ops(sim, topo, fabric, transfers, jitters):
         assert_rates_match_scratch_solve(fabric)
     assert fabric.active_flow_count == 0
@@ -167,8 +167,8 @@ def test_incremental_completions_match_global_path(transfers, jitters):
     """Completion times are identical between the incremental engine and
     the legacy global re-solve drive."""
     finish = {}
-    for incremental in (True, False):
-        sim, topo, fabric = build_mesh(incremental=incremental)
+    for drive in ("incremental", "global"):
+        sim, topo, fabric = build_mesh(drive=drive)
         finished = {}
         spawn_transfers(sim, fabric, transfers, finished)
         links = _directed_wan_links(topo)
@@ -187,11 +187,11 @@ def test_incremental_completions_match_global_path(transfers, jitters):
 
         sim.spawn(jitter_proc(sim))
         sim.run()
-        finish[incremental] = finished
-    assert finish[True].keys() == finish[False].keys()
-    for index in finish[True]:
-        assert finish[True][index] == pytest.approx(
-            finish[False][index], rel=1e-6, abs=1e-9
+        finish[drive] = finished
+    assert finish["incremental"].keys() == finish["global"].keys()
+    for index in finish["incremental"]:
+        assert finish["incremental"][index] == pytest.approx(
+            finish["global"][index], rel=1e-6, abs=1e-9
         )
 
 

@@ -212,11 +212,9 @@ def test_drive_flag_resolution():
     sim, topo, fabric = _build("vector")
     assert fabric.drive == "vector"
     assert NetworkFabric(Simulator(), topo).drive == "vector"
-    assert NetworkFabric(Simulator(), topo, incremental=True).drive == (
-        "incremental"
-    )
-    assert NetworkFabric(Simulator(), topo, incremental=False).drive == (
-        "global"
-    )
+    for drive in ("incremental", "global"):
+        assert NetworkFabric(Simulator(), topo, drive=drive).drive == drive
+    with pytest.raises(TypeError):
+        NetworkFabric(Simulator(), topo, incremental=True)
     with pytest.raises(ValueError):
         NetworkFabric(Simulator(), topo, drive="warp")

@@ -176,6 +176,27 @@ def test_blob_outage_window_delays_but_never_fails_requests():
     context.shutdown()
 
 
+@pytest.mark.parametrize("retry", (False, True))
+def test_blob_reads_are_tagged_blob_get_with_and_without_flow_retry(retry):
+    """Regression: with flow retries on, blob GET flows used to ride a
+    retry helper that hard-coded ``tag="shuffle"``, so the monitor filed
+    the same reads under a different tag depending on a health flag."""
+    from repro.config import HealthConfig
+
+    context = make_context(
+        backend="blob",
+        health=HealthConfig(flow_retry_enabled=retry),
+        scale_factor=1e5,
+    )
+    result, expected = _run_reduce_job(context)
+    assert result == expected
+    assert context.traffic.by_tag["blob_get"] > 0
+    assert context.traffic.by_tag.get("shuffle", 0.0) == 0
+    assert "shuffle" not in context.shuffle_service.backend.flow_tags
+    _assert_counters_match_monitor(context)
+    context.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # Per-tenant ledger reconciliation on multi-tenant streams
 # ---------------------------------------------------------------------------

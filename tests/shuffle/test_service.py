@@ -160,6 +160,36 @@ def test_dag_scheduler_has_no_strategy_branches():
         assert marker not in source
 
 
+def test_backends_compose_the_shared_data_path():
+    """One data path: flows are issued (and retried) only inside the
+    base-class move primitive, and no backend module re-implements the
+    reduce read, the shard snapshot or the relocation fix-up."""
+    from pathlib import Path
+
+    import repro.shuffle
+
+    package = Path(repro.shuffle.__file__).parent
+    sources = {
+        path.relative_to(package).as_posix(): path.read_text()
+        for path in sorted(package.rglob("*.py"))
+    }
+
+    def occurrences(needle):
+        return {
+            name: text.count(needle)
+            for name, text in sources.items() if needle in text
+        }
+
+    assert occurrences("fabric.transfer(") == {"service.py": 1}
+    assert occurrences("transfer_with_retry(") == {"service.py": 1}
+    assert occurrences("range(len(status.shard_sizes))") == {"service.py": 1}
+    assert occurrences("map_outputs_registered -= 1") == {}
+    assert not any(
+        "def shuffle_read" in text
+        for name, text in sources.items() if name.startswith("backends/")
+    )
+
+
 # ---------------------------------------------------------------------------
 # Service wiring
 # ---------------------------------------------------------------------------
