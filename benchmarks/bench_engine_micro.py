@@ -3,9 +3,9 @@
 Not a paper figure — these track the cost of the substrate so the
 figure benchmarks stay interpretable: event throughput of the DES
 kernel, end-to-end latency of a small simulated job, and the fair-share
-fabric under churn (where the incremental component-scoped engine is
-compared against the legacy global re-solve path; the before/after
-numbers land in ``results/engine_micro.txt``).
+fabric under churn (where the production vector drive is compared
+against the global re-solve reference; the numbers land in
+``results/engine_micro.txt``).
 """
 
 import os
@@ -18,8 +18,8 @@ from repro.simulation import Simulator
 from tests.conftest import make_context
 
 # CI perf-smoke mode: shrink the churn matrix and only require that the
-# vector drive is not slower than the incremental one (absolute ratios
-# are too noisy on shared runners; a regression that loses the ordering
+# vector drive is not slower than the global oracle (absolute ratios are
+# too noisy on shared runners; a regression that loses the ordering
 # entirely still fails).
 _SMOKE = os.environ.get("REPRO_SMOKE", "0") not in ("", "0")
 
@@ -72,9 +72,9 @@ def test_small_job_end_to_end(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Fair-share fabric under churn: vector vs incremental vs global drives
+# Fair-share fabric under churn: the vector drive vs the global oracle
 # ---------------------------------------------------------------------------
-def _build_pairs_fabric(num_pairs, drive):
+def _build_pairs_fabric(num_pairs, drive="vector"):
     """Disjoint DC pairs — one fair-share component per pair."""
     sim = Simulator()
     topo = Topology()
@@ -115,30 +115,17 @@ def _run_churn(drive, num_pairs=20, flows_per_pair=26):
     return wall, sim.now, fabric.perf
 
 
-def test_fabric_churn_incremental(benchmark):
-    """Track the incremental engine's absolute cost under churn."""
-    _wall, final, perf = benchmark.pedantic(
-        lambda: _run_churn(drive="incremental"), rounds=1, iterations=1
-    )
-    assert perf.peak_active_flows >= 500
-    # Departure solves stay scoped to one pair's component.
-    assert perf.mean_flows_per_solve < 60
-
-
 def test_fabric_churn_speedup_report():
-    """The headline claims, measured in one pass with identical results:
-
-    * incremental (component-scoped re-solves) >= 3x over the global
-      re-everything drive;
-    * vector (cascade plans, zero re-solves between perturbations)
-      >= 5x over the incremental drive.
+    """The headline claim, measured in one pass with identical results:
+    vector (component-scoped cascade plans, zero re-solves between
+    perturbations) >= 15x over the global re-everything drive.
 
     ``REPRO_SMOKE=1`` shrinks the matrix and only checks the ordering —
     the CI perf-smoke step fails when the vector drive is *slower* than
-    the incremental oracle drive.
+    the global oracle drive.
     """
     num_pairs, flows_per_pair = (6, 10) if _SMOKE else (20, 26)
-    drives = ("global", "incremental", "vector")
+    drives = ("global", "vector")
     seconds = {}
     perfs = {}
     finals = {}
@@ -153,14 +140,15 @@ def test_fabric_churn_speedup_report():
             )
             walls.append(wall)
         seconds[drive] = min(walls)
-    # Same simulated outcome on every drive (max-min allocation is
+    # Same simulated outcome on both drives (max-min allocation is
     # unique; the drives accumulate float error in different orders).
-    for drive in ("incremental", "vector"):
-        assert abs(finals[drive] - finals["global"]) <= (
-            1e-9 * finals["global"]
-        )
-    incr_speedup = seconds["global"] / seconds["incremental"]
-    vector_speedup = seconds["incremental"] / seconds["vector"]
+    assert abs(finals["vector"] - finals["global"]) <= (
+        1e-9 * finals["global"]
+    )
+    # Scoping: one cascade plan per disjoint pair, never re-solved.
+    assert perfs["vector"].solves == num_pairs
+    assert perfs["vector"].peak_active_flows == num_pairs * flows_per_pair
+    vector_speedup = seconds["global"] / seconds["vector"]
 
     def row(label, drive):
         perf = perfs[drive]
@@ -181,11 +169,9 @@ def test_fabric_churn_speedup_report():
         f"{'drive':<22}{'wall':>11}{'solves':>9}{'flows touched':>15}"
         f"{'mean/solve':>13}{'solver':>16}",
         row("global re-solve", "global"),
-        row("incremental", "incremental"),
         row("vector (cascade)", "vector"),
         "",
-        f"incremental/global speedup: {incr_speedup:.1f}x   "
-        f"vector/incremental speedup: {vector_speedup:.1f}x",
+        f"vector/global speedup: {vector_speedup:.1f}x",
         f"flows-per-wall-second (vector): {total / seconds['vector']:,.0f}",
     ]
     emit("engine_micro.txt", lines)
@@ -212,31 +198,24 @@ def test_fabric_churn_speedup_report():
                 }
                 for drive in drives
             },
-            "speedups": {
-                "incremental_over_global": incr_speedup,
-                "vector_over_incremental": vector_speedup,
-                "vector_over_global": seconds["global"] / seconds["vector"],
-            },
+            "speedups": {"vector_over_global": vector_speedup},
         },
     )
     if _SMOKE:
         assert vector_speedup >= 1.0, (
-            f"vector drive slower than incremental oracle: "
+            f"vector drive slower than the global oracle: "
             f"{vector_speedup:.2f}x"
         )
     else:
-        assert incr_speedup >= 3.0, (
-            f"expected >= 3x, got {incr_speedup:.2f}x"
-        )
-        assert vector_speedup >= 5.0, (
-            f"expected >= 5x, got {vector_speedup:.2f}x"
+        assert vector_speedup >= 15.0, (
+            f"expected >= 15x, got {vector_speedup:.2f}x"
         )
 
 
 def test_fabric_jitter_on_idle_links(benchmark):
     """Jitter on links carrying zero flows must not reach the solver."""
     def run():
-        sim, topo, fabric = _build_pairs_fabric(40, drive="incremental")
+        sim, topo, fabric = _build_pairs_fabric(40)
         fabric.transfer("P0a0", "P0b0", 50e6)
         sim.run(until=0.1)
         idle = [

@@ -25,6 +25,6 @@ def pytest_configure(config):
     if config.getoption("--smoke"):
         os.environ.setdefault("REPRO_SEEDS", "1")
         # Engine microbenchmark: shrink the churn matrix and relax the
-        # absolute speedup thresholds to an ordering check (the vector
-        # drive must not be slower than the incremental oracle).
+        # absolute speedup threshold to an ordering check (the vector
+        # drive must not be slower than the global oracle).
         os.environ.setdefault("REPRO_SMOKE", "1")

@@ -12,8 +12,8 @@ incremented from the solver event loop:
 * ``events``            — recompute/wake events processed;
 * ``solves``            — fair-share solver invocations;
 * ``flows_touched``     — total flows re-solved across all solves (the
-  incremental engine touches only the dirty connected component, so
-  this is far below ``solves * active_flows``);
+  vector drive re-plans only the dirty connected component, so this is
+  far below ``solves * active_flows``);
 * ``solver_seconds``    — wall-clock time inside the solver + component
   bookkeeping (real time, not simulated time);
 * ``total_flows``       — flows ever admitted;

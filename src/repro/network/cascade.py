@@ -1,8 +1,7 @@
 """Cascade plans: precomputed departure schedules for the vector drive.
 
-The incremental drive (PR 1) re-solves the dirty connected component on
-*every* departure — one Python BFS, one scalar solve, one deadline-heap
-reshuffle per flow that drains.  But between external perturbations
+An event-per-departure fabric (the global reference drive) re-solves
+rates every time a flow drains.  But between external perturbations
 (arrivals, cancels, capacity changes) a component's future is fully
 determined: max-min fair sharing is a piecewise-linear fluid system, so
 the entire sequence of departures can be computed up front.  A
@@ -31,8 +30,8 @@ Two plan shapes:
 
 Replay is exact: each plan keeps the cumulative bytes delivered at
 every segment boundary, so ``remaining_at(pos, t)`` is one
-``searchsorted`` plus a fused multiply-add — the vector drive's
-equivalent of the incremental drive's lazy ``_charge``.
+``searchsorted`` plus a fused multiply-add, paid only when something
+actually reads or perturbs the flow.
 """
 
 from __future__ import annotations

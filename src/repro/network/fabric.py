@@ -12,34 +12,28 @@ to max-min fairness; rates are recomputed whenever
 
 Between recomputations every flow progresses linearly at its current rate.
 
-Three solver drives exist:
+Two solver drives exist:
 
-* **vector** (default) — on each perturbation the affected components'
-  entire departure schedules are precomputed as
-  :class:`~repro.network.cascade.CascadePlan`\\ s (numpy closed form for
-  uniform-route components, CSR progressive filling otherwise);
-  departures then fire as bare precomputed timers with **zero**
+* **vector** (default, production) — the
+  :class:`~repro.network.IncrementalFairShare` component index scopes
+  each perturbation to the connected components of flows and links it
+  touches; their entire departure schedules are then precomputed as :class:`~repro.network.cascade.CascadePlan`\\ s (numpy
+  closed form for uniform-route components, CSR progressive filling
+  otherwise).  Departures fire as bare precomputed timers with **zero**
   re-solves, and a later perturbation replays the plan to recover each
   member's exact remaining bytes;
-* **incremental** (``drive="incremental"``) —
-  the PR 1 :class:`repro.network.incremental.IncrementalFairShare`
-  engine re-solves only the connected component of flows and links an
-  event touches, charges progress lazily per flow, and keeps projected
-  completions in a deadline heap, so the per-event cost scales with the
-  component, not the population;
-* **global** (``drive="global"``) — the
-  original from-scratch re-solve of every active flow on every event,
-  kept as the baseline for the equivalence tests and the speedup
-  microbenchmarks.
+* **global** (``drive="global"``, reference) — a from-scratch re-solve
+  of every active flow on every event, kept as the oracle for the
+  equivalence tests, the ``fabric_churn`` benchmark warm-up and the
+  speedup microbenchmark.
 
-All three produce the same (unique) max-min allocation; same-instant
-flow arrivals and capacity changes are coalesced into a single solve.
-Stale wake-ups are detected with a version counter and ignored.
+Both produce the same (unique) max-min allocation; same-instant flow
+arrivals and capacity changes are coalesced into a single solve.  The
+global drive detects stale wake-ups with a version counter.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
@@ -86,8 +80,6 @@ class Flow:
         "rate",
         "started_at",
         "finished_at",
-        "charged_at",
-        "epoch",
     )
 
     def __init__(
@@ -121,12 +113,6 @@ class Flow:
         self.rate = 0.0
         self.started_at = started_at
         self.finished_at: Optional[float] = None
-        # ``remaining`` is exact as of ``charged_at``; the incremental
-        # drive charges lazily, only when the flow's rate changes.
-        self.charged_at = started_at
-        # Bumped whenever the rate (and hence projected deadline)
-        # changes; stale deadline-heap entries carry an old epoch.
-        self.epoch = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -151,9 +137,10 @@ class NetworkFabric:
         a single stream cannot fill an inter-region link even when the
         link itself is idle.
 
-        ``drive`` selects the solver drive.
+        ``drive`` selects the solver drive: ``"vector"`` (production)
+        or ``"global"`` (the reference oracle).
         """
-        if drive not in ("vector", "incremental", "global"):
+        if drive not in ("vector", "global"):
             raise ValueError(f"unknown fabric drive: {drive!r}")
         self.sim = sim
         self.topology = topology
@@ -175,35 +162,31 @@ class NetworkFabric:
         # per-tenant totals once all flows have landed.
         self.tenant_ledger = TenantLedger()
         self.drive = drive
-        incremental = drive != "global"
-        self._incremental = incremental
         # link name -> health-advised capacity ceiling (circuit-breaker
-        # hints); shared by reference with the incremental engine so a
+        # hints); shared by reference with the component index so a
         # mutation here clamps its next capacity read.
         self._capacity_hints: Dict[str, float] = {}
+        # The vector drive's flow<->link component index; ``None`` on
+        # the global reference drive, which re-solves everything.
         self._engine: Optional[IncrementalFairShare] = (
             IncrementalFairShare(
-                wan_flow_cap=wan_flow_cap,
-                counters=self.perf,
-                hints=self._capacity_hints,
+                wan_flow_cap=wan_flow_cap, hints=self._capacity_hints
             )
-            if incremental
+            if drive == "vector"
             else None
         )
         self._flows: Dict[int, Flow] = {}
         self._flow_by_event: Dict[Event, Flow] = {}
         self._flow_ids = itertools.count()
+        self._recompute_pending = False
+        # Global drive only: when progress was last charged, and the
+        # version stamp that retires superseded wake-ups.
         self._last_update = sim.now
         self._wake_version = 0
-        self._recompute_pending = False
-        # Event batching (incremental drive): seeds of the next solve.
+        # Vector drive only: the seeds of the next (batched) re-plan,
+        # and flow id -> its live CascadePlan.
         self._dirty_flows: Set[int] = set()
         self._dirty_links: Set[str] = set()
-        self._dirty_all = False
-        # Deadline heap of (projected finish, flow id, epoch) —
-        # incremental drive only.
-        self._deadlines: List[Tuple[float, int, int]] = []
-        # flow id -> its live CascadePlan — vector drive only.
         self._plans: Dict[int, CascadePlan] = {}
         self.completed_flows: List[Flow] = []
 
@@ -283,13 +266,10 @@ class NetworkFabric:
         return tuple(self._flows)
 
     def active_flows(self) -> List[Flow]:
-        """The in-flight flows, with ``remaining`` charged up to now."""
-        if self.drive == "vector":
-            for flow in self._flows.values():
-                self._sync_flow(flow)
-        elif self._engine is not None:
-            for flow in self._flows.values():
-                self._charge(flow)
+        """The in-flight flows, with ``remaining`` charged up to now
+        (the global drive charges at its own events only)."""
+        for flow in self._flows.values():
+            self._sync_flow(flow)
         return list(self._flows.values())
 
     def current_rate(self, flow_event: Event) -> float:
@@ -297,32 +277,24 @@ class NetworkFabric:
         flow = self._flow_by_event.get(flow_event)
         if flow is None:
             return 0.0
-        if self.drive == "vector":
-            self._sync_flow(flow)
+        self._sync_flow(flow)
         return flow.rate
 
-    def notify_capacity_change(
-        self, changed_links: Optional[Iterable[Link]] = None
-    ) -> None:
-        """Re-solve rates after link capacities changed (jitter).
+    def notify_capacity_change(self, changed_links: Iterable[Link]) -> None:
+        """Re-solve rates after the ``changed_links`` capacities changed
+        (jitter, chaos, breaker hints).
 
-        Pass the perturbed ``changed_links`` to scope the re-solve to
-        the components they carry; a change touching only idle links is
-        then a no-op.  Without the argument every carried link is
-        re-read (legacy behaviour).  Same-instant changes coalesce with
-        pending arrivals/departures into one solve.
+        The re-solve is scoped to the components those links carry; a
+        change touching only idle links is a no-op.  Same-instant
+        changes coalesce with pending arrivals/departures into one
+        solve.
         """
         if not self._flows:
-            if changed_links is not None:
-                self.perf.jitter_noops += 1
+            self.perf.jitter_noops += 1
             return
         if self._engine is None:
             self._advance_progress()
             self._reschedule_global()
-            return
-        if changed_links is None:
-            self._dirty_all = True
-            self._schedule_recompute()
             return
         touched = False
         for link in changed_links:
@@ -394,7 +366,9 @@ class NetworkFabric:
         flow = self._flow_by_event.get(flow_event)
         if flow is None:
             return None
-        if self.drive == "vector":
+        if self._engine is None:
+            self._advance_progress()
+        else:
             # Replay the plan up to now for the exact delivered bytes,
             # then invalidate it: the survivors' schedules change once
             # the cancelled flow's share frees up, so they re-enter the
@@ -407,18 +381,11 @@ class NetworkFabric:
                     fid for fid in plan.flow_ids if fid in self._flows
                 )
                 self._dirty_flows.discard(flow.flow_id)
-        elif self._engine is not None:
-            self._charge(flow)
-        else:
-            self._advance_progress()
-        del self._flows[flow.flow_id]
-        del self._flow_by_event[flow.completion]
-        if self._engine is not None:
             self._engine.remove_flow(flow.flow_id)
             self._dirty_links.update(link.name for link in flow.route)
-        # Freed capacity redistributes to the survivors (global drive
-        # re-solves everything; stale deadline-heap entries for the
-        # removed id are skipped on pop).
+        del self._flows[flow.flow_id]
+        del self._flow_by_event[flow.completion]
+        # Freed capacity redistributes to the survivors.
         self._schedule_recompute()
         flow.finished_at = self.sim.now
         delivered = flow.size_bytes - flow.remaining
@@ -494,14 +461,12 @@ class NetworkFabric:
         if self._engine is None:
             self._advance_progress()
             self._reschedule_global()
-        elif self.drive == "vector":
-            self._resolve_dirty_vector()
         else:
-            self._resolve_dirty()
+            self._resolve_dirty_vector()
 
     def _finish_flow(self, flow: Flow, extra_delay: float) -> None:
         if self.sanitizer is not None:
-            # Every flow funnels through here exactly once on every
+            # Every flow funnels through here exactly once on either
             # drive, so the remaining-bytes invariant is always
             # exercised even on runs with no mid-plan perturbations.
             self.sanitizer.check_remaining(flow.flow_id, flow.remaining)
@@ -529,7 +494,8 @@ class NetworkFabric:
 
         The vector drive never touches Flow objects between
         perturbations (their state lives in the plan arrays), so every
-        external read goes through this replay.
+        external read goes through this replay.  The global drive keeps
+        no plans, so for it this is a no-op.
         """
         plan = self._plans.get(flow.flow_id)
         if plan is None or not plan.alive:
@@ -538,7 +504,6 @@ class NetworkFabric:
         pos = plan.pos_of[flow.flow_id]
         flow.remaining = plan.remaining_at(pos, now)
         flow.rate = plan.rate_at(pos, now)
-        flow.charged_at = now
         if self.sanitizer is not None:
             self.sanitizer.check_remaining(flow.flow_id, flow.remaining)
 
@@ -558,7 +523,6 @@ class NetworkFabric:
                 continue
             flow.remaining = plan.remaining_at(pos, now)
             flow.rate = plan.rate_at(pos, now)
-            flow.charged_at = now
             if self._plans.get(flow_id) is plan:
                 del self._plans[flow_id]
 
@@ -567,9 +531,6 @@ class NetworkFabric:
         fresh cascade plans per connected component."""
         engine = self._engine
         assert engine is not None
-        if self._dirty_all:
-            self._dirty_links |= engine.refresh_capacities()
-            self._dirty_all = False
         dirty_flows, self._dirty_flows = self._dirty_flows, set()
         dirty_links, self._dirty_links = self._dirty_links, set()
         # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
@@ -655,8 +616,6 @@ class NetworkFabric:
             for pos, flow_id in enumerate(plan.flow_ids):
                 flow = self._flows[flow_id]
                 flow.rate = plan.initial_rate(pos)
-                flow.charged_at = now
-                flow.epoch += 1
                 self._plans[flow_id] = plan
             if self.sanitizer is not None:
                 self.sanitizer.check_rates(
@@ -686,7 +645,6 @@ class NetworkFabric:
             if not plan.alive:  # pragma: no cover - timers are cancelled
                 return
             self.perf.events += 1
-            now = self.sim.now
             flows = self._flows
             plans = self._plans
             flow_ids = plan.flow_ids
@@ -696,7 +654,6 @@ class NetworkFabric:
                 if flow is None:
                     continue
                 flow.remaining = 0.0
-                flow.charged_at = now
                 if plans.get(flow_id) is plan:
                     del plans[flow_id]
                 self._depart(flow)
@@ -704,20 +661,6 @@ class NetworkFabric:
             # rates of every surviving member.
 
         return fire
-
-    # ------------------------------------------------------------------
-    # Incremental drive
-    # ------------------------------------------------------------------
-    def _charge(self, flow: Flow) -> None:
-        """Charge the flow for time elapsed at its current rate."""
-        elapsed = self.sim.now - flow.charged_at
-        if elapsed > 0:
-            flow.remaining -= flow.rate * elapsed
-            if flow.remaining < 0:
-                flow.remaining = 0.0
-            flow.charged_at = self.sim.now
-            if self.sanitizer is not None:
-                self.sanitizer.check_remaining(flow.flow_id, flow.remaining)
 
     def _depart(self, flow: Flow) -> None:
         """Remove a drained flow from the graph and complete it."""
@@ -727,112 +670,8 @@ class NetworkFabric:
         self._engine.remove_flow(flow.flow_id)
         self._finish_flow(flow, extra_delay=flow.latency)
 
-    def _resolve_dirty(self) -> None:
-        """Charge, retire, and re-solve the dirty connected component."""
-        engine = self._engine
-        assert engine is not None
-        if self._dirty_all:
-            self._dirty_links |= engine.refresh_capacities()
-            self._dirty_all = False
-        dirty_flows, self._dirty_flows = self._dirty_flows, set()
-        dirty_links, self._dirty_links = self._dirty_links, set()
-        component = engine.component(dirty_flows, dirty_links)
-        if not component:
-            self._schedule_wake()
-            return
-        for flow_id in component:
-            self._charge(self._flows[flow_id])
-        for flow_id in [
-            flow_id
-            for flow_id in component
-            if self._flows[flow_id].remaining
-            <= _drain_threshold(self._flows[flow_id].size_bytes)
-        ]:
-            component.discard(flow_id)
-            self._depart(self._flows[flow_id])
-        if component:
-            engine.solve(component)
-            now = self.sim.now
-            for flow_id in component:
-                flow = self._flows[flow_id]
-                flow.rate = engine.rate(flow_id)
-                flow.epoch += 1
-                heapq.heappush(
-                    self._deadlines,
-                    (now + flow.remaining / flow.rate, flow_id, flow.epoch),
-                )
-            if self.sanitizer is not None:
-                members = sorted(component)
-                routes, capacities = engine.subproblem(members)
-                self.sanitizer.check_rates(
-                    {f: engine.rate(f) for f in members}, routes, capacities
-                )
-        self._schedule_wake()
-
-    def _schedule_wake(self) -> None:
-        """Plan the next wake at the earliest live projected completion."""
-        heap = self._deadlines
-        while heap:
-            _deadline, flow_id, epoch = heap[0]
-            flow = self._flows.get(flow_id)
-            if flow is None or flow.epoch != epoch:
-                heapq.heappop(heap)
-                continue
-            break
-        self._wake_version += 1
-        if not heap:
-            return
-        deadline, flow_id, _epoch = heap[0]
-        head = self._flows[flow_id]
-        delay = deadline - self.sim.now
-        # Progress floor: guarantee the head flow moves at least
-        # _DRAIN_FLOOR bytes per wake so float residue cannot stall the
-        # clock (mirrors the legacy horizon floor).
-        floor = _DRAIN_FLOOR / head.rate if head.rate > 0 else _DRAIN_FLOOR
-        if delay < floor:
-            delay = floor
-        version = self._wake_version
-        wake = self.sim.timeout(delay, name=f"fabric:wake@{version}")
-        wake.add_callback(lambda _event: self._on_wake(version))
-
-    def _on_wake(self, version: int) -> None:
-        if version != self._wake_version:
-            return  # superseded by a newer reschedule
-        self.perf.events += 1
-        now = self.sim.now
-        # Entries within a few ulps of now are due; early pops are safe
-        # (an undrained flow is simply re-queued at its true deadline).
-        horizon = now + 1e-12 * max(1.0, now)
-        heap = self._deadlines
-        departures = False
-        while heap:
-            deadline, flow_id, epoch = heap[0]
-            flow = self._flows.get(flow_id)
-            if flow is None or flow.epoch != epoch:
-                heapq.heappop(heap)
-                continue
-            if deadline > horizon:
-                break
-            heapq.heappop(heap)
-            self._charge(flow)
-            if flow.remaining <= _drain_threshold(flow.size_bytes):
-                self._dirty_links.update(link.name for link in flow.route)
-                self._depart(flow)
-                departures = True
-            else:
-                flow.epoch += 1
-                heapq.heappush(
-                    heap, (now + flow.remaining / flow.rate, flow_id, flow.epoch)
-                )
-        if departures:
-            # Departures free capacity: re-solve their components (the
-            # trigger coalesces with any same-instant arrivals).
-            self._schedule_recompute()
-        else:
-            self._schedule_wake()
-
     # ------------------------------------------------------------------
-    # Legacy global drive (baseline; also the reference in tests)
+    # Global drive (the reference oracle)
     # ------------------------------------------------------------------
     def _advance_progress(self) -> None:
         """Charge each active flow for the time elapsed at its old rate."""

@@ -1,54 +1,52 @@
-"""Incremental max-min fair-share engine.
+"""The flow<->link component index behind the fabric's vector drive.
 
-The naive fabric re-solves *all* active flows on every arrival,
-departure, and capacity change — O(flows x route-length) per event and
-O(N^2) over a run.  This engine maintains the flow<->link bipartite
-graph incrementally so each event only re-solves the **connected
-component** of flows and links it actually touches:
+A from-scratch fabric re-solves *all* active flows on every arrival,
+departure, and capacity change.  :class:`IncrementalFairShare` instead
+maintains the flow<->link bipartite graph incrementally, so the vector
+drive (:mod:`repro.network.fabric`) re-plans only the **connected
+component** of flows and links a perturbation actually touches:
 
-* flows in disjoint components keep their frozen rates (a LAN-only
-  flow in ``us-west`` never triggers a re-solve of the Tokyo<->Virginia
+* flows in disjoint components keep their cascade plans (a LAN-only
+  flow in ``us-west`` never triggers a re-plan of the Tokyo<->Virginia
   WAN component);
 * the route and capacity dictionaries are maintained across solves —
-  adding a flow inserts its (precomputed, memoized) route once, and a
-  component solve slices sub-dicts instead of rebuilding the world;
+  adding a flow inserts its (precomputed, memoized) route once, and
+  :meth:`~IncrementalFairShare.subproblem` slices sub-dicts instead of
+  rebuilding the world;
 * a capacity change on a link with zero active flows is a no-op.
 
-The solver itself is the unchanged pure progressive-filling
-:func:`repro.network.fair_share.max_min_fair_rates`; because the
+The index does not solve anything itself: it hands
+:meth:`~IncrementalFairShare.subproblem` /
+:meth:`~IncrementalFairShare.weights_for` slices to the cascade
+planner (:func:`repro.network.cascade.build_plan`).  Because the
 max-min allocation is unique and components are independent constraint
-systems, component-scoped solving provably yields the same rates as a
-global from-scratch solve (property-tested in
+systems, a component-scoped solve yields the same rates as a global
+from-scratch one (property-tested in
 ``tests/network/test_incremental_fair_share.py``).
 
-The per-flow WAN rate cap is modelled exactly as in the global path: a
+The per-flow WAN rate cap is modelled exactly as in the global drive: a
 virtual ``cap:<flow-id>`` link crossed only by that flow.  Virtual cap
 links never connect components.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.metrics.perf import FabricPerfCounters
-from repro.network.fair_share import max_min_fair_rates
 from repro.network.topology import Link
 
 FlowId = int
 
 
 class IncrementalFairShare:
-    """Flow<->link graph plus component-scoped max-min solving."""
+    """Flow<->link graph: components and their solver sub-problems."""
 
     def __init__(
         self,
         wan_flow_cap: Optional[float] = None,
-        counters: Optional[FabricPerfCounters] = None,
         hints: Optional[Dict[str, float]] = None,
     ) -> None:
         self.wan_flow_cap = wan_flow_cap
-        self.counters = counters if counters is not None else FabricPerfCounters()
         # link name -> health-advised capacity ceiling (shared with the
         # fabric, which mutates it); clamps every capacity read so an
         # open circuit breaker can throttle a sick path below its
@@ -62,12 +60,9 @@ class IncrementalFairShare:
         self._shared: Dict[FlowId, Tuple[str, ...]] = {}
         # shared link name -> ids of flows currently crossing it.
         self._link_flows: Dict[str, Set[FlowId]] = {}
-        # shared link name -> Link object (to refresh capacities).
-        self._links: Dict[str, Link] = {}
         # link name (shared or virtual cap) -> current capacity; kept in
         # lockstep with the graph instead of being rebuilt per solve.
         self._capacities: Dict[str, float] = {}
-        self._rates: Dict[FlowId, float] = {}
         # flow id -> fair-share weight; ``_non_unit`` counts flows whose
         # weight != 1.0 so the all-unit case hands the solvers *no*
         # weight mapping at all and stays on the bit-identical
@@ -104,7 +99,6 @@ class IncrementalFairShare:
             carriers = self._link_flows.get(name)
             if carriers is None:
                 self._link_flows[name] = {flow_id}
-                self._links[name] = link
                 self._capacities[name] = self._effective_capacity(link)
             else:
                 carriers.add(flow_id)
@@ -114,7 +108,6 @@ class IncrementalFairShare:
             names.append(cap_name)
             self._capacities[cap_name] = self.wan_flow_cap
         self._routes[flow_id] = tuple(names)
-        self._rates[flow_id] = 0.0
 
     def remove_flow(self, flow_id: FlowId) -> None:
         # dict.fromkeys dedupes while keeping order: a route may cross
@@ -124,11 +117,9 @@ class IncrementalFairShare:
             carriers.discard(flow_id)
             if not carriers:
                 del self._link_flows[name]
-                del self._links[name]
                 del self._capacities[name]
         self._capacities.pop(f"cap:{flow_id}", None)
         del self._routes[flow_id]
-        del self._rates[flow_id]
         if self._weights.pop(flow_id) != 1.0:
             self._non_unit -= 1
 
@@ -142,15 +133,8 @@ class IncrementalFairShare:
         self._capacities[link.name] = self._effective_capacity(link)
         return True
 
-    def refresh_capacities(self) -> Set[str]:
-        """Re-read every carried link's capacity (unscoped notification);
-        returns the carried link names, all considered dirty."""
-        for name, link in self._links.items():
-            self._capacities[name] = self._effective_capacity(link)
-        return set(self._links)
-
     # ------------------------------------------------------------------
-    # Component solving
+    # Components and their sub-problems
     # ------------------------------------------------------------------
     def component(
         self, seed_flows: Iterable[FlowId], seed_links: Iterable[str]
@@ -203,35 +187,13 @@ class IncrementalFairShare:
             return None
         return {flow_id: self._weights[flow_id] for flow_id in flow_ids}
 
-    def solve(self, flow_ids: Set[FlowId]) -> None:
-        """Re-solve exactly ``flow_ids`` (one or more full components)
-        against the maintained capacity dict; other flows keep their
-        frozen rates."""
-        if not flow_ids:
-            return
-        # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
-        started = perf_counter()
-        routes, capacities = self.subproblem(flow_ids)
-        rates = max_min_fair_rates(
-            routes, capacities, flow_weights=self.weights_for(flow_ids)
-        )
-        self._rates.update(rates)
-        counters = self.counters
-        counters.solves += 1
-        counters.flows_touched += len(flow_ids)
-        # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
-        counters.solver_seconds += perf_counter() - started
-
-    def rate(self, flow_id: FlowId) -> float:
-        return self._rates[flow_id]
-
     # ------------------------------------------------------------------
     # Introspection (tests, verification)
     # ------------------------------------------------------------------
     def solver_inputs(self) -> Tuple[Dict[FlowId, Tuple[str, ...]], Dict[str, float]]:
         """Copies of the global (routes, capacities) solver inputs —
         feed them to :func:`max_min_fair_rates` to cross-check the
-        incremental rates against a from-scratch solve."""
+        vector drive's rates against a from-scratch solve."""
         return dict(self._routes), dict(self._capacities)
 
     def solver_weights(self) -> Optional[Dict[FlowId, float]]:

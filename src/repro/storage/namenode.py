@@ -94,12 +94,20 @@ class NameNode:
     def choose_replica_hosts(
         self, candidate_hosts: Sequence[str], block_index: int
     ) -> List[str]:
-        """Round-robin replica placement over ``candidate_hosts``."""
+        """Round-robin replica placement over ``candidate_hosts``.
+
+        The replicas are distinct hosts: a candidate list may repeat a
+        host (per-block placement lists do), but a block listed twice on
+        one host would survive that host's loss as a stale location.
+        """
         if not candidate_hosts:
             raise ValueError("no candidate hosts for replica placement")
-        count = min(self.replication, len(candidate_hosts))
         start = block_index % len(candidate_hosts)
-        return [
-            candidate_hosts[(start + offset) % len(candidate_hosts)]
-            for offset in range(count)
-        ]
+        hosts: List[str] = []
+        for offset in range(len(candidate_hosts)):
+            host = candidate_hosts[(start + offset) % len(candidate_hosts)]
+            if host not in hosts:
+                hosts.append(host)
+                if len(hosts) == self.replication:
+                    break
+        return hosts

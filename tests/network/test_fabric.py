@@ -128,8 +128,9 @@ def test_capacity_change_midway_adjusts_rate():
     def scenario(sim):
         done = fabric.transfer("a1", "b1", 25_000_000)  # 2s at 12.5MB/s
         yield sim.timeout(1.0)
-        topo.wan_link("A", "B").set_capacity(200 * MBPS)
-        fabric.notify_capacity_change()
+        wan = topo.wan_link("A", "B")
+        wan.set_capacity(200 * MBPS)
+        fabric.notify_capacity_change([wan])
         yield done
         return sim.now
 

@@ -1,7 +1,7 @@
-"""The incremental fair-share engine: equivalence and scoping.
+"""The component index under the vector drive: equivalence and scoping.
 
-The max-min allocation is unique, so the component-scoped incremental
-engine must produce rates *identical* (within float tolerance) to a
+The max-min allocation is unique, so the component-scoped vector drive
+must produce rates *identical* (within float tolerance) to a
 from-scratch :func:`max_min_fair_rates` solve at every instant, for
 arbitrary arrival/departure/jitter sequences — that equivalence is the
 safety net under the whole perf optimisation and is property-tested
@@ -22,7 +22,7 @@ HOSTS = ["A0", "A1", "B0", "B1", "C0", "C1"]
 WAN_PAIRS = [("A", "B"), ("A", "C"), ("B", "C")]
 
 
-def build_mesh(drive="incremental"):
+def build_mesh(drive="vector"):
     """Three fully-meshed DCs, two hosts each (one shared component)."""
     sim = Simulator()
     topo = Topology()
@@ -38,7 +38,7 @@ def build_mesh(drive="incremental"):
     return sim, topo, fabric
 
 
-def build_pairs(num_pairs=3, drive="incremental"):
+def build_pairs(num_pairs=3, drive="vector"):
     """Disjoint DC pairs (P0a-P0b, P1a-P1b, ...): one component each."""
     sim = Simulator()
     topo = Topology()
@@ -72,18 +72,15 @@ def spawn_transfers(sim, fabric, transfers, finished=None):
 
 
 def assert_rates_match_scratch_solve(fabric):
-    """The engine's frozen rates equal a from-scratch global solve."""
+    """The drive's current rates equal a from-scratch global solve."""
     routes, capacities = fabric.solver_inputs()
     if not routes:
         return
     expected = max_min_fair_rates(routes, capacities)
-    actual = {
-        flow_id: flow.rate for flow_id, flow in fabric._flows.items()
-    }
+    actual = {flow.flow_id: flow.rate for flow in fabric.active_flows()}
     for flow_id, rate in expected.items():
         assert actual[flow_id] == pytest.approx(rate, rel=1e-9), (
-            f"flow {flow_id}: incremental {actual[flow_id]} "
-            f"!= scratch {rate}"
+            f"flow {flow_id}: vector {actual[flow_id]} != scratch {rate}"
         )
     verify_allocation(routes, capacities, actual, tolerance=1e-6)
 
@@ -150,8 +147,8 @@ def _apply_ops(sim, topo, fabric, transfers, jitters):
 
 @given(transfers_strategy, jitter_strategy)
 @settings(max_examples=40, deadline=None)
-def test_incremental_rates_equal_scratch_solve(transfers, jitters):
-    """After arbitrary arrival/departure/jitter sequences the engine's
+def test_vector_rates_equal_scratch_solve(transfers, jitters):
+    """After arbitrary arrival/departure/jitter sequences the drive's
     rates are the unique max-min allocation (checked against a global
     from-scratch solve plus verify_allocation)."""
     sim, topo, fabric = build_mesh()
@@ -163,11 +160,11 @@ def test_incremental_rates_equal_scratch_solve(transfers, jitters):
 
 @given(transfers_strategy, jitter_strategy)
 @settings(max_examples=25, deadline=None)
-def test_incremental_completions_match_global_path(transfers, jitters):
-    """Completion times are identical between the incremental engine and
-    the legacy global re-solve drive."""
+def test_vector_completions_match_global_path(transfers, jitters):
+    """Completion times are identical between the vector drive and the
+    global re-solve-everything reference."""
     finish = {}
-    for drive in ("incremental", "global"):
+    for drive in ("vector", "global"):
         sim, topo, fabric = build_mesh(drive=drive)
         finished = {}
         spawn_transfers(sim, fabric, transfers, finished)
@@ -188,9 +185,9 @@ def test_incremental_completions_match_global_path(transfers, jitters):
         sim.spawn(jitter_proc(sim))
         sim.run()
         finish[drive] = finished
-    assert finish["incremental"].keys() == finish["global"].keys()
-    for index in finish["incremental"]:
-        assert finish["incremental"][index] == pytest.approx(
+    assert finish["vector"].keys() == finish["global"].keys()
+    for index in finish["vector"]:
+        assert finish["vector"][index] == pytest.approx(
             finish["global"][index], rel=1e-6, abs=1e-9
         )
 
@@ -260,16 +257,19 @@ def test_same_instant_capacity_changes_coalesce_into_one_solve():
     assert fabric.perf.solves == solves_before + 1
 
 
-def test_unscoped_capacity_change_still_supported():
-    """notify_capacity_change() without links re-reads every carried
-    link (legacy call pattern) and still produces correct rates."""
+def test_capacity_change_must_name_its_links():
+    """Every notification is scoped: the unscoped legacy call is gone,
+    and naming the perturbed link re-solves to the correct rates."""
     sim, topo, fabric = build_pairs(num_pairs=1)
 
     def scenario(sim):
         done = fabric.transfer("P0a0", "P0b0", 25_000_000)  # 2 s at 12.5 MB/s
         yield sim.timeout(1.0)
-        topo.wan_link("P0a", "P0b").set_capacity(200 * MBPS)
-        fabric.notify_capacity_change()
+        wan = topo.wan_link("P0a", "P0b")
+        wan.set_capacity(200 * MBPS)
+        with pytest.raises(TypeError):
+            fabric.notify_capacity_change()
+        fabric.notify_capacity_change(changed_links=[wan])
         yield done
         return sim.now
 

@@ -16,7 +16,7 @@ from repro.network.fabric import NetworkFabric
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
 
-DRIVES = ("vector", "incremental", "global")
+DRIVES = ("vector", "global")
 
 
 def _build(drive, wan_flow_cap=None):
@@ -51,14 +51,13 @@ def _run_scenario(scenario, drive, wan_flow_cap=None):
 def _assert_equivalent(scenario, wan_flow_cap=None):
     oracle = _run_scenario(scenario, "global", wan_flow_cap=wan_flow_cap)
     assert oracle  # scenario must complete something
-    for drive in ("vector", "incremental"):
-        got = _run_scenario(scenario, drive, wan_flow_cap=wan_flow_cap)
-        assert got.keys() == oracle.keys()
-        for label, expected in oracle.items():
-            assert got[label] == pytest.approx(expected, rel=1e-9), (
-                f"{drive}: {label} finished at {got[label]}, "
-                f"global says {expected}"
-            )
+    got = _run_scenario(scenario, "vector", wan_flow_cap=wan_flow_cap)
+    assert got.keys() == oracle.keys()
+    for label, expected in oracle.items():
+        assert got[label] == pytest.approx(expected, rel=1e-9), (
+            f"vector: {label} finished at {got[label]}, "
+            f"global says {expected}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +121,10 @@ def test_cancel_mid_plan():
     oracle_refund, oracle_done = refunds("global")
     # 3 flows share 100 Mbps for 0.2 s -> flow 0 moved ~0.83 MB of 8 MB.
     assert 0 < oracle_refund < 8e6
-    for drive in ("vector", "incremental"):
-        refund, done = refunds(drive)
-        assert refund == pytest.approx(oracle_refund, rel=1e-9)
-        for label, expected in oracle_done.items():
-            assert done[label] == pytest.approx(expected, rel=1e-9)
+    refund, done = refunds("vector")
+    assert refund == pytest.approx(oracle_refund, rel=1e-9)
+    for label, expected in oracle_done.items():
+        assert done[label] == pytest.approx(expected, rel=1e-9)
 
 
 def test_capacity_change_mid_plan():
@@ -212,9 +210,30 @@ def test_drive_flag_resolution():
     sim, topo, fabric = _build("vector")
     assert fabric.drive == "vector"
     assert NetworkFabric(Simulator(), topo).drive == "vector"
-    for drive in ("incremental", "global"):
+    for drive in DRIVES:
         assert NetworkFabric(Simulator(), topo, drive=drive).drive == drive
     with pytest.raises(TypeError):
         NetworkFabric(Simulator(), topo, incremental=True)
-    with pytest.raises(ValueError):
-        NetworkFabric(Simulator(), topo, drive="warp")
+    for retired in ("warp", "incremental"):
+        with pytest.raises(ValueError):
+            NetworkFabric(Simulator(), topo, drive=retired)
+
+
+def test_fabric_has_two_drives_not_three():
+    """Replace, don't fork: the retired incremental drive's event loop
+    (lazy charging, deadline heap, unscoped dirty-all refresh) must not
+    grow back in the fabric, and the component index solves nothing."""
+    from pathlib import Path
+
+    import repro.network.fabric as fabric_module
+    from repro.network.incremental import IncrementalFairShare
+
+    source = Path(fabric_module.__file__).read_text()
+    for token in ("heapq", "_deadlines", "_dirty_all", "epoch"):
+        assert token not in source, token
+    # The only lowercase mention left is the component index's import.
+    assert [line for line in source.splitlines() if "incremental" in line] == [
+        "from repro.network.incremental import IncrementalFairShare"
+    ]
+    assert not hasattr(IncrementalFairShare, "solve")
+    assert not hasattr(IncrementalFairShare, "rate")

@@ -126,23 +126,29 @@ def test_vectorized_allocation_is_feasible(scenario):
 
 
 # ----------------------------------------------------------------------
-# Duplicate links through the incremental engine (regression: the old
+# Duplicate links through the component index (regression: the old
 # remove_flow raised KeyError unwinding the second occurrence)
 # ----------------------------------------------------------------------
-def test_incremental_engine_handles_duplicate_links():
+def _solve_subproblem(engine, ids):
+    return max_min_fair_rates(
+        *engine.subproblem(ids), flow_weights=engine.weights_for(ids)
+    )
+
+
+def test_component_index_handles_duplicate_links():
     engine = IncrementalFairShare()
     wan = Link("wan", 10.0, is_wan=True)
     side = Link("side", 50.0)
     engine.add_flow(1, [wan, side, wan])
     engine.add_flow(2, [wan])
-    engine.solve({1, 2})
+    assert engine.component((1,), ()) == {1, 2}
+    rates = _solve_subproblem(engine, [1, 2])
     scalar = max_min_fair_rates(*engine.solver_inputs())
-    assert engine.rate(1) == pytest.approx(scalar[1])
-    assert engine.rate(2) == pytest.approx(scalar[2])
+    assert rates[1] == pytest.approx(scalar[1])
+    assert rates[2] == pytest.approx(scalar[2])
     # 2*r1 + r2 = 10 with r1 = r2 -> both 10/3.
-    assert engine.rate(1) == pytest.approx(10.0 / 3.0)
+    assert rates[1] == pytest.approx(10.0 / 3.0)
     engine.remove_flow(1)  # must not KeyError on the repeated link
-    engine.solve({2})
-    assert engine.rate(2) == pytest.approx(10.0)
+    assert _solve_subproblem(engine, [2])[2] == pytest.approx(10.0)
     engine.remove_flow(2)
     assert engine.flow_count == 0

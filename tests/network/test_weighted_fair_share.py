@@ -1,9 +1,9 @@
-"""Weighted max-min fair share: all three solvers must agree to 1e-9.
+"""Weighted max-min fair share: every solver must agree to 1e-9.
 
 Per-tenant WAN quotas make every flow carry a weight; the scalar
-progressive-filling oracle, the incremental engine, and the numpy CSR
-kernel (and the cascade plans built on it) all thread weights through
-their fill loops.  These tests pin the semantics — rate ratios follow
+progressive-filling oracle and the numpy CSR kernel (and the cascade
+plans built on it) thread weights through their fill loops, and the
+component index hands them the weight slice.  These tests pin the semantics — rate ratios follow
 weight ratios on shared bottlenecks, duplicate-link routes charge per
 occurrence times weight — and the equivalence contract on random
 topologies with random non-uniform weights.
@@ -165,7 +165,9 @@ def test_weighted_allocation_is_feasible(scenario):
 
 @given(_weighted_scenarios())
 @settings(max_examples=100, deadline=None)
-def test_weighted_incremental_engine_matches_oracle(scenario):
+def test_weighted_component_index_subproblem_matches_oracle(scenario):
+    """The (routes, capacities, weights) slice the component index
+    hands the planner solves to the from-scratch allocation."""
     flows, links, weights = scenario
     engine = IncrementalFairShare()
     link_objects = {
@@ -177,18 +179,20 @@ def test_weighted_incremental_engine_matches_oracle(scenario):
             tuple(link_objects[name] for name in route),
             weight=weights[flow_id],
         )
-    engine.solve(set(flows))
+    ids = sorted(flows)
+    got = max_min_fair_rates(
+        *engine.subproblem(ids), flow_weights=engine.weights_for(ids)
+    )
     expected = max_min_fair_rates(
         {f: tuple(r) for f, r in flows.items()},
         dict(links),
         flow_weights=weights,
     )
-    got = {flow_id: engine.rate(flow_id) for flow_id in flows}
     _assert_rates_match(expected, got)
 
 
 # ----------------------------------------------------------------------
-# Fabric drives: weighted flows through vector / incremental / global
+# Fabric drives: weighted flows through vector / global
 # ----------------------------------------------------------------------
 def _build(drive):
     sim = Simulator()
@@ -238,13 +242,12 @@ def _run_weighted_scenario(drive):
 def test_weighted_drives_agree():
     oracle = _run_weighted_scenario("global")
     assert set(oracle) == {"g1", "b1", "b2", "g2"}
-    for drive in ("vector", "incremental"):
-        got = _run_weighted_scenario(drive)
-        for label, expected in oracle.items():
-            assert got[label] == pytest.approx(expected, rel=1e-9), (
-                f"{drive}: {label} finished at {got[label]}, "
-                f"global says {expected}"
-            )
+    got = _run_weighted_scenario("vector")
+    for label, expected in oracle.items():
+        assert got[label] == pytest.approx(expected, rel=1e-9), (
+            f"vector: {label} finished at {got[label]}, "
+            f"global says {expected}"
+        )
     # Weighting is visible: gold's concurrent flow beats bronze's.
     assert oracle["g1"] < oracle["b1"]
 

@@ -52,7 +52,7 @@ def _assert_ledger_reconciles(fabric):
 
 @st.composite
 def _flow_plans(draw):
-    drive = draw(st.sampled_from(("vector", "incremental", "global")))
+    drive = draw(st.sampled_from(("vector", "global")))
     weights = {
         "gold": draw(st.floats(0.5, 8.0)),
         "bronze": draw(st.floats(0.5, 8.0)),

@@ -91,3 +91,22 @@ def test_replication_places_multiple_copies():
     )
     block_id = dfs.file_blocks("/data")[0]
     assert len(dfs.block_locations(block_id)) == 3
+
+
+def test_host_loss_leaves_no_stale_replica_of_repeated_candidate():
+    """Regression: with ``placement_hosts`` repeating a host and
+    replication > 1 a block was listed on that host twice; losing the
+    host then left a stale location and ``block_size`` raised."""
+    dfs = make_dfs(replication=2)
+    dfs.write_file(
+        "/data", [[1], [2]], [8.0, 4.0], placement_hosts=["h0", "h0", "h1"]
+    )
+    blocks = dfs.file_blocks("/data")
+    for block_id in blocks:
+        assert dfs.block_locations(block_id) == ["h0", "h1"]
+    # Lose h0 the way ClusterContext.fail_host does.
+    assert dfs.namenode.remove_host_replicas("h0") == []
+    for block_id in dfs.datanodes["h0"].block_ids():
+        dfs.datanodes["h0"].remove(block_id)
+    assert [dfs.block_locations(b) for b in blocks] == [["h1"], ["h1"]]
+    assert dfs.file_size("/data") == pytest.approx(12.0)

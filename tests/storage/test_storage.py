@@ -105,6 +105,17 @@ def test_replication_capped_by_candidates():
     assert namenode.choose_replica_hosts(["only"], 3) == ["only"]
 
 
+def test_replicas_are_distinct_when_candidates_repeat():
+    """A repeated candidate keeps its slot as a block's first replica
+    (per-block placement lists rely on it) but is never chosen twice."""
+    namenode = NameNode(replication=2)
+    hosts = ["h0", "h0", "h1"]
+    assert namenode.choose_replica_hosts(hosts, 0) == ["h0", "h1"]
+    assert namenode.choose_replica_hosts(hosts, 1) == ["h0", "h1"]
+    assert namenode.choose_replica_hosts(hosts, 2) == ["h1", "h0"]
+    assert namenode.choose_replica_hosts(["h0", "h0"], 0) == ["h0"]
+
+
 def test_replication_must_be_positive():
     with pytest.raises(ValueError):
         NameNode(replication=0)
