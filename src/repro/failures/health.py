@@ -161,6 +161,7 @@ class BlacklistTracker:
 
     def next_expiry(self) -> Optional[float]:
         """The earliest pending app-wide exclusion expiry, if any."""
+        self._sweep()
         if not self._host_excluded:
             return None
         return min(self._host_excluded.values())

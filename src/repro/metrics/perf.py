@@ -233,7 +233,8 @@ class HealthCounters:
     * ``blacklist_evictions``     — timed expiries of app-wide
       exclusions (the executor returns to service);
     * ``placements_vetoed``       — placement decisions the scheduler
-      changed because the candidate host was excluded;
+      changed because the candidate host was excluded: one per dispatch
+      decision that passed over a free, allowed, eligible host;
     * ``breaker_trips``           — WAN circuit breakers opened
       (including half-open probes that failed and re-opened);
     * ``breaker_probes``          — probe flows admitted in half-open;

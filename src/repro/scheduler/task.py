@@ -62,16 +62,6 @@ class Task:
         # its job).  None means the whole cluster, as before.
         self.allowed_hosts: Optional[frozenset] = None
 
-    @property
-    def preferred_datacenters(self) -> List[str]:
-        topology = self.stage.rdd.context.topology
-        seen: List[str] = []
-        for host in self.preferred_hosts:
-            dc = topology.datacenter_of(host)
-            if dc not in seen:
-                seen.append(dc)
-        return seen
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Task {self.task_id} {self.stage.name}[{self.partition}] "

@@ -16,7 +16,9 @@ Mirrors the Spark standalone behaviour the paper relies on:
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SchedulingConfig
@@ -55,12 +57,31 @@ class Executor:
 
 
 class _PendingEntry:
-    __slots__ = ("task", "completion", "sequence")
+    """One queued task plus its place in the dispatch index.
 
-    def __init__(self, task: Task, completion: Event, sequence: int) -> None:
+    Everything dispatch needs is resolved once, at submit or requeue
+    (DESIGN.md "Task dispatch"): ``filed[level]`` holds the bucket keys
+    the entry currently sits under at that locality level — its live
+    preferred hosts, its preferred datacenters once the host wait has
+    passed, ``(None,)`` once it may run anywhere.
+    """
+
+    __slots__ = (
+        "task",
+        "completion",
+        "sequence",
+        "filed",
+        "datacenters",
+        "allowed",
+    )
+
+    def __init__(self, task: Task, completion: Event) -> None:
         self.task = task
         self.completion = completion
-        self.sequence = sequence
+        self.sequence = -1  # assigned by TaskScheduler._enqueue
+        self.filed: List[tuple] = [(), (), ()]
+        self.datacenters: Tuple[str, ...] = ()
+        self.allowed: Optional[frozenset] = None
 
 
 class _RunningRecord:
@@ -73,6 +94,23 @@ class _RunningRecord:
         self.host = host
         self.process = None
         self.lost = False
+
+
+def _first_instant(submitted: float, wait: float) -> float:
+    """The smallest clock value ``t`` with ``t - submitted >= wait``.
+
+    Float subtraction is monotone in ``t``, so from this instant on the
+    eligibility predicate holds; ``submitted + wait`` alone can be one
+    ulp to either side of it.
+    """
+    if wait <= 0:
+        return submitted
+    instant = submitted + wait
+    while instant - submitted >= wait:
+        instant = math.nextafter(instant, -math.inf)
+    while instant - submitted < wait:
+        instant = math.nextafter(instant, math.inf)
+    return instant
 
 
 class TaskScheduler:
@@ -97,11 +135,35 @@ class TaskScheduler:
         # Optional BlacklistTracker consulted at placement (excludeOn-
         # Failure); None or a disabled tracker leaves dispatch untouched.
         self.blacklist = blacklist
-        self._pending: List[_PendingEntry] = []
-        # Launched-but-unfinished attempts, in launch order (a list, not
-        # a set: executor removal iterates it and must be deterministic).
-        self._running: List[_RunningRecord] = []
+        # Queued entries and launched-but-unfinished attempts, keyed by
+        # sequence number.  Dicts, not sets: sequence order is launch
+        # order is iteration order, so executor removal is deterministic.
+        self._pending: Dict[int, _PendingEntry] = {}
+        self._running: Dict[int, _RunningRecord] = {}
         self._sequence = itertools.count()
+        self._free_slots = sum(
+            executor.free for executor in executors.values()
+        )
+        # The dispatch index: per locality level, bucket key -> entries
+        # in sequence order.  A free host is asked for its lowest-
+        # sequence candidate under its own name, then under its
+        # datacenter, then under None (run anywhere).
+        self._buckets: Tuple[Dict[object, Dict[int, _PendingEntry]], ...] = (
+            {},
+            {},
+            {},
+        )
+        self._bucket_keys: Dict[str, Tuple[str, str, None]] = {
+            host: (host, topology.datacenter_of(host), None)
+            for host in executors
+        }
+        # (instant, sequence, level, entry): the first instant at which
+        # the entry's wait for ``level`` is over.  Lazy deletion — an
+        # item whose sequence is no longer pending is skipped.
+        self._tiers: List[Tuple[float, int, int, _PendingEntry]] = []
+        # (instant, sequence): tier expiries as the wake-up timer sees
+        # them, ``submitted + wait``.
+        self._wakes: List[Tuple[float, int]] = []
         self._wake_planned_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -109,11 +171,8 @@ class TaskScheduler:
     # ------------------------------------------------------------------
     def submit(self, task: Task) -> Event:
         """Queue a task; returns an event firing with its TaskResult."""
-        task.submit_time = self.sim.now
         completion = self.sim.event(name=f"{task.task_id}:done")
-        self._pending.append(
-            _PendingEntry(task, completion, next(self._sequence))
-        )
+        self._enqueue(_PendingEntry(task, completion))
         self._dispatch()
         return completion
 
@@ -126,7 +185,7 @@ class TaskScheduler:
         return len(self._running)
 
     def total_free_slots(self) -> int:
-        return sum(executor.free for executor in self.executors.values())
+        return self._free_slots
 
     def remove_executor(self, host: str) -> int:
         """Take one executor out of service (executor crash / host loss).
@@ -144,69 +203,189 @@ class TaskScheduler:
             raise SchedulerError(
                 f"cannot remove {host!r}: it is the last executor"
             )
-        del self.executors[host]
+        self._free_slots -= self.executors.pop(host).free
+        del self._bucket_keys[host]
         relaunched = 0
-        for record in list(self._running):
+        for record in list(self._running.values()):
             if record.host == host and not record.lost:
                 record.lost = True
                 relaunched += 1
                 record.process.interrupt(f"executor {host} lost")
         # Pending tasks that preferred the dead host re-dispatch on the
-        # survivors (their locality waits keep ticking unchanged).
+        # survivors (their locality waits keep ticking unchanged); one
+        # whose last live preference this was may now run anywhere, and
+        # a pool share with no live host left stops confining its tasks.
+        orphans = self._buckets[_HOST_LOCAL].pop(host, {})
+        for entry in orphans.values():
+            hosts = tuple(pref for pref in entry.filed[0] if pref != host)
+            entry.filed[_HOST_LOCAL] = hosts
+            if not hosts:
+                self._forget_preferences(entry)
+        for entry in self._pending.values():
+            if entry.allowed is not None and host in entry.allowed:
+                entry.allowed = self._allowed_hosts(entry.task)
         self._dispatch()
         return relaunched
+
+    # ------------------------------------------------------------------
+    # The dispatch index
+    # ------------------------------------------------------------------
+    def _enqueue(self, entry: _PendingEntry) -> None:
+        """File ``entry`` under a fresh sequence number, as of now."""
+        task = entry.task
+        now = self.sim.now
+        task.submit_time = now
+        sequence = entry.sequence = next(self._sequence)
+        self._pending[sequence] = entry
+        entry.filed = [(), (), ()]
+        entry.allowed = self._allowed_hosts(task)
+        preferred = task.preferred_hosts
+        if not preferred:
+            self._file(entry, _ANY, (None,))
+            return
+        datacenter_of = self.topology.datacenter_of
+        entry.datacenters = tuple(
+            dict.fromkeys(datacenter_of(host) for host in preferred)
+        )
+        host_wait, dc_wait = self._task_waits(task)
+        for level, wait, instant in (
+            (_DC_LOCAL, host_wait, now + host_wait),
+            (_ANY, host_wait + dc_wait, now + host_wait + dc_wait),
+        ):
+            heapq.heappush(
+                self._tiers,
+                (_first_instant(now, wait), sequence, level, entry),
+            )
+            heapq.heappush(self._wakes, (instant, sequence))
+        hosts = tuple(
+            host for host in dict.fromkeys(preferred) if host in self.executors
+        )
+        if hosts:
+            self._file(entry, _HOST_LOCAL, hosts)
+        else:
+            self._forget_preferences(entry)
+
+    def _file(self, entry: _PendingEntry, level: int, keys: tuple) -> None:
+        """Add ``entry`` to the ``level`` buckets named by ``keys``."""
+        entry.filed[level] = keys
+        buckets = self._buckets[level]
+        sequence = entry.sequence
+        for key in keys:
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {sequence: entry}
+            elif sequence > next(reversed(bucket)):
+                bucket[sequence] = entry
+            else:
+                # A tier that opened out of submission order (mixed wait
+                # overrides, an executor loss): restore sequence order.
+                bucket[sequence] = entry
+                buckets[key] = dict(sorted(bucket.items()))
+
+    def _unfile(self, entry: _PendingEntry, level: int) -> None:
+        buckets = self._buckets[level]
+        for key in entry.filed[level]:
+            bucket = buckets[key]
+            del bucket[entry.sequence]
+            if not bucket:
+                del buckets[key]
+        entry.filed[level] = ()
+
+    def _forget_preferences(self, entry: _PendingEntry) -> None:
+        """Every preferred host of ``entry`` is dead (e.g. a datacenter
+        outage took the elected aggregator): waiting out the locality
+        tiers cannot help, so it may run anywhere now and the read path
+        escalates to re-election instead of stalling."""
+        self._unfile(entry, _DC_LOCAL)
+        if not entry.filed[_ANY]:
+            self._file(entry, _ANY, (None,))
+
+    def _open_tiers(self) -> None:
+        """Move every entry whose locality wait is over up a tier."""
+        tiers = self._tiers
+        now = self.sim.now
+        while tiers and tiers[0][0] <= now:
+            _instant, sequence, level, entry = heapq.heappop(tiers)
+            if sequence not in self._pending or entry.filed[level]:
+                continue
+            if level == _ANY:
+                self._file(entry, _ANY, (None,))
+            elif entry.filed[_HOST_LOCAL]:
+                self._file(entry, _DC_LOCAL, entry.datacenters)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
         """Greedily match free slots to eligible pending tasks."""
-        while self._pending:
-            assignment = self._best_assignment()
-            if assignment is None:
-                break
-            entry, host = assignment
-            self._pending.remove(entry)
-            self._launch(entry, host)
+        if self._pending and self._free_slots:
+            self._open_tiers()
+            free = [
+                executor
+                for executor in self.executors.values()
+                if executor.busy < executor.cores
+            ]
+            blacklist = self.blacklist
+            vetoes: Optional[Dict[object, Optional[set]]] = (
+                {} if blacklist is not None and blacklist.enabled else None
+            )
+            while self._pending and free:
+                assignment = self._best_assignment(free, vetoes)
+                if assignment is None:
+                    break
+                entry, executor = assignment
+                del self._pending[entry.sequence]
+                for level in (_HOST_LOCAL, _DC_LOCAL, _ANY):
+                    if entry.filed[level]:
+                        self._unfile(entry, level)
+                self._launch(entry, executor)
+                if executor.busy == executor.cores:
+                    free.remove(executor)
         self._plan_wakeup()
 
-    def _best_assignment(self) -> Optional[Tuple[_PendingEntry, str]]:
-        """The (task, host) pair with the best locality, if any.
+    def _best_assignment(
+        self,
+        free: List[Executor],
+        vetoes: Optional[Dict[object, Optional[set]]],
+    ) -> Optional[Tuple[_PendingEntry, Executor]]:
+        """The (task, executor) pair with the best locality, if any.
 
-        Hosts with more free slots are preferred within a locality level,
-        spreading load like Spark standalone's ``spreadOut``.
+        Ranked by locality level, then submission order, then most free
+        slots (spreading load like Spark standalone's ``spreadOut``),
+        then ``executors`` order.  Each free host offers its lowest-
+        sequence candidate at one level; the first level with an offer
+        decides.
         """
-        free_hosts = [
-            executor.host
-            for executor in self.executors.values()
-            if executor.free > 0
-        ]
-        if not free_hosts:
-            return None
-        best: Optional[Tuple[int, int, int, _PendingEntry, str]] = None
-        for entry in self._pending:
-            vetoed = self._vetoed_hosts(entry.task)
-            allowed = self._allowed_hosts(entry.task)
-            for host in free_hosts:
-                if allowed is not None and host not in allowed:
+        passed_over = False
+        best: Optional[Tuple[_PendingEntry, Executor]] = None
+        for level, buckets in enumerate(self._buckets):
+            if not buckets:
+                continue
+            best_rank: Optional[Tuple[int, int]] = None
+            for executor in free:
+                host = executor.host
+                bucket = buckets.get(self._bucket_keys[host][level])
+                if bucket is None:
                     continue
-                if vetoed is not None and host in vetoed:
-                    self.blacklist.counters.placements_vetoed += 1
-                    continue
-                level = self._eligibility(entry.task, host)
-                if level is None:
-                    continue
-                # Rank: locality level, then submission order, then spread.
-                key = (
-                    level,
-                    entry.sequence,
-                    -self.executors[host].free,
-                )
-                if best is None or key < best[:3]:
-                    best = (*key, entry, host)
-        if best is None:
-            return None
-        return best[3], best[4]
+                for entry in bucket.values():
+                    allowed = entry.allowed
+                    if allowed is not None and host not in allowed:
+                        continue
+                    if vetoes is not None:
+                        vetoed = self._vetoed_hosts(entry.task, vetoes)
+                        if vetoed is not None and host in vetoed:
+                            passed_over = True
+                            continue
+                    rank = (entry.sequence, executor.busy - executor.cores)
+                    if best_rank is None or rank < best_rank:
+                        best_rank = rank
+                        best = (entry, executor)
+                    break
+            if best is not None:
+                break
+        if passed_over:
+            self.blacklist.counters.placements_vetoed += 1
+        return best
 
     def _allowed_hosts(self, task: Task) -> Optional[frozenset]:
         """The executor-pool share ``task`` is confined to, or None.
@@ -223,25 +402,29 @@ class TaskScheduler:
             return None
         return allowed
 
-    def _vetoed_hosts(self, task: Task) -> Optional[set]:
+    def _vetoed_hosts(
+        self, task: Task, vetoes: Dict[object, Optional[set]]
+    ) -> Optional[set]:
         """The hosts the blacklist excludes for ``task``, or None.
 
         Anti-starvation override: when *every* live executor is
         excluded, the blacklist is ignored for this task — a wedged
-        exclusion list must never deadlock the dispatcher.
+        exclusion list must never deadlock the dispatcher.  ``vetoes``
+        memoises the answer per stage for one dispatch.
         """
-        blacklist = self.blacklist
-        if blacklist is None or not blacklist.enabled:
-            return None
         stage = getattr(task, "stage", None)
         stage_id = stage.stage_id if stage is not None else None
-        vetoed = {
+        if stage_id in vetoes:
+            return vetoes[stage_id]
+        blacklist = self.blacklist
+        vetoed: Optional[set] = {
             host
             for host in self.executors
             if blacklist.is_excluded(host, stage_id)
         }
         if not vetoed or len(vetoed) >= len(self.executors):
-            return None
+            vetoed = None
+        vetoes[stage_id] = vetoed
         return vetoed
 
     def _task_waits(self, task: Task) -> Tuple[float, float]:
@@ -257,44 +440,23 @@ class TaskScheduler:
         )
         return host_wait, dc_wait
 
-    def _eligibility(self, task: Task, host: str) -> Optional[int]:
-        """The locality level at which ``task`` may run on ``host`` now."""
-        if not task.preferred_hosts:
-            return _ANY
-        if host in task.preferred_hosts:
-            return _HOST_LOCAL
-        if not any(pref in self.executors for pref in task.preferred_hosts):
-            # Every preferred host is dead (e.g. a datacenter outage
-            # took the elected aggregator): waiting out the locality
-            # tiers cannot help, so run anywhere now and let the read
-            # path escalate to re-election instead of stalling.
-            return _ANY
-        host_wait, dc_wait = self._task_waits(task)
-        waited = self.sim.now - task.submit_time
-        if waited >= host_wait:
-            host_dc = self.topology.datacenter_of(host)
-            if host_dc in task.preferred_datacenters:
-                return _DC_LOCAL
-        if waited >= host_wait + dc_wait:
-            return _ANY
-        return None
-
-    def _launch(self, entry: _PendingEntry, host: str) -> None:
-        executor = self.executors[host]
+    def _launch(self, entry: _PendingEntry, executor: Executor) -> None:
         executor.busy += 1
         executor.tasks_run += 1
-        record = _RunningRecord(entry, host)
-        self._running.append(record)
+        self._free_slots -= 1
+        record = _RunningRecord(entry, executor.host)
+        self._running[entry.sequence] = record
         record.process = self.sim.spawn(
             self._run_wrapper(record),
-            name=f"{entry.task.task_id}@{host}",
+            name=f"{entry.task.task_id}@{executor.host}",
         )
 
     def _finish_attempt(self, record: _RunningRecord) -> None:
-        self._running.remove(record)
+        del self._running[record.entry.sequence]
         executor = self.executors.get(record.host)
         if executor is not None:
             executor.busy -= 1
+            self._free_slots += 1
 
     def _run_wrapper(self, record: _RunningRecord):
         entry = record.entry
@@ -306,9 +468,7 @@ class TaskScheduler:
                 # The executor died under this attempt: requeue rather
                 # than fail, the completion's waiter never notices.
                 entry.task.recovery = True
-                entry.task.submit_time = self.sim.now
-                entry.sequence = next(self._sequence)
-                self._pending.append(entry)
+                self._enqueue(entry)
                 self._dispatch()
                 return
             self._dispatch()
@@ -323,38 +483,31 @@ class TaskScheduler:
     # ------------------------------------------------------------------
     def _plan_wakeup(self) -> None:
         """Schedule a re-dispatch when a pending task's wait tier expires."""
-        if not self._pending or self.total_free_slots() == 0:
+        if not self._pending or self._free_slots == 0:
             return
-        next_time: Optional[float] = None
-        for entry in self._pending:
-            submitted = entry.task.submit_time
-            if not entry.task.preferred_hosts:
-                continue
-            wait_host, wait_dc = self._task_waits(entry.task)
-            for threshold in (
-                submitted + wait_host,
-                submitted + wait_host + wait_dc,
-            ):
-                if threshold > self.sim.now:
-                    if next_time is None or threshold < next_time:
-                        next_time = threshold
-                    break
+        now = self.sim.now
+        wakes = self._wakes
+        while wakes and (
+            wakes[0][0] <= now or wakes[0][1] not in self._pending
+        ):
+            heapq.heappop(wakes)
+        next_time: Optional[float] = wakes[0][0] if wakes else None
         # A blacklist expiry can unblock a vetoed placement even though
         # no locality tier is pending.
         if self.blacklist is not None and self.blacklist.enabled:
             expiry = self.blacklist.next_expiry()
-            if expiry is not None and expiry > self.sim.now:
+            if expiry is not None and expiry > now:
                 if next_time is None or expiry < next_time:
                     next_time = expiry
         if next_time is None:
             return
         if self._wake_planned_at is not None and (
             self._wake_planned_at <= next_time
-            and self._wake_planned_at > self.sim.now
+            and self._wake_planned_at > now
         ):
             return  # an earlier-or-equal wake is already scheduled
         self._wake_planned_at = next_time
-        wake = self.sim.timeout(next_time - self.sim.now, name="sched:wake")
+        wake = self.sim.timeout(next_time - now, name="sched:wake")
         wake.add_callback(lambda _event: self._on_wake())
 
     def _on_wake(self) -> None:
