@@ -47,28 +47,87 @@ _NUMBER_SIZE = 8.0
 _BASE_OBJECT_SIZE = 16.0
 
 
-def natural_size(record: Any) -> float:
-    """Estimate the serialized size of one record in natural bytes."""
+def _ladder_size(record: Any) -> float:
+    """``natural_size`` for subclasses (a namedtuple, an ``int`` enum, a
+    ``SizedRecord`` subclass...): the first base class that matches."""
     if isinstance(record, SizedRecord):
         return record.natural_size
-    if isinstance(record, bool) or record is None:
+    if isinstance(record, (bool, int, float)):
         return _NUMBER_SIZE
-    if isinstance(record, (int, float)):
-        return _NUMBER_SIZE
-    if isinstance(record, str):
-        return float(len(record)) + _NUMBER_SIZE
-    if isinstance(record, bytes):
-        return float(len(record)) + _NUMBER_SIZE
-    if isinstance(record, tuple):
-        return _BASE_OBJECT_SIZE + sum(natural_size(item) for item in record)
-    if isinstance(record, (list, set, frozenset)):
-        return _BASE_OBJECT_SIZE + sum(natural_size(item) for item in record)
+    if isinstance(record, (str, bytes)):
+        return _text_size(record)
+    if isinstance(record, (tuple, list, set, frozenset)):
+        return _collection_size(record)
     if isinstance(record, dict):
-        return _BASE_OBJECT_SIZE + sum(
-            natural_size(key) + natural_size(value)
-            for key, value in record.items()
-        )
+        return _mapping_size(record)
     return _BASE_OBJECT_SIZE
+
+
+def _text_size(record: Any) -> float:
+    return float(len(record)) + _NUMBER_SIZE
+
+
+def _collection_size(record: Any) -> float:
+    return _BASE_OBJECT_SIZE + sum(map(natural_size, record))
+
+
+def _item_size(item: Tuple[Any, Any]) -> float:
+    return natural_size(item[0]) + natural_size(item[1])
+
+
+def _mapping_size(record: Any) -> float:
+    return _BASE_OBJECT_SIZE + sum(map(_item_size, record.items()))
+
+
+_FIXED_SIZES = {
+    bool: _NUMBER_SIZE,
+    type(None): _NUMBER_SIZE,
+    int: _NUMBER_SIZE,
+    float: _NUMBER_SIZE,
+}
+# Exact type -> sizer; any other type takes the isinstance ladder.
+_SIZERS = {
+    str: _text_size,
+    bytes: _text_size,
+    tuple: _collection_size,
+    list: _collection_size,
+    set: _collection_size,
+    frozenset: _collection_size,
+    dict: _mapping_size,
+}
+
+
+def natural_size(record: Any) -> float:
+    """Estimate the serialized size of one record in natural bytes."""
+    kind = type(record)
+    if kind is SizedRecord:
+        return record.natural_size
+    if kind is tuple and len(record) == 2:
+        # The shuffle's record shape, (key, value), without a frame per
+        # element.  a + b is what sum() makes of two terms on every
+        # supported Python, compensated summation included.
+        key, value = record
+        kind = type(key)
+        if kind is str:
+            key_size = float(len(key)) + _NUMBER_SIZE
+        elif kind is int:
+            key_size = _NUMBER_SIZE
+        else:
+            key_size = natural_size(key)
+        kind = type(value)
+        if kind is SizedRecord:
+            value_size = value.natural_size
+        elif kind is str:
+            value_size = float(len(value)) + _NUMBER_SIZE
+        elif kind is int:
+            value_size = _NUMBER_SIZE
+        else:
+            value_size = natural_size(value)
+        return _BASE_OBJECT_SIZE + (key_size + value_size)
+    size = _FIXED_SIZES.get(kind)
+    if size is not None:
+        return size
+    return _SIZERS.get(kind, _ladder_size)(record)
 
 
 class SizeEstimator:
@@ -83,7 +142,7 @@ class SizeEstimator:
         return natural_size(record) * self.scale_factor
 
     def estimate(self, records: Iterable[Any]) -> float:
-        return sum(natural_size(record) for record in records) * self.scale_factor
+        return sum(map(natural_size, records)) * self.scale_factor
 
     def estimate_with_count(self, records: Iterable[Any]) -> Tuple[float, int]:
         total = 0.0
