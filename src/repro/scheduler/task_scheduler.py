@@ -158,12 +158,11 @@ class TaskScheduler:
             for host in executors
         }
         # (instant, sequence, level, entry): the first instant at which
-        # the entry's wait for ``level`` is over.  Lazy deletion — an
-        # item whose sequence is no longer pending is skipped.
+        # the entry's wait for ``level`` is over — when its tier opens,
+        # and when the wake-up timer must fire if a slot is still free.
+        # Lazy deletion: an item whose sequence is no longer pending is
+        # skipped.
         self._tiers: List[Tuple[float, int, int, _PendingEntry]] = []
-        # (instant, sequence): tier expiries as the wake-up timer sees
-        # them, ``submitted + wait``.
-        self._wakes: List[Tuple[float, int]] = []
         self._wake_planned_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -248,15 +247,11 @@ class TaskScheduler:
             dict.fromkeys(datacenter_of(host) for host in preferred)
         )
         host_wait, dc_wait = self._task_waits(task)
-        for level, wait, instant in (
-            (_DC_LOCAL, host_wait, now + host_wait),
-            (_ANY, host_wait + dc_wait, now + host_wait + dc_wait),
-        ):
+        for level, wait in ((_DC_LOCAL, host_wait), (_ANY, host_wait + dc_wait)):
             heapq.heappush(
                 self._tiers,
                 (_first_instant(now, wait), sequence, level, entry),
             )
-            heapq.heappush(self._wakes, (instant, sequence))
         hosts = tuple(
             host for host in dict.fromkeys(preferred) if host in self.executors
         )
@@ -486,12 +481,12 @@ class TaskScheduler:
         if not self._pending or self._free_slots == 0:
             return
         now = self.sim.now
-        wakes = self._wakes
-        while wakes and (
-            wakes[0][0] <= now or wakes[0][1] not in self._pending
-        ):
-            heapq.heappop(wakes)
-        next_time: Optional[float] = wakes[0][0] if wakes else None
+        # _dispatch has just opened every tier due by now, so the
+        # earliest live item is the next instant eligibility changes.
+        tiers = self._tiers
+        while tiers and tiers[0][1] not in self._pending:
+            heapq.heappop(tiers)
+        next_time: Optional[float] = tiers[0][0] if tiers else None
         # A blacklist expiry can unblock a vetoed placement even though
         # no locality tier is pending.
         if self.blacklist is not None and self.blacklist.enabled:

@@ -1,15 +1,21 @@
 """The pending x free-hosts scan the indexed dispatcher replaced.
 
-Kept verbatim (dispatch, eligibility, wake planning) as the reference
-oracle for ``test_dispatch_index.py``: the indexed
+Kept verbatim (dispatch and eligibility; wake planning rescans all
+pending tasks as it did) as the reference oracle for
+``test_dispatch_index.py``: the indexed
 :class:`~repro.scheduler.task_scheduler.TaskScheduler` must launch the
 same tasks on the same hosts at the same instants.  Not a second
 dispatcher — nothing under ``src/`` imports it.
+
+One thing is not as it was: the wake-up aims at the first instant
+``_eligibility`` opens a tier (``_tier_instant``) where it used to aim at
+``submitted + wait``, which could be one ulp early and stall the task.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import SchedulingConfig
@@ -23,6 +29,18 @@ from repro.simulation.kernel import Simulator
 _HOST_LOCAL = 0
 _DC_LOCAL = 1
 _ANY = 2
+
+
+def _tier_instant(submitted: float, wait: float) -> float:
+    """The first clock value at which ``now - submitted >= wait`` holds."""
+    if wait <= 0:
+        return submitted
+    instant = submitted + wait
+    while instant - submitted < wait:
+        instant = math.nextafter(instant, math.inf)
+    while math.nextafter(instant, -math.inf) - submitted >= wait:
+        instant = math.nextafter(instant, -math.inf)
+    return instant
 
 
 class _PendingEntry:
@@ -305,14 +323,13 @@ class ScanTaskScheduler:
             if not entry.task.preferred_hosts:
                 continue
             wait_host, wait_dc = self._task_waits(entry.task)
-            for threshold in (
-                submitted + wait_host,
-                submitted + wait_host + wait_dc,
-            ):
-                if threshold > self.sim.now:
-                    if next_time is None or threshold < next_time:
-                        next_time = threshold
-                    break
+            for wait in (wait_host, wait_host + wait_dc):
+                if self.sim.now - submitted >= wait:
+                    continue  # this tier is open, by _eligibility's own test
+                threshold = _tier_instant(submitted, wait)
+                if next_time is None or threshold < next_time:
+                    next_time = threshold
+                break
         # A blacklist expiry can unblock a vetoed placement even though
         # no locality tier is pending.
         if self.blacklist is not None and self.blacklist.enabled:

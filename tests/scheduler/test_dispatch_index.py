@@ -181,15 +181,11 @@ def _run(scheduler_class, scenario):
     for moment, kind, payload in scenario["actions"]:
         sim.call_at(moment, lambda k=kind, p=payload: apply(k, p))
     sim.run()
+    assert scheduler.pending_count == 0 and scheduler.running_count == 0
     outcomes = {
-        partition: (
-            "pending" if not done.triggered
-            else "failed" if done.failed
-            else done.value
-        )
+        partition: ("failed" if done.failed else done.value)
         for partition, done in completions.items()
     }
-    assert scheduler.running_count == 0
     assert scheduler.total_free_slots() == sum(
         executor.cores for executor in executors.values()
     )
@@ -218,12 +214,10 @@ def test_scenarios_cover_what_they_claim():
                 continue
             share = payload["allowed"]
             dead_share += bool(share) and share <= removed
-            host = next(
-                (h for _t, p, h in launches if p == payload["partition"]), None
-            )
-            out_of_dc += bool(
-                host and payload["preferred"]
-            ) and host[0] not in {pref[0] for pref in payload["preferred"]}
+            host = next(h for _t, p, h in launches if p == payload["partition"])
+            out_of_dc += bool(payload["preferred"]) and host[0] not in {
+                pref[0] for pref in payload["preferred"]
+            }
     assert relaunched and dead_share and all_vetoed and out_of_dc
 
 
