@@ -216,7 +216,9 @@ class TaskScheduler:
         # a pool share with no live host left stops confining its tasks.
         orphans = self._buckets[_HOST_LOCAL].pop(host, {})
         for entry in orphans.values():
-            hosts = tuple(pref for pref in entry.filed[0] if pref != host)
+            hosts = tuple(
+                pref for pref in entry.filed[_HOST_LOCAL] if pref != host
+            )
             entry.filed[_HOST_LOCAL] = hosts
             if not hosts:
                 self._forget_preferences(entry)
@@ -236,7 +238,6 @@ class TaskScheduler:
         task.submit_time = now
         sequence = entry.sequence = next(self._sequence)
         self._pending[sequence] = entry
-        entry.filed = [(), (), ()]
         entry.allowed = self._allowed_hosts(task)
         preferred = task.preferred_hosts
         if not preferred:
