@@ -145,18 +145,22 @@ class TaskScheduler:
             executor.free for executor in executors.values()
         )
         # The dispatch index: per locality level, bucket key -> entries
-        # in sequence order.  A free host is asked for its lowest-
-        # sequence candidate under its own name, then under its
-        # datacenter, then under None (run anywhere).
+        # in sequence order.  Level 0 is keyed by preferred host, level
+        # 1 by preferred datacenter, level 2 by None (run anywhere).
         self._buckets: Tuple[Dict[object, Dict[int, _PendingEntry]], ...] = (
             {},
             {},
             {},
         )
-        self._bucket_keys: Dict[str, Tuple[str, str, None]] = {
-            host: (host, topology.datacenter_of(host), None)
-            for host in executors
-        }
+        # Live executors per datacenter and each host's rank in
+        # ``executors`` order (the last tie-break of a placement).
+        self._executors_in: Dict[str, List[Executor]] = {}
+        self._host_rank: Dict[str, int] = {}
+        for rank, (host, executor) in enumerate(executors.items()):
+            self._executors_in.setdefault(
+                topology.datacenter_of(host), []
+            ).append(executor)
+            self._host_rank[host] = rank
         # (instant, sequence, level, entry): the first instant at which
         # the entry's wait for ``level`` is over — when its tier opens,
         # and when the wake-up timer must fire if a slot is still free.
@@ -202,8 +206,9 @@ class TaskScheduler:
             raise SchedulerError(
                 f"cannot remove {host!r}: it is the last executor"
             )
-        self._free_slots -= self.executors.pop(host).free
-        del self._bucket_keys[host]
+        executor = self.executors.pop(host)
+        self._free_slots -= executor.free
+        self._executors_in[self.topology.datacenter_of(host)].remove(executor)
         relaunched = 0
         for record in list(self._running.values()):
             if record.host == host and not record.lost:
@@ -243,9 +248,8 @@ class TaskScheduler:
         if not preferred:
             self._file(entry, _ANY, (None,))
             return
-        datacenter_of = self.topology.datacenter_of
         entry.datacenters = tuple(
-            dict.fromkeys(datacenter_of(host) for host in preferred)
+            dict.fromkeys(map(self.topology.datacenter_of, preferred))
         )
         host_wait, dc_wait = self._task_waits(task)
         for level, wait in ((_DC_LOCAL, host_wait), (_ANY, host_wait + dc_wait)):
@@ -254,7 +258,7 @@ class TaskScheduler:
                 (_first_instant(now, wait), sequence, level, entry),
             )
         hosts = tuple(
-            host for host in dict.fromkeys(preferred) if host in self.executors
+            filter(self.executors.__contains__, dict.fromkeys(preferred))
         )
         if hosts:
             self._file(entry, _HOST_LOCAL, hosts)
@@ -316,17 +320,12 @@ class TaskScheduler:
         """Greedily match free slots to eligible pending tasks."""
         if self._pending and self._free_slots:
             self._open_tiers()
-            free = [
-                executor
-                for executor in self.executors.values()
-                if executor.busy < executor.cores
-            ]
             blacklist = self.blacklist
             vetoes: Optional[Dict[object, Optional[set]]] = (
                 {} if blacklist is not None and blacklist.enabled else None
             )
-            while self._pending and free:
-                assignment = self._best_assignment(free, vetoes)
+            while self._pending and self._free_slots:
+                assignment = self._best_assignment(vetoes)
                 if assignment is None:
                     break
                 entry, executor = assignment
@@ -335,48 +334,54 @@ class TaskScheduler:
                     if entry.filed[level]:
                         self._unfile(entry, level)
                 self._launch(entry, executor)
-                if executor.busy == executor.cores:
-                    free.remove(executor)
         self._plan_wakeup()
 
     def _best_assignment(
-        self,
-        free: List[Executor],
-        vetoes: Optional[Dict[object, Optional[set]]],
+        self, vetoes: Optional[Dict[object, Optional[set]]]
     ) -> Optional[Tuple[_PendingEntry, Executor]]:
         """The (task, executor) pair with the best locality, if any.
 
         Ranked by locality level, then submission order, then most free
         slots (spreading load like Spark standalone's ``spreadOut``),
-        then ``executors`` order.  Each free host offers its lowest-
-        sequence candidate at one level; the first level with an offer
-        decides.
+        then ``executors`` order.  Each free host under a non-empty
+        bucket offers that bucket's lowest-sequence entry it may run;
+        the first level with an offer decides.
         """
+        executors = self.executors
+        host_rank = self._host_rank
         passed_over = False
         best: Optional[Tuple[_PendingEntry, Executor]] = None
+        best_rank: Optional[Tuple[int, int, int]] = None
         for level, buckets in enumerate(self._buckets):
-            if not buckets:
-                continue
-            best_rank: Optional[Tuple[int, int]] = None
-            for executor in free:
-                host = executor.host
-                bucket = buckets.get(self._bucket_keys[host][level])
-                if bucket is None:
-                    continue
-                for entry in bucket.values():
-                    allowed = entry.allowed
-                    if allowed is not None and host not in allowed:
+            for key, bucket in buckets.items():
+                if level == _HOST_LOCAL:
+                    candidates = (executors[key],)
+                elif level == _DC_LOCAL:
+                    candidates = self._executors_in.get(key, ())
+                else:
+                    candidates = executors.values()
+                for executor in candidates:
+                    if executor.busy >= executor.cores:
                         continue
-                    if vetoes is not None:
-                        vetoed = self._vetoed_hosts(entry.task, vetoes)
-                        if vetoed is not None and host in vetoed:
-                            passed_over = True
+                    host = executor.host
+                    for entry in bucket.values():
+                        allowed = entry.allowed
+                        if allowed is not None and host not in allowed:
                             continue
-                    rank = (entry.sequence, executor.busy - executor.cores)
-                    if best_rank is None or rank < best_rank:
-                        best_rank = rank
-                        best = (entry, executor)
-                    break
+                        if vetoes is not None:
+                            vetoed = self._vetoed_hosts(entry.task, vetoes)
+                            if vetoed is not None and host in vetoed:
+                                passed_over = True
+                                continue
+                        rank = (
+                            entry.sequence,
+                            executor.busy - executor.cores,
+                            host_rank[host],
+                        )
+                        if best_rank is None or rank < best_rank:
+                            best_rank = rank
+                            best = (entry, executor)
+                        break
             if best is not None:
                 break
         if passed_over:
@@ -392,9 +397,7 @@ class TaskScheduler:
         progress on the survivors instead of deadlocking.
         """
         allowed = task.allowed_hosts
-        if not allowed:
-            return None
-        if not any(host in self.executors for host in allowed):
+        if not allowed or allowed.isdisjoint(self.executors):
             return None
         return allowed
 
