@@ -1,10 +1,10 @@
 """The indexed dispatcher against the scan it replaced.
 
 ``TaskScheduler`` answers "which task on which host next?" from an index
-walked from the free-host side; ``reference_scan.ScanTaskScheduler`` is
-the pending x free-hosts double loop it used to be.  Both must launch the
-same tasks on the same hosts at the same simulated instants, and a
-dispatch must cost O(free hosts), not O(pending x free hosts).
+of buckets and the free hosts under them; ``reference_scan.ScanTaskScheduler``
+is the pending x free-hosts double loop it used to be.  Both must launch
+the same tasks on the same hosts at the same simulated instants, and a
+dispatch must cost O(hosts), not O(pending x free hosts).
 """
 
 import random
@@ -307,6 +307,6 @@ def test_dispatch_work_follows_free_hosts_not_pending_tasks(pending):
 
     calls = _count_calls(scheduler._dispatch)
     assert scheduler.pending_count == pending
-    # One look per free host per locality level plus bookkeeping; the
+    # A look at each host under a non-empty bucket plus bookkeeping; the
     # scan made pending x 24 eligibility checks (>= 6 000) here.
     assert calls <= 4 * len(executors), calls
