@@ -161,12 +161,13 @@ class TaskScheduler:
                 topology.datacenter_of(host), []
             ).append(executor)
             self._host_rank[host] = rank
-        # (instant, sequence, level, entry): the first instant at which
-        # the entry's wait for ``level`` is over — when its tier opens,
-        # and when the wake-up timer must fire if a slot is still free.
-        # Lazy deletion: an item whose sequence is no longer pending is
-        # skipped.
-        self._tiers: List[Tuple[float, int, int, _PendingEntry]] = []
+        # (instant, sequence, level): the first instant at which the
+        # wait of pending entry ``sequence`` for ``level`` is over — when
+        # its tier opens, and when the wake-up timer must fire if a slot
+        # is still free.  Lazy deletion: an item whose sequence is no
+        # longer pending is skipped; items name the entry rather than
+        # hold it, so a launched task is not kept alive by its timers.
+        self._tiers: List[Tuple[float, int, int]] = []
         self._wake_planned_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -255,7 +256,7 @@ class TaskScheduler:
         for level, wait in ((_DC_LOCAL, host_wait), (_ANY, host_wait + dc_wait)):
             heapq.heappush(
                 self._tiers,
-                (_first_instant(now, wait), sequence, level, entry),
+                (_first_instant(now, wait), sequence, level),
             )
         hosts = tuple(
             filter(self.executors.__contains__, dict.fromkeys(preferred))
@@ -305,8 +306,9 @@ class TaskScheduler:
         tiers = self._tiers
         now = self.sim.now
         while tiers and tiers[0][0] <= now:
-            _instant, sequence, level, entry = heapq.heappop(tiers)
-            if sequence not in self._pending or entry.filed[level]:
+            _instant, sequence, level = heapq.heappop(tiers)
+            entry = self._pending.get(sequence)
+            if entry is None or entry.filed[level]:
                 continue
             if level == _ANY:
                 self._file(entry, _ANY, (None,))

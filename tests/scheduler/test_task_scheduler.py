@@ -184,3 +184,24 @@ def test_executor_validation():
 
     with pytest.raises(SchedulerError):
         Executor("h", cores=0)
+
+
+def test_tier_timers_do_not_keep_a_finished_task_alive():
+    """A task that launches before its locality tiers come due leaves
+    their timers behind; those must not pin the task (and through it the
+    stage) until the waits run out — 600 s for an AggShuffle receiver."""
+    import gc
+    import weakref
+
+    sim, scheduler, stage, launched, _d = build(
+        locality_wait_host=600.0, locality_wait_datacenter=600.0
+    )
+    own_stage = FakeStage(scheduler.topology)
+    alive = weakref.ref(own_stage)
+    done = scheduler.submit(Task(own_stage, 0, preferred_hosts=["A0"]))
+    sim.run(until=5.0)
+    assert done.value == "A0"
+    del done, own_stage
+    launched.clear()
+    gc.collect()
+    assert alive() is None
