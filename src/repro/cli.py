@@ -189,7 +189,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"(mean {perf['mean_flows_per_solve']:.1f}/solve), "
             f"{perf['solver_seconds'] * 1e3:.1f} ms in solver, "
             f"peak {perf['peak_active_flows']:.0f} flows, "
-            f"{perf['jitter_noops']:.0f} jitter no-ops"
+            f"{perf['jitter_noops']:.0f} jitter no-ops, "
+            f"{perf['plan_segments_fired']:.0f}/"
+            f"{perf['plan_segments_planned']:.0f} plan segments fired"
         )
     shuffle = result.shuffle_perf
     if shuffle:

@@ -19,7 +19,12 @@ incremented from the solver event loop:
 * ``total_flows``       — flows ever admitted;
 * ``peak_active_flows`` — high-water mark of concurrent flows;
 * ``jitter_noops``      — capacity-change notifications skipped because
-  the perturbed links carried zero active flows.
+  the perturbed links carried zero active flows;
+* ``plan_segments_planned`` / ``plan_segments_fired`` — cascade-plan
+  segments solved (one progressive fill each for a general plan) and
+  segments whose departure timer fired.  Their ratio is the planner's
+  useful-outcome share: the rest was solved for a future that a
+  perturbation replaced (vector drive only).
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ class FabricPerfCounters:
     total_flows: int = 0
     peak_active_flows: int = 0
     jitter_noops: int = 0
+    plan_segments_planned: int = 0
+    plan_segments_fired: int = 0
 
     def note_admission(self, active_flows: int) -> None:
         """Record one admitted flow and the new concurrency level."""
@@ -63,7 +70,9 @@ class FabricPerfCounters:
             f"(mean {self.mean_flows_per_solve:.1f}/solve) "
             f"solver={self.solver_seconds * 1e3:.1f}ms "
             f"peak_flows={self.peak_active_flows} "
-            f"jitter_noops={self.jitter_noops}"
+            f"jitter_noops={self.jitter_noops} "
+            f"plan_segments={self.plan_segments_fired}"
+            f"/{self.plan_segments_planned} fired"
         )
 
 

@@ -4,7 +4,7 @@ An event-per-departure fabric (the global reference drive) re-solves
 rates every time a flow drains.  But between external perturbations
 (arrivals, cancels, capacity changes) a component's future is fully
 determined: max-min fair sharing is a piecewise-linear fluid system, so
-the entire sequence of departures can be computed up front.  A
+the sequence of departures can be computed ahead of the clock.  A
 :class:`CascadePlan` is that precomputation — the segment boundaries,
 per-segment rates, and which flows drain at each boundary.  Departures
 then fire as bare precomputed timers
@@ -23,19 +23,26 @@ Two plan shapes:
   ``C* = min_j capacity_j / multiplicity_j`` over the shared route, so
   each departure gap costs ``(e_i - e_{i-1}) / rate(k)`` seconds.
   Because every alive flow always runs at the same rate, the plan
-  stores only 1-D per-segment arrays — no per-flow rate matrix at all;
+  stores only 1-D per-segment arrays — no per-flow rate matrix at all,
+  and the whole schedule is solved at construction;
 * :class:`GeneralPlan` — one :func:`~repro.network.vector_solver.
-  progressive_fill` per departure round on the component's CSR arrays,
-  with the full (segments x flows) rate matrix.
+  progressive_fill` per departure round on the component's CSR arrays.
+  A fill per *future* departure is wasted when the next perturbation
+  kills the plan after a handful of them, so the plan is **resumable**:
+  it keeps the solver state and solves segments only as far as its
+  :attr:`~CascadePlan.horizon`, which the fabric pushes out
+  (:meth:`GeneralPlan.extend`) each time the clock reaches it.
 
 Replay is exact: each plan keeps the cumulative bytes delivered at
-every segment boundary, so ``remaining_at(pos, t)`` is one
-``searchsorted`` plus a fused multiply-add, paid only when something
-actually reads or perturbs the flow.
+every segment boundary, so ``remaining_at(pos, t)`` is one bisection
+plus a multiply-add, paid only when something actually reads or
+perturbs the flow; :meth:`~CascadePlan.state_at` does it for every
+member at once when a plan dies.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +63,11 @@ class CascadePlan:
     Positions index ``flow_ids`` — the plan's own member order, which
     need not match the caller's (``UniformPlan`` sorts members into
     departure order so each ``departs[k]`` is a contiguous range).
+
+    ``bounds``/``departs`` hold the segments solved so far, which is
+    all of them once ``complete``; the first :attr:`horizon` may have
+    departure timers armed.  A plan that is not complete has an
+    ``extend()`` that solves further (:meth:`GeneralPlan.extend`).
     """
 
     __slots__ = (
@@ -65,6 +77,7 @@ class CascadePlan:
         "init_remaining",
         "bounds",
         "departs",
+        "complete",
         "timers",
         "alive",
     )
@@ -74,7 +87,7 @@ class CascadePlan:
         flow_ids: List[int],
         base: float,
         init_remaining: np.ndarray,
-        bounds: np.ndarray,
+        bounds: List[float],
         departs: List[List[int]],
     ) -> None:
         self.flow_ids = flow_ids
@@ -83,11 +96,20 @@ class CascadePlan:
         self.init_remaining = init_remaining
         self.bounds = bounds
         self.departs = departs
+        self.complete = True
         self.timers: list = []
         self.alive = True
 
+    @property
+    def horizon(self) -> int:
+        """How many leading segments are ready for departure timers:
+        all of a complete plan, all but the last (the reserve, see
+        :class:`GeneralPlan`) of one still being solved."""
+        solved = len(self.departs)
+        return solved if self.complete else solved - 1
+
     def _segment(self, offset: float) -> int:
-        k = int(np.searchsorted(self.bounds, offset, side="right")) - 1
+        k = bisect_right(self.bounds, offset) - 1
         last = len(self.departs) - 1
         if k < 0:
             return 0
@@ -95,9 +117,14 @@ class CascadePlan:
             return last
         return k
 
-    def depart_times(self) -> List[float]:
-        """Absolute simulated time of each departure segment boundary."""
-        return (self.base + self.bounds[1:]).tolist()
+    def depart_times(self, start: int = 0) -> List[float]:
+        """Absolute simulated time of the departure boundaries of
+        segments ``start`` up to the horizon."""
+        base = self.base
+        return [
+            base + offset
+            for offset in self.bounds[start + 1 : self.horizon + 1]
+        ]
 
 
 class UniformPlan(CascadePlan):
@@ -119,7 +146,9 @@ class UniformPlan(CascadePlan):
         seg_rates: np.ndarray,
         departs: List[List[int]],
     ) -> None:
-        super().__init__(flow_ids, base, init_remaining, bounds, departs)
+        super().__init__(
+            flow_ids, base, init_remaining, bounds.tolist(), departs
+        )
         self.seg_rates = seg_rates
         # _cum[k]: bytes every still-alive member has delivered by the
         # time segment k starts.
@@ -143,47 +172,145 @@ class UniformPlan(CascadePlan):
             return float(self.seg_rates[k])
         return 0.0
 
+    def state_at(self, now: float) -> Tuple[List[float], List[float]]:
+        """``remaining_at`` and ``rate_at`` of every position at once."""
+        k, delivered = self._delivered(now - self.base)
+        remaining = self.init_remaining - delivered
+        draining = remaining > 0.0
+        return (
+            np.where(draining, remaining, 0.0).tolist(),
+            np.where(draining, self.seg_rates[k], 0.0).tolist(),
+        )
+
     def initial_rate(self, pos: int) -> float:
         return float(self.seg_rates[0])
 
 
 class GeneralPlan(CascadePlan):
-    """Iterative cascade with the full (segments x flows) rate matrix."""
+    """Resumable iterative cascade: one progressive fill per segment,
+    solved only as far ahead as the clock has come.
 
-    __slots__ = ("rates", "_cum")
+    The plan keeps the solver state (CSR arrays, active mask, live
+    remaining bytes, elapsed offset) between calls, so continuing is the
+    same arithmetic as solving the whole schedule in one go.  It always
+    stays one segment ahead of :attr:`horizon`: a replay landing exactly
+    on the last armed boundary — before that boundary's timer has fired
+    in the same batch — reads the segment *after* it, as it would from a
+    fully solved schedule.  Each :meth:`extend` solves twice as many
+    segments as the one before, so a plan that lives for ``d``
+    departures costs at most ``2 (d + 1)`` fills and one that runs out
+    costs one per segment.
+    """
+
+    __slots__ = (
+        "rates",
+        "_cum",
+        "_csr",
+        "_capacities",
+        "_weights",
+        "_active",
+        "_live_remaining",
+        "_elapsed",
+        "_batch",
+    )
 
     def __init__(
         self,
         flow_ids: List[int],
         base: float,
         init_remaining: np.ndarray,
-        bounds: np.ndarray,
-        rates: np.ndarray,
-        departs: List[List[int]],
+        routes: Sequence[np.ndarray],
+        capacities: np.ndarray,
+        weights: Optional[np.ndarray] = None,
     ) -> None:
-        super().__init__(flow_ids, base, init_remaining, bounds, departs)
-        self.rates = rates
-        # _cum[k, pos]: bytes delivered to pos before segment k starts.
-        cum = np.empty((rates.shape[0] + 1, rates.shape[1]))
-        cum[0] = 0.0
-        np.cumsum(rates * np.diff(bounds)[:, None], axis=0, out=cum[1:])
-        self._cum = cum
+        super().__init__(flow_ids, base, init_remaining, [0.0], [])
+        # rates[k][pos]: rate of pos during segment k;
+        # _cum[k][pos]: bytes delivered to pos before segment k starts.
+        self.rates: List[np.ndarray] = []
+        self._cum: List[np.ndarray] = [np.zeros(len(flow_ids))]
+        self._csr = build_csr(routes)
+        self._capacities = capacities
+        self._weights = weights
+        self._active = np.ones(len(flow_ids), dtype=bool)
+        self._live_remaining = init_remaining.copy()
+        self._elapsed = 0.0
+        self.complete = False
+        # One segment to arm and one in reserve; extend() doubles it.
+        self._batch = 1
+        self._solve(2)
+
+    def extend(self) -> int:
+        """Solve the next batch of segments, twice the last one, and a
+        new reserve; returns how many segments that was."""
+        solved = len(self.departs)
+        self._batch *= 2
+        self._solve(self.horizon + self._batch + 1)
+        return len(self.departs) - solved
+
+    def _solve(self, segments: int) -> None:
+        """Continue the cascade until ``segments`` are solved or every
+        member has departed."""
+        indices, indptr, flow_of_entry = self._csr
+        active = self._active
+        live_remaining = self._live_remaining
+        count = len(active)
+        bounds = self.bounds
+        while len(self.departs) < segments and not self.complete:
+            rates = progressive_fill(
+                indices,
+                indptr,
+                flow_of_entry,
+                self._capacities,
+                active,
+                weights=self._weights,
+            )
+            step = np.full(count, np.inf)
+            step[active] = live_remaining[active] / rates[active]
+            shortest = float(step.min())
+            departing = active & (step <= shortest * (1.0 + _TIE))
+            self._elapsed += shortest
+            live_remaining -= rates * shortest
+            np.clip(live_remaining, 0.0, None, out=live_remaining)
+            live_remaining[departing] = 0.0
+            self._cum.append(
+                self._cum[-1] + rates * (self._elapsed - bounds[-1])
+            )
+            self.rates.append(rates)
+            bounds.append(self._elapsed)
+            self.departs.append(np.flatnonzero(departing).tolist())
+            active &= ~departing
+            self.complete = not active.any()
 
     def remaining_at(self, pos: int, now: float) -> float:
         offset = now - self.base
         k = self._segment(offset)
         remaining = (
             self.init_remaining[pos]
-            - self._cum[k, pos]
-            - self.rates[k, pos] * (offset - self.bounds[k])
+            - self._cum[k][pos]
+            - self.rates[k][pos] * (offset - self.bounds[k])
         )
         return float(remaining) if remaining > 0.0 else 0.0
 
     def rate_at(self, pos: int, now: float) -> float:
-        return float(self.rates[self._segment(now - self.base), pos])
+        return float(self.rates[self._segment(now - self.base)][pos])
+
+    def state_at(self, now: float) -> Tuple[List[float], List[float]]:
+        """``remaining_at`` and ``rate_at`` of every position at once."""
+        offset = now - self.base
+        k = self._segment(offset)
+        rates = self.rates[k]
+        remaining = (
+            self.init_remaining
+            - self._cum[k]
+            - rates * (offset - self.bounds[k])
+        )
+        return (
+            np.where(remaining > 0.0, remaining, 0.0).tolist(),
+            rates.tolist(),
+        )
 
     def initial_rate(self, pos: int) -> float:
-        return float(self.rates[0, pos])
+        return float(self.rates[0][pos])
 
 
 # ----------------------------------------------------------------------
@@ -211,40 +338,6 @@ def _uniform_schedule(
     return bounds, stage_rates[starts], departs
 
 
-def _general_schedule(
-    remaining: np.ndarray,
-    routes: Sequence[np.ndarray],
-    capacities: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, List[List[int]]]:
-    """Iterative cascade: one progressive fill per departure round."""
-    indices, indptr, flow_of_entry = build_csr(routes)
-    count = len(routes)
-    active = np.ones(count, dtype=bool)
-    live_remaining = remaining.copy()
-    bounds = [0.0]
-    rate_rows = []
-    departs = []
-    elapsed = 0.0
-    while active.any():
-        rates = progressive_fill(
-            indices, indptr, flow_of_entry, capacities, active, weights=weights
-        )
-        step = np.full(count, np.inf)
-        step[active] = live_remaining[active] / rates[active]
-        shortest = float(step.min())
-        departing = active & (step <= shortest * (1.0 + _TIE))
-        elapsed += shortest
-        live_remaining -= rates * shortest
-        np.clip(live_remaining, 0.0, None, out=live_remaining)
-        live_remaining[departing] = 0.0
-        rate_rows.append(rates)
-        bounds.append(elapsed)
-        departs.append(np.flatnonzero(departing).tolist())
-        active &= ~departing
-    return np.asarray(bounds), np.asarray(rate_rows), departs
-
-
 def build_plan(
     flow_ids: Sequence[int],
     remaining: Sequence[float],
@@ -253,7 +346,7 @@ def build_plan(
     base: float,
     weights: Optional[Mapping[int, float]] = None,
 ) -> CascadePlan:
-    """Plan one component's full departure schedule.
+    """Plan one component's departure schedule.
 
     ``flow_ids`` must be sorted (determinism); ``routes``/``capacities``
     are the engine's solver inputs for exactly these flows — shared link
@@ -323,9 +416,11 @@ def build_plan(
         )
         if np.any(weight_array <= 0):
             raise ValueError("flow weights must be > 0")
-    bounds, rates, departs = _general_schedule(
-        init_remaining, index_routes, np.asarray(link_caps), weight_array
-    )
     return GeneralPlan(
-        list(flow_ids), base, init_remaining, bounds, rates, departs
+        list(flow_ids),
+        base,
+        init_remaining,
+        index_routes,
+        np.asarray(link_caps),
+        weight_array,
     )

@@ -17,9 +17,11 @@ Two solver drives exist:
 * **vector** (default, production) — the
   :class:`~repro.network.IncrementalFairShare` component index scopes
   each perturbation to the connected components of flows and links it
-  touches; their entire departure schedules are then precomputed as :class:`~repro.network.cascade.CascadePlan`\\ s (numpy
-  closed form for uniform-route components, CSR progressive filling
-  otherwise).  Departures fire as bare precomputed timers with **zero**
+  touches; their departure schedules are then precomputed as
+  :class:`~repro.network.cascade.CascadePlan`\\ s (numpy closed form
+  for uniform-route components; CSR progressive filling otherwise,
+  solved a doubling batch of departures at a time as the clock reaches
+  them).  Departures fire as bare precomputed timers with **zero**
   re-solves, and a later perturbation replays the plan to recover each
   member's exact remaining bytes;
 * **global** (``drive="global"``, reference) — a from-scratch re-solve
@@ -509,22 +511,24 @@ class NetworkFabric:
 
     def _invalidate_plan(self, plan: CascadePlan) -> None:
         """Kill a plan: lazily cancel its timers and replay every
-        still-active member up to now so ``remaining`` is exact before
-        the re-plan."""
+        still-active member up to now (one segment lookup for the whole
+        plan) so ``remaining`` is exact before the re-plan."""
         if not plan.alive:
             return
         plan.alive = False
         for handle in plan.timers:
             handle.cancel()
-        now = self.sim.now
+        remaining, rates = plan.state_at(self.sim.now)
+        flows = self._flows
+        plans = self._plans
         for pos, flow_id in enumerate(plan.flow_ids):
-            flow = self._flows.get(flow_id)
+            flow = flows.get(flow_id)
             if flow is None:
                 continue
-            flow.remaining = plan.remaining_at(pos, now)
-            flow.rate = plan.rate_at(pos, now)
-            if self._plans.get(flow_id) is plan:
-                del self._plans[flow_id]
+            flow.remaining = remaining[pos]
+            flow.rate = rates[pos]
+            if plans.get(flow_id) is plan:
+                del plans[flow_id]
 
     def _resolve_dirty_vector(self) -> None:
         """Invalidate perturbed plans, retire drained flows, and build
@@ -626,17 +630,25 @@ class NetworkFabric:
                     routes,
                     capacities,
                 )
-            for index, depart_time in enumerate(plan.depart_times()):
-                plan.timers.append(
-                    self.sim.call_at(
-                        depart_time,
-                        self._make_depart_timer(plan, index),
-                    )
-                )
+            self.perf.plan_segments_planned += len(plan.departs)
+            self._arm_departures(plan)
             self.perf.solves += 1
             self.perf.flows_touched += len(members)
         # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
         self.perf.solver_seconds += time.perf_counter() - started
+
+    def _arm_departures(self, plan: CascadePlan) -> None:
+        """Arm one bare timer per solved segment up to the plan's
+        horizon, continuing after those already armed."""
+        armed = len(plan.timers)
+        for segment, depart_time in enumerate(
+            plan.depart_times(armed), armed
+        ):
+            plan.timers.append(
+                self.sim.call_at(
+                    depart_time, self._make_depart_timer(plan, segment)
+                )
+            )
 
     def _make_depart_timer(self, plan: CascadePlan, segment: int):
         """The departure callback for one plan segment boundary."""
@@ -645,6 +657,7 @@ class NetworkFabric:
             if not plan.alive:  # pragma: no cover - timers are cancelled
                 return
             self.perf.events += 1
+            self.perf.plan_segments_fired += 1
             flows = self._flows
             plans = self._plans
             flow_ids = plan.flow_ids
@@ -658,7 +671,16 @@ class NetworkFabric:
                     del plans[flow_id]
                 self._depart(flow)
             # No re-solve: the plan already models the post-departure
-            # rates of every surviving member.
+            # rates of every surviving member.  If the clock has reached
+            # the last armed boundary of a plan still being solved, have
+            # it solve further ahead and arm what that yields.
+            if not plan.complete and segment + 1 == len(plan.timers):
+                # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
+                started = time.perf_counter()
+                self.perf.plan_segments_planned += plan.extend()
+                self._arm_departures(plan)
+                # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
+                self.perf.solver_seconds += time.perf_counter() - started
 
         return fire
 

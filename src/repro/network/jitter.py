@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.network.fabric import NetworkFabric
-from repro.network.topology import Link, MBPS
+from repro.network.topology import MBPS, PARTITION_CAPACITY_FLOOR, Link
 from repro.simulation.kernel import Simulator
 from repro.simulation.random_source import RandomSource
 
@@ -82,29 +82,46 @@ class BandwidthJitter:
         self._running = False
 
     def _loop(self):
-        span = self.spec.high - self.spec.low
+        low = self.spec.low
+        high = self.spec.high
+        span = high - low
         max_step = span * self.spec.max_step_fraction
+        # Each link with its ``jitter:target:<link>`` stream's
+        # ``random``, bound once so a period costs no name formatting
+        # or stream lookup.
+        walk = [
+            (link, self.randomness.stream(f"jitter:target:{link.name}").random)
+            for link in self.links
+        ]
         while self._running:
             yield self.sim.timeout(self.spec.period)
             if not self._running:
                 return
-            for link in self.links:
-                target = self.randomness.uniform(
-                    f"jitter:target:{link.name}", self.spec.low, self.spec.high
-                )
+            for link, draw in walk:
                 # Walk the *nominal* capacity: a concurrent chaos
                 # degrade scales the effective capacity underneath and
                 # must neither perturb the walk nor be undone by it.
-                delta = target - link.nominal_capacity
+                # ``low + span * draw()`` is ``Random.uniform(low,
+                # high)`` on the link's named stream.
+                nominal = link.nominal_capacity
+                delta = low + span * draw() - nominal
                 if delta > max_step:
                     delta = max_step
                 elif delta < -max_step:
                     delta = -max_step
-                new_capacity = min(
-                    self.spec.high,
-                    max(self.spec.low, link.nominal_capacity + delta),
+                nominal += delta
+                if nominal < low:
+                    nominal = low
+                elif nominal > high:
+                    nominal = high
+                # Link.set_capacity, inlined (the clamp keeps it > 0):
+                # partition and degrade compose exactly as there.
+                link.nominal_capacity = nominal
+                link.capacity = (
+                    PARTITION_CAPACITY_FLOOR
+                    if link.partitioned
+                    else nominal * link.degrade_factor
                 )
-                link.set_capacity(new_capacity)
             # Scoped notification: the fabric re-solves only components
             # carried by the perturbed links, and skips the solve
             # entirely when every one of them is idle.  All links are

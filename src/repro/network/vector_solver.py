@@ -16,12 +16,11 @@ stays the property-tested oracle: :func:`max_min_fair_rates_numpy`
 must agree with it to 1e-9 relative on arbitrary topologies (see
 ``tests/network/test_vector_solver.py``).
 
-The module also hosts the *cascade* kernel used by the fabric's vector
-drive: given the remaining bytes of every flow in a component, it
-plays the fluid model forward through successive departures entirely
-in numpy, producing the component's full departure schedule in one
-call — the event loop then fires precomputed completion timers instead
-of re-solving per departure (see :mod:`repro.network.cascade`).
+:func:`progressive_fill` is also the kernel of the fabric's vector
+drive: a cascade plan plays the fluid model forward through successive
+departures, one fill per departure round, and the event loop then
+fires precomputed completion timers instead of re-solving per
+departure (see :mod:`repro.network.cascade`).
 """
 
 from __future__ import annotations

@@ -148,6 +148,73 @@ def test_degrade_survives_jitter_resample():
     jitter.stop()
 
 
+def test_walk_equals_named_stream_uniform_walk():
+    """The loop binds each link's ``jitter:target:<link>`` stream once
+    and inlines the draw and ``Link.set_capacity``; 1 000 periods must
+    equal, float for float, the walk ``RandomSource.uniform`` +
+    ``Link.set_capacity`` give — through a degrade and a partition."""
+    spec = JitterSpec(low=80 * MBPS, high=300 * MBPS, period=1.0)
+    periods = 1000
+    degrade_at, partition_at, heal_at = 200, 400, 650
+
+    def perturb(period, link):
+        if period == degrade_at:
+            link.set_degrade_factor(0.25)
+        if period == partition_at:
+            link.set_partitioned(True)
+        if period == heal_at:
+            link.set_partitioned(False)
+
+    # Reference: the loop as it was, on a topology of its own.
+    _sim, ref_topo, _fabric = build()
+    ref_links = list(ref_topo.wan_links())
+    randomness = RandomSource(11)
+    for link in ref_links:
+        link.set_capacity(
+            randomness.uniform(f"jitter:init:{link.name}", spec.low, spec.high)
+        )
+    max_step = (spec.high - spec.low) * spec.max_step_fraction
+    expected = []
+    for period in range(1, periods + 1):
+        perturb(period, ref_links[0])
+        for link in ref_links:
+            target = randomness.uniform(
+                f"jitter:target:{link.name}", spec.low, spec.high
+            )
+            delta = target - link.nominal_capacity
+            delta = max(-max_step, min(max_step, delta))
+            link.set_capacity(
+                min(spec.high, max(spec.low, link.nominal_capacity + delta))
+            )
+        expected.append(
+            [(link.nominal_capacity, link.capacity) for link in ref_links]
+        )
+
+    sim, topo, fabric = build()
+    links = list(topo.wan_links())
+    assert [link.name for link in links] == [link.name for link in ref_links]
+    assert len(links) == 2
+    BandwidthJitter(sim, fabric, links, spec, RandomSource(11)).start()
+    observed = []
+    # Resamples land on t = 1, 2, ...: perturb half a period before
+    # each, read a quarter after.
+    for period in range(1, periods + 1):
+        sim.call_at(
+            period - 0.5, lambda period=period: perturb(period, links[0])
+        )
+        sim.call_at(
+            period + 0.25,
+            lambda: observed.append(
+                [(link.nominal_capacity, link.capacity) for link in links]
+            ),
+        )
+    sim.run(until=periods + 0.5)
+    assert observed == expected
+    partitioned = observed[partition_at][0]
+    assert partitioned[1] == 1.0 and partitioned[0] >= spec.low
+    assert observed[heal_at][0][1] == observed[heal_at][0][0] * 0.25
+
+
 def test_static_bandwidth_pins_capacity():
     _sim, topo, _fabric = build()
     StaticBandwidth(topo.wan_links(), 123 * MBPS)

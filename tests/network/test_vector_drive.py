@@ -1,6 +1,6 @@
 """The vector (cascade-plan) drive vs. the global oracle drive.
 
-The cascade drive precomputes entire departure schedules and fires them
+The cascade drive precomputes departure schedules and fires them
 as bare timers — zero re-solves between perturbations.  These tests pin
 the hard part: a perturbation landing *mid-plan* (arrival, cancel,
 capacity change) must replay the affected plans to recover exact
@@ -204,6 +204,9 @@ def test_vector_drive_departures_need_no_solves():
     assert fabric.active_flow_count == 0
     assert fabric.perf.solves == 1
     assert fabric.perf.flows_touched == 12
+    # Nothing perturbed the plan, so every planned segment fired.
+    assert fabric.perf.plan_segments_planned == 12
+    assert fabric.perf.plan_segments_fired == 12
 
 
 def test_drive_flag_resolution():
