@@ -13,6 +13,8 @@ Environment knobs:
 * ``REPRO_JOBS``       — worker processes for the run matrix (cells are
   independent seeded simulations; parallel output is identical to the
   sequential run).  Unset or <= 1 runs sequentially.
+* ``REPRO_SMOKE``      — non-zero (what ``--smoke`` sets) sends every
+  report to ``results/smoke/`` instead of over a tracked table.
 * ``REPRO_SHARDED``    — non-zero routes the matrix through
   :func:`repro.experiments.runner.run_matrix_sharded`: contiguous cell
   shards per worker plus parent-side dataset generation shipped to the
@@ -74,10 +76,20 @@ def get_matrix(seeds: Sequence[int] | None = None) -> List[RunResult]:
     return _matrix_cache[key]
 
 
+def results_dir() -> Path:
+    """Where reports land: ``benchmarks/results/``, whose tables are
+    tracked — or, for a smoke run (``--smoke`` / ``REPRO_SMOKE``), the
+    ignored ``benchmarks/results/smoke/``, because a cut-down matrix must
+    never overwrite a table the repository quotes."""
+    smoke = os.environ.get("REPRO_SMOKE", "0") not in ("", "0")
+    path = RESULTS_DIR / "smoke" if smoke else RESULTS_DIR
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_report(filename: str, lines: Sequence[str]) -> Path:
-    """Persist a benchmark's table under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / filename
+    """Persist a benchmark's table under :func:`results_dir`."""
+    path = results_dir() / filename
     text = "\n".join(lines) + "\n"
     path.write_text(text)
     return path
@@ -94,7 +106,6 @@ def emit(filename: str, lines: Sequence[str]) -> None:
 def emit_json(filename: str, payload: Any) -> Path:
     """Persist a machine-readable benchmark artifact alongside the text
     report (stable key order so diffs stay reviewable)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / filename
+    path = results_dir() / filename
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

@@ -16,7 +16,12 @@ and DAG scheduler assert, *while the simulation runs*:
   admission-time :class:`~repro.metrics.tenants.TenantLedger` charges of
   all *landed* flows equal the completion-time
   :class:`~repro.network.traffic_monitor.TrafficMonitor` records
-  bit-for-bit, per tenant, for both total and WAN bytes.
+  bit-for-bit, per tenant, for both total and WAN bytes;
+* **read-only shared records** — every hit of a dataset's
+  :class:`~repro.rdd.memo.DataMemo` is recomputed from its arguments and
+  compared with the stored partition (records, byte totals, count), so a
+  step or user function that changes a shared record in place is caught
+  by the next cell that reads it.
 
 Checks never mutate simulation state, so a sanitized run is
 byte-identical to an unsanitized one (asserted in CI).  Cost when off is
@@ -75,6 +80,7 @@ class Sanitizer:
             "capacity": 0,
             "time": 0,
             "ledger": 0,
+            "memo": 0,
         }
 
     # ------------------------------------------------------------------

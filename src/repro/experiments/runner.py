@@ -16,6 +16,7 @@ instead.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -25,6 +26,8 @@ from repro.cluster.builder import ClusterSpec, ec2_six_region_spec
 from repro.cluster.context import ClusterContext
 from repro.config import SimulationConfig
 from repro.metrics.billing import bill_traffic, blob_request_dollars
+from repro.rdd.memo import DataMemo
+from repro.rdd.size_estimator import Partition
 from repro.experiments.placement import (
     DEFAULT_HOT_WEIGHT,
     skewed_block_placement,
@@ -111,21 +114,39 @@ class ExperimentPlan:
 
 
 # Cache of generated input, shared across schemes/seeds of one process.
-_DATA_CACHE: Dict[Tuple[str, int], List[List[Any]]] = {}
+# Each entry roots its dataset's partitions and owns the memo of every
+# pure data-plane step taken over them (repro.rdd.memo), so the cells of
+# a matrix row compute and size each partition once between them.
+_DATA_CACHE: Dict[Tuple[str, int], DataMemo] = {}
 
 
-def generated_input(workload: Workload, seed: int) -> List[List[Any]]:
-    """Seed-deterministic input partitions, cached per (workload, seed)."""
+def generated_input(workload: Workload, seed: int) -> List[Partition]:
+    """Seed-deterministic input partitions, cached per (workload, seed).
+
+    The partitions are shared by every cell that runs over them and are
+    read-only: no RDD function may change a record it is handed.
+    """
     key = (workload.name, seed)
     if key not in _DATA_CACHE:
-        _DATA_CACHE[key] = workload.generate(
-            RandomSource(seed).child(f"data:{workload.name}")
+        _DATA_CACHE[key] = DataMemo(
+            workload.generate(RandomSource(seed).child(f"data:{workload.name}"))
         )
-    return _DATA_CACHE[key]
+    return _DATA_CACHE[key].partitions
 
 
 def clear_data_cache() -> None:
+    """Drop every dataset and, with it, everything memoised over it."""
     _DATA_CACHE.clear()
+
+
+def data_memo_counts() -> Dict[str, int]:
+    """Hits, misses and stored entries summed over the cached datasets."""
+    memos = list(_DATA_CACHE.values())
+    return {
+        "hits": sum(memo.hits for memo in memos),
+        "misses": sum(memo.misses for memo in memos),
+        "entries": sum(len(memo.table) for memo in memos),
+    }
 
 
 def run_workload_once(
@@ -321,16 +342,23 @@ def run_matrix(
 # ---------------------------------------------------------------------------
 # Parallel harness
 # ---------------------------------------------------------------------------
-def _run_cell(payload: Tuple[str, Scheme, int, ExperimentPlan]) -> RunResult:
-    """Worker entry point: rebuild the workload by name and run one cell.
+@functools.lru_cache(maxsize=None)
+def _worker_workload(name: str) -> Workload:
+    """This process's instance of the workload called ``name``.
 
-    Top-level so it pickles; the workload is reconstructed in the worker
-    (workload objects hold closures that do not survive pickling).
+    Cells travel to pool workers by workload name.  One instance per
+    worker, not one per cell: the functions a workload hands its RDDs are
+    memo keys, and a fresh instance would bring fresh ones.
     """
     from repro.workloads import workload_by_name
 
+    return workload_by_name(name)
+
+
+def _run_cell(payload: Tuple[str, Scheme, int, ExperimentPlan]) -> RunResult:
+    """Worker entry point: run one cell (top-level so it pickles)."""
     workload_name, scheme, seed, plan = payload
-    return run_workload_once(workload_by_name(workload_name), scheme, seed, plan)
+    return run_workload_once(_worker_workload(workload_name), scheme, seed, plan)
 
 
 def default_jobs() -> int:
@@ -425,18 +453,19 @@ def _prefill_worker_cache(entries: Dict[Tuple[str, int], List[List[Any]]]) -> No
     ships the cache to each worker at startup, so no worker ever pays
     dataset generation again — with per-cell fan-out each fresh worker
     regenerates the data for its first cell of every (workload, seed).
+    Only the records travel (a Partition pickles as a list); each worker
+    roots them in a memo of its own.
     """
-    _DATA_CACHE.update(entries)
+    for key, partitions in entries.items():
+        _DATA_CACHE[key] = DataMemo(partitions)
 
 
 def _run_shard(
     shard: Sequence[Tuple[str, Scheme, int, ExperimentPlan]],
 ) -> List[RunResult]:
     """Worker entry point: run a contiguous slice of the cell list."""
-    from repro.workloads import workload_by_name
-
     return [
-        run_workload_once(workload_by_name(name), scheme, seed, plan)
+        run_workload_once(_worker_workload(name), scheme, seed, plan)
         for name, scheme, seed, plan in shard
     ]
 
@@ -508,7 +537,7 @@ def run_matrix_sharded(
     if not cells:
         return []
     # Pre-generate every dataset once, in the parent.
-    entries: Dict[Tuple[str, int], List[List[Any]]] = {}
+    entries: Dict[Tuple[str, int], List[Partition]] = {}
     for workload in workloads:
         for variant in plans:
             if variant.stream is not None:

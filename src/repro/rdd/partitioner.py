@@ -17,6 +17,17 @@ from typing import Any, List, Sequence
 
 def stable_hash(key: Any) -> int:
     """A process-independent hash (Python's ``hash`` is salted for str)."""
+    # The shuffle's key types by exact type first; everything else
+    # (subclasses, bytes, tuples, arbitrary objects) takes the ladder.
+    kind = type(key)
+    if kind is str:
+        return zlib.crc32(key.encode("utf-8", "replace")) & 0x7FFFFFFF
+    if kind is int:
+        return key & 0x7FFFFFFF
+    return _ladder_hash(key)
+
+
+def _ladder_hash(key: Any) -> int:
     if isinstance(key, int):
         return key & 0x7FFFFFFF
     if isinstance(key, str):

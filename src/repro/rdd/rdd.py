@@ -22,6 +22,7 @@ is irrelevant to the measured results.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -40,11 +41,50 @@ from repro.rdd.dependencies import (
     RangeDependency,
 )
 from repro.rdd.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.rdd.size_estimator import Partition
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
 
 _rdd_ids = itertools.count()
+
+
+# The narrow ops as pure steps, ``step(records, func) -> new list``:
+# module-level, so the same program built on another context names the
+# same step (repro.rdd.memo keys on it).  None may change ``records``.
+def map_records(records: List[Any], func: Callable[[Any], Any]) -> List[Any]:
+    return list(map(func, records))
+
+
+def map_value_records(records: List[Any], func: Callable[[Any], Any]) -> List[Any]:
+    return [(kv[0], func(kv[1])) for kv in records]
+
+
+def flat_map_records(
+    records: List[Any], func: Callable[[Any], Iterable[Any]]
+) -> List[Any]:
+    return list(itertools.chain.from_iterable(map(func, records)))
+
+
+def filter_records(records: List[Any], predicate: Callable[[Any], bool]) -> List[Any]:
+    return list(filter(predicate, records))
+
+
+def map_partition_records(
+    records: List[Any], func: Callable[[List[Any]], Iterable[Any]]
+) -> List[Any]:
+    return list(func(records))
+
+
+_key_of = itemgetter(0)
+_value_of = itemgetter(1)
+
+
+def _emit_joined_pairs(record):
+    key, (left_values, right_values) = record
+    for left in left_values:
+        for right in right_values:
+            yield (key, (left, right))
 
 
 class RDD:
@@ -87,9 +127,7 @@ class RDD:
 
     def map_values(self, func: Callable[[Any], Any]) -> MappedRDD:
         """Apply ``func`` to the value of every (key, value) record."""
-        return MappedRDD(
-            self, lambda kv: (kv[0], func(kv[1])), name="mapValues"
-        )
+        return MappedRDD(self, func, name="mapValues", step=map_value_records)
 
     def flat_map(
         self, func: Callable[[Any], Iterable[Any]], name: str = "flatMap"
@@ -113,10 +151,10 @@ class RDD:
         )
 
     def keys(self) -> MappedRDD:
-        return MappedRDD(self, lambda kv: kv[0], name="keys")
+        return MappedRDD(self, _key_of, name="keys")
 
     def values(self) -> MappedRDD:
-        return MappedRDD(self, lambda kv: kv[1], name="values")
+        return MappedRDD(self, _value_of, name="values")
 
     def union(self, other: RDD) -> UnionRDD:
         """Concatenate two RDDs partition-wise (no data movement)."""
@@ -209,14 +247,7 @@ class RDD:
     def join(self, other: RDD, num_partitions: Optional[int] = None) -> RDD:
         """Inner join on keys: (k, (left value, right value))."""
         grouped = self.cogroup(other, num_partitions)
-
-        def emit_pairs(record):
-            key, (left_values, right_values) = record
-            for left in left_values:
-                for right in right_values:
-                    yield (key, (left, right))
-
-        return grouped.flat_map(emit_pairs, name="join")
+        return grouped.flat_map(_emit_joined_pairs, name="join")
 
     def distinct(self, num_partitions: Optional[int] = None) -> RDD:
         """Remove duplicate records via a shuffle."""
@@ -349,15 +380,13 @@ class ParallelizedRDD(RDD):
         return records
 
 
-class MappedRDD(RDD):
-    """One-to-one record transformation."""
+class _NarrowRDD(RDD):
+    """One parent partition in, one out: ``step(records, func)``."""
 
-    def __init__(self, parent: RDD, func: Callable[[Any], Any], name: str = "map") -> None:
+    def __init__(self, parent: RDD, step, func, name: str) -> None:
         super().__init__(parent.context, [NarrowDependency(parent)], name=name)
+        self.step = step
         self.func = func
-        # mapValues-style ops preserve the parent's partitioning.
-        if name in ("mapValues", "keys") and parent.partitioner is not None:
-            self.partitioner = parent.partitioner if name == "mapValues" else None
 
     @property
     def num_partitions(self) -> int:
@@ -367,52 +396,45 @@ class MappedRDD(RDD):
         parent = self.dependencies[0].parent
         records = yield from runtime.materialize(parent, index)
         yield from runtime.charge_operator(self, records)
-        return [self.func(record) for record in records]
+        if type(records) is Partition:
+            return records.memo.derive(self.step, records, self.func)
+        return self.step(records, self.func)
 
 
-class FlatMappedRDD(RDD):
+class MappedRDD(_NarrowRDD):
+    """One-to-one record transformation."""
+
+    def __init__(
+        self,
+        parent: RDD,
+        func: Callable[[Any], Any],
+        name: str = "map",
+        step=map_records,
+    ) -> None:
+        super().__init__(parent, step, func, name)
+        # mapValues-style ops preserve the parent's partitioning.
+        if name == "mapValues":
+            self.partitioner = parent.partitioner
+
+
+class FlatMappedRDD(_NarrowRDD):
     """One-to-many record transformation."""
 
     def __init__(
         self, parent: RDD, func: Callable[[Any], Iterable[Any]], name: str = "flatMap"
     ) -> None:
-        super().__init__(parent.context, [NarrowDependency(parent)], name=name)
-        self.func = func
-
-    @property
-    def num_partitions(self) -> int:
-        return self.dependencies[0].parent.num_partitions
-
-    def compute(self, index: int, runtime):
-        parent = self.dependencies[0].parent
-        records = yield from runtime.materialize(parent, index)
-        yield from runtime.charge_operator(self, records)
-        output: List[Any] = []
-        for record in records:
-            output.extend(self.func(record))
-        return output
+        super().__init__(parent, flat_map_records, func, name)
 
 
-class FilteredRDD(RDD):
+class FilteredRDD(_NarrowRDD):
     """Keeps records satisfying a predicate; preserves partitioning."""
 
     def __init__(self, parent: RDD, predicate: Callable[[Any], bool]) -> None:
-        super().__init__(parent.context, [NarrowDependency(parent)], name="filter")
-        self.predicate = predicate
+        super().__init__(parent, filter_records, predicate, "filter")
         self.partitioner = parent.partitioner
 
-    @property
-    def num_partitions(self) -> int:
-        return self.dependencies[0].parent.num_partitions
 
-    def compute(self, index: int, runtime):
-        parent = self.dependencies[0].parent
-        records = yield from runtime.materialize(parent, index)
-        yield from runtime.charge_operator(self, records)
-        return [record for record in records if self.predicate(record)]
-
-
-class MapPartitionsRDD(RDD):
+class MapPartitionsRDD(_NarrowRDD):
     """Whole-partition transformation."""
 
     def __init__(
@@ -422,20 +444,9 @@ class MapPartitionsRDD(RDD):
         name: str = "mapPartitions",
         preserves_partitioning: bool = False,
     ) -> None:
-        super().__init__(parent.context, [NarrowDependency(parent)], name=name)
-        self.func = func
+        super().__init__(parent, map_partition_records, func, name)
         if preserves_partitioning:
             self.partitioner = parent.partitioner
-
-    @property
-    def num_partitions(self) -> int:
-        return self.dependencies[0].parent.num_partitions
-
-    def compute(self, index: int, runtime):
-        parent = self.dependencies[0].parent
-        records = yield from runtime.materialize(parent, index)
-        yield from runtime.charge_operator(self, records)
-        return list(self.func(records))
 
 
 class UnionRDD(RDD):

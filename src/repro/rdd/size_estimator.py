@@ -6,11 +6,15 @@ relative to the paper's datasets, but charges network/disk/CPU time for
 size: its natural serialized size heuristic multiplied by the scale
 factor.  Workload generators may also attach an explicit size by using
 :class:`SizedRecord`.
+
+A :class:`Partition` is a record list that remembers its own totals: the
+partitions of a cached dataset (DESIGN.md, "Data plane") are sized once
+per dataset instead of once per walk.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 
 class SizedRecord:
@@ -40,6 +44,52 @@ class SizedRecord:
 
     def __hash__(self) -> int:
         return hash((self.payload, self.natural_size))
+
+
+class Partition(list):
+    """The records of one partition of a cached dataset: read-only, sized
+    once, and a memo key by identity.
+
+    Every cell that runs over the dataset is handed this same object, so
+    nothing may change it or a record in it once it is built
+    (``REPRO_SANITIZE=1`` recomputes every memo hit to check).
+    ``memo`` is the dataset's :class:`~repro.rdd.memo.DataMemo` and
+    ``origin`` the ``(step, *arguments)`` call that produced the
+    partition (``None`` for the dataset's input); the two natural byte
+    totals are filled by the first :meth:`SizeEstimator.estimate` /
+    ``estimate_with_count`` that walks the records — one slot per
+    summation order, so a later call reads the float the same call
+    computed.
+    """
+
+    __slots__ = ("memo", "origin", "summed", "walked")
+    # Identity, not contents: what makes a Partition a memo key, and the
+    # one thing about a list subclass the memo's dict needs.
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        records: Iterable[Any],
+        memo: Any,
+        origin: Optional[Tuple[Any, ...]] = None,
+    ) -> None:
+        super().__init__(records)
+        self.memo = memo
+        self.origin = origin
+        self.summed: Optional[float] = None
+        self.walked: Optional[float] = None
+
+    def __reduce__(self):
+        # Pickles as its records: a memo holds closures and never leaves
+        # the process (pool workers re-root the datasets they are sent).
+        return (list, (list(self),))
+
+
+def view(records: List[Any]) -> List[Any]:
+    """What a reader of stored records is handed: the defensive copy the
+    stores have always made — or the Partition itself, which nobody may
+    change, so sharing it is the copy."""
+    return records if type(records) is Partition else list(records)
 
 
 # Natural serialized-size heuristics, roughly matching Java object sizes.
@@ -142,12 +192,20 @@ class SizeEstimator:
         return natural_size(record) * self.scale_factor
 
     def estimate(self, records: Iterable[Any]) -> float:
-        return sum(map(natural_size, records)) * self.scale_factor
+        if type(records) is not Partition:
+            return sum(map(natural_size, records)) * self.scale_factor
+        if records.summed is None:
+            records.summed = sum(map(natural_size, records))
+        return records.summed * self.scale_factor
 
     def estimate_with_count(self, records: Iterable[Any]) -> Tuple[float, int]:
+        if type(records) is Partition and records.walked is not None:
+            return records.walked * self.scale_factor, len(records)
         total = 0.0
         count = 0
         for record in records:
             total += natural_size(record)
             count += 1
+        if type(records) is Partition:
+            records.walked = total
         return total * self.scale_factor, count

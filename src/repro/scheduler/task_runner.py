@@ -17,7 +17,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.errors import TaskFailedError
+from repro.rdd.aggregator import Aggregator
 from repro.rdd.dependencies import ShuffleDependency, TransferDependency
+from repro.rdd.shuffled import shard_records
+from repro.rdd.size_estimator import Partition, view
 from repro.scheduler.stage import StageKind
 from repro.scheduler.task import Task, TaskResult
 from repro.scheduler.task_runtime import TaskRuntime
@@ -102,27 +105,31 @@ class TaskRunner:
         dep = stage.outgoing_dep
         assert isinstance(dep, ShuffleDependency)
         runtime.ensure_pairs(records, "shuffle write")
-        num_reduces = dep.partitioner.num_partitions
-        shard_lists: List[List] = [[] for _ in range(num_reduces)]
-        for record in records:
-            shard_lists[dep.partitioner.partition(record[0])].append(record)
-        if dep.aggregator is not None and dep.map_side_combine:
-            if stage.combine_done:
-                # Pre-combined before the transfer (§IV-C-3): only merge
-                # combiners that collided across the partition.
-                shard_lists = [
-                    dep.aggregator.combine_combiners(shard)
-                    for shard in shard_lists
-                ]
-            else:
-                shard_lists = [
-                    dep.aggregator.combine_values(shard)
-                    for shard in shard_lists
-                ]
+        aggregator = dep.aggregator if dep.map_side_combine else None
+        # Combining after a pre-combined transfer (§IV-C-3) only merges
+        # the combiners that collided across the partition.
+        split = (records, dep.partitioner, aggregator, stage.combine_done)
+        if type(records) is Partition:
+            origin = records.origin
+            if (
+                stage.combine_done
+                and origin is not None
+                and origin[:2] == (Aggregator.combine_values, aggregator)
+            ):
+                # Combining a partition and then splitting it gives the
+                # shards that splitting it and then combining each does:
+                # a key's values meet in the same order either way.  Ask
+                # for those, so this write and all that follows share the
+                # fetch schemes' partitions.
+                split = (origin[2], dep.partitioner, aggregator, False)
+            shard_lists = records.memo.derive(shard_records, *split, nested=True)
+        else:
+            shard_lists = shard_records(*split)
+        if aggregator is not None:
             yield from runtime.charge_combine(stage.rdd, records)
-        estimator = self.context.estimator
+        estimate = runtime.estimate
         shards = [
-            ShuffleShard(records=shard, size_bytes=estimator.estimate(shard))
+            ShuffleShard(records=shard, size_bytes=estimate(shard))
             for shard in shard_lists
         ]
         total_bytes = sum(shard.size_bytes for shard in shards)
@@ -148,10 +155,15 @@ class TaskRunner:
         if dep.pre_combine is not None:
             runtime.ensure_pairs(records, "pre-transfer combine")
             yield from runtime.charge_combine(stage.rdd, records)
-            records = dep.pre_combine.combine_values(records)
-        size = self.context.estimator.estimate(records)
+            if type(records) is Partition:
+                records = records.memo.derive(
+                    Aggregator.combine_values, dep.pre_combine, records
+                )
+            else:
+                records = dep.pre_combine.combine_values(records)
+        size = runtime.estimate(records)
         self.context.shuffle_service.stage_transfer_partition(
-            dep.transfer_id, task.partition, host, list(records), size
+            dep.transfer_id, task.partition, host, view(records), size
         )
         return size
 
@@ -160,12 +172,12 @@ class TaskRunner:
         context = self.context
         action = task.action or "collect"
         if action == "collect":
-            size = context.estimator.estimate(records)
+            size = runtime.estimate(records)
             yield context.fabric.transfer(
                 host, context.driver_host, size, tag="result",
                 tenant=runtime.tenant,
             )
-            return list(records)
+            return view(records)
         if action == "count":
             yield context.fabric.transfer(
                 host, context.driver_host, 8.0, tag="result",
@@ -173,7 +185,7 @@ class TaskRunner:
             )
             return [len(records)]
         if action == "save":
-            size = context.estimator.estimate(records)
+            size = runtime.estimate(records)
             yield from runtime.charge_disk_write(size)
             path = task.stage.save_path  # type: ignore[attr-defined]
             context.dfs.write_file(

@@ -22,6 +22,7 @@ from typing import Any, List, TYPE_CHECKING
 from repro.errors import RDDError
 from repro.rdd.dependencies import ShuffleDependency, TransferDependency
 from repro.rdd.rdd import RDD
+from repro.rdd.size_estimator import view
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
@@ -36,6 +37,10 @@ class TaskRuntime:
         self.task = task
         self.host = host
         self.sim = context.sim
+        # Sizing in logical bytes: the estimator's two walks, bound once.
+        # A cached dataset's Partition answers from its own totals.
+        self.estimate = context.estimator.estimate
+        self.sized = context.estimator.estimate_with_count
         # Multiplies CPU charges; >1 models a straggling attempt.
         self.slowdown = 1.0
         # Metrics accumulated over this attempt.
@@ -63,11 +68,11 @@ class TaskRuntime:
                         tenant=self.tenant,
                     )
                     self.bytes_transferred_in += entry.size_bytes
-                return list(entry.records)
+                return view(entry.records)
         records = yield from rdd.compute(index, self)
         if rdd.cached:
-            size = self.context.estimator.estimate(records)
-            cache.put(rdd.rdd_id, index, self.host, list(records), size)
+            size = self.estimate(records)
+            cache.put(rdd.rdd_id, index, self.host, view(records), size)
         return records
 
     # ------------------------------------------------------------------
@@ -84,7 +89,7 @@ class TaskRuntime:
                 self.context.config.disk.read_time(block.size_bytes)
             )
             self.bytes_read_local += block.size_bytes
-            return list(block.records)
+            return view(block.records)
         my_dc = topology.datacenter_of(self.host)
         same_dc = [
             host for host in locations
@@ -111,11 +116,11 @@ class TaskRuntime:
                 source, self.host, block.size_bytes, tag="input",
                 tenant=self.tenant,
             )
-        return list(block.records)
+        return view(block.records)
 
     def read_driver_data(self, records: List[Any]):
         """Ship parallelized driver data to this task's host."""
-        size = self.context.estimator.estimate(records)
+        size = self.estimate(records)
         yield self.context.fabric.transfer(
             self.context.driver_host, self.host, size, tag="driver",
             tenant=self.tenant,
@@ -141,7 +146,7 @@ class TaskRuntime:
     # ------------------------------------------------------------------
     def charge_operator(self, rdd: RDD, input_records: List[Any]):
         """CPU time for one narrow/aggregation operator (generator)."""
-        size, count = self.context.estimator.estimate_with_count(input_records)
+        size, count = self.sized(input_records)
         seconds = self.context.config.cost.compute_time(size, count)
         seconds *= self.slowdown
         if seconds > 0:
@@ -149,7 +154,7 @@ class TaskRuntime:
 
     def charge_combine(self, rdd: RDD, input_records: List[Any]):
         """Cheaper per-byte charge for in-memory merge/combine passes."""
-        size, count = self.context.estimator.estimate_with_count(input_records)
+        size, count = self.sized(input_records)
         seconds = (
             self.context.config.cost.combine_time(size, count) * self.slowdown
         )
@@ -165,7 +170,7 @@ class TaskRuntime:
             yield self.sim.timeout(seconds)
 
     def charge_sort(self, rdd: RDD, input_records: List[Any]):
-        size, count = self.context.estimator.estimate_with_count(input_records)
+        size, count = self.sized(input_records)
         seconds = self.context.config.cost.sort_time(size, count) * self.slowdown
         if seconds > 0:
             yield self.sim.timeout(seconds)
@@ -183,9 +188,6 @@ class TaskRuntime:
             yield self.sim.timeout(seconds)
 
     # ------------------------------------------------------------------
-    def estimate(self, records: List[Any]) -> float:
-        return self.context.estimator.estimate(records)
-
     def ensure_pairs(self, records: List[Any], operation: str) -> None:
         """Shuffle operations need (key, value) tuples; fail loudly."""
         for record in records[:1]:

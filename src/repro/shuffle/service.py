@@ -37,6 +37,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tupl
 from repro.errors import FetchFailedError
 from repro.failures.health import transfer_with_retry
 from repro.metrics.perf import ShuffleCounters
+from repro.rdd.shuffled import gather
+from repro.rdd.size_estimator import view
 from repro.shuffle.map_output_tracker import MapStatus
 from repro.shuffle.stores import ShuffleShard
 
@@ -228,13 +230,13 @@ class ShuffleBackend:
         shuffle_id = dep.shuffle_id
         store = context.shuffle_store
         self.counters.reduce_reads += 1
-        records: List[Any] = []
+        shards: List[List[Any]] = []
         local_bytes = 0.0
         requests = 0
         remote: List[Tuple[str, float]] = []
         for status in context.map_output_tracker.map_statuses(shuffle_id):
             shard = store.get_shard(shuffle_id, status.map_index, reduce_index)
-            records.extend(shard.records)
+            shards.append(shard.records)
             if shard.size_bytes <= 0:
                 continue
             requests += 1
@@ -242,6 +244,7 @@ class ShuffleBackend:
                 local_bytes += shard.size_bytes
             else:
                 remote.append((status.host, shard.size_bytes))
+        records = gather(shards)
         if self._coalesced_reads:
             by_source: Dict[str, float] = {}
             for source, size in remote:
@@ -336,7 +339,7 @@ class ShuffleBackend:
                 "transfer_to", tenant=runtime.tenant,
                 recovery=runtime.task.recovery,
             )
-        return list(staged.records)
+        return view(staged.records)
 
     # ------------------------------------------------------------------
     # Move: the one place a flow is issued and accounted

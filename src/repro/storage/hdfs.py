@@ -14,6 +14,7 @@ import itertools
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import BlockNotFoundError
+from repro.rdd.size_estimator import view
 from repro.storage.block import Block, BlockId
 from repro.storage.datanode import DataNode
 from repro.storage.disk import DiskModel
@@ -59,7 +60,7 @@ class DistributedFileSystem:
         for index, (records, size) in enumerate(zip(partitions, partition_sizes)):
             block_id = f"{path}#blk{next(self._block_ids)}"
             hosts = self.namenode.choose_replica_hosts(placement_hosts, index)
-            block = Block(block_id, records=list(records), size_bytes=float(size))
+            block = Block(block_id, records=view(records), size_bytes=float(size))
             for host in hosts:
                 self.datanodes[host].put(block)
             self.namenode.append_block(path, block_id, hosts)

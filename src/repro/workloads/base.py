@@ -9,6 +9,12 @@ can reuse generated data across the three schemes being compared:
 * :meth:`build` — construct the RDD program on a context;
 * :meth:`run` — execute the action and return its result.
 
+The functions a program hands its RDDs are methods of the workload or
+module-level functions, never closures made inside :meth:`build`: built
+on the next context, the workload passes the *same* functions, so the
+dataset's memo (:mod:`repro.rdd.memo`) recognises the step.  They must
+not change the records they are given — cells share them.
+
 Record conventions
 ------------------
 Coarse input records use :class:`SizedRecord` to carry paper-scale byte

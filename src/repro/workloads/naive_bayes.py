@@ -42,6 +42,11 @@ def _merge_model_slices(left: SizedRecord, right: SizedRecord) -> SizedRecord:
     )
 
 
+def _to_class(kv) -> Tuple[int, SizedRecord]:
+    """((class, term), count) -> (class, model slice of that one term)."""
+    return (kv[0][0], SizedRecord(kv[1].payload, kv[1].natural_size))
+
+
 class NaiveBayes(Workload):
     """Classified documents -> per-class term-count model."""
 
@@ -79,26 +84,22 @@ class NaiveBayes(Workload):
         return partitions
 
     # ------------------------------------------------------------------
-    def build(self, context: ClusterContext) -> RDD:
+    def _emit_pairs(self, document: SizedRecord):
         bucket_bytes = self.generator.bucket_bytes
+        class_bucket, bag = document.payload
+        for term_bucket, count in bag.items():
+            yield (
+                (class_bucket, term_bucket),
+                SizedRecord(count, natural_size=bucket_bytes),
+            )
 
-        def emit_pairs(document: SizedRecord):
-            class_bucket, bag = document.payload
-            for term_bucket, count in bag.items():
-                yield (
-                    (class_bucket, term_bucket),
-                    SizedRecord(count, natural_size=bucket_bytes),
-                )
-
+    def build(self, context: ClusterContext) -> RDD:
         docs = context.text_file(self.input_path)
-        pairs = docs.flat_map(emit_pairs, name="vectorize")
+        pairs = docs.flat_map(self._emit_pairs, name="vectorize")
         term_counts = pairs.reduce_by_key(
             merge_counts, num_partitions=self.spec.reduce_partitions
         )
-        class_slices = term_counts.map(
-            lambda kv: (kv[0][0], SizedRecord(kv[1].payload, kv[1].natural_size)),
-            name="to-class",
-        )
+        class_slices = term_counts.map(_to_class, name="to-class")
         return class_slices.reduce_by_key(
             _merge_model_slices, num_partitions=self.spec.reduce_partitions
         )

@@ -77,42 +77,41 @@ class PageRank(Workload):
         return partitions
 
     # ------------------------------------------------------------------
-    def build(self, context: ClusterContext) -> RDD:
-        reduce_partitions = self.spec.reduce_partitions
-        rank_bytes = self.rank_bytes
-        contrib_bytes = self.contrib_bytes
+    def _initial_rank(self, _neighbors) -> SizedRecord:
+        return SizedRecord(1.0, natural_size=self.rank_bytes)
 
-        edges = context.text_file(self.input_path)
-        links = edges.group_by_key(num_partitions=reduce_partitions).cache()
-        ranks = links.map_values(
-            lambda _neighbors: SizedRecord(1.0, natural_size=rank_bytes)
+    def _spread_rank(self, record):
+        _src, (neighbor_lists, rank_values) = record
+        neighbors = [n for lst in neighbor_lists for n in lst]
+        if not neighbors or not rank_values:
+            return
+        share = rank_values[0].payload / len(neighbors)
+        contrib_bytes = self.contrib_bytes
+        for neighbor in neighbors:
+            yield (
+                neighbor.payload,
+                SizedRecord(share, natural_size=contrib_bytes),
+            )
+
+    def _damped_rank(self, value: SizedRecord) -> SizedRecord:
+        return SizedRecord(
+            (1 - _DAMPING) + _DAMPING * value.payload,
+            natural_size=self.rank_bytes,
         )
 
-        def spread_rank(record):
-            _src, (neighbor_lists, rank_values) = record
-            neighbors = [n for lst in neighbor_lists for n in lst]
-            if not neighbors or not rank_values:
-                return
-            share = rank_values[0].payload / len(neighbors)
-            for neighbor in neighbors:
-                yield (
-                    neighbor.payload,
-                    SizedRecord(share, natural_size=contrib_bytes),
-                )
-
+    def build(self, context: ClusterContext) -> RDD:
+        reduce_partitions = self.spec.reduce_partitions
+        edges = context.text_file(self.input_path)
+        links = edges.group_by_key(num_partitions=reduce_partitions).cache()
+        ranks = links.map_values(self._initial_rank)
         for _iteration in range(self.iterations):
             contribs = links.cogroup(
                 ranks, num_partitions=reduce_partitions
-            ).flat_map(spread_rank, name="contrib")
+            ).flat_map(self._spread_rank, name="contrib")
             summed = contribs.reduce_by_key(
                 add_weighted, num_partitions=reduce_partitions
             )
-            ranks = summed.map_values(
-                lambda value: SizedRecord(
-                    (1 - _DAMPING) + _DAMPING * value.payload,
-                    natural_size=rank_bytes,
-                )
-            )
+            ranks = summed.map_values(self._damped_rank)
         return ranks
 
     def run(self, context: ClusterContext) -> List[Any]:

@@ -31,6 +31,10 @@ def _key_string(value: int) -> str:
     return f"{value:08x}"
 
 
+def _parse(record):
+    return record
+
+
 class Sort(Workload):
     """320 MB of keyed records, globally sorted."""
 
@@ -68,7 +72,7 @@ class Sort(Workload):
     # ------------------------------------------------------------------
     def build(self, context: ClusterContext) -> RDD:
         data = context.text_file(self.input_path)
-        parsed = data.map(lambda record: record, name="parse")
+        parsed = data.map(_parse, name="parse")
         return parsed.sort_by_key(
             sample_keys=self.sample_keys(context.randomness),
             num_partitions=self.spec.reduce_partitions,

@@ -76,21 +76,19 @@ class TeraSort(Workload):
         return [_key_string(stream.randrange(_KEY_SPACE)) for _ in range(1000)]
 
     # ------------------------------------------------------------------
-    def _bloating_map(self):
-        factor = self.bloat_factor
-
-        def attach_metadata(record):
-            key, value = record
-            return (
-                key,
-                SizedRecord(value.payload, natural_size=value.natural_size * factor),
-            )
-
-        return attach_metadata
+    def _attach_metadata(self, record):
+        """The bloating map: every value grows by ``bloat_factor``."""
+        key, value = record
+        return (
+            key,
+            SizedRecord(
+                value.payload, natural_size=value.natural_size * self.bloat_factor
+            ),
+        )
 
     def build(self, context: ClusterContext) -> RDD:
         records = context.text_file(self.input_path)
-        bloated = records.map(self._bloating_map(), name="teragen-map")
+        bloated = records.map(self._attach_metadata, name="teragen-map")
         return bloated.sort_by_key(
             sample_keys=self.sample_keys(context.randomness),
             num_partitions=self.spec.reduce_partitions,
@@ -103,7 +101,7 @@ class TeraSort(Workload):
         bloat inside the aggregator datacenter."""
         records = context.text_file(self.input_path)
         moved = records.transfer_to(destination_datacenter=destination)
-        bloated = moved.map(self._bloating_map(), name="teragen-map")
+        bloated = moved.map(self._attach_metadata, name="teragen-map")
         return bloated.sort_by_key(
             sample_keys=self.sample_keys(context.randomness),
             num_partitions=self.spec.reduce_partitions,

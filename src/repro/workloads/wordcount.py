@@ -54,15 +54,14 @@ class WordCount(Workload):
         return partitions
 
     # ------------------------------------------------------------------
-    def build(self, context: ClusterContext) -> RDD:
+    def _tokenize(self, document: SizedRecord):
         bucket_bytes = self.generator.bucket_bytes
+        for bucket, count in document.payload.items():
+            yield (bucket, SizedRecord(count, natural_size=bucket_bytes))
 
-        def tokenize(document: SizedRecord):
-            for bucket, count in document.payload.items():
-                yield (bucket, SizedRecord(count, natural_size=bucket_bytes))
-
+    def build(self, context: ClusterContext) -> RDD:
         text = context.text_file(self.input_path)
-        pairs = text.flat_map(tokenize, name="tokenize")
+        pairs = text.flat_map(self._tokenize, name="tokenize")
         return pairs.reduce_by_key(
             merge_counts, num_partitions=self.spec.reduce_partitions
         )

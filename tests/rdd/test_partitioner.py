@@ -1,6 +1,8 @@
 """Partitioners: stability, range ordering, and balance."""
 
-from collections import Counter
+import enum
+import zlib
+from collections import Counter, namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,63 @@ keys = st.one_of(
 def test_stable_hash_is_deterministic(key):
     assert stable_hash(key) == stable_hash(key)
     assert 0 <= stable_hash(key) < 2 ** 31
+
+
+def _reference_hash(key):
+    """``stable_hash`` as the isinstance ladder it was before it learned
+    to dispatch on the exact type first."""
+    if isinstance(key, int):
+        return key & 0x7FFFFFFF
+    if isinstance(key, str):
+        return zlib.crc32(key.encode("utf-8", "replace")) & 0x7FFFFFFF
+    if isinstance(key, bytes):
+        return zlib.crc32(key) & 0x7FFFFFFF
+    if isinstance(key, tuple):
+        value = 0x345678
+        for item in key:
+            value = (value * 1000003) ^ _reference_hash(item)
+        return value & 0x7FFFFFFF
+    return hash(key) & 0x7FFFFFFF
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 2**40 + 3
+
+
+class _Name(str):
+    pass
+
+
+_Pair = namedtuple("_Pair", "left right")
+
+_leaves = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=30),
+    st.binary(max_size=30),
+    st.sampled_from(list(_Colour)),
+    st.text(max_size=10).map(_Name),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.frozensets(st.integers(), max_size=3),
+)
+_any_key = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.tuples(inner), st.tuples(inner, inner), st.builds(_Pair, inner, inner)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(_any_key)
+def test_stable_hash_equals_the_isinstance_ladder(key):
+    """Subclasses (bool, an int enum, a str subclass, a namedtuple),
+    bytes, nested tuples and objects hashed by ``hash`` all land where
+    the ladder put them."""
+    assert stable_hash(key) == _reference_hash(key)
 
 
 @given(keys, st.integers(min_value=1, max_value=64))

@@ -16,36 +16,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sanitizer import reconcile_run
 from repro.shuffle.backends import backend_class, backend_names
 from tests.conftest import make_context, small_spec
 
 
-def _tag_total(monitor, tags) -> float:
-    return sum(monitor.by_tag.get(tag, 0.0) for tag in tags)
-
-
-def _cross_dc_tag_total(monitor, tags) -> float:
-    return sum(monitor.cross_dc_by_tag.get(tag, 0.0) for tag in tags)
-
-
 def _assert_counters_match_monitor(context) -> None:
-    backend = context.shuffle_service.backend
-    counters = backend.counters
-    monitor = context.traffic
-    assert counters.wan_bytes + counters.intra_dc_bytes == pytest.approx(
-        _tag_total(monitor, backend.flow_tags), rel=1e-9, abs=1e-6
-    )
-    assert counters.wan_bytes == pytest.approx(
-        _cross_dc_tag_total(monitor, backend.flow_tags), rel=1e-9, abs=1e-6
-    )
-    # Per-shuffle attribution covers exactly the shuffle-path flows
-    # (transfer_to flows belong to a transfer, not a shuffle id).
-    shuffle_tags = tuple(
-        tag for tag in backend.flow_tags if tag != "transfer_to"
-    )
-    assert sum(counters.network_bytes_by_shuffle.values()) == pytest.approx(
-        _tag_total(monitor, shuffle_tags), rel=1e-9, abs=1e-6
-    )
+    """The three equalities above (and ledger == monitor), as the
+    campaign's own oracle states them: flows still in flight when the
+    job returned — a crashed attempt's fetch that nothing cancels —
+    were charged at issue but reach the monitor only on completion, so
+    ``reconcile_run`` leaves them out of both sides."""
+    assert reconcile_run(context) == []
 
 
 @settings(max_examples=12, deadline=None)
