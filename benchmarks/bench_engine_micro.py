@@ -8,12 +8,17 @@ against the global re-solve reference; the numbers land in
 ``results/engine_micro.txt``).
 """
 
+import math
 import os
+import random
 import time
 
+import repro.network.cascade as cascade
 from benchmarks.e2e.workloads import fabric_plans, run_fabric_plan
 from benchmarks.matrix_cache import emit, emit_json
+from repro.cluster.builder import build_topology, ec2_six_region_spec
 from repro.network.fabric import NetworkFabric
+from repro.network.incremental import IncrementalFairShare
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
 from tests.conftest import make_context
@@ -192,12 +197,118 @@ def _mesh_report(scale):
     return lines, payload
 
 
+# ---------------------------------------------------------------------------
+# Small component re-plan: where the scalar and the vector shape cross
+# ---------------------------------------------------------------------------
+_REPLAN_SIZES = (2, 4, 8, 16, 32, 64, 128, 256)
+
+
+def _shuffle_component(flows, weighted):
+    """``flows`` fetches of one shuffle on the e2e cluster (six regions,
+    four workers each): every reducer host pulls from every mapper
+    host, at most six of either, so past 36 flows host pairs repeat the
+    way a stage's tasks do.  Returns ``build_plan``'s arguments."""
+    rng = random.Random(flows)
+    spec = ec2_six_region_spec()
+    topology = build_topology(spec)
+    side = min(6, math.ceil(math.sqrt(flows)))
+    mappers = rng.sample(spec.worker_names(), side)
+    reducers = rng.sample(spec.worker_names(), side)
+    pairs = [(m, r) for r in reducers for m in mappers if m != r]
+    engine = IncrementalFairShare()
+    for flow_id in range(flows):
+        # The two-tenant stream's weights, or none.
+        weight = (1.0, 2.0)[flow_id % 2] if weighted else 1.0
+        engine.add_flow(
+            flow_id, topology.route(*pairs[flow_id % len(pairs)]), weight
+        )
+    ids = list(range(flows))
+    remaining = [rng.uniform(1e5, 4e6) for _ in ids]
+    return (ids, remaining, *engine.subproblem(ids), 0.0), {
+        "weights": engine.weights_for(ids)
+    }
+
+
+def _replan_micros(flows, weighted, limit):
+    """Best-of-five mean construction time of one plan, in microseconds,
+    with the crossover forced to ``limit``."""
+    args, kwargs = _shuffle_component(flows, weighted)
+    repetitions = max(8, (150 if _SMOKE else 600) // flows)
+    saved = cascade.SCALAR_MAX_FLOWS
+    cascade.SCALAR_MAX_FLOWS = limit
+    try:
+        best = math.inf
+        for _batch in range(5):
+            started = time.perf_counter()
+            for _rep in range(repetitions):
+                plan = cascade.build_plan(*args, **kwargs)
+            best = min(best, (time.perf_counter() - started) / repetitions)
+    finally:
+        cascade.SCALAR_MAX_FLOWS = saved
+    assert plan.shape == ("vector" if limit == 0 else "scalar")
+    return best * 1e6
+
+
+def _replan_report():
+    """Construction cost of both resumable shapes by component size:
+    (text lines, JSON payload).  Asserts what ``SCALAR_MAX_FLOWS``
+    claims — scalar not slower at K, vector not slower at 4 K."""
+    crossover = cascade.SCALAR_MAX_FLOWS
+    assert crossover in _REPLAN_SIZES and 4 * crossover in _REPLAN_SIZES
+    lines = [
+        "Small component re-plan — build_plan() of one shuffle's "
+        "non-uniform component,",
+        f"us per plan (two segments solved); SCALAR_MAX_FLOWS = {crossover}",
+        "",
+        f"{'flows':>6}{'scalar':>10}{'vector':>10}{'v/s':>7}"
+        f"{'scalar 2:1':>13}{'vector 2:1':>12}{'v/s':>7}",
+    ]
+    payload = {"scalar_max_flows": crossover, "sizes": {}}
+    for flows in _REPLAN_SIZES:
+        row = {
+            (shape, weighted): _replan_micros(flows, weighted, limit)
+            for weighted in (False, True)
+            for shape, limit in (("scalar", 10**9), ("vector", 0))
+        }
+        lines.append(
+            f"{flows:>6}"
+            + "".join(
+                f"{row['scalar', w]:>{a}.1f}{row['vector', w]:>{b}.1f}"
+                f"{row['vector', w] / row['scalar', w]:>7.2f}"
+                for w, a, b in ((False, 10, 10), (True, 13, 12))
+            )
+        )
+        payload["sizes"][flows] = {
+            f"{shape}{'_weighted' if weighted else ''}_us": micros
+            for (shape, weighted), micros in row.items()
+        }
+        if flows == crossover:
+            for weighted in (False, True):
+                assert row["scalar", weighted] <= row["vector", weighted], (
+                    f"scalar plans are the slower shape at "
+                    f"SCALAR_MAX_FLOWS = {flows}: {row}"
+                )
+        if flows == 4 * crossover:
+            # Unit weights only: two tenants' weights split every fill
+            # into more levels, which moves that crossing out past 128
+            # flows, and no component that large is weighted in any
+            # benchmark workload.
+            assert row["vector", False] <= row["scalar", False], (
+                f"vector plans are the slower shape at {flows} flows = "
+                f"4 x SCALAR_MAX_FLOWS: {row}"
+            )
+    lines.append("")
+    return lines, payload
+
+
 def test_fabric_churn_speedup_report():
     """The headline claim, measured in one pass with identical results:
     vector (component-scoped cascade plans, zero re-solves between
     perturbations) >= 15x over the global re-everything drive.  A
     second table (``mesh_capacity_changes``) puts the same two drives
-    on one big component whose plan capacity changes keep replacing.
+    on one big component whose plan capacity changes keep replacing; a
+    third (``small component re-plan``) times the scalar and the vector
+    plan shape against each other and holds ``SCALAR_MAX_FLOWS`` to it.
 
     ``REPRO_SMOKE=1`` shrinks the matrix and only checks the ordering —
     the CI perf-smoke step fails when the vector drive is *slower* than
@@ -255,7 +366,8 @@ def test_fabric_churn_speedup_report():
         "",
     ]
     mesh_lines, mesh_payload = _mesh_report(0.5 if _SMOKE else 1.0)
-    emit("engine_micro.txt", lines + mesh_lines)
+    replan_lines, replan_payload = _replan_report()
+    emit("engine_micro.txt", lines + replan_lines + mesh_lines)
     emit_json(
         "BENCH_engine_micro.json",
         {
@@ -281,6 +393,7 @@ def test_fabric_churn_speedup_report():
             },
             "speedups": {"vector_over_global": vector_speedup},
             "mesh_capacity_changes": mesh_payload,
+            "small_component_replan": replan_payload,
         },
     )
     if _SMOKE:

@@ -191,7 +191,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"peak {perf['peak_active_flows']:.0f} flows, "
             f"{perf['jitter_noops']:.0f} jitter no-ops, "
             f"{perf['plan_segments_fired']:.0f}/"
-            f"{perf['plan_segments_planned']:.0f} plan segments fired"
+            f"{perf['plan_segments_planned']:.0f} plan segments fired, "
+            f"plans {perf['plans_uniform']:.0f} uniform / "
+            f"{perf['plans_scalar']:.0f} scalar / "
+            f"{perf['plans_vector']:.0f} vector"
         )
     shuffle = result.shuffle_perf
     if shuffle:

@@ -24,7 +24,10 @@ incremented from the solver event loop:
   segments solved (one progressive fill each for a general plan) and
   segments whose departure timer fired.  Their ratio is the planner's
   useful-outcome share: the rest was solved for a future that a
-  perturbation replaced (vector drive only).
+  perturbation replaced (vector drive only);
+* ``plans_uniform`` / ``plans_scalar`` / ``plans_vector`` — cascade
+  plans built, by shape (see :mod:`repro.network.cascade`; they sum to
+  ``solves`` on the vector drive).
 """
 
 from __future__ import annotations
@@ -46,6 +49,14 @@ class FabricPerfCounters:
     jitter_noops: int = 0
     plan_segments_planned: int = 0
     plan_segments_fired: int = 0
+    plans_uniform: int = 0
+    plans_scalar: int = 0
+    plans_vector: int = 0
+
+    def note_plan(self, shape: str) -> None:
+        """Record one cascade plan built (``CascadePlan.shape``)."""
+        counter = "plans_" + shape
+        setattr(self, counter, getattr(self, counter) + 1)
 
     def note_admission(self, active_flows: int) -> None:
         """Record one admitted flow and the new concurrency level."""
@@ -72,7 +83,9 @@ class FabricPerfCounters:
             f"peak_flows={self.peak_active_flows} "
             f"jitter_noops={self.jitter_noops} "
             f"plan_segments={self.plan_segments_fired}"
-            f"/{self.plan_segments_planned} fired"
+            f"/{self.plan_segments_planned} fired "
+            f"plans={self.plans_uniform}u/{self.plans_scalar}s"
+            f"/{self.plans_vector}v"
         )
 
 

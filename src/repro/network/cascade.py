@@ -13,7 +13,7 @@ re-solves; a perturbation invalidates the affected plans (lazily
 cancelling their timers) and replays them up to *now* to recover each
 member's exact remaining bytes before re-planning.
 
-Two plan shapes:
+Three plan shapes, chosen by :func:`build_plan` and by nothing else:
 
 * :class:`UniformPlan` — when every flow in the component has the same
   route signature (the dominant shuffle pattern: a burst of fetches
@@ -28,10 +28,17 @@ Two plan shapes:
 * :class:`GeneralPlan` — one :func:`~repro.network.vector_solver.
   progressive_fill` per departure round on the component's CSR arrays.
   A fill per *future* departure is wasted when the next perturbation
-  kills the plan after a handful of them, so the plan is **resumable**:
-  it keeps the solver state and solves segments only as far as its
-  :attr:`~CascadePlan.horizon`, which the fabric pushes out
-  (:meth:`GeneralPlan.extend`) each time the clock reaches it.
+  kills the plan after a handful of them, so the plan is **resumable**
+  (:class:`ResumablePlan`): it keeps the solver state and solves
+  segments only as far as its :attr:`~CascadePlan.horizon`, which the
+  fabric pushes out (:meth:`ResumablePlan.extend`) each time the clock
+  reaches it;
+* :class:`ScalarPlan` — the same resumable cascade, operation for
+  operation, in plain Python floats and lists, for components of at
+  most :data:`SCALAR_MAX_FLOWS` flows.  A general plan costs ~100 numpy
+  dispatches however few flows it has, and a job stream's or a chaos
+  campaign's components have four to sixteen; the two shapes agree with
+  ``==``, so which one ran is not observable in simulated results.
 
 Replay is exact: each plan keeps the cumulative bytes delivered at
 every segment boundary, so ``remaining_at(pos, t)`` is one bisection
@@ -43,15 +50,26 @@ member at once when a plan dies.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.vector_solver import build_csr, progressive_fill
+from repro.network.vector_solver import _EPSILON, build_csr, progressive_fill
 
 # Departures within this relative window collapse into one segment (and
 # one timer); keeps float noise from splitting simultaneous drains.
 _TIE = 1e-12
+_INF = float("inf")
+
+# The largest component planned in scalar Python.  Both shapes cost one
+# unit of work per fill level — ~25 numpy dispatches, or one pass over
+# the component's live flows and carried links — so they cross where
+# that pass costs what the dispatches do: measured at 48-64 flows on
+# the benchmark's components and on a synthetic shuffle, and this is
+# half of that.  benchmarks/bench_engine_micro.py ("small component
+# re-plan") fails when the scalar shape is the slower one here or the
+# vector shape the slower one at four times this.
+SCALAR_MAX_FLOWS = 32
 
 
 class CascadePlan:
@@ -67,7 +85,9 @@ class CascadePlan:
     ``bounds``/``departs`` hold the segments solved so far, which is
     all of them once ``complete``; the first :attr:`horizon` may have
     departure timers armed.  A plan that is not complete has an
-    ``extend()`` that solves further (:meth:`GeneralPlan.extend`).
+    ``extend()`` that solves further (:meth:`ResumablePlan.extend`).
+    ``shape`` names the subclass for the fabric's ``plans_<shape>``
+    counters.
     """
 
     __slots__ = (
@@ -86,7 +106,7 @@ class CascadePlan:
         self,
         flow_ids: List[int],
         base: float,
-        init_remaining: np.ndarray,
+        init_remaining: Sequence[float],
         bounds: List[float],
         departs: List[List[int]],
     ) -> None:
@@ -104,7 +124,7 @@ class CascadePlan:
     def horizon(self) -> int:
         """How many leading segments are ready for departure timers:
         all of a complete plan, all but the last (the reserve, see
-        :class:`GeneralPlan`) of one still being solved."""
+        :class:`ResumablePlan`) of one still being solved."""
         solved = len(self.departs)
         return solved if self.complete else solved - 1
 
@@ -136,6 +156,7 @@ class UniformPlan(CascadePlan):
     """
 
     __slots__ = ("seg_rates", "_cum")
+    shape = "uniform"
 
     def __init__(
         self,
@@ -186,12 +207,11 @@ class UniformPlan(CascadePlan):
         return float(self.seg_rates[0])
 
 
-class GeneralPlan(CascadePlan):
-    """Resumable iterative cascade: one progressive fill per segment,
-    solved only as far ahead as the clock has come.
+class ResumablePlan(CascadePlan):
+    """A cascade solved a doubling batch of departures at a time, as
+    the clock reaches them (base of the two non-uniform shapes).
 
-    The plan keeps the solver state (CSR arrays, active mask, live
-    remaining bytes, elapsed offset) between calls, so continuing is the
+    The plan keeps its solver state between calls, so continuing is the
     same arithmetic as solving the whole schedule in one go.  It always
     stays one segment ahead of :attr:`horizon`: a replay landing exactly
     on the last armed boundary — before that boundary's timer has fired
@@ -200,42 +220,20 @@ class GeneralPlan(CascadePlan):
     segments as the one before, so a plan that lives for ``d``
     departures costs at most ``2 (d + 1)`` fills and one that runs out
     costs one per segment.
+
+    ``rates[k][pos]`` is the rate of ``pos`` during segment ``k`` and
+    ``_cum[k][pos]`` the bytes delivered to it before segment ``k``
+    starts; a subclass supplies the rows (numpy arrays or lists) and
+    :meth:`_advance`, which solves one more segment.
     """
 
-    __slots__ = (
-        "rates",
-        "_cum",
-        "_csr",
-        "_capacities",
-        "_weights",
-        "_active",
-        "_live_remaining",
-        "_elapsed",
-        "_batch",
-    )
+    __slots__ = ("rates", "_cum", "_elapsed", "_batch")
 
-    def __init__(
-        self,
-        flow_ids: List[int],
-        base: float,
-        init_remaining: np.ndarray,
-        routes: Sequence[np.ndarray],
-        capacities: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> None:
-        super().__init__(flow_ids, base, init_remaining, [0.0], [])
-        # rates[k][pos]: rate of pos during segment k;
-        # _cum[k][pos]: bytes delivered to pos before segment k starts.
-        self.rates: List[np.ndarray] = []
-        self._cum: List[np.ndarray] = [np.zeros(len(flow_ids))]
-        self._csr = build_csr(routes)
-        self._capacities = capacities
-        self._weights = weights
-        self._active = np.ones(len(flow_ids), dtype=bool)
-        self._live_remaining = init_remaining.copy()
+    def _begin(self) -> None:
+        """Solve the first two segments: one to arm and one in reserve
+        (:meth:`extend` doubles the batch)."""
         self._elapsed = 0.0
         self.complete = False
-        # One segment to arm and one in reserve; extend() doubles it.
         self._batch = 1
         self._solve(2)
 
@@ -250,36 +248,11 @@ class GeneralPlan(CascadePlan):
     def _solve(self, segments: int) -> None:
         """Continue the cascade until ``segments`` are solved or every
         member has departed."""
-        indices, indptr, flow_of_entry = self._csr
-        active = self._active
-        live_remaining = self._live_remaining
-        count = len(active)
-        bounds = self.bounds
         while len(self.departs) < segments and not self.complete:
-            rates = progressive_fill(
-                indices,
-                indptr,
-                flow_of_entry,
-                self._capacities,
-                active,
-                weights=self._weights,
-            )
-            step = np.full(count, np.inf)
-            step[active] = live_remaining[active] / rates[active]
-            shortest = float(step.min())
-            departing = active & (step <= shortest * (1.0 + _TIE))
-            self._elapsed += shortest
-            live_remaining -= rates * shortest
-            np.clip(live_remaining, 0.0, None, out=live_remaining)
-            live_remaining[departing] = 0.0
-            self._cum.append(
-                self._cum[-1] + rates * (self._elapsed - bounds[-1])
-            )
-            self.rates.append(rates)
-            bounds.append(self._elapsed)
-            self.departs.append(np.flatnonzero(departing).tolist())
-            active &= ~departing
-            self.complete = not active.any()
+            self._advance()
+
+    def _advance(self) -> None:
+        raise NotImplementedError
 
     def remaining_at(self, pos: int, now: float) -> float:
         offset = now - self.base
@@ -293,6 +266,72 @@ class GeneralPlan(CascadePlan):
 
     def rate_at(self, pos: int, now: float) -> float:
         return float(self.rates[self._segment(now - self.base)][pos])
+
+    def initial_rate(self, pos: int) -> float:
+        return float(self.rates[0][pos])
+
+
+class GeneralPlan(ResumablePlan):
+    """The vector shape: one
+    :func:`~repro.network.vector_solver.progressive_fill` per segment
+    over the component's CSR arrays."""
+
+    __slots__ = (
+        "_csr",
+        "_capacities",
+        "_weights",
+        "_active",
+        "_live_remaining",
+    )
+    shape = "vector"
+
+    def __init__(
+        self,
+        flow_ids: List[int],
+        base: float,
+        init_remaining: np.ndarray,
+        routes: Sequence[Sequence[int]],
+        capacities: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+    ) -> None:
+        super().__init__(flow_ids, base, init_remaining, [0.0], [])
+        self.rates: List[np.ndarray] = []
+        self._cum: List[np.ndarray] = [np.zeros(len(flow_ids))]
+        self._csr = build_csr(routes)
+        self._capacities = capacities
+        self._weights = weights
+        self._active = np.ones(len(flow_ids), dtype=bool)
+        self._live_remaining = init_remaining.copy()
+        self._begin()
+
+    def _advance(self) -> None:
+        indices, indptr, flow_of_entry = self._csr
+        active = self._active
+        live_remaining = self._live_remaining
+        rates = progressive_fill(
+            indices,
+            indptr,
+            flow_of_entry,
+            self._capacities,
+            active,
+            weights=self._weights,
+        )
+        step = np.full(len(active), np.inf)
+        step[active] = live_remaining[active] / rates[active]
+        shortest = float(step.min())
+        departing = active & (step <= shortest * (1.0 + _TIE))
+        self._elapsed += shortest
+        live_remaining -= rates * shortest
+        np.clip(live_remaining, 0.0, None, out=live_remaining)
+        live_remaining[departing] = 0.0
+        self._cum.append(
+            self._cum[-1] + rates * (self._elapsed - self.bounds[-1])
+        )
+        self.rates.append(rates)
+        self.bounds.append(self._elapsed)
+        self.departs.append(np.flatnonzero(departing).tolist())
+        active &= ~departing
+        self.complete = not active.any()
 
     def state_at(self, now: float) -> Tuple[List[float], List[float]]:
         """``remaining_at`` and ``rate_at`` of every position at once."""
@@ -309,8 +348,152 @@ class GeneralPlan(CascadePlan):
             rates.tolist(),
         )
 
-    def initial_rate(self, pos: int) -> float:
-        return float(self.rates[0][pos])
+
+class ScalarPlan(ResumablePlan):
+    """The scalar shape: :class:`GeneralPlan`'s cascade in plain floats
+    and lists, for components too small to repay ~100 numpy dispatches.
+
+    Every IEEE operation of ``progressive_fill`` and of the departure
+    step happens here in the same order on the same operands, so the
+    two shapes produce ``==`` bounds, departs, rates and cumulative
+    bytes (``tests/network/test_lazy_cascade.py``).  What that rules
+    out: a weight sum is accumulated with ``+=`` in (position, route)
+    order as ``np.bincount(weights=)`` does — never ``sum()``, which is
+    compensated from Python 3.12 — and the weights a level freezes
+    leave a link as one per-link sum, not one flow at a time.  One fill
+    serves both of the solver's: multiplying by a weight of exactly 1.0
+    and counting in floats are exact, so unit weights reproduce the
+    unweighted fill bit for bit.
+    """
+
+    __slots__ = (
+        "_routes",
+        "_capacities",
+        "_floor",
+        "_weights",
+        "_active",
+        "_live_remaining",
+    )
+    shape = "scalar"
+
+    def __init__(
+        self,
+        flow_ids: List[int],
+        base: float,
+        init_remaining: List[float],
+        routes: List[List[int]],
+        capacities: List[float],
+        weights: Optional[List[float]] = None,
+    ) -> None:
+        super().__init__(flow_ids, base, init_remaining, [0.0], [])
+        count = len(flow_ids)
+        self.rates: List[List[float]] = []
+        self._cum: List[List[float]] = [[0.0] * count]
+        self._routes = routes
+        self._capacities = capacities
+        self._floor = [
+            _EPSILON * (capacity if capacity > 1.0 else 1.0)
+            for capacity in capacities
+        ]
+        self._weights = weights if weights is not None else [1.0] * count
+        # Positions still in flight, ascending.
+        self._active = list(range(count))
+        self._live_remaining = list(init_remaining)
+        self._begin()
+
+    def _fill(self) -> List[float]:
+        """``progressive_fill`` over the active positions."""
+        routes = self._routes
+        weights = self._weights
+        floor = self._floor
+        residual = list(self._capacities)
+        carriers = [0] * len(residual)
+        crossing = [0.0] * len(residual)
+        live = self._active
+        for pos in live:
+            weight = weights[pos]
+            for link in routes[pos]:
+                carriers[link] += 1
+                crossing[link] += weight
+        carried = [link for link, count in enumerate(carriers) if count]
+        rates = [0.0] * len(routes)
+        while True:
+            bottleneck = min(
+                [residual[link] / crossing[link] for link in carried]
+            )
+            for pos in live:
+                rates[pos] += bottleneck * weights[pos]
+            # A saturated link leaves ``carried`` below (every flow on
+            # it freezes), so its residual is never read again and the
+            # solver's clamp at zero has nothing to protect here.
+            saturated = set()
+            for link in carried:
+                left = residual[link] - bottleneck * crossing[link]
+                residual[link] = left
+                if left <= floor[link]:
+                    saturated.add(link)
+            # A flow freezes when any link on its route saturates; if
+            # rounding saturated none, all do (see the vector solver).
+            staying = []
+            dropped: Dict[int, float] = {}
+            for pos in live:
+                route = routes[pos]
+                if saturated.isdisjoint(route):
+                    staying.append(pos)
+                    continue
+                weight = weights[pos]
+                for link in route:
+                    carriers[link] -= 1
+                    dropped[link] = dropped.get(link, 0.0) + weight
+            if not staying or len(staying) == len(live):
+                return rates
+            for link, weight in dropped.items():
+                left = crossing[link] - weight
+                crossing[link] = (
+                    left if carriers[link] > 0 and left > 0.0 else 0.0
+                )
+            live = staying
+            carried = [link for link in carried if carriers[link]]
+
+    def _advance(self) -> None:
+        active = self._active
+        live_remaining = self._live_remaining
+        rates = self._fill()
+        steps = [live_remaining[pos] / rates[pos] for pos in active]
+        shortest = min(steps)
+        limit = shortest * (1.0 + _TIE)
+        self._elapsed += shortest
+        departing = []
+        staying = []
+        for pos, step in zip(active, steps):
+            if step <= limit:
+                departing.append(pos)
+                live_remaining[pos] = 0.0
+            else:
+                staying.append(pos)
+                left = live_remaining[pos] - rates[pos] * shortest
+                live_remaining[pos] = left if left > 0.0 else 0.0
+        span = self._elapsed - self.bounds[-1]
+        self._cum.append(
+            [done + rate * span for done, rate in zip(self._cum[-1], rates)]
+        )
+        self.rates.append(rates)
+        self.bounds.append(self._elapsed)
+        self.departs.append(departing)
+        self._active = staying
+        self.complete = not staying
+
+    def state_at(self, now: float) -> Tuple[List[float], List[float]]:
+        """``remaining_at`` and ``rate_at`` of every position at once."""
+        offset = now - self.base
+        k = self._segment(offset)
+        rates = self.rates[k]
+        span = offset - self.bounds[k]
+        remaining = []
+        for start, done, rate in zip(self.init_remaining, self._cum[k], rates):
+            left = start - done - rate * span
+            remaining.append(left if left > 0.0 else 0.0)
+        return remaining, list(rates)
 
 
 # ----------------------------------------------------------------------
@@ -321,71 +504,78 @@ def _uniform_schedule(
 ) -> Tuple[np.ndarray, np.ndarray, List[List[int]]]:
     """Closed-form cascade over size-sorted remaining bytes."""
     count = len(sorted_remaining)
-    gaps = np.diff(sorted_remaining, prepend=0.0)
+    gaps = sorted_remaining.copy()
+    gaps[1:] -= sorted_remaining[:-1]
     alive = count - np.arange(count)
     stage_rates = np.minimum(c_star / alive, cap)
     ends = np.cumsum(gaps / stage_rates)
     # Group stages whose departure instants coincide (within the tie
     # window) into single segments.
-    breaks = np.flatnonzero(np.diff(ends) > _TIE * np.maximum(1.0, ends[1:]))
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks, [count - 1]))
-    bounds = np.concatenate(([0.0], ends[stops]))
+    later = ends[1:]
+    breaks = np.flatnonzero(
+        later - ends[:-1] > _TIE * np.maximum(1.0, later)
+    ).tolist()
+    starts = [0] + [index + 1 for index in breaks]
+    stops = breaks + [count - 1]
+    bounds = np.empty(len(stops) + 1)
+    bounds[0] = 0.0
+    bounds[1:] = ends[stops]
     departs = [
-        list(range(start, stop + 1))
-        for start, stop in zip(starts.tolist(), stops.tolist())
+        list(range(start, stop + 1)) for start, stop in zip(starts, stops)
     ]
     return bounds, stage_rates[starts], departs
 
 
 def build_plan(
     flow_ids: Sequence[int],
-    remaining: Sequence[float],
-    routes: Mapping[int, Tuple[str, ...]],
+    remaining: List[float],
+    shared: List[Tuple[str, ...]],
+    caps: List[float],
     capacities: Mapping[str, float],
     base: float,
     weights: Optional[Mapping[int, float]] = None,
 ) -> CascadePlan:
-    """Plan one component's departure schedule.
+    """Plan one component's departure schedule — the only place that
+    chooses a plan shape.
 
-    ``flow_ids`` must be sorted (determinism); ``routes``/``capacities``
-    are the engine's solver inputs for exactly these flows — shared link
-    names plus the per-flow virtual ``cap:<fid>`` WAN-cap links.  The
-    returned plan's ``flow_ids`` may be a reordering of the input.
+    ``flow_ids`` must be sorted (determinism); ``shared`` / ``caps`` /
+    ``capacities`` are the component index's
+    :meth:`~repro.network.incremental.IncrementalFairShare.subproblem`
+    for exactly these flows — per flow its shared link names and its
+    private WAN cap (``inf``: none), and the shared links' capacities.
+    The returned plan's ``flow_ids`` may be a reordering of the input.
     ``weights`` (flow id -> weighted-fair-share weight, absent flows
     weigh 1.0) selects the weighted fill; ``None`` keeps the exact
     unweighted path.
     """
-    init_remaining = np.asarray(remaining, dtype=float)
-
-    def split(fid: int) -> Tuple[Tuple[str, ...], float]:
-        route = routes[fid]
-        if route and route[-1] == f"cap:{fid}":
-            return route[:-1], capacities[route[-1]]
-        return route, np.inf
-
-    shared0, cap0 = split(flow_ids[0])
-    uniform = bool(shared0) and all(
-        split(fid) == (shared0, cap0) for fid in flow_ids[1:]
+    count = len(flow_ids)
+    shared0 = shared[0]
+    cap0 = caps[0]
+    uniform = (
+        bool(shared0)
+        and shared.count(shared0) == count
+        and caps.count(cap0) == count
     )
-    if uniform and weights:
+    weight_list: Optional[List[float]] = None
+    if weights:
+        weight_list = [float(weights.get(fid, 1.0)) for fid in flow_ids]
+        if min(weight_list) <= 0:
+            raise ValueError("flow weights must be > 0")
         # The closed form assumes every alive member runs at the same
         # rate, which holds only when all weights are equal (weighted
         # max-min with equal weights reduces to the unweighted
         # allocation — the shared fair level just rescales).
-        weight0 = weights.get(flow_ids[0], 1.0)
-        uniform = all(
-            weights.get(fid, 1.0) == weight0 for fid in flow_ids[1:]
-        )
+        uniform = uniform and weight_list.count(weight_list[0]) == count
     if uniform:
         multiplicity: Dict[str, int] = {}
         for name in shared0:
             multiplicity[name] = multiplicity.get(name, 0) + 1
         c_star = min(
-            capacities[name] / count for name, count in multiplicity.items()
+            capacities[name] / times for name, times in multiplicity.items()
         )
         # Reorder members into departure (size) order so every
         # departure batch is a contiguous position range.
+        init_remaining = np.asarray(remaining, dtype=float)
         order = np.argsort(init_remaining, kind="stable")
         sorted_remaining = init_remaining[order]
         members = [flow_ids[index] for index in order.tolist()]
@@ -395,32 +585,32 @@ def build_plan(
         return UniformPlan(
             members, base, sorted_remaining, bounds, seg_rates, departs
         )
-    interned: Dict[Hashable, int] = {}
+    # Links become dense indices in first-appearance order; a private
+    # cap is one more link that only its own flow crosses.
+    interned: Dict[str, int] = {}
     link_caps: List[float] = []
-    index_routes: List[np.ndarray] = []
-    for fid in flow_ids:
-        route = routes[fid]
-        row = np.empty(len(route), dtype=np.intp)
-        for position, name in enumerate(route):
+    routes: List[List[int]] = []
+    for names, cap in zip(shared, caps):
+        row = []
+        for name in names:
             index = interned.get(name)
             if index is None:
-                index = len(interned)
-                interned[name] = index
+                index = interned[name] = len(link_caps)
                 link_caps.append(capacities[name])
-            row[position] = index
-        index_routes.append(row)
-    weight_array: Optional[np.ndarray] = None
-    if weights:
-        weight_array = np.asarray(
-            [float(weights.get(fid, 1.0)) for fid in flow_ids]
+            row.append(index)
+        if cap != _INF:
+            row.append(len(link_caps))
+            link_caps.append(cap)
+        routes.append(row)
+    if count <= SCALAR_MAX_FLOWS:
+        return ScalarPlan(
+            list(flow_ids), base, remaining, routes, link_caps, weight_list
         )
-        if np.any(weight_array <= 0):
-            raise ValueError("flow weights must be > 0")
     return GeneralPlan(
         list(flow_ids),
         base,
-        init_remaining,
-        index_routes,
+        np.asarray(remaining, dtype=float),
+        routes,
         np.asarray(link_caps),
-        weight_array,
+        None if weight_list is None else np.asarray(weight_list),
     )

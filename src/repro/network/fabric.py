@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.sanitizer import get_sanitizer
@@ -121,6 +122,15 @@ class Flow:
             f"<Flow {self.flow_id} {self.src_host}->{self.dst_host} "
             f"{self.remaining:.0f}/{self.size_bytes:.0f}B @{self.rate:.0f}B/s>"
         )
+
+
+class FlowCompletion(Event):
+    """A flow's completion event, named after the flow when printed."""
+
+    __slots__ = ("flow_id",)
+
+    def _label(self) -> str:
+        return f"flow{self.flow_id}:done"
 
 
 class NetworkFabric:
@@ -216,7 +226,8 @@ class NetworkFabric:
         flow_id = next(self._flow_ids)
         route = self.topology.route(src_host, dst_host)
         latency = self.topology.route_latency(src_host, dst_host)
-        completion = self.sim.event(name=f"flow{flow_id}:done")
+        completion = FlowCompletion(self.sim)
+        completion.flow_id = flow_id
         weight = self.tenant_weights.get(tenant, 1.0) if tenant else 1.0
         flow = Flow(
             flow_id,
@@ -483,8 +494,9 @@ class NetworkFabric:
             )
         self.completed_flows.append(flow)
         if extra_delay > 0:
-            done = self.sim.timeout(extra_delay)
-            done.add_callback(lambda _event: flow.completion.succeed(flow))
+            self.sim.call_later(
+                extra_delay, partial(flow.completion.succeed, flow)
+            )
         else:
             flow.completion.succeed(flow)
 
@@ -608,12 +620,10 @@ class NetworkFabric:
                 continue
             members = sorted(component)
             remaining = [self._flows[f].remaining for f in members]
-            routes, capacities = engine.subproblem(members)
             plan = build_plan(
                 members,
                 remaining,
-                routes,
-                capacities,
+                *engine.subproblem(members),
                 now,
                 weights=engine.weights_for(members),
             )
@@ -627,9 +637,9 @@ class NetworkFabric:
                         flow_id: plan.initial_rate(pos)
                         for pos, flow_id in enumerate(plan.flow_ids)
                     },
-                    routes,
-                    capacities,
+                    *engine.solver_inputs(members),
                 )
+            self.perf.note_plan(plan.shape)
             self.perf.plan_segments_planned += len(plan.departs)
             self._arm_departures(plan)
             self.perf.solves += 1

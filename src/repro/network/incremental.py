@@ -11,7 +11,7 @@ component** of flows and links a perturbation actually touches:
   WAN component);
 * the route and capacity dictionaries are maintained across solves —
   adding a flow inserts its (precomputed, memoized) route once, and
-  :meth:`~IncrementalFairShare.subproblem` slices sub-dicts instead of
+  :meth:`~IncrementalFairShare.subproblem` slices them instead of
   rebuilding the world;
 * a capacity change on a link with zero active flows is a no-op.
 
@@ -36,6 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.network.topology import Link
 
 FlowId = int
+_UNCAPPED = float("inf")
 
 
 class IncrementalFairShare:
@@ -110,16 +111,18 @@ class IncrementalFairShare:
         self._routes[flow_id] = tuple(names)
 
     def remove_flow(self, flow_id: FlowId) -> None:
+        shared = self._shared.pop(flow_id)
         # dict.fromkeys dedupes while keeping order: a route may cross
         # the same link twice, but the carrier set must be unwound once.
-        for name in dict.fromkeys(self._shared.pop(flow_id)):
+        for name in dict.fromkeys(shared):
             carriers = self._link_flows[name]
             carriers.discard(flow_id)
             if not carriers:
                 del self._link_flows[name]
                 del self._capacities[name]
-        self._capacities.pop(f"cap:{flow_id}", None)
-        del self._routes[flow_id]
+        route = self._routes.pop(flow_id)
+        if len(route) > len(shared):
+            del self._capacities[route[-1]]
         if self._weights.pop(flow_id) != 1.0:
             self._non_unit -= 1
 
@@ -161,17 +164,27 @@ class IncrementalFairShare:
 
     def subproblem(
         self, flow_ids: Iterable[FlowId]
-    ) -> Tuple[Dict[FlowId, Tuple[str, ...]], Dict[str, float]]:
-        """The (routes, capacities) solver inputs restricted to
-        ``flow_ids`` — the constraint system the vector drive's cascade
-        planner consumes."""
-        routes = {flow_id: self._routes[flow_id] for flow_id in flow_ids}
-        capacities = {
-            name: self._capacities[name]
-            for names in routes.values()
-            for name in names
-        }
-        return routes, capacities
+    ) -> Tuple[List[Tuple[str, ...]], List[float], Dict[str, float]]:
+        """The constraint system restricted to ``flow_ids``, as the
+        cascade planner consumes it: per flow (in the order given) its
+        shared link names and its private WAN cap (``inf``: none), and
+        the capacity of every shared link named."""
+        capacities = self._capacities
+        shared = []
+        caps = []
+        for flow_id in flow_ids:
+            names = self._shared[flow_id]
+            route = self._routes[flow_id]
+            shared.append(names)
+            # A capped flow's solver route ends in its virtual cap link.
+            caps.append(
+                capacities[route[-1]] if len(route) > len(names) else _UNCAPPED
+            )
+        return (
+            shared,
+            caps,
+            {name: capacities[name] for names in shared for name in names},
+        )
 
     def flows_on(self, name: str) -> Iterable[FlowId]:
         """The flows currently crossing link ``name`` (possibly none)."""
@@ -190,11 +203,23 @@ class IncrementalFairShare:
     # ------------------------------------------------------------------
     # Introspection (tests, verification)
     # ------------------------------------------------------------------
-    def solver_inputs(self) -> Tuple[Dict[FlowId, Tuple[str, ...]], Dict[str, float]]:
-        """Copies of the global (routes, capacities) solver inputs —
-        feed them to :func:`max_min_fair_rates` to cross-check the
-        vector drive's rates against a from-scratch solve."""
-        return dict(self._routes), dict(self._capacities)
+    def solver_inputs(
+        self, flow_ids: Optional[Iterable[FlowId]] = None
+    ) -> Tuple[Dict[FlowId, Tuple[str, ...]], Dict[str, float]]:
+        """Copies of the (routes, capacities) solver inputs, virtual cap
+        links included — of every flow, or of ``flow_ids`` only.  Feed
+        them to :func:`max_min_fair_rates` to cross-check the vector
+        drive's rates against a from-scratch solve (the tests and the
+        sanitizer do)."""
+        if flow_ids is None:
+            return dict(self._routes), dict(self._capacities)
+        routes = {flow_id: self._routes[flow_id] for flow_id in flow_ids}
+        capacities = {
+            name: self._capacities[name]
+            for names in routes.values()
+            for name in names
+        }
+        return routes, capacities
 
     def solver_weights(self) -> Optional[Dict[FlowId, float]]:
         """The non-unit flow weights, or ``None`` when all flows weigh

@@ -25,6 +25,7 @@ departure (see :mod:`repro.network.cascade`).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,20 +69,22 @@ def progressive_fill(
         )
     num_links = len(capacities)
     rates = np.zeros(len(indptr) - 1)
-    if not active.any():
+    # How many flows are still filling: decides every loop exit, so no
+    # level pays for an ``.any()`` over a mask.
+    filling = np.count_nonzero(active)
+    if not filling:
         return rates
     active = active.copy()
-    entry_active = active[flow_of_entry]
+    starts = indptr[:-1]
     crossing = np.bincount(
-        indices[entry_active], minlength=num_links
+        indices[active[flow_of_entry]], minlength=num_links
     ).astype(float)
     residual = capacities.astype(float, copy=True)
     floor = _EPSILON * np.maximum(1.0, residual)
     while True:
+        # Some link is carried: a filling flow's route is non-empty.
         carried = crossing > 0.0
-        if not carried.any():
-            break
-        bottleneck = np.min(residual[carried] / crossing[carried])
+        bottleneck = np.minimum.reduce(residual[carried] / crossing[carried])
         rates[active] += bottleneck
         residual -= bottleneck * crossing
         np.maximum(residual, 0.0, out=residual)
@@ -89,24 +92,19 @@ def progressive_fill(
         # A flow freezes when any link on its route saturates.  The
         # reduceat runs over *all* flows (segments are non-empty by
         # contract); the active mask scopes the result.
-        frozen = active & np.logical_or.reduceat(
-            saturated[indices], indptr[:-1]
-        )
-        if not frozen.any():
-            # Numerical corner: freeze everything at the minimum share
-            # to guarantee termination (cannot happen in exact
-            # arithmetic) — mirrors the scalar solver.
-            frozen = active.copy()
-        active &= ~frozen
-        if not active.any():
-            break
-        frozen_entries = frozen[flow_of_entry] & entry_active
+        frozen = active & np.logical_or.reduceat(saturated[indices], starts)
+        # Freezing nothing is a numerical corner (impossible in exact
+        # arithmetic): then everything freezes at the minimum share,
+        # which guarantees termination and mirrors the scalar solver.
+        filling -= np.count_nonzero(frozen) or filling
+        if not filling:
+            return rates
+        active ^= frozen  # frozen is a subset of active
+        # Exact: both sides count entries, and the frozen ones were
+        # counted in.
         crossing -= np.bincount(
-            indices[frozen_entries], minlength=num_links
+            indices[frozen[flow_of_entry]], minlength=num_links
         )
-        entry_active &= ~frozen_entries
-        np.maximum(crossing, 0.0, out=crossing)
-    return rates
 
 
 def _progressive_fill_weighted(
@@ -125,62 +123,53 @@ def _progressive_fill_weighted(
     """
     num_links = len(capacities)
     rates = np.zeros(len(indptr) - 1)
-    if not active.any():
+    filling = np.count_nonzero(active)
+    if not filling:
         return rates
     active = active.copy()
-    entry_active = active[flow_of_entry]
+    starts = indptr[:-1]
     entry_weight = weights[flow_of_entry]
-    carriers = np.bincount(indices[entry_active], minlength=num_links)
+    entries = active[flow_of_entry]
+    links = indices[entries]
+    carriers = np.bincount(links, minlength=num_links)
     crossing = np.bincount(
-        indices[entry_active],
-        weights=entry_weight[entry_active],
-        minlength=num_links,
+        links, weights=entry_weight[entries], minlength=num_links
     )
     residual = capacities.astype(float, copy=True)
     floor = _EPSILON * np.maximum(1.0, residual)
     while True:
         carried = carriers > 0
-        if not carried.any():
-            break
-        bottleneck = np.min(residual[carried] / crossing[carried])
+        bottleneck = np.minimum.reduce(residual[carried] / crossing[carried])
         rates[active] += bottleneck * weights[active]
         residual -= bottleneck * crossing
         np.maximum(residual, 0.0, out=residual)
         saturated = residual <= floor
-        frozen = active & np.logical_or.reduceat(
-            saturated[indices], indptr[:-1]
-        )
-        if not frozen.any():
-            frozen = active.copy()
-        active &= ~frozen
-        if not active.any():
-            break
-        frozen_entries = frozen[flow_of_entry] & entry_active
-        carriers -= np.bincount(indices[frozen_entries], minlength=num_links)
+        frozen = active & np.logical_or.reduceat(saturated[indices], starts)
+        filling -= np.count_nonzero(frozen) or filling
+        if not filling:
+            return rates
+        active ^= frozen
+        entries = frozen[flow_of_entry]
+        links = indices[entries]
+        carriers -= np.bincount(links, minlength=num_links)
         crossing -= np.bincount(
-            indices[frozen_entries],
-            weights=entry_weight[frozen_entries],
-            minlength=num_links,
+            links, weights=entry_weight[entries], minlength=num_links
         )
-        entry_active &= ~frozen_entries
         crossing[carriers <= 0] = 0.0
         np.maximum(crossing, 0.0, out=crossing)
-    return rates
 
 
 def build_csr(
-    routes: Sequence[np.ndarray],
+    routes: Sequence[Sequence[int]],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate per-flow link-id arrays into (indices, indptr, flow_of_entry)."""
-    lengths = np.fromiter(
-        (len(route) for route in routes), dtype=np.intp, count=len(routes)
-    )
+    """Concatenate per-flow link-id sequences (lists or arrays) into
+    (indices, indptr, flow_of_entry)."""
+    lengths = np.fromiter(map(len, routes), dtype=np.intp, count=len(routes))
     indptr = np.zeros(len(routes) + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
-    if len(routes):
-        indices = np.concatenate(routes)
-    else:
-        indices = np.zeros(0, dtype=np.intp)
+    indices = np.fromiter(
+        chain.from_iterable(routes), dtype=np.intp, count=int(indptr[-1])
+    )
     flow_of_entry = np.repeat(np.arange(len(routes), dtype=np.intp), lengths)
     return indices, indptr, flow_of_entry
 
@@ -209,8 +198,8 @@ def max_min_fair_rates_numpy(
     capacities = []
     routes = []
     for flow_id in constrained:
-        row = np.empty(len(flow_routes[flow_id]), dtype=np.intp)
-        for position, link in enumerate(flow_routes[flow_id]):
+        row = []
+        for link in flow_routes[flow_id]:
             index = link_ids.get(link)
             if index is None:
                 capacity = float(link_capacities[link])
@@ -219,7 +208,7 @@ def max_min_fair_rates_numpy(
                 index = len(link_ids)
                 link_ids[link] = index
                 capacities.append(capacity)
-            row[position] = index
+            row.append(index)
         routes.append(row)
 
     weight_array: Optional[np.ndarray] = None

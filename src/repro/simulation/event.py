@@ -74,7 +74,7 @@ class Event:
             raise self._error
         if self._value is _PENDING:
             raise EventAlreadyFiredError(
-                f"event {self.name or id(self)} has not fired yet"
+                f"event {self._label()} has not fired yet"
             )
         return self._value
 
@@ -87,24 +87,21 @@ class Event:
     # ------------------------------------------------------------------
     def succeed(self, value: Any = None) -> Event:
         """Fire the event successfully, delivering ``value`` to waiters."""
-        if self.triggered:
-            raise EventAlreadyFiredError(
-                f"event {self.name or id(self)} fired twice"
-            )
+        if self._value is not _PENDING or self._error is not None:
+            raise EventAlreadyFiredError(f"event {self._label()} fired twice")
         self._value = value
-        self.sim._schedule_event(self)
+        # Due at the current instant: the kernel's FIFO ready deque.
+        self.sim._ready.append(self)
         return self
 
     def fail(self, error: BaseException) -> Event:
         """Fire the event with an error, propagated to waiting processes."""
-        if self.triggered:
-            raise EventAlreadyFiredError(
-                f"event {self.name or id(self)} fired twice"
-            )
+        if self._value is not _PENDING or self._error is not None:
+            raise EventAlreadyFiredError(f"event {self._label()} fired twice")
         if not isinstance(error, BaseException):
             raise TypeError("Event.fail() requires an exception instance")
         self._error = error
-        self.sim._schedule_event(self)
+        self.sim._ready.append(self)
         return self
 
     # ------------------------------------------------------------------
@@ -129,13 +126,19 @@ class Event:
         for callback in callbacks:
             callback(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def _label(self) -> str:
+        """What to call this event in messages.  Subclasses made by the
+        thousand override this instead of formatting a ``name`` that is
+        read only when something is printed."""
+        return self.name or hex(id(self))
+
+    def __repr__(self) -> str:
         state = "pending"
         if self.failed:
             state = f"failed({self._error!r})"
         elif self.triggered:
             state = f"ok({self._value!r})"
-        return f"<Event {self.name or hex(id(self))} {state}>"
+        return f"<Event {self._label()} {state}>"
 
 
 class Timeout(Event):
@@ -148,16 +151,34 @@ class Timeout(Event):
     ) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=name or f"timeout({delay})")
-        self.delay = delay
+        # Event.__init__ and the kernel's scheduling, spelled out: a
+        # stream round sleeps tens of thousands of times.
+        self.sim = sim
+        self.name = name
         # The value is installed at delivery time; setting it now would
         # make the timeout look already-triggered.
+        self._value = _PENDING
+        self._error = None
+        self._callbacks = []
+        self._processed = False
+        self._cancelled = False
+        self.delay = delay
         self._fire_value = value
-        sim._schedule_event(self, delay=delay)
+        if delay <= 0:
+            sim._ready.append(self)
+        else:
+            sim._wheel.push(sim._now + delay, next(sim._sequence), self)
+
+    def _label(self) -> str:
+        return self.name or f"timeout({self.delay})"
 
     def _deliver(self) -> None:
+        # Install the value, then Event._deliver (inlined, as above).
         self._value = self._fire_value
-        super()._deliver()
+        self._processed = True
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     def cancel(self) -> None:
         """Lazily cancel the timeout: it will never fire, its callbacks

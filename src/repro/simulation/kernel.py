@@ -36,13 +36,30 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.errors import LivenessError, SimulationError
-from repro.simulation.event import AllOf, AnyOf, Event, Timeout
+from repro.simulation.event import _PENDING, AllOf, AnyOf, Event, Timeout
 from repro.simulation.timer_wheel import TimerHandle, TimerWheel
 
 # The wall-clock watchdog samples the clock once per this many timer-
 # wheel batch pulls, so the steady-state cost is one integer decrement
 # per clock advance.
 _WALL_CHECK_INTERVAL = 1024
+
+
+class _Start:
+    """The ready-deque entry that first advances a new process: what the
+    kernel delivers and, having no outcome, what the first ``send``
+    reads ``None`` from."""
+
+    __slots__ = ("process",)
+    _cancelled = False
+    _value = None
+    _error = None
+
+    def __init__(self, process: Process) -> None:
+        self.process = process
+
+    def _deliver(self) -> None:
+        self.process._resume(self)
 
 
 class Process(Event):
@@ -63,35 +80,38 @@ class Process(Event):
             )
         self._generator = generator
         # Kick-start on the next tick of the current instant.
-        bootstrap = Event(sim, name=f"{self.name}:start")
-        bootstrap.add_callback(self._resume)
-        bootstrap.succeed(None)
+        sim._ready.append(_Start(self))
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: Any) -> None:
         """Advance the generator with the fired event's outcome."""
-        if self.triggered:
+        if self._value is not _PENDING or self._error is not None:
             # The process already finished (e.g. it was interrupted and
             # the event it had been waiting on fired later).
             return
-        try:
-            if event.failed:
-                target = self._generator.throw(event.error)  # type: ignore[arg-type]
-            else:
-                target = self._generator.send(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as error:  # noqa: BLE001 - process crashed
-            self.fail(error)
-            return
-        if not isinstance(target, Event):
-            self.fail(
-                SimulationError(
-                    f"process {self.name} yielded {target!r}, expected an Event"
+        while True:
+            try:
+                if event._error is not None:
+                    target = self._generator.throw(event._error)
+                else:
+                    target = self._generator.send(event._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as error:  # noqa: BLE001 - process crashed
+                self.fail(error)
+                return
+            if not isinstance(target, Event):
+                self.fail(
+                    SimulationError(
+                        f"process {self.name} yielded {target!r}, expected an Event"
+                    )
                 )
-            )
-            return
-        target.add_callback(self._resume)
+                return
+            if not target._processed:
+                target._callbacks.append(self._resume)
+                return
+            # Already delivered: carry on with its outcome at once.
+            event = target
 
     def interrupt(self, cause: str = "interrupted") -> None:
         """Throw :class:`SimulationError` into the process at the next tick."""
@@ -206,16 +226,6 @@ class Simulator:
         return self.call_at(self._now + delay, fn)
 
     # ------------------------------------------------------------------
-    # Scheduling (internal API used by Event)
-    # ------------------------------------------------------------------
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        if delay <= 0:
-            # Due at the current instant: FIFO deque, no heap, no seq.
-            self._ready.append(event)
-        else:
-            self._wheel.push(self._now + delay, next(self._sequence), event)
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _pull_batch(self) -> bool:
@@ -315,11 +325,17 @@ class Simulator:
         Unlike :meth:`run`, this works when perpetual background processes
         (e.g. bandwidth jitter) keep the agenda non-empty forever.
         """
-        while not event.triggered:
-            if not self.step():
+        ready = self._ready
+        while event._value is _PENDING and event._error is None:
+            if not ready and not self._pull_batch():
                 raise SimulationError(
-                    f"agenda drained before event {event.name!r} fired"
+                    f"agenda drained before event {event._label()!r} fired"
                 )
+            obj = ready.popleft()
+            if obj._cancelled:
+                continue
+            self._processed_events += 1
+            obj._deliver()
         return event.value
 
     def run_process(

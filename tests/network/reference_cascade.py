@@ -8,6 +8,12 @@ result; :func:`eager_plan` is the general branch of the old
 ``build_plan`` (link interning in first-appearance order).  A lazily
 extended plan must reproduce every prefix of this schedule float for
 float.  Not a second planner — nothing under ``src/`` imports it.
+
+:func:`checked_build_plan` is the on-workload form of the scalar ==
+vector property: patched over ``repro.network.fabric.build_plan`` it
+solves every small non-uniform component a run plans in both shapes, to
+the end, and asserts they agree (``.claude/skills/verify/SKILL.md`` has
+the recipe for the end-to-end workloads).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.network.cascade as cascade
 from repro.network.cascade import _TIE
 from repro.network.vector_solver import build_csr, progressive_fill
 
@@ -102,18 +109,24 @@ class EagerGeneralPlan:
 def eager_plan(
     flow_ids: Sequence[int],
     remaining: Sequence[float],
-    routes: Mapping[int, Tuple[str, ...]],
+    shared: Sequence[Tuple[str, ...]],
+    caps: Sequence[float],
     capacities: Mapping[str, float],
     base: float,
     weights: Optional[Mapping[int, float]] = None,
 ) -> EagerGeneralPlan:
-    """``build_plan``'s general branch, solved whole (same arguments)."""
+    """``build_plan``'s general branch, solved whole (same arguments;
+    a private cap is the virtual link ``cap:<fid>`` it has always been)."""
+    capacities = dict(capacities)
     interned: Dict[Hashable, int] = {}
     link_caps: List[float] = []
     index_routes: List[np.ndarray] = []
-    for fid in flow_ids:
-        row = np.empty(len(routes[fid]), dtype=np.intp)
-        for position, name in enumerate(routes[fid]):
+    for fid, route, cap in zip(flow_ids, shared, caps):
+        if cap != np.inf:
+            route = route + (f"cap:{fid}",)
+            capacities[route[-1]] = cap
+        row = np.empty(len(route), dtype=np.intp)
+        for position, name in enumerate(route):
             index = interned.get(name)
             if index is None:
                 index = len(interned)
@@ -133,3 +146,40 @@ def eager_plan(
         np.asarray(link_caps),
         weight_array,
     )
+
+
+def _solved_whole(limit: int, args, kwargs) -> cascade.ResumablePlan:
+    """The plan ``build_plan`` makes with the crossover at ``limit``,
+    extended until complete."""
+    saved = cascade.SCALAR_MAX_FLOWS
+    cascade.SCALAR_MAX_FLOWS = limit
+    try:
+        plan = cascade.build_plan(*args, **kwargs)
+    finally:
+        cascade.SCALAR_MAX_FLOWS = saved
+    while not plan.complete:
+        plan.extend()
+    return plan
+
+
+def checked_build_plan(*args, **kwargs) -> cascade.CascadePlan:
+    """``build_plan``, asserting on the way that the component's scalar
+    and vector shapes are the same schedule and the same replays."""
+    plan = cascade.build_plan(*args, **kwargs)
+    if isinstance(plan, cascade.ResumablePlan) and len(plan.flow_ids) <= 64:
+        vector = _solved_whole(0, args, kwargs)
+        scalar = _solved_whole(len(plan.flow_ids), args, kwargs)
+        assert type(vector) is cascade.GeneralPlan
+        assert type(scalar) is cascade.ScalarPlan
+        assert scalar.bounds == vector.bounds
+        assert scalar.departs == vector.departs
+        assert scalar.rates == [row.tolist() for row in vector.rates]
+        assert scalar._cum == [row.tolist() for row in vector._cum]
+        last = scalar.bounds[-1]
+        for offset in (0.0, last / 3, scalar.bounds[1], last):
+            now = plan.base + offset
+            assert scalar.state_at(now) == vector.state_at(now)
+        solved = len(plan.departs)
+        assert plan.bounds == scalar.bounds[: solved + 1]
+        assert plan.departs == scalar.departs[:solved]
+    return plan

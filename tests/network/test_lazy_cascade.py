@@ -1,14 +1,17 @@
-"""The resumable ``GeneralPlan`` vs. the eager schedule it replaced.
+"""The resumable plans vs. the eager schedule they replaced.
 
-A general plan solves its component's departures a doubling batch at a
-time, as the clock reaches them, instead of all of them up front.  That
-is only a saving if nothing simulated moves, so these tests pin:
+A non-uniform plan solves its component's departures a doubling batch at
+a time, as the clock reaches them, instead of all of them up front — in
+numpy (``GeneralPlan``) or, for small components, in plain floats
+(``ScalarPlan``).  Either is only a saving if nothing simulated moves,
+so these tests pin:
 
-* every prefix of a lazily extended plan equals the eager reference
-  (``reference_cascade.py``) float for float — bounds, rate rows,
-  departs and the replays built on them;
+* every prefix of a lazily extended plan of either shape equals the
+  eager reference (``reference_cascade.py``) float for float — bounds,
+  rate rows, cumulative bytes, departs and the replays built on them;
 * a perturbation landing exactly on the last armed departure instant
-  reads what the eager plan would have read (the one-segment reserve);
+  reads what the eager plan would have read (the one-segment reserve),
+  whichever shape the plan has;
 * the cost cannot grow back: on a mesh with mid-run capacity changes
   the fills stay within twice the segments that fired.
 """
@@ -21,7 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 import repro.network.cascade as cascade_module
 import repro.network.fabric as fabric_module
-from repro.network.cascade import GeneralPlan
+from repro.analysis.sanitizer import sanitized
+from repro.network.cascade import GeneralPlan, ScalarPlan
 from repro.network.fabric import NetworkFabric
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
@@ -36,22 +40,22 @@ from tests.network.test_vector_drive import _build
 @st.composite
 def components(draw):
     num_links = draw(st.integers(1, 6))
-    num_flows = draw(st.integers(1, 14))
+    num_flows = draw(st.integers(1, 40))
     routes = [
-        np.asarray(
-            # Duplicates allowed: a route may cross a link twice.
-            draw(st.lists(st.integers(0, num_links - 1), min_size=1, max_size=4)),
-            dtype=np.intp,
-        )
+        # Duplicates allowed: a route may cross a link twice.
+        draw(st.lists(st.integers(0, num_links - 1), min_size=1, max_size=4))
         for _ in range(num_flows)
     ]
-    capacities = np.asarray(
-        draw(
-            st.lists(
-                st.floats(1e5, 1e9), min_size=num_links, max_size=num_links
-            )
-        )
+    capacities = draw(
+        st.lists(st.floats(1e5, 1e9), min_size=num_links, max_size=num_links)
     )
+    # Private caps: one more link each, crossed by its own flow only.
+    cap = draw(st.sampled_from([None, 2.5e6, 1e8 / 3]))
+    if cap is not None:
+        for route in routes:
+            if draw(st.booleans()):
+                route.append(len(capacities))
+                capacities.append(cap)
     # A small pool of sizes makes simultaneous departures (ties) common.
     sizes = draw(
         st.lists(
@@ -60,72 +64,106 @@ def components(draw):
             max_size=num_flows,
         )
     )
+    # None, all 1.0 (must equal None), dyadic, and weights whose sums
+    # round: the last is what catches a reordered accumulation.
+    pool = draw(
+        st.sampled_from(
+            [None, [1.0], [0.5, 1.0, 2.0, 3.0], [0.1, 0.3, 1.0 / 3.0, 0.7, 2.9]]
+        )
+    )
     weights = None
-    if draw(st.booleans()):
-        weights = np.asarray(
-            draw(
-                st.lists(
-                    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-                    min_size=num_flows,
-                    max_size=num_flows,
-                )
+    if pool is not None:
+        weights = draw(
+            st.lists(
+                st.sampled_from(pool), min_size=num_flows, max_size=num_flows
             )
         )
     base = draw(st.sampled_from([0.0, 12.5, 1234.56789]))
-    return base, np.asarray(sizes), routes, capacities, weights
+    return base, sizes, routes, capacities, weights
 
 
-def _assert_prefix_equal(lazy, eager):
-    solved = len(lazy.departs)
-    assert lazy.bounds == eager.bounds[: solved + 1].tolist()
-    assert lazy.departs == eager.departs[:solved]
-    for k in range(solved):
-        assert np.array_equal(lazy.rates[k], eager.rates[k])
-    assert lazy.depart_times() == eager.depart_times()[: lazy.horizon]
-    # Replays: on every solved boundary and inside every solved segment.
-    flows = range(len(lazy.flow_ids))
-    for k in range(solved):
+def _both_shapes(component):
+    """The eager oracle and the two resumable shapes of one component."""
+    base, sizes, routes, capacities, weights = component
+    flow_ids = list(range(len(routes)))
+    arrays = (
+        np.asarray(sizes),
+        [np.asarray(route, dtype=np.intp) for route in routes],
+        np.asarray(capacities),
+        None if weights is None else np.asarray(weights),
+    )
+    eager = EagerGeneralPlan(base, *arrays)
+    vector = GeneralPlan(flow_ids, base, *arrays)
+    scalar = ScalarPlan(flow_ids, base, sizes, routes, capacities, weights)
+    return eager, vector, scalar
+
+
+def _assert_prefix_equal(lazies, eager, since=0):
+    """Each lazy plan's solved prefix is the eager schedule's; rows and
+    replays are compared from segment ``since`` on (the earlier ones
+    were, before the last ``extend``)."""
+    solved = len(lazies[0].departs)
+    base = lazies[0].base
+    for lazy in lazies:
+        assert lazy.bounds == eager.bounds[: solved + 1].tolist()
+        assert lazy.departs == eager.departs[:solved]
+        assert lazy.depart_times() == eager.depart_times()[: lazy.horizon]
+    flows = range(len(lazies[0].flow_ids))
+    for k in range(since, solved):
+        for lazy in lazies:
+            assert np.array_equal(lazy.rates[k], eager.rates[k])
+            assert np.array_equal(lazy._cum[k], eager._cum[k])
+        # Replays: at the segment's start, inside it, and on its far
+        # boundary when the next segment is solved (the last armed
+        # boundary included — that read lands in the reserve).
         left, right = eager.bounds[k], eager.bounds[k + 1]
-        probes = [lazy.base + left, lazy.base + (left + right) / 2]
+        probes = [base + left, base + (left + right) / 2]
         if k + 1 < solved:
-            probes.append(lazy.base + right)
+            probes.append(base + right)
         for now in probes:
-            remaining, rates = lazy.state_at(now)
-            for pos in flows:
-                expected = eager.remaining_at(pos, now)
-                assert lazy.remaining_at(pos, now) == expected
-                assert remaining[pos] == expected
-                assert lazy.rate_at(pos, now) == eager.rate_at(pos, now)
-                assert rates[pos] == eager.rate_at(pos, now)
+            remaining = [eager.remaining_at(pos, now) for pos in flows]
+            rates = [eager.rate_at(pos, now) for pos in flows]
+            for lazy in lazies:
+                assert lazy.state_at(now) == (remaining, rates)
+                assert [lazy.remaining_at(pos, now) for pos in flows] == remaining
+                assert [lazy.rate_at(pos, now) for pos in flows] == rates
 
 
 @settings(max_examples=150, deadline=None)
 @given(components())
 def test_lazy_plan_prefixes_equal_eager_schedule(component):
-    base, sizes, routes, capacities, weights = component
-    eager = EagerGeneralPlan(base, sizes, routes, capacities, weights)
-    lazy = GeneralPlan(
-        list(range(len(routes))), base, sizes, routes, capacities, weights
-    )
+    """scalar == vector == eager on every lazily extended prefix: the
+    scalar shape does the vector shape's IEEE operations in its order."""
+    eager, *lazies = _both_shapes(component)
     total = len(eager.departs)
     armed = 0
     batch = 1
+    checked = 0
     while True:
         # One more batch to arm plus one segment in reserve — or the
         # schedule ran out, and then all of it may be armed.
         solved = min(total, armed + batch + 1)
-        assert len(lazy.departs) == solved
-        assert lazy.horizon == (total if solved == total else solved - 1)
-        _assert_prefix_equal(lazy, eager)
-        if lazy.horizon == total:
+        horizon = total if solved == total else solved - 1
+        for lazy in lazies:
+            assert len(lazy.departs) == solved
+            assert lazy.horizon == horizon
+        # From the old reserve on: its far boundary is readable now.
+        _assert_prefix_equal(lazies, eager, since=max(0, checked - 1))
+        checked = solved
+        if horizon == total:
             break
-        armed = lazy.horizon
+        armed = horizon
         batch *= 2
-        assert lazy.extend() == len(lazy.departs) - solved
-    assert lazy.extend() == 0
-    assert [lazy.initial_rate(pos) for pos in range(len(routes))] == (
-        eager.rates[0].tolist()
-    )
+        for lazy in lazies:
+            assert lazy.extend() == len(lazy.departs) - solved
+    for lazy in lazies:
+        assert lazy.extend() == 0
+        assert [lazy.initial_rate(pos) for pos in range(len(lazy.flow_ids))] == (
+            eager.rates[0].tolist()
+        )
+        assert all(type(row) is list for row in lazy.departs)
+    scalar = lazies[1]
+    assert all(type(rate) is float for row in scalar.rates for rate in row)
 
 
 # ----------------------------------------------------------------------
@@ -183,57 +221,146 @@ def _assert_finals_match(got, oracle):
         assert got[index] == pytest.approx(expected, rel=1e-9)
 
 
-def test_capacity_change_on_last_armed_departure_instant(recorded_plans):
-    observed = {}
+# Either side of the crossover: every component vector, every one scalar.
+_SHAPES = ((0, GeneralPlan), (10**6, ScalarPlan))
 
-    def observe_then_squeeze(topo, fabric, _events):
-        observed.update(
-            (flow.flow_id, (flow.remaining, flow.rate))
-            for flow in fabric.active_flows()
+
+def test_capacity_change_on_last_armed_departure_instant(
+    recorded_plans, monkeypatch
+):
+    finals = []
+    for limit, shape in _SHAPES:
+        monkeypatch.setattr(cascade_module, "SCALAR_MAX_FLOWS", limit)
+        recorded_plans.clear()
+        observed = {}
+
+        def observe_then_squeeze(topo, fabric, _events, observed=observed):
+            observed.update(
+                (flow.flow_id, (flow.remaining, flow.rate))
+                for flow in fabric.active_flows()
+            )
+            fabric.set_link_capacity(topo.wan_link("A", "C"), 35 * MBPS)
+
+        _run_with_action_at("vector", None, observe_then_squeeze)
+        args, kwargs, first = recorded_plans[0]
+        assert type(first) is shape
+        eager = eager_plan(*args, **kwargs)
+        assert len(eager.departs) == len(_FLOWS)  # five distinct instants
+        # The first plan armed one timer; its instant is the boundary.
+        boundary = eager.depart_times()[0]
+        assert first.depart_times(0)[:1] == [boundary]
+
+        # Read every member *at* the boundary, before its timer has
+        # fired: the replay lands in the reserve segment, exactly where
+        # the eager schedule's replay does.
+        recorded_plans.clear()
+        got = _run_with_action_at("vector", boundary, observe_then_squeeze)
+        plan = recorded_plans[0][2]
+        assert len(plan.timers) > 1  # the boundary's timer fired and extended
+        assert sorted(observed) == sorted(plan.flow_ids)
+        for flow_id, (remaining, rate) in observed.items():
+            pos = plan.pos_of[flow_id]
+            assert remaining == eager.remaining_at(pos, boundary)
+            assert rate == eager.rate_at(pos, boundary)
+        assert min(remaining for remaining, _rate in observed.values()) == 0.0
+        _assert_finals_match(
+            got, _run_with_action_at("global", boundary, observe_then_squeeze)
         )
-        fabric.set_link_capacity(topo.wan_link("A", "C"), 35 * MBPS)
-
-    _run_with_action_at("vector", None, observe_then_squeeze)
-    args, kwargs, first = recorded_plans[0]
-    assert isinstance(first, GeneralPlan)
-    eager = eager_plan(*args, **kwargs)
-    assert len(eager.departs) == len(_FLOWS)  # five distinct instants
-    # The first plan armed one timer; its instant is the boundary.
-    boundary = eager.depart_times()[0]
-    assert first.depart_times(0)[:1] == [boundary]
-
-    # Read every member *at* the boundary, before its timer has fired:
-    # the replay lands in the reserve segment, exactly where the eager
-    # schedule's replay does.
-    recorded_plans.clear()
-    got = _run_with_action_at("vector", boundary, observe_then_squeeze)
-    plan = recorded_plans[0][2]
-    assert len(plan.timers) > 1  # the boundary's timer fired and extended
-    assert sorted(observed) == sorted(plan.flow_ids)
-    for flow_id, (remaining, rate) in observed.items():
-        pos = plan.pos_of[flow_id]
-        assert remaining == eager.remaining_at(pos, boundary)
-        assert rate == eager.rate_at(pos, boundary)
-    assert min(remaining for remaining, _rate in observed.values()) == 0.0
-    _assert_finals_match(
-        got, _run_with_action_at("global", boundary, observe_then_squeeze)
-    )
+        finals.append((boundary, observed, got))
+    assert finals[0] == finals[1]
 
 
-def test_cancel_on_last_armed_departure_instant():
+def test_cancel_on_last_armed_departure_instant(monkeypatch):
     """``cancel`` replays synchronously — on the boundary, before the
     boundary's own timer — so it is the read the reserve exists for."""
-    refunds = []
+    finals = []
+    for limit, _shape in _SHAPES:
+        monkeypatch.setattr(cascade_module, "SCALAR_MAX_FLOWS", limit)
+        refunds = []
 
-    def cancel_first(_topo, fabric, events):
-        refunds.append(fabric.cancel(events[0]))
+        def cancel_first(_topo, fabric, events, refunds=refunds):
+            refunds.append(fabric.cancel(events[0]))
 
-    boundary = min(_run_with_action_at("vector", None, cancel_first).values())
-    got = _run_with_action_at("vector", boundary, cancel_first)
-    oracle = _run_with_action_at("global", boundary, cancel_first)
-    assert 0 not in got and 0 not in oracle
-    assert refunds[0] == pytest.approx(refunds[1], rel=1e-9)
-    _assert_finals_match(got, oracle)
+        boundary = min(
+            _run_with_action_at("vector", None, cancel_first).values()
+        )
+        got = _run_with_action_at("vector", boundary, cancel_first)
+        oracle = _run_with_action_at("global", boundary, cancel_first)
+        assert 0 not in got and 0 not in oracle
+        assert refunds[0] == pytest.approx(refunds[1], rel=1e-9)
+        _assert_finals_match(got, oracle)
+        finals.append((boundary, refunds[0], got))
+    assert finals[0] == finals[1]
+
+
+def _mesh(drive):
+    """4 datacenters x 2 hosts, full 100 Mbps WAN mesh, no latency."""
+    sim = Simulator()
+    topo = Topology()
+    datacenters = [f"M{index}" for index in range(4)]
+    hosts = []
+    for dc in datacenters:
+        topo.add_datacenter(dc)
+        for host in range(2):
+            hosts.append(f"{dc}-h{host}")
+            topo.add_host(
+                hosts[-1], dc, access_bandwidth=GBPS, access_latency=0.0
+            )
+    for index, src in enumerate(datacenters):
+        for dst in datacenters[index + 1 :]:
+            topo.connect_datacenters(src, dst, 100 * MBPS, latency=0.0)
+    return sim, topo, hosts, NetworkFabric(sim, topo, drive=drive)
+
+
+def _drain_across_the_crossover(drive):
+    """An all-to-all burst of 48 flows in one component, with a WAN
+    capacity change every so often while it drains: the re-plans start
+    above the crossover and end below it.  Returns the fabric and {flow index: completion}."""
+    rng = random.Random(22)
+    sim, topo, hosts, fabric = _mesh(drive)
+    finals = {}
+    index = 0
+    for src in hosts:
+        for dst in hosts:
+            if src.split("-")[0] != dst.split("-")[0]:
+                fabric.transfer(src, dst, rng.uniform(1e6, 40e6)).add_callback(
+                    lambda _e, index=index: finals.setdefault(index, sim.now)
+                )
+                index += 1
+
+    def squeeze_a_busy_link():
+        # The WAN hop of the youngest flow still in flight.
+        link = fabric.active_flows()[-1].route[1]
+        fabric.set_link_capacity(link, link.capacity * rng.uniform(0.5, 0.9))
+
+    for at in (0.5, 3.0, 6.0, 7.5, 8.5, 9.5, 10.5):
+        sim.call_at(at, squeeze_a_busy_link)
+    sim.run()
+    assert fabric.active_flow_count == 0 and len(finals) == index == 48
+    return fabric, finals
+
+
+def test_component_draining_across_the_crossover_matches_global():
+    fabric, got = _drain_across_the_crossover("vector")
+    perf = fabric.perf
+    assert perf.plans_vector >= 1 and perf.plans_scalar >= 1
+    assert perf.plans_vector + perf.plans_scalar + perf.plans_uniform == (
+        perf.solves
+    )
+    _assert_finals_match(got, _drain_across_the_crossover("global")[1])
+
+
+def test_sanitizer_checks_every_scalar_plan(monkeypatch):
+    """The rate and capacity checks run once per plan whatever its
+    shape, over the full constraint system (private caps included)."""
+    counts = []
+    for limit, _shape in _SHAPES:
+        monkeypatch.setattr(cascade_module, "SCALAR_MAX_FLOWS", limit)
+        with sanitized() as sanitizer:
+            fabric, _finals = _drain_across_the_crossover("vector")
+        assert sanitizer.checks["capacity"] == fabric.perf.solves > 4
+        counts.append(dict(sanitizer.checks))
+    assert counts[0] == counts[1]
 
 
 # ----------------------------------------------------------------------

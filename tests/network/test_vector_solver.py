@@ -131,7 +131,7 @@ def test_vectorized_allocation_is_feasible(scenario):
 # ----------------------------------------------------------------------
 def _solve_subproblem(engine, ids):
     return max_min_fair_rates(
-        *engine.subproblem(ids), flow_weights=engine.weights_for(ids)
+        *engine.solver_inputs(ids), flow_weights=engine.weights_for(ids)
     )
 
 
@@ -152,3 +152,23 @@ def test_component_index_handles_duplicate_links():
     assert _solve_subproblem(engine, [2])[2] == pytest.approx(10.0)
     engine.remove_flow(2)
     assert engine.flow_count == 0
+
+
+def test_subproblem_is_the_solver_inputs_with_the_cap_as_a_value():
+    """The planner's slice names no virtual link: a capped flow's
+    private cap travels as a number beside its shared route."""
+    engine = IncrementalFairShare(wan_flow_cap=4.0)
+    wan = Link("wan", 10.0, is_wan=True)
+    lan = Link("lan", 50.0)
+    engine.add_flow(7, [lan, wan, lan])
+    engine.add_flow(9, [lan])
+    shared, caps, capacities = engine.subproblem([7, 9])
+    assert shared == [("lan", "wan", "lan"), ("lan",)]
+    assert caps == [4.0, float("inf")]
+    assert capacities == {"lan": 50.0, "wan": 10.0}
+    routes, with_caps = engine.solver_inputs([7, 9])
+    assert routes == {7: ("lan", "wan", "lan", "cap:7"), 9: ("lan",)}
+    assert with_caps == {**capacities, "cap:7": 4.0}
+    assert (routes, with_caps) == engine.solver_inputs()
+    engine.remove_flow(7)
+    assert engine.solver_inputs() == ({9: ("lan",)}, {"lan": 50.0})

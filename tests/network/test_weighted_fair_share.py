@@ -181,7 +181,7 @@ def test_weighted_component_index_subproblem_matches_oracle(scenario):
         )
     ids = sorted(flows)
     got = max_min_fair_rates(
-        *engine.subproblem(ids), flow_weights=engine.weights_for(ids)
+        *engine.solver_inputs(ids), flow_weights=engine.weights_for(ids)
     )
     expected = max_min_fair_rates(
         {f: tuple(r) for f, r in flows.items()},
