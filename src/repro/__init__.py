@@ -27,41 +27,48 @@ Quickstart::
     counts = pairs.reduce_by_key(lambda a, b: a + b).collect()
 """
 
-from repro.config import (
-    CostModel,
-    FailureConfig,
-    SchedulingConfig,
-    ShuffleConfig,
-    SimulationConfig,
-    agg_shuffle_config,
-    fetch_config,
-)
-from repro.cluster.builder import (
-    ClusterSpec,
-    build_topology,
-    ec2_six_region_spec,
-    two_datacenter_spec,
-)
-from repro.cluster import Broadcast, ClusterContext, JobHandle
-from repro.errors import ReproError
+import importlib
+import sys
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CostModel",
-    "FailureConfig",
-    "SchedulingConfig",
-    "ShuffleConfig",
-    "SimulationConfig",
-    "fetch_config",
-    "agg_shuffle_config",
-    "ClusterSpec",
-    "build_topology",
-    "ec2_six_region_spec",
-    "two_datacenter_spec",
-    "ClusterContext",
-    "JobHandle",
-    "Broadcast",
-    "ReproError",
-    "__version__",
-]
+
+def lazy_exports(
+    package: str, modules: Dict[str, Sequence[str]]
+) -> Tuple[Callable[[str], object], List[str]]:
+    """PEP 562 ``__getattr__`` and ``__all__`` for a package that
+    re-exports ``modules`` (defining module -> public names).
+
+    Importing the package then costs nothing; the first read of an
+    exported name imports the one module that defines it and caches the
+    value on the package, so ``from repro.network import Topology``
+    loads ``network.topology`` and not the fabric.  Import layering
+    rule and rationale: DESIGN.md section 5, "Import cost follows use".
+    """
+    home = {name: module for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__, list(home)
+
+
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.config": (
+        "CostModel", "FailureConfig", "SchedulingConfig", "ShuffleConfig",
+        "SimulationConfig", "fetch_config", "agg_shuffle_config",
+    ),
+    "repro.cluster.builder": (
+        "ClusterSpec", "build_topology", "ec2_six_region_spec", "two_datacenter_spec",
+    ),
+    "repro.cluster.context": ("ClusterContext", "JobHandle"),
+    "repro.cluster.broadcast": ("Broadcast",),
+    "repro.errors": ("ReproError",),
+})
+__all__.append("__version__")

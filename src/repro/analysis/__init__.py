@@ -15,28 +15,13 @@ solver equivalence):
   ledger==monitor reconciliation at stage boundaries.
 """
 
-from repro.analysis.engine import (
-    Finding,
-    LintConfig,
-    LintEngine,
-    load_config,
-    lint_paths,
-)
-from repro.analysis.sanitizer import (
-    InvariantViolation,
-    Sanitizer,
-    get_sanitizer,
-    sanitized,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Finding",
-    "LintConfig",
-    "LintEngine",
-    "load_config",
-    "lint_paths",
-    "InvariantViolation",
-    "Sanitizer",
-    "get_sanitizer",
-    "sanitized",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.engine": (
+        "Finding", "LintConfig", "LintEngine", "load_config", "lint_paths",
+    ),
+    "repro.analysis.sanitizer": (
+        "InvariantViolation", "Sanitizer", "get_sanitizer", "sanitized",
+    ),
+})

@@ -9,18 +9,10 @@ schedulers, trackers, and metrics for one simulated cluster, and exposes
 including the paper's six-region EC2 deployment (Fig. 6).
 """
 
-from repro.cluster.builder import ClusterSpec, build_topology, ec2_six_region_spec
-from repro.cluster.context import ClusterContext, JobHandle
-from repro.cluster.broadcast import Broadcast, install_broadcast_support
+from repro import lazy_exports
 
-# Broadcast variables (context.broadcast / rdd.map_with_broadcast).
-install_broadcast_support()
-
-__all__ = [
-    "ClusterSpec",
-    "build_topology",
-    "ec2_six_region_spec",
-    "ClusterContext",
-    "JobHandle",
-    "Broadcast",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.cluster.builder": ("ClusterSpec", "build_topology", "ec2_six_region_spec"),
+    "repro.cluster.context": ("ClusterContext", "JobHandle"),
+    "repro.cluster.broadcast": ("Broadcast",),
+})

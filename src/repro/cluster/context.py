@@ -361,3 +361,11 @@ class JobHandle:
     @property
     def duration(self) -> float:
         return self.metrics.job.duration
+
+
+# Broadcast variables (context.broadcast / rdd.map_with_broadcast) come
+# with the context itself, however it was imported: the package
+# __init__ exports lazily and runs nothing.
+from repro.cluster.broadcast import install_broadcast_support  # noqa: E402
+
+install_broadcast_support()

@@ -10,11 +10,30 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
-from repro.network.jitter import JitterSpec
+from repro.network.topology import MBPS
 from repro.storage.disk import DiskModel
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.failures.chaos import ChaosSchedule
+
+
+@dataclass(frozen=True)
+class JitterSpec:
+    """Parameters of the WAN bandwidth fluctuation process."""
+
+    low: float = 80 * MBPS
+    high: float = 300 * MBPS
+    period: float = 5.0
+    # Fraction of the [low, high] span a single step may move.
+    max_step_fraction: float = 0.35
+
+    def validate(self) -> None:
+        if self.low <= 0 or self.high <= self.low:
+            raise ValueError("jitter requires 0 < low < high")
+        if self.period <= 0:
+            raise ValueError("jitter period must be positive")
+        if not 0 < self.max_step_fraction <= 1:
+            raise ValueError("max_step_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True)

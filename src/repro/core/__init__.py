@@ -15,24 +15,15 @@ The user-facing ``transfer_to()`` transformation itself lives on
 :class:`~repro.rdd.rdd.RDD`; this package hosts the decision logic.
 """
 
-from repro.core.analysis import (
-    cross_dc_traffic_lower_bound,
-    optimal_reducer_datacenter,
-    reducer_fetch_volume,
-    total_fetch_volume,
-)
-from repro.core.aggregation import (
-    select_aggregator_datacenters,
-    stage_input_bytes_by_datacenter,
-)
-from repro.core.transfer_injection import insert_transfers
+from repro import lazy_exports
 
-__all__ = [
-    "reducer_fetch_volume",
-    "total_fetch_volume",
-    "cross_dc_traffic_lower_bound",
-    "optimal_reducer_datacenter",
-    "stage_input_bytes_by_datacenter",
-    "select_aggregator_datacenters",
-    "insert_transfers",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.core.analysis": (
+        "cross_dc_traffic_lower_bound", "optimal_reducer_datacenter",
+        "reducer_fetch_volume", "total_fetch_volume",
+    ),
+    "repro.core.aggregation": (
+        "select_aggregator_datacenters", "stage_input_bytes_by_datacenter",
+    ),
+    "repro.core.transfer_injection": ("insert_transfers",),
+})

@@ -143,3 +143,14 @@ class ConfigurationError(ReproError):
 
 class WorkloadError(ReproError):
     """Raised when a workload specification is invalid."""
+
+
+def parse_token(convert, token: str, error, message: str):
+    """``convert(token)``, or ``error(message)`` if it is not one.
+
+    How every spec grammar (chaos, random-schedule, arrival, tenant)
+    names the token it could not read: ``message`` quotes it."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise error(message) from None

@@ -16,42 +16,18 @@ tables and figures.
   examples on the raw network fabric.
 """
 
-from repro.experiments.schemes import (
-    PAPER_SCHEMES,
-    SCHEME_REGISTRY,
-    Scheme,
-    SchemeSpec,
-    all_schemes,
-    config_for_scheme,
-    scheme_spec,
-)
-from repro.experiments.runner import (
-    ExperimentPlan,
-    RunResult,
-    run_matrix,
-    run_workload_once,
-)
-from repro.experiments.figures import (
-    fig7_job_completion_times,
-    fig8_cross_dc_traffic,
-    fig9_stage_breakdown,
-    headline_numbers,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "PAPER_SCHEMES",
-    "SCHEME_REGISTRY",
-    "Scheme",
-    "SchemeSpec",
-    "all_schemes",
-    "scheme_spec",
-    "config_for_scheme",
-    "ExperimentPlan",
-    "RunResult",
-    "run_workload_once",
-    "run_matrix",
-    "fig7_job_completion_times",
-    "fig8_cross_dc_traffic",
-    "fig9_stage_breakdown",
-    "headline_numbers",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.experiments.schemes": (
+        "PAPER_SCHEMES", "SCHEME_REGISTRY", "Scheme", "SchemeSpec", "all_schemes",
+        "config_for_scheme", "scheme_spec",
+    ),
+    "repro.experiments.runner": (
+        "ExperimentPlan", "RunResult", "run_matrix", "run_workload_once",
+    ),
+    "repro.experiments.figures": (
+        "fig7_job_completion_times", "fig8_cross_dc_traffic", "fig9_stage_breakdown",
+        "headline_numbers",
+    ),
+})

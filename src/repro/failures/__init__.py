@@ -1,44 +1,17 @@
 """Failure, straggler, and chaos injection (paper Fig. 2 / §II-B)."""
 
-from repro.failures.campaign import (
-    CampaignConfig,
-    CampaignReport,
-    run_campaign,
-)
-from repro.failures.chaos import ChaosEvent, ChaosInjector, ChaosSchedule
-from repro.failures.grammar import (
-    ChaosUniverse,
-    GrammarConfig,
-    random_schedule,
-    schedule_to_specs,
-)
-from repro.failures.health import (
-    BlacklistTracker,
-    LinkHealthMonitor,
-    flow_deadline,
-    transfer_with_retry,
-)
-from repro.failures.injector import FailureInjector
-from repro.failures.minimize import MinimizationResult, minimize_schedule
-from repro.failures.stragglers import StragglerModel
+from repro import lazy_exports
 
-__all__ = [
-    "BlacklistTracker",
-    "CampaignConfig",
-    "CampaignReport",
-    "ChaosEvent",
-    "ChaosInjector",
-    "ChaosSchedule",
-    "ChaosUniverse",
-    "FailureInjector",
-    "GrammarConfig",
-    "LinkHealthMonitor",
-    "MinimizationResult",
-    "StragglerModel",
-    "flow_deadline",
-    "minimize_schedule",
-    "random_schedule",
-    "run_campaign",
-    "schedule_to_specs",
-    "transfer_with_retry",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.failures.campaign": ("CampaignConfig", "CampaignReport", "run_campaign"),
+    "repro.failures.chaos": ("ChaosEvent", "ChaosInjector", "ChaosSchedule"),
+    "repro.failures.grammar": (
+        "ChaosUniverse", "GrammarConfig", "random_schedule", "schedule_to_specs",
+    ),
+    "repro.failures.health": (
+        "BlacklistTracker", "LinkHealthMonitor", "flow_deadline", "transfer_with_retry",
+    ),
+    "repro.failures.injector": ("FailureInjector",),
+    "repro.failures.minimize": ("MinimizationResult", "minimize_schedule"),
+    "repro.failures.stragglers": ("StragglerModel",),
+})

@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, NoRouteError
+from repro.errors import ConfigurationError, NoRouteError, parse_token
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
@@ -284,12 +284,12 @@ class ChaosSchedule:
 
 
 def _parse_number(spec: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"bad chaos spec {spec!r}: {text!r} is not a number"
-        ) from None
+    return parse_token(
+        float,
+        text,
+        ConfigurationError,
+        f"bad chaos spec {spec!r}: {text!r} is not a number",
+    )
 
 
 def _format_number(value: float) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError, NoRouteError
+from repro.errors import ConfigurationError, NoRouteError, parse_token
 from repro.failures.chaos import ChaosEvent, ChaosSchedule
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -255,18 +255,15 @@ def parse_random_token(token: str) -> Tuple[int, int]:
         raise ConfigurationError(
             f"bad chaos spec {token!r}: expected 'random:<n>@<seed>'"
         )
-    try:
-        events = int(count_part)
-    except ValueError:
-        raise ConfigurationError(
-            f"bad chaos spec {token!r}: {count_part!r} is not an integer"
-        ) from None
-    try:
-        seed = int(seed_part)
-    except ValueError:
-        raise ConfigurationError(
-            f"bad chaos spec {token!r}: {seed_part!r} is not an integer"
-        ) from None
+    events, seed = (
+        parse_token(
+            int,
+            part,
+            ConfigurationError,
+            f"bad chaos spec {token!r}: {part!r} is not an integer",
+        )
+        for part in (count_part, seed_part)
+    )
     if events < 1:
         raise ConfigurationError(
             f"bad chaos spec {token!r}: event count must be >= 1"

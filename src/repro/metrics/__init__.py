@@ -10,30 +10,14 @@
   own hot path (solver invocations, flows touched, wall time).
 """
 
-from repro.metrics.collectors import (
-    JobMetrics,
-    MetricsCollector,
-    StageSpan,
-    TaskSpan,
-)
-from repro.metrics.perf import FabricPerfCounters
-from repro.metrics.stats import (
-    interquartile_range,
-    median,
-    summarize,
-    trimmed_mean,
-    SummaryStats,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "FabricPerfCounters",
-    "JobMetrics",
-    "MetricsCollector",
-    "StageSpan",
-    "TaskSpan",
-    "trimmed_mean",
-    "median",
-    "interquartile_range",
-    "summarize",
-    "SummaryStats",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.metrics.collectors": (
+        "JobMetrics", "MetricsCollector", "StageSpan", "TaskSpan",
+    ),
+    "repro.metrics.perf": ("FabricPerfCounters",),
+    "repro.metrics.stats": (
+        "interquartile_range", "median", "summarize", "trimmed_mean", "SummaryStats",
+    ),
+})

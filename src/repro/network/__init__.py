@@ -15,24 +15,13 @@ Cross-datacenter traffic accounting (Fig. 8 of the paper) lives in
 fluctuation of §V-A lives in :mod:`repro.network.jitter`.
 """
 
-from repro.network.topology import Datacenter, Host, Link, Topology
-from repro.network.fair_share import max_min_fair_rates, verify_allocation
-from repro.network.fabric import Flow, NetworkFabric
-from repro.network.incremental import IncrementalFairShare
-from repro.network.jitter import BandwidthJitter, JitterSpec
-from repro.network.traffic_monitor import TrafficMonitor
+from repro import lazy_exports
 
-__all__ = [
-    "Datacenter",
-    "Host",
-    "Link",
-    "Topology",
-    "max_min_fair_rates",
-    "verify_allocation",
-    "Flow",
-    "NetworkFabric",
-    "IncrementalFairShare",
-    "BandwidthJitter",
-    "JitterSpec",
-    "TrafficMonitor",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.network.topology": ("Datacenter", "Host", "Link", "Topology"),
+    "repro.network.fair_share": ("max_min_fair_rates", "verify_allocation"),
+    "repro.network.fabric": ("Flow", "NetworkFabric"),
+    "repro.network.incremental": ("IncrementalFairShare",),
+    "repro.network.jitter": ("BandwidthJitter", "JitterSpec"),
+    "repro.network.traffic_monitor": ("TrafficMonitor",),
+})

@@ -13,20 +13,27 @@ re-solves; a perturbation invalidates the affected plans (lazily
 cancelling their timers) and replays them up to *now* to recover each
 member's exact remaining bytes before re-planning.
 
-Three plan shapes, chosen by :func:`build_plan` and by nothing else:
+Two cascades, each in an array and a scalar shape, chosen by
+:func:`build_plan` and by nothing else; the array shapes live in
+:mod:`repro.network.cascade_vector`, which — with numpy — is imported
+by the first component that needs one:
 
-* :class:`UniformPlan` — when every flow in the component has the same
-  route signature (the dominant shuffle pattern: a burst of fetches
-  between one host pair), the whole cascade collapses to a cumulative
-  sum over the size-sorted remaining bytes: with ``k`` flows left the
-  shared rate is ``min(C*/k, cap)`` where
+* :class:`~repro.network.cascade_vector.UniformPlan` — when every flow
+  in the component has the same route signature (the dominant shuffle
+  pattern: a burst of fetches between one host pair), the whole cascade
+  collapses to a cumulative sum over the size-sorted remaining bytes:
+  with ``k`` flows left the shared rate is ``min(C*/k, cap)`` where
   ``C* = min_j capacity_j / multiplicity_j`` over the shared route, so
   each departure gap costs ``(e_i - e_{i-1}) / rate(k)`` seconds.
   Because every alive flow always runs at the same rate, the plan
   stores only 1-D per-segment arrays — no per-flow rate matrix at all,
   and the whole schedule is solved at construction;
-* :class:`GeneralPlan` — one :func:`~repro.network.vector_solver.
-  progressive_fill` per departure round on the component's CSR arrays.
+* :class:`ScalarUniformPlan` — the same closed form in floats and
+  lists, for uniform components of at most :data:`SCALAR_MAX_FLOWS`
+  flows (most of a chaos campaign's and a job stream's);
+* :class:`~repro.network.cascade_vector.GeneralPlan` — one
+  :func:`~repro.network.vector_solver.progressive_fill` per departure
+  round on the component's CSR arrays.
   A fill per *future* departure is wasted when the next perturbation
   kills the plan after a handful of them, so the plan is **resumable**
   (:class:`ResumablePlan`): it keeps the solver state and solves
@@ -37,8 +44,10 @@ Three plan shapes, chosen by :func:`build_plan` and by nothing else:
   operation, in plain Python floats and lists, for components of at
   most :data:`SCALAR_MAX_FLOWS` flows.  A general plan costs ~100 numpy
   dispatches however few flows it has, and a job stream's or a chaos
-  campaign's components have four to sixteen; the two shapes agree with
-  ``==``, so which one ran is not observable in simulated results.
+  campaign's components have four to sixteen.
+
+A scalar shape agrees with its array shape with ``==``, so which one
+ran is not observable in simulated results.
 
 Replay is exact: each plan keeps the cumulative bytes delivered at
 every segment boundary, so ``remaining_at(pos, t)`` is one bisection
@@ -52,9 +61,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.network.vector_solver import _EPSILON, build_csr, progressive_fill
+from repro.network.fair_share import _EPSILON
 
 # Departures within this relative window collapse into one segment (and
 # one timer); keeps float noise from splitting simultaneous drains.
@@ -147,36 +154,20 @@ class CascadePlan:
         ]
 
 
-class UniformPlan(CascadePlan):
-    """Closed-form cascade for identical-route components.
+class _UniformReplay(CascadePlan):
+    """Replay of a closed-form cascade for identical-route components.
 
     All alive members share one rate per segment, so replay state is
-    three 1-D arrays: segment bounds, segment rates, and the common
-    cumulative bytes delivered at each boundary.
+    three 1-D sequences: segment bounds, segment rates, and the common
+    cumulative bytes delivered at each boundary.  Members sit in
+    departure (size) order, so every departure batch is a contiguous
+    position range.  A subclass solves the whole schedule at
+    construction — in lists (:class:`ScalarUniformPlan`) or arrays
+    (:class:`~repro.network.cascade_vector.UniformPlan`).
     """
 
     __slots__ = ("seg_rates", "_cum")
     shape = "uniform"
-
-    def __init__(
-        self,
-        flow_ids: List[int],
-        base: float,
-        init_remaining: np.ndarray,
-        bounds: np.ndarray,
-        seg_rates: np.ndarray,
-        departs: List[List[int]],
-    ) -> None:
-        super().__init__(
-            flow_ids, base, init_remaining, bounds.tolist(), departs
-        )
-        self.seg_rates = seg_rates
-        # _cum[k]: bytes every still-alive member has delivered by the
-        # time segment k starts.
-        cum = np.empty(len(bounds))
-        cum[0] = 0.0
-        np.cumsum(seg_rates * np.diff(bounds), out=cum[1:])
-        self._cum = cum
 
     def _delivered(self, offset: float) -> Tuple[int, float]:
         k = self._segment(offset)
@@ -193,18 +184,83 @@ class UniformPlan(CascadePlan):
             return float(self.seg_rates[k])
         return 0.0
 
+    def initial_rate(self, pos: int) -> float:
+        return float(self.seg_rates[0])
+
+
+class ScalarUniformPlan(_UniformReplay):
+    """The closed form in plain floats and lists, for uniform components
+    of at most :data:`SCALAR_MAX_FLOWS` flows.
+
+    The array form's operations in its order — a stable sort, one
+    running ``+=`` per cumulative sum as ``np.cumsum`` does, the same
+    tie window — so the two agree with ``==``
+    (``tests/network/test_lazy_cascade.py``).
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        flow_ids: Sequence[int],
+        base: float,
+        remaining: List[float],
+        c_star: float,
+        cap: float,
+    ) -> None:
+        count = len(flow_ids)
+        order = sorted(range(count), key=remaining.__getitem__)
+        sizes = [remaining[index] for index in order]
+        # With k flows left the shared rate is min(C*/k, cap); stage i
+        # ends once its size gap has drained at that rate.
+        stage_rates = []
+        ends = []
+        end = previous = 0.0
+        for index, size in enumerate(sizes):
+            rate = c_star / (count - index)
+            if cap < rate:
+                rate = cap
+            end += (size - previous) / rate
+            previous = size
+            stage_rates.append(rate)
+            ends.append(end)
+        # Stages whose departure instants coincide (within the tie
+        # window) share one segment.
+        bounds = [0.0]
+        seg_rates = []
+        departs = []
+        cum = [0.0]
+        delivered = 0.0
+        start = 0
+        for stop, end in enumerate(ends):
+            if stop + 1 < count:
+                later = ends[stop + 1]
+                if not later - end > _TIE * (later if later > 1.0 else 1.0):
+                    continue
+            delivered += stage_rates[start] * (end - bounds[-1])
+            cum.append(delivered)
+            bounds.append(end)
+            seg_rates.append(stage_rates[start])
+            departs.append(list(range(start, stop + 1)))
+            start = stop + 1
+        super().__init__(
+            [flow_ids[index] for index in order], base, sizes, bounds, departs
+        )
+        self.seg_rates = seg_rates
+        self._cum = cum
+
     def state_at(self, now: float) -> Tuple[List[float], List[float]]:
         """``remaining_at`` and ``rate_at`` of every position at once."""
         k, delivered = self._delivered(now - self.base)
-        remaining = self.init_remaining - delivered
-        draining = remaining > 0.0
-        return (
-            np.where(draining, remaining, 0.0).tolist(),
-            np.where(draining, self.seg_rates[k], 0.0).tolist(),
-        )
-
-    def initial_rate(self, pos: int) -> float:
-        return float(self.seg_rates[0])
+        rate = self.seg_rates[k]
+        remaining = [0.0] * len(self.init_remaining)
+        rates = list(remaining)
+        for pos, start in enumerate(self.init_remaining):
+            left = start - delivered
+            if left > 0.0:
+                remaining[pos] = left
+                rates[pos] = rate
+        return remaining, rates
 
 
 class ResumablePlan(CascadePlan):
@@ -269,84 +325,6 @@ class ResumablePlan(CascadePlan):
 
     def initial_rate(self, pos: int) -> float:
         return float(self.rates[0][pos])
-
-
-class GeneralPlan(ResumablePlan):
-    """The vector shape: one
-    :func:`~repro.network.vector_solver.progressive_fill` per segment
-    over the component's CSR arrays."""
-
-    __slots__ = (
-        "_csr",
-        "_capacities",
-        "_weights",
-        "_active",
-        "_live_remaining",
-    )
-    shape = "vector"
-
-    def __init__(
-        self,
-        flow_ids: List[int],
-        base: float,
-        init_remaining: np.ndarray,
-        routes: Sequence[Sequence[int]],
-        capacities: np.ndarray,
-        weights: Optional[np.ndarray] = None,
-    ) -> None:
-        super().__init__(flow_ids, base, init_remaining, [0.0], [])
-        self.rates: List[np.ndarray] = []
-        self._cum: List[np.ndarray] = [np.zeros(len(flow_ids))]
-        self._csr = build_csr(routes)
-        self._capacities = capacities
-        self._weights = weights
-        self._active = np.ones(len(flow_ids), dtype=bool)
-        self._live_remaining = init_remaining.copy()
-        self._begin()
-
-    def _advance(self) -> None:
-        indices, indptr, flow_of_entry = self._csr
-        active = self._active
-        live_remaining = self._live_remaining
-        rates = progressive_fill(
-            indices,
-            indptr,
-            flow_of_entry,
-            self._capacities,
-            active,
-            weights=self._weights,
-        )
-        step = np.full(len(active), np.inf)
-        step[active] = live_remaining[active] / rates[active]
-        shortest = float(step.min())
-        departing = active & (step <= shortest * (1.0 + _TIE))
-        self._elapsed += shortest
-        live_remaining -= rates * shortest
-        np.clip(live_remaining, 0.0, None, out=live_remaining)
-        live_remaining[departing] = 0.0
-        self._cum.append(
-            self._cum[-1] + rates * (self._elapsed - self.bounds[-1])
-        )
-        self.rates.append(rates)
-        self.bounds.append(self._elapsed)
-        self.departs.append(np.flatnonzero(departing).tolist())
-        active &= ~departing
-        self.complete = not active.any()
-
-    def state_at(self, now: float) -> Tuple[List[float], List[float]]:
-        """``remaining_at`` and ``rate_at`` of every position at once."""
-        offset = now - self.base
-        k = self._segment(offset)
-        rates = self.rates[k]
-        remaining = (
-            self.init_remaining
-            - self._cum[k]
-            - rates * (offset - self.bounds[k])
-        )
-        return (
-            np.where(remaining > 0.0, remaining, 0.0).tolist(),
-            rates.tolist(),
-        )
 
 
 class ScalarPlan(ResumablePlan):
@@ -496,36 +474,6 @@ class ScalarPlan(ResumablePlan):
         return remaining, list(rates)
 
 
-# ----------------------------------------------------------------------
-# Schedule builders
-# ----------------------------------------------------------------------
-def _uniform_schedule(
-    sorted_remaining: np.ndarray, c_star: float, cap: float
-) -> Tuple[np.ndarray, np.ndarray, List[List[int]]]:
-    """Closed-form cascade over size-sorted remaining bytes."""
-    count = len(sorted_remaining)
-    gaps = sorted_remaining.copy()
-    gaps[1:] -= sorted_remaining[:-1]
-    alive = count - np.arange(count)
-    stage_rates = np.minimum(c_star / alive, cap)
-    ends = np.cumsum(gaps / stage_rates)
-    # Group stages whose departure instants coincide (within the tie
-    # window) into single segments.
-    later = ends[1:]
-    breaks = np.flatnonzero(
-        later - ends[:-1] > _TIE * np.maximum(1.0, later)
-    ).tolist()
-    starts = [0] + [index + 1 for index in breaks]
-    stops = breaks + [count - 1]
-    bounds = np.empty(len(stops) + 1)
-    bounds[0] = 0.0
-    bounds[1:] = ends[stops]
-    departs = [
-        list(range(start, stop + 1)) for start, stop in zip(starts, stops)
-    ]
-    return bounds, stage_rates[starts], departs
-
-
 def build_plan(
     flow_ids: Sequence[int],
     remaining: List[float],
@@ -573,18 +521,10 @@ def build_plan(
         c_star = min(
             capacities[name] / times for name, times in multiplicity.items()
         )
-        # Reorder members into departure (size) order so every
-        # departure batch is a contiguous position range.
-        init_remaining = np.asarray(remaining, dtype=float)
-        order = np.argsort(init_remaining, kind="stable")
-        sorted_remaining = init_remaining[order]
-        members = [flow_ids[index] for index in order.tolist()]
-        bounds, seg_rates, departs = _uniform_schedule(
-            sorted_remaining, c_star, cap0
-        )
-        return UniformPlan(
-            members, base, sorted_remaining, bounds, seg_rates, departs
-        )
+        if count <= SCALAR_MAX_FLOWS:
+            return ScalarUniformPlan(flow_ids, base, remaining, c_star, cap0)
+        vector = _vector or _load_vector()
+        return vector.UniformPlan(flow_ids, base, remaining, c_star, cap0)
     # Links become dense indices in first-appearance order; a private
     # cap is one more link that only its own flow crosses.
     interned: Dict[str, int] = {}
@@ -606,11 +546,28 @@ def build_plan(
         return ScalarPlan(
             list(flow_ids), base, remaining, routes, link_caps, weight_list
         )
-    return GeneralPlan(
-        list(flow_ids),
-        base,
-        np.asarray(remaining, dtype=float),
-        routes,
-        np.asarray(link_caps),
-        None if weight_list is None else np.asarray(weight_list),
+    vector = _vector or _load_vector()
+    return vector.GeneralPlan(
+        list(flow_ids), base, remaining, routes, link_caps, weight_list
     )
+
+
+# :mod:`repro.network.cascade_vector`, imported by the first component
+# of more than SCALAR_MAX_FLOWS flows (or the first read of one of its
+# names from this module) and by nothing before: a process whose
+# components all stay scalar never loads numpy.
+_vector = None
+
+
+def _load_vector():
+    global _vector
+    from repro.network import cascade_vector
+
+    _vector = cascade_vector
+    return cascade_vector
+
+
+def __getattr__(name: str):
+    if name in ("UniformPlan", "GeneralPlan"):
+        return getattr(_vector or _load_vector(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

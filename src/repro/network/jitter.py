@@ -11,32 +11,13 @@ variance in Fig. 7 while staying simple and fully seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.config import JitterSpec
 from repro.network.fabric import NetworkFabric
-from repro.network.topology import MBPS, PARTITION_CAPACITY_FLOOR, Link
+from repro.network.topology import PARTITION_CAPACITY_FLOOR, Link
 from repro.simulation.kernel import Simulator
 from repro.simulation.random_source import RandomSource
-
-
-@dataclass(frozen=True)
-class JitterSpec:
-    """Parameters of the WAN bandwidth fluctuation process."""
-
-    low: float = 80 * MBPS
-    high: float = 300 * MBPS
-    period: float = 5.0
-    # Fraction of the [low, high] span a single step may move.
-    max_step_fraction: float = 0.35
-
-    def validate(self) -> None:
-        if self.low <= 0 or self.high <= self.low:
-            raise ValueError("jitter requires 0 < low < high")
-        if self.period <= 0:
-            raise ValueError("jitter period must be positive")
-        if not 0 < self.max_step_fraction <= 1:
-            raise ValueError("max_step_fraction must be in (0, 1]")
 
 
 class BandwidthJitter:

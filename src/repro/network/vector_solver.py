@@ -30,8 +30,9 @@ from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Same tolerance family as the scalar solver.
-_EPSILON = 1e-12
+# One saturation tolerance for the scalar solver, this one and
+# cascade.ScalarPlan, which must agree float for float.
+from repro.network.fair_share import _EPSILON
 
 
 def progressive_fill(

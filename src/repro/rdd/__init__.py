@@ -17,53 +17,20 @@ Execution is *not* here: the DAG/task schedulers in
 :mod:`repro.scheduler` walk the lineage and run tasks on the simulator.
 """
 
-from repro.rdd.partitioner import HashPartitioner, Partitioner, RangePartitioner
-from repro.rdd.size_estimator import SizeEstimator
-from repro.rdd.dependencies import (
-    Dependency,
-    NarrowDependency,
-    RangeDependency,
-    ShuffleDependency,
-    TransferDependency,
-)
-from repro.rdd.aggregator import Aggregator
-from repro.rdd.rdd import (
-    RDD,
-    HadoopRDD,
-    MappedRDD,
-    FlatMappedRDD,
-    FilteredRDD,
-    MapPartitionsRDD,
-    UnionRDD,
-)
-from repro.rdd.shuffled import CoGroupedRDD, ShuffledRDD
-from repro.rdd.transferred import TransferredRDD
-from repro.rdd.extra_ops import install_extra_ops
+from repro import lazy_exports
 
-# Extended Spark-style operations (coalesce, sample, aggregate_by_key,
-# combine_by_key, count_by_key, reduce, take, first, sort_by,
-# zip_with_index) are attached to RDD here.
-install_extra_ops()
-
-__all__ = [
-    "Partitioner",
-    "HashPartitioner",
-    "RangePartitioner",
-    "SizeEstimator",
-    "Dependency",
-    "NarrowDependency",
-    "RangeDependency",
-    "ShuffleDependency",
-    "TransferDependency",
-    "Aggregator",
-    "RDD",
-    "HadoopRDD",
-    "MappedRDD",
-    "FlatMappedRDD",
-    "FilteredRDD",
-    "MapPartitionsRDD",
-    "UnionRDD",
-    "ShuffledRDD",
-    "CoGroupedRDD",
-    "TransferredRDD",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.rdd.partitioner": ("Partitioner", "HashPartitioner", "RangePartitioner"),
+    "repro.rdd.size_estimator": ("SizeEstimator",),
+    "repro.rdd.dependencies": (
+        "Dependency", "NarrowDependency", "RangeDependency", "ShuffleDependency",
+        "TransferDependency",
+    ),
+    "repro.rdd.aggregator": ("Aggregator",),
+    "repro.rdd.rdd": (
+        "RDD", "HadoopRDD", "MappedRDD", "FlatMappedRDD", "FilteredRDD",
+        "MapPartitionsRDD", "UnionRDD",
+    ),
+    "repro.rdd.shuffled": ("ShuffledRDD", "CoGroupedRDD"),
+    "repro.rdd.transferred": ("TransferredRDD",),
+})

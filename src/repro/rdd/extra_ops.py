@@ -4,7 +4,7 @@ These mirror the corresponding Spark operations and are implemented in
 terms of the primitive transformations, so they inherit the shuffle
 mechanism (fetch or push) transparently.  They are attached to
 :class:`~repro.rdd.rdd.RDD` at import time by :func:`install_extra_ops`
-(called from ``repro.rdd``), keeping the core class focused on the
+(called from ``repro.rdd.rdd``), keeping the core class focused on the
 paper's machinery.
 """
 

@@ -15,18 +15,11 @@
   resolves aggregator datacenters, collects results.
 """
 
-from repro.scheduler.stage import Stage, StageKind, build_stages
-from repro.scheduler.task import Task, TaskResult
-from repro.scheduler.task_scheduler import Executor, TaskScheduler
-from repro.scheduler.dag_scheduler import DAGScheduler
+from repro import lazy_exports
 
-__all__ = [
-    "Stage",
-    "StageKind",
-    "build_stages",
-    "Task",
-    "TaskResult",
-    "Executor",
-    "TaskScheduler",
-    "DAGScheduler",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.scheduler.stage": ("Stage", "StageKind", "build_stages"),
+    "repro.scheduler.task": ("Task", "TaskResult"),
+    "repro.scheduler.task_scheduler": ("Executor", "TaskScheduler"),
+    "repro.scheduler.dag_scheduler": ("DAGScheduler",),
+})

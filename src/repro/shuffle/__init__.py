@@ -17,16 +17,10 @@
   staged at their origin host, waiting for a receiver task to pull them.
 """
 
-from repro.shuffle.map_output_tracker import MapOutputTracker, MapStatus
-from repro.shuffle.service import ShuffleBackend, ShuffleService
-from repro.shuffle.stores import ShuffleStore, TransferTracker, StagedPartition
+from repro import lazy_exports
 
-__all__ = [
-    "MapOutputTracker",
-    "MapStatus",
-    "ShuffleBackend",
-    "ShuffleService",
-    "ShuffleStore",
-    "TransferTracker",
-    "StagedPartition",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.shuffle.map_output_tracker": ("MapOutputTracker", "MapStatus"),
+    "repro.shuffle.service": ("ShuffleBackend", "ShuffleService"),
+    "repro.shuffle.stores": ("ShuffleStore", "TransferTracker", "StagedPartition"),
+})

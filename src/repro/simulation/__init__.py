@@ -19,19 +19,11 @@ Typical usage::
     sim.run()
 """
 
-from repro.simulation.event import Event, Timeout, AllOf, AnyOf
-from repro.simulation.kernel import Simulator, Process
-from repro.simulation.random_source import RandomSource
-from repro.simulation.resources import Resource, Store
+from repro import lazy_exports
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Simulator",
-    "Process",
-    "RandomSource",
-    "Resource",
-    "Store",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.simulation.event": ("Event", "Timeout", "AllOf", "AnyOf"),
+    "repro.simulation.kernel": ("Simulator", "Process"),
+    "repro.simulation.random_source": ("RandomSource",),
+    "repro.simulation.resources": ("Resource", "Store"),
+})

@@ -10,20 +10,13 @@ The namenode is pure metadata; actual record payloads live in
 read genuine data while the simulation charges genuine time.
 """
 
-from repro.storage.blob import BlobObject, BlobStore
-from repro.storage.block import Block, BlockId
-from repro.storage.datanode import DataNode
-from repro.storage.namenode import NameNode
-from repro.storage.disk import DiskModel
-from repro.storage.hdfs import DistributedFileSystem
+from repro import lazy_exports
 
-__all__ = [
-    "BlobObject",
-    "BlobStore",
-    "Block",
-    "BlockId",
-    "DataNode",
-    "NameNode",
-    "DiskModel",
-    "DistributedFileSystem",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.storage.blob": ("BlobObject", "BlobStore"),
+    "repro.storage.block": ("Block", "BlockId"),
+    "repro.storage.datanode": ("DataNode",),
+    "repro.storage.namenode": ("NameNode",),
+    "repro.storage.disk": ("DiskModel",),
+    "repro.storage.hdfs": ("DistributedFileSystem",),
+})

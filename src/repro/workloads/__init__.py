@@ -6,69 +6,22 @@ a bloating map — the paper's §V-B anomaly), PageRank (iterative joins
 over cached links), and NaiveBayes (two chained shuffles).
 """
 
-from repro.workloads.base import Workload, add_weighted, merge_counts
-from repro.workloads.naive_bayes import NaiveBayes
-from repro.workloads.pagerank import PageRank
-from repro.workloads.sort import Sort
-from repro.workloads.specs import (
-    ALL_SPECS,
-    NAIVE_BAYES,
-    PAGERANK,
-    PAGERANK_ITERATIONS,
-    SORT,
-    TERASORT,
-    TERASORT_BLOAT_FACTOR,
-    WORDCOUNT,
-    WorkloadSpec,
-    spec_by_name,
-)
-from repro.workloads.terasort import TeraSort
-from repro.workloads.extensions import (
-    JOIN_SPEC,
-    KMEANS_SPEC,
-    JoinAggregate,
-    KMeans,
-)
-from repro.workloads.text_gen import TextGenerator
-from repro.workloads.wordcount import WordCount
+from repro import lazy_exports
 
-
-def all_workloads():
-    """Fresh instances of the five Table I workloads, paper order."""
-    return [WordCount(), Sort(), TeraSort(), PageRank(), NaiveBayes()]
-
-
-def workload_by_name(name: str) -> Workload:
-    for workload in all_workloads():
-        if workload.name.lower() == name.lower():
-            return workload
-    raise KeyError(f"unknown workload {name!r}")
-
-
-__all__ = [
-    "Workload",
-    "merge_counts",
-    "add_weighted",
-    "WordCount",
-    "Sort",
-    "TeraSort",
-    "PageRank",
-    "NaiveBayes",
-    "TextGenerator",
-    "WorkloadSpec",
-    "spec_by_name",
-    "ALL_SPECS",
-    "WORDCOUNT",
-    "SORT",
-    "TERASORT",
-    "TERASORT_BLOAT_FACTOR",
-    "PAGERANK",
-    "PAGERANK_ITERATIONS",
-    "NAIVE_BAYES",
-    "all_workloads",
-    "workload_by_name",
-    "KMeans",
-    "JoinAggregate",
-    "KMEANS_SPEC",
-    "JOIN_SPEC",
-]
+__getattr__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.base": ("Workload", "merge_counts", "add_weighted"),
+    "repro.workloads.wordcount": ("WordCount",),
+    "repro.workloads.sort": ("Sort",),
+    "repro.workloads.terasort": ("TeraSort",),
+    "repro.workloads.pagerank": ("PageRank",),
+    "repro.workloads.naive_bayes": ("NaiveBayes",),
+    "repro.workloads.text_gen": ("TextGenerator",),
+    "repro.workloads.specs": (
+        "WorkloadSpec", "spec_by_name", "ALL_SPECS", "WORDCOUNT", "SORT", "TERASORT",
+        "TERASORT_BLOAT_FACTOR", "PAGERANK", "PAGERANK_ITERATIONS", "NAIVE_BAYES",
+    ),
+    "repro.workloads.catalog": ("all_workloads", "workload_by_name"),
+    "repro.workloads.extensions": (
+        "KMeans", "JoinAggregate", "KMEANS_SPEC", "JOIN_SPEC",
+    ),
+})

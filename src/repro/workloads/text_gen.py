@@ -4,25 +4,37 @@ Stands in for HiBench's RandomTextWriter.  A *document* is a bag of
 word-bucket counts: the vocabulary is bucketised (one simulated bucket
 represents ``words_per_bucket`` real words), sampled with a Zipf law so
 bucket popularity is realistically skewed, and drawn with numpy's
-multinomial for speed.
+multinomial for speed.  numpy is imported when the first generator
+works out its probabilities — by a process that generates a text
+dataset, not by one that only names a text workload.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from repro.simulation.random_source import RandomSource
 
 # Approximate serialized bytes of one real (word, count) entry.
 REAL_ENTRY_BYTES = 39.0
 
+# numpy, once a generator has needed it (see the module docstring).
+_np = None
 
-def zipf_probabilities(vocabulary_size: int, exponent: float = 1.1) -> np.ndarray:
-    """Normalised Zipf weights over a finite vocabulary."""
+
+def _numpy():
+    global _np
+    import numpy
+
+    _np = numpy
+    return numpy
+
+
+def zipf_probabilities(vocabulary_size: int, exponent: float = 1.1):
+    """Normalised Zipf weights over a finite vocabulary (an array)."""
     if vocabulary_size < 1:
         raise ValueError("vocabulary_size must be >= 1")
+    np = _np or _numpy()
     ranks = np.arange(1, vocabulary_size + 1, dtype=float)
     weights = ranks ** (-exponent)
     return weights / weights.sum()
@@ -45,7 +57,17 @@ class TextGenerator:
         self.vocabulary_buckets = vocabulary_buckets
         self.words_per_bucket = words_per_bucket
         self.tokens_per_document = tokens_per_document
-        self.probabilities = zipf_probabilities(vocabulary_buckets, zipf_exponent)
+        self.zipf_exponent = zipf_exponent
+        self._probabilities = None
+
+    @property
+    def probabilities(self):
+        """Bucket popularities, worked out by the first document."""
+        if self._probabilities is None:
+            self._probabilities = zipf_probabilities(
+                self.vocabulary_buckets, self.zipf_exponent
+            )
+        return self._probabilities
 
     @property
     def bucket_bytes(self) -> float:
@@ -57,6 +79,7 @@ class TextGenerator:
 
     def document(self, randomness: RandomSource, stream: str) -> Dict[str, int]:
         """One document: bucket name -> token count (nonzero buckets only)."""
+        np = _np or _numpy()
         seed = randomness.stream(stream).getrandbits(32)
         # repro-lint: allow[DET001] rng is seeded from the named RandomSource stream; fully deterministic per (seed, stream)
         rng = np.random.default_rng(seed)

@@ -166,7 +166,21 @@ def checked_build_plan(*args, **kwargs) -> cascade.CascadePlan:
     """``build_plan``, asserting on the way that the component's scalar
     and vector shapes are the same schedule and the same replays."""
     plan = cascade.build_plan(*args, **kwargs)
-    if isinstance(plan, cascade.ResumablePlan) and len(plan.flow_ids) <= 64:
+    if plan.shape == "uniform":
+        vector = _solved_whole(0, args, kwargs)
+        scalar = _solved_whole(len(plan.flow_ids), args, kwargs)
+        assert type(vector) is cascade.UniformPlan
+        assert type(scalar) is cascade.ScalarUniformPlan
+        assert scalar.flow_ids == vector.flow_ids == plan.flow_ids
+        assert scalar.bounds == vector.bounds == plan.bounds
+        assert scalar.departs == vector.departs == plan.departs
+        assert scalar.seg_rates == vector.seg_rates.tolist()
+        assert scalar._cum == vector._cum.tolist()
+        last = scalar.bounds[-1]
+        for offset in (0.0, last / 3, scalar.bounds[1], last):
+            now = plan.base + offset
+            assert scalar.state_at(now) == vector.state_at(now)
+    elif len(plan.flow_ids) <= 64:
         vector = _solved_whole(0, args, kwargs)
         scalar = _solved_whole(len(plan.flow_ids), args, kwargs)
         assert type(vector) is cascade.GeneralPlan

@@ -6,6 +6,10 @@ numpy (``GeneralPlan``) or, for small components, in plain floats
 (``ScalarPlan``).  Either is only a saving if nothing simulated moves,
 so these tests pin:
 
+* the closed form of a same-route component in plain floats
+  (``ScalarUniformPlan``) equals the array one (``UniformPlan``) float
+  for float, and ``build_plan`` picks between them by size alone;
+
 * every prefix of a lazily extended plan of either shape equals the
   eager reference (``reference_cascade.py``) float for float — bounds,
   rate rows, cumulative bytes, departs and the replays built on them;
@@ -23,9 +27,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.network.cascade as cascade_module
+import repro.network.cascade_vector as cascade_vector
 import repro.network.fabric as fabric_module
 from repro.analysis.sanitizer import sanitized
-from repro.network.cascade import GeneralPlan, ScalarPlan
+from repro.network.cascade import ScalarPlan, ScalarUniformPlan, build_plan
+from repro.network.cascade_vector import GeneralPlan, UniformPlan
 from repro.network.fabric import NetworkFabric
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
@@ -164,6 +170,63 @@ def test_lazy_plan_prefixes_equal_eager_schedule(component):
         assert all(type(row) is list for row in lazy.departs)
     scalar = lazies[1]
     assert all(type(rate) is float for row in scalar.rates for rate in row)
+
+
+# ----------------------------------------------------------------------
+# (a') the scalar closed form is the array closed form
+# ----------------------------------------------------------------------
+@settings(max_examples=200, deadline=None)
+@given(
+    # Few distinct sizes: simultaneous departures (ties) are common, and
+    # 1e6 + 1e-7 lands two departures inside the tie window.
+    sizes=st.lists(
+        st.sampled_from([1e6, 1e6 + 1e-7, 2e6, 2e6, 5e6, 7.5e6, 3.3e7, 1e7 / 3]),
+        min_size=1,
+        max_size=40,
+    ),
+    c_star=st.floats(1e5, 1e9),
+    cap=st.sampled_from([float("inf"), 2.5e6, 1e8 / 3]),
+    base=st.sampled_from([0.0, 12.5, 1234.56789]),
+    weight=st.sampled_from([None, 1.0, 0.3, 2.9]),
+)
+def test_scalar_uniform_plan_equals_the_array_one(sizes, c_star, cap, base, weight):
+    count = len(sizes)
+    flow_ids = list(range(100, 100 + count))
+    scalar = ScalarUniformPlan(flow_ids, base, sizes, c_star, cap)
+    vector = UniformPlan(flow_ids, base, sizes, c_star, cap)
+    assert scalar.flow_ids == vector.flow_ids
+    assert scalar.pos_of == vector.pos_of
+    assert scalar.init_remaining == vector.init_remaining.tolist()
+    assert scalar.bounds == vector.bounds
+    assert scalar.departs == vector.departs
+    assert scalar.seg_rates == vector.seg_rates.tolist()
+    assert scalar._cum == vector._cum.tolist()
+    assert scalar.complete and scalar.horizon == vector.horizon
+    assert scalar.depart_times() == vector.depart_times()
+    assert all(type(x) is float for x in scalar.bounds + scalar.seg_rates + scalar._cum)
+    positions = range(count)
+    probes = {base, base + scalar.bounds[-1] * 1.5}
+    for left, right in zip(scalar.bounds, scalar.bounds[1:]):
+        probes.update((base + left, base + (left + right) / 2, base + right))
+    for now in sorted(probes):
+        assert scalar.state_at(now) == vector.state_at(now)
+        for pos in positions:
+            assert scalar.remaining_at(pos, now) == vector.remaining_at(pos, now)
+            assert scalar.rate_at(pos, now) == vector.rate_at(pos, now)
+            assert scalar.initial_rate(pos) == vector.initial_rate(pos)
+    # build_plan picks the shape by size alone, and equal non-unit
+    # weights keep a component uniform.
+    shared = [("up", "wan", "down")] * count
+    capacities = {"up": 3 * c_star, "wan": c_star, "down": 2 * c_star}
+    weights = None if weight is None else dict.fromkeys(flow_ids, weight)
+    built = build_plan(
+        flow_ids, sizes, shared, [cap] * count, capacities, base, weights=weights
+    )
+    small = count <= cascade_module.SCALAR_MAX_FLOWS
+    assert type(built) is (ScalarUniformPlan if small else UniformPlan)
+    assert built.shape == "uniform"
+    assert built.bounds == scalar.bounds and built.departs == scalar.departs
+    assert list(built.seg_rates) == scalar.seg_rates
 
 
 # ----------------------------------------------------------------------
@@ -372,13 +435,13 @@ def test_fills_bounded_by_departures_on_a_churning_mesh(monkeypatch):
     pays one fill per *future* departure each time (thousands); the
     resumable one at most two per segment that fired plus two per plan."""
     fills = []
-    fill = cascade_module.progressive_fill
+    fill = cascade_vector.progressive_fill
 
     def counting_fill(*args, **kwargs):
         fills.append(1)
         return fill(*args, **kwargs)
 
-    monkeypatch.setattr(cascade_module, "progressive_fill", counting_fill)
+    monkeypatch.setattr(cascade_vector, "progressive_fill", counting_fill)
     rng = random.Random(15)
     sim = Simulator()
     topo = Topology()

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import SchedulingConfig
 from repro.errors import NoEligibleExecutorError, SchedulerError
 from repro.network.topology import Topology
+from repro.scheduler.job_scheduler import JobStreamScheduler, _Queued
 from repro.scheduler.task import Task
 from repro.scheduler.task_scheduler import Executor, TaskBody
 from repro.simulation.event import Event
@@ -351,3 +352,55 @@ class ScanTaskScheduler:
     def _on_wake(self) -> None:
         self._wake_planned_at = None
         self._dispatch()
+
+
+# ----------------------------------------------------------------------
+# Job admission: the backlog scan JobStreamScheduler's heaps replaced
+# ----------------------------------------------------------------------
+class ScanJobStreamScheduler(JobStreamScheduler):
+    """The old O(backlog) admission, verbatim: one list, a ``min`` over
+    it per admission, ``list.remove``.  Reference for
+    ``test_job_scheduler.py``: the heaps must admit the same jobs in the
+    same order."""
+
+    def __init__(self, context, spec) -> None:
+        super().__init__(context, spec)
+        self._queue: List[_Queued] = []
+
+    def _select(self) -> _Queued:
+        queue = self._queue
+        if self.spec.policy == "sjf":
+            return min(
+                queue,
+                key=lambda q: (
+                    q.arrival.template.estimated_input_bytes,
+                    q.arrival.index,
+                ),
+            )
+        if self.spec.policy == "fair":
+            order = {t.name: i for i, t in enumerate(self.spec.tenants)}
+            best_tenant = min(
+                {q.arrival.tenant for q in queue},
+                key=lambda name: (
+                    self._service[name] / self._tenants[name].weight,
+                    order[name],
+                ),
+            )
+            return min(
+                (q for q in queue if q.arrival.tenant == best_tenant),
+                key=lambda q: q.arrival.index,
+            )
+        # fifo and pack: arrival order.
+        return min(queue, key=lambda q: q.arrival.index)
+
+    def _on_arrival(self, arrival) -> None:
+        now = self.context.sim.now
+        self.counters.note_submitted(arrival.tenant, now)
+        self._queue.append(_Queued(arrival, now))
+        self._pump()
+
+    def _pump(self) -> None:
+        while self._queue and self._live < self.spec.max_concurrent:
+            queued = self._select()
+            self._queue.remove(queued)
+            self._admit(queued)

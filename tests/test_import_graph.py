@@ -1,0 +1,224 @@
+"""Import cost follows use: what a ``repro`` process loads.
+
+Each case runs in a fresh interpreter and reads ``sys.modules`` — a
+deterministic count, no wall clock.  The rule under test (DESIGN.md
+section 5, "Import cost follows use"): ``import repro.cli`` loads the
+front only, a command loads what it runs, and numpy is loaded by the
+first component too big for a scalar plan or the first text dataset.
+
+``tests/cli_parser.json`` is the parser's user-visible surface as dumped
+from the commit before the CLI was split; regenerate it only when the
+command line is *meant* to change::
+
+    PYTHONPATH=src:. python -m tests.test_import_graph
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PARSER_DUMP = Path(__file__).with_name("cli_parser.json")
+
+_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import repro.cli
+else:
+    from repro.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit as exit:
+            assert not exit.code, exit.code
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _modules_after(argv):
+    """``sys.modules`` of a fresh interpreter after ``import repro.cli``
+    (``argv`` None) or after ``repro <argv>`` ran to a clean exit."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("REPRO_SANITIZE", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
+        check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _loaded(modules, *prefixes):
+    return sorted(
+        m for m in modules
+        if any(m == p or m.startswith(p + ".") for p in prefixes)
+    )
+
+
+def test_importing_the_cli_loads_the_front_only():
+    modules = _modules_after(None)
+    assert "numpy" not in modules
+    assert len(_loaded(modules, "repro")) <= 8, _loaded(modules, "repro")
+
+
+COMMANDS = ("run", "stream", "lint", "fuzz", "compare", "fig7", "fig8",
+            "headline", "lineage")
+
+
+@pytest.mark.parametrize("argv", [[]] + [[command] for command in COMMANDS])
+def test_help_builds_no_cluster_import_graph(argv):
+    modules = _modules_after(argv + ["--help"])
+    assert _loaded(modules, "repro.network", "repro.cluster", "numpy") == []
+
+
+@pytest.mark.parametrize(
+    "argv, denied",
+    [
+        (
+            ["run", "sort", "--scheme", "spark"],
+            ["repro.failures.campaign", "repro.failures.minimize",
+             "repro.failures.grammar", "repro.analysis.engine",
+             "repro.experiments.figures"],
+        ),
+        (
+            ["run", "sort", "--scheme", "spark", "--chaos", "crash:us-east-1-w0@5"],
+            ["repro.failures.campaign", "repro.failures.grammar"],
+        ),
+        (
+            ["lint", "src/repro/simulation"],
+            ["repro.network", "repro.scheduler", "repro.cluster", "numpy"],
+        ),
+        (
+            ["stream", "--arrival", "poisson:60:20", "--scheme", "spark"],
+            ["numpy", "repro.failures.campaign", "repro.analysis.engine"],
+        ),
+        (["fuzz", "--schedules", "5"], ["numpy", "repro.analysis.engine"]),
+    ],
+    ids=["run", "run-plain-chaos", "lint", "stream", "fuzz"],
+)
+def test_a_command_loads_what_it_runs(argv, denied):
+    assert _loaded(_modules_after(argv), *denied) == []
+
+
+def test_random_chaos_is_what_loads_the_fuzz_grammar():
+    modules = _modules_after(
+        ["run", "sort", "--scheme", "spark", "--chaos", "random:1@3"]
+    )
+    assert "repro.failures.grammar" in modules
+    assert _loaded(modules, "repro.failures.campaign") == []
+
+
+# ----------------------------------------------------------------------
+# The parser and the static name registry
+# ----------------------------------------------------------------------
+def describe_parser(parser: argparse.ArgumentParser) -> dict:
+    """The user-visible surface of a parser as plain data: sub-commands,
+    option strings, defaults, choices, help text."""
+    actions = []
+    commands = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            summaries = {c.dest: c.help for c in action._choices_actions}
+            for name, sub in action.choices.items():
+                commands[name] = describe_parser(sub)
+                commands[name]["summary"] = summaries.get(name)
+            continue
+        described = {
+            "options": action.option_strings or [action.dest],
+            "action": type(action).__name__,
+            "nargs": action.nargs,
+            "const": action.const,
+            "default": action.default,
+            "type": getattr(action.type, "__name__", None),
+            "choices": None if action.choices is None else list(action.choices),
+            "required": action.required or None,
+            "metavar": action.metavar,
+            "help": action.help,
+        }
+        actions.append({k: v for k, v in described.items() if v is not None})
+    return {
+        "prog": parser.prog,
+        "description": parser.description,
+        "actions": actions,
+        "commands": commands,
+    }
+
+
+def test_parser_surface_is_the_checked_in_one():
+    described = describe_parser(cli.build_parser())
+    assert tuple(described["commands"]) == COMMANDS
+    assert described == json.loads(PARSER_DUMP.read_text(encoding="utf-8"))
+
+
+def test_static_name_registry_equals_the_live_registries():
+    from repro.experiments.schemes import all_schemes
+    from repro.shuffle.backends import backend_names
+    from repro.workloads import all_workloads
+
+    assert list(cli.WORKLOADS) == [w.name.lower() for w in all_workloads()]
+    assert list(cli.SCHEMES) == [s.value.lower() for s in all_schemes()]
+    assert list(cli.BACKENDS) == list(backend_names())
+
+
+# ----------------------------------------------------------------------
+# Lazy package exports
+# ----------------------------------------------------------------------
+PACKAGES = ("", "analysis", "cluster", "core", "experiments", "failures",
+            "metrics", "network", "rdd", "scheduler", "shuffle", "simulation",
+            "storage", "workloads")
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves_to_its_defining_module(package):
+    import importlib
+
+    module = importlib.import_module(f"repro.{package}".rstrip("."))
+    assert module.__all__ and len(set(module.__all__)) == len(module.__all__)
+    for name in module.__all__:
+        value = getattr(module, name)
+        # Resolved once: the second read is a plain attribute.
+        assert vars(module)[name] is value
+    with pytest.raises(AttributeError):
+        module.no_such_name
+
+
+def test_a_lazily_exported_module_does_not_dodge_the_linter(tmp_path):
+    """The linter walks files, not imports: a module nothing imports
+    until an export table's name is read is linted like any other."""
+    from repro.analysis.engine import lint_paths, load_config
+
+    package = tmp_path / "repro" / "lazypkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from repro import lazy_exports\n"
+        "__getattr__, __all__ = lazy_exports(\n"
+        "    __name__, {'repro.lazypkg.clock': ('now',)})\n"
+    )
+    (package / "clock.py").write_text(
+        "import time\n\n\ndef now():\n    return time.time()\n"
+    )
+    findings = lint_paths([tmp_path], load_config(ROOT / "pyproject.toml"))
+    assert [(f.rule, Path(f.path).name) for f in findings] == [
+        ("DET002", "clock.py")
+    ]
+
+
+if __name__ == "__main__":  # regenerate the parser dump
+    PARSER_DUMP.write_text(
+        json.dumps(describe_parser(cli.build_parser()), indent=1, sort_keys=True)
+        + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {PARSER_DUMP}")
