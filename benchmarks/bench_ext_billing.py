@@ -32,11 +32,7 @@ from benchmarks.matrix_cache import (
     seed_count,
     selected_workloads,
 )
-from repro.experiments.runner import (
-    ExperimentPlan,
-    RunResult,
-    run_matrix_parallel,
-)
+from repro.experiments.runner import ExperimentPlan, RunResult, run_matrix
 from repro.experiments.schemes import SCHEME_REGISTRY
 from repro.metrics.billing import blob_request_dollars
 
@@ -53,8 +49,8 @@ def _mean(values: List[float]) -> float:
 
 def _build_matrix() -> List[RunResult]:
     plan = ExperimentPlan(seeds=tuple(range(seed_count())))
-    return run_matrix_parallel(
-        selected_workloads(), list(BACKEND_SCHEMES), plan, jobs=None
+    return run_matrix(
+        selected_workloads(), list(BACKEND_SCHEMES), plan
     )
 
 

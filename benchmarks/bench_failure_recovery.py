@@ -115,7 +115,7 @@ def _reduce_spans(context) -> List:
 
 
 def _assert_counters_reconcile(context) -> None:
-    backend = context.shuffle_service.backend
+    backend = context.shuffle_service
     counters = backend.counters
     monitor = context.traffic
     total = sum(monitor.by_tag.get(tag, 0.0) for tag in backend.flow_tags)
@@ -227,7 +227,7 @@ def _run_scenarios() -> Dict:
     # Merger-host loss: pre_merge only (replicated input so lineage
     # recovery never bottoms out at a lost block).
     clean_context, clean_result = _run("pre_merge", replication=2)
-    mergers = clean_context.shuffle_service.backend._mergers
+    mergers = clean_context.shuffle_service._mergers
     datacenter = sorted(mergers)[0]
     spans = _reduce_spans(clean_context)
     when = min(span.started_at for span in spans) + 0.5

@@ -19,11 +19,7 @@ import os
 from typing import Dict, List
 
 from benchmarks.matrix_cache import emit
-from repro.experiments.runner import (
-    ExperimentPlan,
-    RunResult,
-    run_matrix_parallel,
-)
+from repro.experiments.runner import ExperimentPlan, RunResult, run_matrix
 from repro.experiments.schemes import SCHEME_REGISTRY, scheme_spec
 from repro.workloads import workload_by_name
 
@@ -44,8 +40,8 @@ def _mean(values: List[float]) -> float:
 
 def _build_matrix() -> List[RunResult]:
     plan = ExperimentPlan(seeds=tuple(range(_seed_count())))
-    return run_matrix_parallel(
-        [workload_by_name("terasort")], list(BACKEND_SCHEMES), plan, jobs=None
+    return run_matrix(
+        [workload_by_name("terasort")], list(BACKEND_SCHEMES), plan
     )
 
 

@@ -15,10 +15,6 @@ Environment knobs:
   sequential run).  Unset or <= 1 runs sequentially.
 * ``REPRO_SMOKE``      — non-zero (what ``--smoke`` sets) sends every
   report to ``results/smoke/`` instead of over a tracked table.
-* ``REPRO_SHARDED``    — non-zero routes the matrix through
-  :func:`repro.experiments.runner.run_matrix_sharded`: contiguous cell
-  shards per worker plus parent-side dataset generation shipped to the
-  workers, still byte-identical to the sequential run.
 """
 
 from __future__ import annotations
@@ -28,12 +24,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.experiments.runner import (
-    ExperimentPlan,
-    RunResult,
-    run_matrix_parallel,
-    run_matrix_sharded,
-)
+from repro.experiments.runner import ExperimentPlan, RunResult, run_matrix
 from repro.experiments.schemes import PAPER_SCHEMES
 from repro.workloads import all_workloads
 
@@ -64,14 +55,9 @@ def get_matrix(seeds: Sequence[int] | None = None) -> List[RunResult]:
     key = (seed_tuple, names)
     if key not in _matrix_cache:
         plan = ExperimentPlan(seeds=seed_tuple)
-        # jobs=None honours REPRO_JOBS; <= 1 runs sequentially.
-        runner = (
-            run_matrix_sharded
-            if os.environ.get("REPRO_SHARDED", "0") not in ("", "0")
-            else run_matrix_parallel
-        )
-        _matrix_cache[key] = runner(
-            selected_workloads(), list(PAPER_SCHEMES), plan, jobs=None
+        # REPRO_JOBS picks the worker count; unset runs sequentially.
+        _matrix_cache[key] = run_matrix(
+            selected_workloads(), list(PAPER_SCHEMES), plan
         )
     return _matrix_cache[key]
 

@@ -36,15 +36,18 @@ __version__ = "1.0.0"
 
 def lazy_exports(
     package: str, modules: Dict[str, Sequence[str]]
-) -> Tuple[Callable[[str], object], List[str]]:
-    """PEP 562 ``__getattr__`` and ``__all__`` for a package that
-    re-exports ``modules`` (defining module -> public names).
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """PEP 562 ``__getattr__``, ``__dir__`` and ``__all__`` for a
+    package that re-exports ``modules`` (defining module -> public
+    names).
 
     Importing the package then costs nothing; the first read of an
     exported name imports the one module that defines it and caches the
     value on the package, so ``from repro.network import Topology``
-    loads ``network.topology`` and not the fabric.  Import layering
-    rule and rationale: DESIGN.md section 5, "Import cost follows use".
+    loads ``network.topology`` and not the fabric.  ``dir()`` lists
+    every exported name, resolved or not, without importing anything.
+    Import layering rule and rationale: DESIGN.md section 5, "Import
+    cost follows use".
     """
     home = {name: module for module, names in modules.items() for name in names}
 
@@ -56,10 +59,13 @@ def lazy_exports(
         setattr(sys.modules[package], name, value)
         return value
 
-    return __getattr__, list(home)
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return __getattr__, __dir__, list(home)
 
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.config": (
         "CostModel", "FailureConfig", "SchedulingConfig", "ShuffleConfig",
         "SimulationConfig", "fetch_config", "agg_shuffle_config",

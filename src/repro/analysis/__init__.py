@@ -17,7 +17,7 @@ solver equivalence):
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.analysis.engine": (
         "Finding", "LintConfig", "LintEngine", "load_config", "lint_paths",
     ),

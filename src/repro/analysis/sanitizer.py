@@ -239,7 +239,7 @@ def reconcile_run(context) -> List[str]:
     not the first one.
     """
     violations: List[str] = []
-    backend = context.shuffle_service.backend
+    backend = context.shuffle_service
     counters = backend.counters
     monitor = context.traffic
 

@@ -11,7 +11,7 @@ including the paper's six-region EC2 deployment (Fig. 6).
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.cluster.builder": ("ClusterSpec", "build_topology", "ec2_six_region_spec"),
     "repro.cluster.context": ("ClusterContext", "JobHandle"),
     "repro.cluster.broadcast": ("Broadcast",),

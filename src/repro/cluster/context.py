@@ -35,7 +35,6 @@ from repro.scheduler.task_runner import TaskRunner
 from repro.scheduler.task_scheduler import Executor, TaskScheduler
 from repro.shuffle.backends import create_backend
 from repro.shuffle.map_output_tracker import MapOutputTracker
-from repro.shuffle.service import ShuffleService
 from repro.shuffle.stores import ShuffleStore, TransferTracker
 from repro.simulation.kernel import Simulator
 from repro.simulation.random_source import RandomSource
@@ -82,9 +81,8 @@ class ClusterContext:
         self.transfer_tracker = TransferTracker()
         # The pluggable shuffle data path: one backend per context,
         # selected by name (repro.shuffle.backends registry).
-        self.shuffle_service = ShuffleService(
-            self, create_backend(self.config.shuffle.backend_name)
-        )
+        self.shuffle_service = create_backend(self.config.shuffle.backend_name)
+        self.shuffle_service.bind(self)
         self.metrics = MetricsCollector()
         self.recovery = RecoveryCounters()
         # Health-aware degradation (opt-in via config.health): the
@@ -167,10 +165,6 @@ class ClusterContext:
         """One wave of cores in a single datacenter (paper §V-A sets
         the max parallelism of map and reduce to 8 = one region's cores)."""
         return self.spec.workers_per_datacenter * self.config.cores_per_host
-
-    @property
-    def total_cores(self) -> int:
-        return sum(executor.cores for executor in self.executors.values())
 
     def workers_in(self, datacenter: str) -> List[str]:
         return [

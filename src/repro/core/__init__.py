@@ -17,7 +17,7 @@ The user-facing ``transfer_to()`` transformation itself lives on
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.core.analysis": (
         "cross_dc_traffic_lower_bound", "optimal_reducer_datacenter",
         "reducer_fetch_volume", "total_fetch_volume",

@@ -20,10 +20,6 @@ class EventAlreadyFiredError(SimulationError):
     """Raised when succeeding or failing an event that has already fired."""
 
 
-class ProcessDiedError(SimulationError):
-    """Raised inside a process that waits on another process which failed."""
-
-
 class LivenessError(SimulationError):
     """Raised when a simulation exceeds its wall-clock budget.
 

@@ -18,7 +18,7 @@ tables and figures.
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.experiments.schemes": (
         "PAPER_SCHEMES", "SCHEME_REGISTRY", "Scheme", "SchemeSpec", "all_schemes",
         "config_for_scheme", "scheme_spec",

@@ -56,11 +56,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _matrix(args: argparse.Namespace):
-    from repro.experiments.runner import run_matrix_parallel
+    from repro.experiments.runner import run_matrix
     from repro.experiments.schemes import PAPER_SCHEMES
     from repro.workloads import all_workloads
 
-    return run_matrix_parallel(
+    return run_matrix(
         all_workloads(), list(PAPER_SCHEMES), _plan(args.seeds), jobs=args.jobs
     )
 

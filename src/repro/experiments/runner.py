@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.builder import ClusterSpec, ec2_six_region_spec
@@ -229,7 +229,7 @@ def run_workload_once(
         injected_failures=job.injected_failures,
         action_result=action_result if plan.keep_action_results else None,
         fabric_perf=context.fabric.perf_snapshot(),
-        backend=context.shuffle_service.backend_name,
+        backend=context.shuffle_service.name,
         shuffle_perf=shuffle_perf,
         injected_failures_total=context.failure_injector.total_injected,
         straggler_hits=context.failure_injector.stragglers_hit,
@@ -297,7 +297,7 @@ def _run_stream_cell(
             bill_traffic(context.traffic).total_dollars
             + blob_request_dollars(shuffle_perf)
         ),
-        backend=context.shuffle_service.backend_name,
+        backend=context.shuffle_service.name,
         fabric_perf=context.fabric.perf_snapshot(),
         shuffle_perf=shuffle_perf,
         injected_failures_total=context.failure_injector.total_injected,
@@ -326,21 +326,35 @@ def run_matrix(
     workloads: Sequence[Workload],
     schemes: Sequence[Scheme],
     plan: Optional[ExperimentPlan] = None,
+    jobs: Optional[int] = None,
 ) -> List[RunResult]:
-    """The full cross product: every workload x scheme x seed."""
+    """The full cross product: every workload x scheme x seed.
+
+    ``jobs`` > 1 fans the cells out over a process pool, one cell per
+    task; ``None`` reads ``REPRO_JOBS`` (unset: sequential).  Every cell
+    is an independent, seeded, deterministic simulation, so the fan-out
+    preserves results bit-for-bit: the returned list is in the same
+    (workload, scheme, seed) order and every ``RunResult`` field is
+    identical.
+    """
     plan = plan if plan is not None else ExperimentPlan()
-    results: List[RunResult] = []
-    for workload in workloads:
-        for scheme in schemes:
-            for seed in plan.seeds:
-                results.append(
-                    run_workload_once(workload, scheme, seed, plan)
-                )
-    return results
+    if jobs is None:
+        jobs = default_jobs()
+    cells = [
+        (workload, scheme, seed)
+        for workload in workloads
+        for scheme in schemes
+        for seed in plan.seeds
+    ]
+    if jobs <= 1:
+        return [run_workload_once(*cell, plan) for cell in cells]
+    payloads = [(workload.name, scheme, seed, plan) for workload, scheme, seed in cells]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_run_cell, payloads))
 
 
 # ---------------------------------------------------------------------------
-# Parallel harness
+# Process pools
 # ---------------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
 def _worker_workload(name: str) -> Workload:
@@ -372,63 +386,24 @@ def default_jobs() -> int:
         ) from None
 
 
-def run_matrix_parallel(
-    workloads: Sequence[Workload],
-    schemes: Sequence[Scheme],
-    plan: Optional[ExperimentPlan] = None,
-    jobs: Optional[int] = None,
-) -> List[RunResult]:
-    """:func:`run_matrix` fanned out over a process pool.
-
-    Every cell is an independent, seeded, deterministic simulation, so
-    the fan-out preserves results bit-for-bit: the returned list is in
-    the same (workload, scheme, seed) order as the sequential path and
-    every ``RunResult`` field is identical.  ``jobs`` <= 1 (or ``None``
-    with ``REPRO_JOBS`` unset) falls back to the sequential runner.
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1:
-        return run_matrix(workloads, schemes, plan)
-    plan = plan if plan is not None else ExperimentPlan()
-    cells = [
-        (workload.name, scheme, seed, plan)
-        for workload in workloads
-        for scheme in schemes
-        for seed in plan.seeds
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, cells))
-
-
-# ---------------------------------------------------------------------------
-# Sharded harness: contiguous cell shards + pre-filled dataset caches
-# ---------------------------------------------------------------------------
 def shard_map(
-    items: Sequence[Any],
-    shard_runner: Any,
-    jobs: Optional[int] = None,
-    shards: Optional[int] = None,
-    initializer: Any = None,
-    initargs: Tuple[Any, ...] = (),
+    items: Sequence[Any], shard_runner: Any, jobs: Optional[int] = None
 ) -> List[Any]:
-    """Map a picklable per-shard function over contiguous slices of
-    ``items`` in a process pool, preserving order.
+    """Map a picklable per-shard function over ``jobs`` contiguous
+    slices of ``items`` in a process pool, preserving order.
 
-    The generic core of :func:`run_matrix_sharded`, reused by the chaos
-    campaign (:mod:`repro.failures.campaign`): ``shard_runner`` takes a
-    contiguous sub-sequence of ``items`` and returns a list of results;
-    the flattened output is therefore identical to
-    ``shard_runner(items)`` run sequentially — which is exactly what
-    happens when ``jobs`` <= 1 (or ``None`` with ``REPRO_JOBS`` unset).
+    The chaos campaign's pool (:mod:`repro.failures.campaign`):
+    ``shard_runner`` takes a contiguous sub-sequence of ``items`` and
+    returns a list of results; the flattened output is therefore
+    identical to ``shard_runner(items)`` run sequentially — which is
+    exactly what happens when ``jobs`` <= 1 (or ``None`` with
+    ``REPRO_JOBS`` unset).
     """
     if jobs is None:
         jobs = default_jobs()
     if jobs <= 1 or len(items) <= 1:
         return list(shard_runner(items))
-    if shards is None:
-        shards = jobs
-    shards = max(1, min(shards, len(items)))
+    shards = min(jobs, len(items))
     base_size, extra = divmod(len(items), shards)
     slices: List[Sequence[Any]] = []
     start = 0
@@ -436,126 +411,7 @@ def shard_map(
         stop = start + base_size + (1 if index < extra else 0)
         slices.append(items[start:stop])
         start = stop
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=initializer,
-        initargs=initargs,
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return [
             result for shard in pool.map(shard_runner, slices) for result in shard
         ]
-
-
-def _prefill_worker_cache(entries: Dict[Tuple[str, int], List[List[Any]]]) -> None:
-    """Pool initializer: seed the worker's dataset cache.
-
-    The parent generates every dataset the matrix needs exactly once and
-    ships the cache to each worker at startup, so no worker ever pays
-    dataset generation again — with per-cell fan-out each fresh worker
-    regenerates the data for its first cell of every (workload, seed).
-    Only the records travel (a Partition pickles as a list); each worker
-    roots them in a memo of its own.
-    """
-    for key, partitions in entries.items():
-        _DATA_CACHE[key] = DataMemo(partitions)
-
-
-def _run_shard(
-    shard: Sequence[Tuple[str, Scheme, int, ExperimentPlan]],
-) -> List[RunResult]:
-    """Worker entry point: run a contiguous slice of the cell list."""
-    return [
-        run_workload_once(_worker_workload(name), scheme, seed, plan)
-        for name, scheme, seed, plan in shard
-    ]
-
-
-def _chaos_variants(
-    plan: ExperimentPlan, chaos: Optional[Sequence[Any]]
-) -> List[ExperimentPlan]:
-    """Expand the optional chaos axis into per-schedule plan variants."""
-    if chaos is None:
-        return [plan]
-    base = plan.base_config
-    if base is None:
-        base = SimulationConfig()
-    return [
-        replace(plan, base_config=base.with_chaos(schedule))
-        for schedule in chaos
-    ]
-
-
-def run_matrix_sharded(
-    workloads: Sequence[Workload],
-    schemes: Sequence[Scheme],
-    plan: Optional[ExperimentPlan] = None,
-    jobs: Optional[int] = None,
-    shards: Optional[int] = None,
-    chaos: Optional[Sequence[Any]] = None,
-) -> List[RunResult]:
-    """:func:`run_matrix` over contiguous shards with shared data caches.
-
-    Differences from :func:`run_matrix_parallel`:
-
-    * the (workload x scheme [x chaos] x seed) cell list is split into
-      ``shards`` **contiguous** slices (default: one per worker), so a
-      worker amortises its process-local caches across a whole slice
-      instead of paying one pickling round-trip per cell;
-    * the parent pre-generates every dataset the matrix needs (via the
-      same :func:`generated_input` cache) and ships the cache to each
-      worker through the pool initializer — dataset generation runs
-      exactly once per (workload, data seed) across the whole sweep;
-    * an optional ``chaos`` axis (a sequence of
-      :class:`~repro.failures.chaos.ChaosSchedule` or ``None`` entries)
-      expands the matrix to seed x scheme x chaos without callers
-      hand-rolling plan variants.
-
-    Cells remain independent seeded simulations, so the output is
-    byte-identical to the sequential runner, in the same
-    workload -> scheme -> chaos -> seed order.  ``jobs`` <= 1 runs the
-    expanded matrix sequentially (same order, same results).
-    """
-    plan = plan if plan is not None else ExperimentPlan()
-    plans = _chaos_variants(plan, chaos)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1:
-        return [
-            run_workload_once(workload, scheme, seed, variant)
-            for workload in workloads
-            for scheme in schemes
-            for variant in plans
-            for seed in variant.seeds
-        ]
-    cells = [
-        (workload.name, scheme, seed, variant)
-        for workload in workloads
-        for scheme in schemes
-        for variant in plans
-        for seed in variant.seeds
-    ]
-    if not cells:
-        return []
-    # Pre-generate every dataset once, in the parent.
-    entries: Dict[Tuple[str, int], List[Partition]] = {}
-    for workload in workloads:
-        for variant in plans:
-            if variant.stream is not None:
-                continue  # stream cells generate no workload dataset
-            data_seeds = (
-                (variant.fixed_data_seed,)
-                if variant.fixed_data_seed is not None
-                else tuple(variant.seeds)
-            )
-            for data_seed in data_seeds:
-                key = (workload.name, data_seed)
-                if key not in entries:
-                    entries[key] = generated_input(workload, data_seed)
-    return shard_map(
-        cells,
-        _run_shard,
-        jobs=jobs,
-        shards=shards,
-        initializer=_prefill_worker_cache,
-        initargs=(entries,),
-    )

@@ -2,7 +2,7 @@
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.failures.campaign": ("CampaignConfig", "CampaignReport", "run_campaign"),
     "repro.failures.chaos": ("ChaosEvent", "ChaosInjector", "ChaosSchedule"),
     "repro.failures.grammar": (

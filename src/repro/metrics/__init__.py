@@ -12,7 +12,7 @@
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.metrics.collectors": (
         "JobMetrics", "MetricsCollector", "StageSpan", "TaskSpan",
     ),

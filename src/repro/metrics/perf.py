@@ -93,9 +93,9 @@ class FabricPerfCounters:
 class ShuffleCounters:
     """Per-backend counters of the shuffle data path.
 
-    Owned by :class:`repro.shuffle.service.ShuffleService` and
-    incremented by the active backend; every byte the backend moves over
-    the network is accounted here, split WAN vs. intra-datacenter, so
+    Owned and incremented by the active
+    :class:`repro.shuffle.service.ShuffleBackend`; every byte it moves
+    over the network is accounted here, split WAN vs. intra-datacenter, so
     the invariant *counter bytes == traffic-monitor bytes for the
     backend's flow tags* is checkable (and checked, by the property
     suite in ``tests/shuffle``).

@@ -99,10 +99,6 @@ class TenantLedger:
     def total_bytes(self) -> float:
         return fsum(self.bytes_by_tenant.values())
 
-    @property
-    def total_wan_bytes(self) -> float:
-        return fsum(self.wan_bytes_by_tenant.values())
-
 
 class TenantCounters:
     """Per-tenant job-stream outcomes (JCT distribution, makespan)."""

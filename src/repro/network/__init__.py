@@ -17,7 +17,7 @@ fluctuation of §V-A lives in :mod:`repro.network.jitter`.
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.network.topology": ("Datacenter", "Host", "Link", "Topology"),
     "repro.network.fair_share": ("max_min_fair_rates", "verify_allocation"),
     "repro.network.fabric": ("Flow", "NetworkFabric"),

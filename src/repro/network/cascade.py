@@ -13,27 +13,23 @@ re-solves; a perturbation invalidates the affected plans (lazily
 cancelling their timers) and replays them up to *now* to recover each
 member's exact remaining bytes before re-planning.
 
-Two cascades, each in an array and a scalar shape, chosen by
-:func:`build_plan` and by nothing else; the array shapes live in
-:mod:`repro.network.cascade_vector`, which — with numpy — is imported
-by the first component that needs one:
+Three shapes, chosen by :func:`build_plan` and by nothing else:
 
-* :class:`~repro.network.cascade_vector.UniformPlan` — when every flow
-  in the component has the same route signature (the dominant shuffle
-  pattern: a burst of fetches between one host pair), the whole cascade
-  collapses to a cumulative sum over the size-sorted remaining bytes:
-  with ``k`` flows left the shared rate is ``min(C*/k, cap)`` where
-  ``C* = min_j capacity_j / multiplicity_j`` over the shared route, so
-  each departure gap costs ``(e_i - e_{i-1}) / rate(k)`` seconds.
-  Because every alive flow always runs at the same rate, the plan
-  stores only 1-D per-segment arrays — no per-flow rate matrix at all,
-  and the whole schedule is solved at construction;
-* :class:`ScalarUniformPlan` — the same closed form in floats and
-  lists, for uniform components of at most :data:`SCALAR_MAX_FLOWS`
-  flows (most of a chaos campaign's and a job stream's);
+* :class:`UniformPlan` — when every flow in the component has the same
+  route signature (the dominant shuffle pattern: a burst of fetches
+  between one host pair), the whole cascade collapses to a running sum
+  over the size-sorted remaining bytes: with ``k`` flows left the
+  shared rate is ``min(C*/k, cap)`` where ``C* = min_j capacity_j /
+  multiplicity_j`` over the shared route, so each departure gap costs
+  ``(e_i - e_{i-1}) / rate(k)`` seconds.  Because every alive flow
+  always runs at the same rate, the plan stores only per-segment lists
+  — no per-flow rate matrix at all — and the whole schedule is solved
+  at construction, in plain floats at every size;
 * :class:`~repro.network.cascade_vector.GeneralPlan` — one
   :func:`~repro.network.vector_solver.progressive_fill` per departure
-  round on the component's CSR arrays.
+  round on the component's CSR arrays, in
+  :mod:`repro.network.cascade_vector`, which — with numpy — is
+  imported by the first component that needs it.
   A fill per *future* departure is wasted when the next perturbation
   kills the plan after a handful of them, so the plan is **resumable**
   (:class:`ResumablePlan`): it keeps the solver state and solves
@@ -46,7 +42,7 @@ by the first component that needs one:
   dispatches however few flows it has, and a job stream's or a chaos
   campaign's components have four to sixteen.
 
-A scalar shape agrees with its array shape with ``==``, so which one
+``ScalarPlan`` agrees with ``GeneralPlan`` with ``==``, so which one
 ran is not observable in simulated results.
 
 Replay is exact: each plan keeps the cumulative bytes delivered at
@@ -68,7 +64,8 @@ from repro.network.fair_share import _EPSILON
 _TIE = 1e-12
 _INF = float("inf")
 
-# The largest component planned in scalar Python.  Both shapes cost one
+# The largest non-uniform component planned in scalar Python (a uniform
+# one always is: its closed form has no fill levels).  Both shapes cost one
 # unit of work per fill level — ~25 numpy dispatches, or one pass over
 # the component's live flows and carried links — so they cross where
 # that pass costs what the dispatches do: measured at 48-64 flows on
@@ -154,51 +151,22 @@ class CascadePlan:
         ]
 
 
-class _UniformReplay(CascadePlan):
-    """Replay of a closed-form cascade for identical-route components.
+class UniformPlan(CascadePlan):
+    """The closed form for identical-route components, solved whole at
+    construction in plain floats and lists, whatever the size.
 
     All alive members share one rate per segment, so replay state is
-    three 1-D sequences: segment bounds, segment rates, and the common
+    three 1-D lists: segment bounds, segment rates, and the common
     cumulative bytes delivered at each boundary.  Members sit in
     departure (size) order, so every departure batch is a contiguous
-    position range.  A subclass solves the whole schedule at
-    construction — in lists (:class:`ScalarUniformPlan`) or arrays
-    (:class:`~repro.network.cascade_vector.UniformPlan`).
+    position range.  A stable sort, one running ``+=`` per cumulative
+    sum and the tie window: the operations of the array form this
+    replaced, in its order, so the two agree with ``==``
+    (``tests/network/reference_cascade.py`` keeps the array form).
     """
 
     __slots__ = ("seg_rates", "_cum")
     shape = "uniform"
-
-    def _delivered(self, offset: float) -> Tuple[int, float]:
-        k = self._segment(offset)
-        return k, self._cum[k] + self.seg_rates[k] * (offset - self.bounds[k])
-
-    def remaining_at(self, pos: int, now: float) -> float:
-        _k, delivered = self._delivered(now - self.base)
-        remaining = self.init_remaining[pos] - delivered
-        return float(remaining) if remaining > 0.0 else 0.0
-
-    def rate_at(self, pos: int, now: float) -> float:
-        k, delivered = self._delivered(now - self.base)
-        if self.init_remaining[pos] - delivered > 0.0:
-            return float(self.seg_rates[k])
-        return 0.0
-
-    def initial_rate(self, pos: int) -> float:
-        return float(self.seg_rates[0])
-
-
-class ScalarUniformPlan(_UniformReplay):
-    """The closed form in plain floats and lists, for uniform components
-    of at most :data:`SCALAR_MAX_FLOWS` flows.
-
-    The array form's operations in its order — a stable sort, one
-    running ``+=`` per cumulative sum as ``np.cumsum`` does, the same
-    tie window — so the two agree with ``==``
-    (``tests/network/test_lazy_cascade.py``).
-    """
-
-    __slots__ = ()
 
     def __init__(
         self,
@@ -247,7 +215,27 @@ class ScalarUniformPlan(_UniformReplay):
             [flow_ids[index] for index in order], base, sizes, bounds, departs
         )
         self.seg_rates = seg_rates
+        # _cum[k]: bytes every still-alive member has delivered by the
+        # time segment k starts.
         self._cum = cum
+
+    def _delivered(self, offset: float) -> Tuple[int, float]:
+        k = self._segment(offset)
+        return k, self._cum[k] + self.seg_rates[k] * (offset - self.bounds[k])
+
+    def remaining_at(self, pos: int, now: float) -> float:
+        _k, delivered = self._delivered(now - self.base)
+        remaining = self.init_remaining[pos] - delivered
+        return float(remaining) if remaining > 0.0 else 0.0
+
+    def rate_at(self, pos: int, now: float) -> float:
+        k, delivered = self._delivered(now - self.base)
+        if self.init_remaining[pos] - delivered > 0.0:
+            return float(self.seg_rates[k])
+        return 0.0
+
+    def initial_rate(self, pos: int) -> float:
+        return float(self.seg_rates[0])
 
     def state_at(self, now: float) -> Tuple[List[float], List[float]]:
         """``remaining_at`` and ``rate_at`` of every position at once."""
@@ -521,10 +509,7 @@ def build_plan(
         c_star = min(
             capacities[name] / times for name, times in multiplicity.items()
         )
-        if count <= SCALAR_MAX_FLOWS:
-            return ScalarUniformPlan(flow_ids, base, remaining, c_star, cap0)
-        vector = _vector or _load_vector()
-        return vector.UniformPlan(flow_ids, base, remaining, c_star, cap0)
+        return UniformPlan(flow_ids, base, remaining, c_star, cap0)
     # Links become dense indices in first-appearance order; a private
     # cap is one more link that only its own flow crosses.
     interned: Dict[str, int] = {}
@@ -552,10 +537,10 @@ def build_plan(
     )
 
 
-# :mod:`repro.network.cascade_vector`, imported by the first component
-# of more than SCALAR_MAX_FLOWS flows (or the first read of one of its
-# names from this module) and by nothing before: a process whose
-# components all stay scalar never loads numpy.
+# :mod:`repro.network.cascade_vector`, imported by the first
+# non-uniform component of more than SCALAR_MAX_FLOWS flows (or the
+# first read of ``GeneralPlan`` from this module) and by nothing before:
+# a process whose plans all stay scalar never loads numpy.
 _vector = None
 
 
@@ -568,6 +553,6 @@ def _load_vector():
 
 
 def __getattr__(name: str):
-    if name in ("UniformPlan", "GeneralPlan"):
-        return getattr(_vector or _load_vector(), name)
+    if name == "GeneralPlan":
+        return (_vector or _load_vector()).GeneralPlan
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

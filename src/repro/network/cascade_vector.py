@@ -1,11 +1,11 @@
-"""The numpy cascade shapes: :class:`UniformPlan` and :class:`GeneralPlan`.
+"""The numpy cascade shape: :class:`GeneralPlan`.
 
 Kept apart from :mod:`repro.network.cascade` so that numpy is imported
-by the first component that needs an array shape — one of more than
+by the first component that needs it — a non-uniform one of more than
 :data:`~repro.network.cascade.SCALAR_MAX_FLOWS` flows — and never by a
-process whose components all stay scalar.  :func:`~repro.network.
+process whose plans all stay scalar.  :func:`~repro.network.
 cascade.build_plan` remains the only place that chooses a shape; this
-module only supplies the two it cannot build without numpy.
+module only supplies the one it cannot build without numpy.
 """
 
 from __future__ import annotations
@@ -14,82 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.cascade import _TIE, ResumablePlan, _UniformReplay
+from repro.network.cascade import _TIE, ResumablePlan
 from repro.network.vector_solver import build_csr, progressive_fill
-
-
-class UniformPlan(_UniformReplay):
-    """The closed form over arrays, solved whole at construction:
-    because every alive flow always runs at the same rate, the plan
-    stores only 1-D per-segment arrays — no per-flow rate matrix."""
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        flow_ids: Sequence[int],
-        base: float,
-        remaining: List[float],
-        c_star: float,
-        cap: float,
-    ) -> None:
-        init_remaining = np.asarray(remaining, dtype=float)
-        order = np.argsort(init_remaining, kind="stable")
-        sorted_remaining = init_remaining[order]
-        bounds, seg_rates, departs = _uniform_schedule(
-            sorted_remaining, c_star, cap
-        )
-        super().__init__(
-            [flow_ids[index] for index in order.tolist()],
-            base,
-            sorted_remaining,
-            bounds.tolist(),
-            departs,
-        )
-        self.seg_rates = seg_rates
-        # _cum[k]: bytes every still-alive member has delivered by the
-        # time segment k starts.
-        cum = np.empty(len(bounds))
-        cum[0] = 0.0
-        np.cumsum(seg_rates * np.diff(bounds), out=cum[1:])
-        self._cum = cum
-
-    def state_at(self, now: float) -> Tuple[List[float], List[float]]:
-        """``remaining_at`` and ``rate_at`` of every position at once."""
-        k, delivered = self._delivered(now - self.base)
-        remaining = self.init_remaining - delivered
-        draining = remaining > 0.0
-        return (
-            np.where(draining, remaining, 0.0).tolist(),
-            np.where(draining, self.seg_rates[k], 0.0).tolist(),
-        )
-
-
-def _uniform_schedule(
-    sorted_remaining: np.ndarray, c_star: float, cap: float
-) -> Tuple[np.ndarray, np.ndarray, List[List[int]]]:
-    """Closed-form cascade over size-sorted remaining bytes."""
-    count = len(sorted_remaining)
-    gaps = sorted_remaining.copy()
-    gaps[1:] -= sorted_remaining[:-1]
-    alive = count - np.arange(count)
-    stage_rates = np.minimum(c_star / alive, cap)
-    ends = np.cumsum(gaps / stage_rates)
-    # Group stages whose departure instants coincide (within the tie
-    # window) into single segments.
-    later = ends[1:]
-    breaks = np.flatnonzero(
-        later - ends[:-1] > _TIE * np.maximum(1.0, later)
-    ).tolist()
-    starts = [0] + [index + 1 for index in breaks]
-    stops = breaks + [count - 1]
-    bounds = np.empty(len(stops) + 1)
-    bounds[0] = 0.0
-    bounds[1:] = ends[stops]
-    departs = [
-        list(range(start, stop + 1)) for start, stop in zip(starts, stops)
-    ]
-    return bounds, stage_rates[starts], departs
 
 
 class GeneralPlan(ResumablePlan):

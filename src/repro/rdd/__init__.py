@@ -19,7 +19,7 @@ Execution is *not* here: the DAG/task schedulers in
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.rdd.partitioner": ("Partitioner", "HashPartitioner", "RangePartitioner"),
     "repro.rdd.size_estimator": ("SizeEstimator",),
     "repro.rdd.dependencies": (

@@ -6,7 +6,7 @@ partitionBy, differing only in aggregator and ordering.
 ``join``/``cogroup``.
 
 Both obtain their input through ``runtime.shuffle_read``, which routes
-to the context's :class:`~repro.shuffle.service.ShuffleService` — the
+to the context's :class:`~repro.shuffle.service.ShuffleBackend` — the
 active backend (fetch, push/aggregate, pre-merge, ...) performs the
 actual data movement.  The RDD layer is agnostic to the mechanism,
 exactly as in the paper's design where ``transferTo`` changes *where

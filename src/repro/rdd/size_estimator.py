@@ -188,9 +188,6 @@ class SizeEstimator:
             raise ValueError("scale_factor must be positive")
         self.scale_factor = float(scale_factor)
 
-    def record_size(self, record: Any) -> float:
-        return natural_size(record) * self.scale_factor
-
     def estimate(self, records: Iterable[Any]) -> float:
         if type(records) is not Partition:
             return sum(map(natural_size, records)) * self.scale_factor

@@ -17,7 +17,7 @@
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.scheduler.stage": ("Stage", "StageKind", "build_stages"),
     "repro.scheduler.task": ("Task", "TaskResult"),
     "repro.scheduler.task_scheduler": ("Executor", "TaskScheduler"),

@@ -8,7 +8,7 @@ Every ``RDD.compute`` generator receives a TaskRuntime and uses it to
   time, remote replicas a network flow (closest replica wins);
 * read shuffle input (``shuffle_read``) and staged transfer partitions
   (``transfer_read``): both delegate to the context's
-  :class:`~repro.shuffle.service.ShuffleService`, so how the bytes move
+  :class:`~repro.shuffle.service.ShuffleBackend`, so how the bytes move
   (per-shard fetch, push/aggregate, per-datacenter pre-merge, ...) is
   the active backend's decision — the runtime and RDD layers are
   strategy-agnostic;
@@ -172,13 +172,6 @@ class TaskRuntime:
     def charge_sort(self, rdd: RDD, input_records: List[Any]):
         size, count = self.sized(input_records)
         seconds = self.context.config.cost.sort_time(size, count) * self.slowdown
-        if seconds > 0:
-            yield self.sim.timeout(seconds)
-
-    def charge_cpu_bytes(self, logical_bytes: float):
-        seconds = (
-            self.context.config.cost.compute_time(logical_bytes) * self.slowdown
-        )
         if seconds > 0:
             yield self.sim.timeout(seconds)
 

@@ -6,18 +6,16 @@ scheduler and into a swappable **backend**, so a shuffle strategy is a
 registered component rather than a set of branches spread over the DAG
 scheduler, the RDD layer, and the experiment harness.
 
-Division of labour:
-
-* :class:`ShuffleBackend` — the protocol every strategy implements:
-  rewrite the job lineage (``prepare_job``), open per-shuffle lifecycle
-  (``register_shuffle``), publish map output (``register_map_output``),
-  optionally reorganise map output before reducers start
-  (``prepare_shuffle_input``), serve reduce reads (``shuffle_read``) and
-  receiver pulls (``transfer_read``), and account every byte it moves in
-  its :class:`~repro.metrics.perf.ShuffleCounters`.
-* :class:`ShuffleService` — owned by the cluster context; binds exactly
-  one backend, exposes the uniform entry points the scheduler/runtime
-  call, and snapshots counters for ``RunResult``/CLI reporting.
+:class:`ShuffleBackend` is the protocol every strategy implements:
+rewrite the job lineage (``prepare_job``), open per-shuffle lifecycle
+(``register_shuffle``), publish map output (``register_map_output``),
+optionally reorganise map output before reducers start
+(``prepare_shuffle_input``), serve reduce reads (``shuffle_read``) and
+receiver pulls (``transfer_read``), and account every byte it moves in
+its :class:`~repro.metrics.perf.ShuffleCounters`.  The cluster context
+binds exactly one backend, chosen by ``ShuffleConfig.backend_name``, as
+its ``shuffle_service``; the scheduler, the task runtime and the task
+runner call it directly.
 
 The base class owns the one data path every backend composes (DESIGN.md
 §8): **move** (``_move`` / ``_move_read``, the only place a flow is
@@ -90,8 +88,12 @@ class ShuffleBackend:
         self._staged: Set[int] = set()
 
     def bind(self, context: ClusterContext) -> None:
-        """Attach to one cluster context (called once by the service)."""
+        """Attach to one cluster context (called once by the context)."""
         self.context = context
+
+    def perf_snapshot(self) -> Dict[str, float]:
+        """Flat counter summary for ``RunResult.shuffle_perf``."""
+        return self.counters.as_dict()
 
     # ------------------------------------------------------------------
     # Lineage rewriting
@@ -193,6 +195,18 @@ class ShuffleBackend:
     # ------------------------------------------------------------------
     # Pre-reduce reorganisation
     # ------------------------------------------------------------------
+    def prepare_stage_inputs(self, stage: Stage):
+        """Run :meth:`prepare_shuffle_input` once for every shuffle this
+        stage consumes (a simulation sub-process of the stage)."""
+        seen = set()
+        for dep in stage.boundary_shuffle_deps:
+            if dep.shuffle_id in seen:
+                continue
+            seen.add(dep.shuffle_id)
+            yield from self.prepare_shuffle_input(
+                dep, tenant=stage.tenant or ""
+            )
+
     def prepare_shuffle_input(self, dep: ShuffleDependency, tenant: str = ""):
         """Simulation process run after the map barrier, before the
         consuming stage's tasks launch: stage the shuffle's map output
@@ -225,9 +239,18 @@ class ShuffleBackend:
         of §II-B; in push mode the tracker points at receiver hosts, so
         the same loop becomes a mostly datacenter-local read), or, with
         ``coalesced_reads``, one per remote source host.
+
+        Spark's FetchFailed check comes first: a reducer must see
+        *every* map output.  After a host loss the tracker silently
+        drops the lost entries, so an incomplete shuffle here means
+        blocks are gone — fail before reading anything and let the DAG
+        scheduler recover from lineage instead of returning truncated
+        input.
         """
         context = self.context
         shuffle_id = dep.shuffle_id
+        if not context.map_output_tracker.is_complete(shuffle_id):
+            raise FetchFailedError(shuffle_id=shuffle_id)
         store = context.shuffle_store
         self.counters.reduce_reads += 1
         shards: List[List[Any]] = []
@@ -422,114 +445,3 @@ class ShuffleBackend:
             shuffle_id=shuffle_id,
             recovery=recovery,
         )
-
-
-class ShuffleService:
-    """Per-context facade over exactly one :class:`ShuffleBackend`.
-
-    The scheduler, the task runtime, and the task runner call only this
-    class; which strategy actually moves the bytes is decided once, at
-    context construction, from ``ShuffleConfig.backend_name``.
-    """
-
-    def __init__(self, context: ClusterContext, backend: ShuffleBackend) -> None:
-        self.context = context
-        self.backend = backend
-        backend.bind(context)
-
-    # ------------------------------------------------------------------
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
-
-    @property
-    def counters(self) -> ShuffleCounters:
-        return self.backend.counters
-
-    # ------------------------------------------------------------------
-    # Uniform entry points (delegation, no strategy branches)
-    # ------------------------------------------------------------------
-    def prepare_job(self, final_rdd: RDD) -> RDD:
-        return self.backend.prepare_job(final_rdd)
-
-    def register_shuffle(self, shuffle_id: int, num_maps: int) -> None:
-        self.backend.register_shuffle(shuffle_id, num_maps)
-
-    def register_map_output(
-        self,
-        shuffle_id: int,
-        map_index: int,
-        host: str,
-        shards: List[ShuffleShard],
-    ) -> None:
-        self.backend.register_map_output(shuffle_id, map_index, host, shards)
-
-    def prepare_stage_inputs(self, stage: Stage):
-        """Run the backend's pre-reduce hook for every shuffle this
-        stage consumes (a simulation sub-process of the stage)."""
-        seen = set()
-        for dep in stage.boundary_shuffle_deps:
-            if dep.shuffle_id in seen:
-                continue
-            seen.add(dep.shuffle_id)
-            yield from self.backend.prepare_shuffle_input(
-                dep, tenant=stage.tenant or ""
-            )
-
-    def shuffle_read(
-        self, runtime: TaskRuntime, dep: ShuffleDependency, reduce_index: int
-    ):
-        # Spark's FetchFailed check: a reducer must see *every* map
-        # output.  After a host loss the tracker silently drops the lost
-        # entries, so an incomplete read here means blocks are gone —
-        # fail fast and let the DAG scheduler recover from lineage
-        # instead of returning silently truncated input.
-        if not self.context.map_output_tracker.is_complete(dep.shuffle_id):
-            raise FetchFailedError(shuffle_id=dep.shuffle_id)
-        records = yield from self.backend.shuffle_read(
-            runtime, dep, reduce_index
-        )
-        return records
-
-    def stage_transfer_partition(
-        self,
-        transfer_id: int,
-        partition_index: int,
-        host: str,
-        records: List[Any],
-        size_bytes: float,
-    ) -> None:
-        self.backend.stage_transfer_partition(
-            transfer_id, partition_index, host, records, size_bytes
-        )
-
-    def transfer_read(
-        self, runtime: TaskRuntime, dep: TransferDependency, index: int
-    ):
-        records = yield from self.backend.transfer_read(runtime, dep, index)
-        return records
-
-    def remove_shuffle(self, shuffle_id: int) -> None:
-        self.backend.remove_shuffle(shuffle_id)
-
-    def on_host_failure(self, host: str) -> None:
-        self.backend.on_host_failure(host)
-
-    def on_blocks_lost(self, dep: ShuffleDependency, tenant: str = ""):
-        yield from self.backend.on_blocks_lost(dep, tenant=tenant)
-
-    def merger_host(self, datacenter: str) -> Optional[str]:
-        return self.backend.merger_host(datacenter)
-
-    def shuffle_worker_host(self, datacenter: str) -> Optional[str]:
-        return self.backend.shuffle_worker_host(datacenter)
-
-    def blob_store(self):
-        return self.backend.blob_store()
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def perf_snapshot(self) -> Dict[str, float]:
-        """Flat counter summary for ``RunResult.shuffle_perf``."""
-        return self.counters.as_dict()

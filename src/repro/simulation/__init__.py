@@ -21,7 +21,7 @@ Typical usage::
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.simulation.event": ("Event", "Timeout", "AllOf", "AnyOf"),
     "repro.simulation.kernel": ("Simulator", "Process"),
     "repro.simulation.random_source": ("RandomSource",),

@@ -12,7 +12,7 @@ read genuine data while the simulation charges genuine time.
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.storage.blob": ("BlobObject", "BlobStore"),
     "repro.storage.block": ("Block", "BlockId"),
     "repro.storage.datanode": ("DataNode",),

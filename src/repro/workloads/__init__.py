@@ -8,7 +8,7 @@ over cached links), and NaiveBayes (two chained shuffles).
 
 from repro import lazy_exports
 
-__getattr__, __all__ = lazy_exports(__name__, {
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.workloads.base": ("Workload", "merge_counts", "add_weighted"),
     "repro.workloads.wordcount": ("WordCount",),
     "repro.workloads.sort": ("Sort",),

@@ -110,7 +110,7 @@ def test_reconcile_excludes_flows_still_in_flight_at_run_end():
     from tests.conftest import make_context
 
     context = make_context()
-    backend = context.shuffle_service.backend
+    backend = context.shuffle_service
     flow = context.fabric.transfer("dc-a-w0", "dc-b-w0", 1000.0, tag="shuffle")
     backend._account_flow("dc-a-w0", "dc-b-w0", 1000.0, shuffle_id=0)
     assert reconcile_run(context) == []

@@ -13,13 +13,8 @@ import dataclasses
 import pytest
 
 from repro.experiments.figures import fig7_job_completion_times
-from repro.experiments.runner import (
-    ExperimentPlan,
-    clear_data_cache,
-    run_matrix,
-    run_matrix_parallel,
-    run_matrix_sharded,
-)
+from repro.config import SimulationConfig
+from repro.experiments.runner import ExperimentPlan, clear_data_cache, run_matrix
 from repro.experiments.schemes import Scheme
 from repro.failures.chaos import ChaosEvent, ChaosSchedule
 from repro.workloads import workload_by_name
@@ -32,11 +27,11 @@ def _clean():
     clear_data_cache()
 
 
-def _small_matrix(runner, **kwargs):
+def _small_matrix(jobs):
     plan = ExperimentPlan(seeds=(0, 1))
     workloads = [workload_by_name("wordcount")]
     schemes = [Scheme.SPARK, Scheme.AGGSHUFFLE]
-    return runner(workloads, schemes, plan, **kwargs)
+    return run_matrix(workloads, schemes, plan, jobs=jobs)
 
 
 def _comparable(result):
@@ -51,9 +46,9 @@ def _comparable(result):
 
 
 def test_parallel_matrix_is_identical_to_sequential():
-    sequential = _small_matrix(run_matrix)
+    sequential = _small_matrix(jobs=1)
     clear_data_cache()
-    parallel = _small_matrix(run_matrix_parallel, jobs=2)
+    parallel = _small_matrix(jobs=2)
     assert len(sequential) == len(parallel)
     for seq, par in zip(sequential, parallel):
         assert _comparable(seq) == _comparable(par)
@@ -64,7 +59,7 @@ def test_parallel_matrix_is_identical_to_sequential():
 
 
 def test_jobs_of_one_falls_back_to_sequential_runner():
-    results = _small_matrix(run_matrix_parallel, jobs=1)
+    results = _small_matrix(jobs=1)
     assert len(results) == 4
     assert [r.scheme for r in results] == [
         Scheme.SPARK,
@@ -76,7 +71,7 @@ def test_jobs_of_one_falls_back_to_sequential_runner():
 
 
 def test_parallel_results_preserve_matrix_order():
-    parallel = _small_matrix(run_matrix_parallel, jobs=2)
+    parallel = _small_matrix(jobs=2)
     assert [(r.workload, r.scheme, r.seed) for r in parallel] == [
         ("WordCount", Scheme.SPARK, 0),
         ("WordCount", Scheme.SPARK, 1),
@@ -85,41 +80,9 @@ def test_parallel_results_preserve_matrix_order():
     ]
 
 
-# ---------------------------------------------------------------------------
-# Sharded harness: contiguous shards + parent-side dataset generation
-# ---------------------------------------------------------------------------
-def test_sharded_matrix_is_identical_to_serial_and_parallel():
-    sequential = _small_matrix(run_matrix)
-    clear_data_cache()
-    parallel = _small_matrix(run_matrix_parallel, jobs=2)
-    clear_data_cache()
-    sharded = _small_matrix(run_matrix_sharded, jobs=2)
-    clear_data_cache()
-    # An uneven shard split must not change anything either.
-    sharded_odd = _small_matrix(run_matrix_sharded, jobs=2, shards=3)
-    assert len(sequential) == len(parallel) == len(sharded) == len(sharded_odd)
-    for seq, par, sha, odd in zip(sequential, parallel, sharded, sharded_odd):
-        assert _comparable(seq) == _comparable(par)
-        assert _comparable(seq) == _comparable(sha)
-        assert _comparable(seq) == _comparable(odd)
-    assert repr(fig7_job_completion_times(sequential)) == repr(
-        fig7_job_completion_times(sharded)
-    )
-
-
-def test_sharded_jobs_of_one_runs_sequentially():
-    results = _small_matrix(run_matrix_sharded, jobs=1)
-    assert [(r.scheme, r.seed) for r in results] == [
-        (Scheme.SPARK, 0),
-        (Scheme.SPARK, 1),
-        (Scheme.AGGSHUFFLE, 0),
-        (Scheme.AGGSHUFFLE, 1),
-    ]
-
-
-def test_sharded_chaos_axis_expands_and_matches_sequential():
-    """The chaos axis multiplies the matrix (scheme x chaos x seed) and
-    stays byte-identical between the sequential and sharded paths."""
+def test_chaos_cells_identical_in_the_pool():
+    """A chaos schedule rides in the plan's base config, and its cells
+    come out of the per-cell pool exactly as they run sequentially."""
     degrade = ChaosSchedule(
         (
             ChaosEvent(
@@ -131,20 +94,15 @@ def test_sharded_chaos_axis_expands_and_matches_sequential():
             ),
         )
     )
-    chaos_axis = [None, degrade]
-    plan = ExperimentPlan(seeds=(0,))
+    plan = ExperimentPlan(
+        seeds=(0, 1), base_config=SimulationConfig().with_chaos(degrade)
+    )
     workloads = [workload_by_name("wordcount")]
-    schemes = [Scheme.SPARK]
-    sequential = run_matrix_sharded(
-        workloads, schemes, plan, jobs=1, chaos=chaos_axis
-    )
+    sequential = run_matrix(workloads, [Scheme.SPARK], plan, jobs=1)
     clear_data_cache()
-    sharded = run_matrix_sharded(
-        workloads, schemes, plan, jobs=2, chaos=chaos_axis
-    )
-    assert len(sequential) == len(sharded) == 2
-    for seq, sha in zip(sequential, sharded):
-        assert _comparable(seq) == _comparable(sha)
-    # The degrade variant actually fired its event.
-    assert sequential[0].chaos_events_applied == 0
-    assert sequential[1].chaos_events_applied == 1
+    pooled = run_matrix(workloads, [Scheme.SPARK], plan, jobs=2)
+    assert len(sequential) == len(pooled) == 2
+    for seq, par in zip(sequential, pooled):
+        assert _comparable(seq) == _comparable(par)
+    # The degrade event actually fired in every cell.
+    assert [r.chaos_events_applied for r in sequential] == [1, 1]

@@ -4,22 +4,15 @@ A stream cell draws its whole job-arrival schedule from one seeded
 ``RandomSource`` child, so identical seeds must reproduce identical
 schedules — and therefore byte-identical ``RunResult`` payloads
 (tenants, stream summary, traffic, everything except the wall-clock
-``solver_seconds`` counter) — no matter which runner executes the cell:
-serial ``run_matrix``, the process-pool ``run_matrix_parallel``, or the
-contiguous-shard ``run_matrix_sharded``.
+``solver_seconds`` counter) — whether ``run_matrix`` runs the cell in
+its own process or in a pool worker.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.experiments.runner import (
-    ExperimentPlan,
-    clear_data_cache,
-    run_matrix,
-    run_matrix_parallel,
-    run_matrix_sharded,
-)
+from repro.experiments.runner import ExperimentPlan, clear_data_cache, run_matrix
 from repro.experiments.schemes import Scheme
 from repro.workloads import workload_by_name
 from repro.workloads.arrivals import (
@@ -57,9 +50,9 @@ def _stream_plan():
     )
 
 
-def _run(runner, **kwargs):
+def _run(jobs):
     workloads = [workload_by_name("wordcount")]
-    return runner(workloads, [Scheme.SPARK], _stream_plan(), **kwargs)
+    return run_matrix(workloads, [Scheme.SPARK], _stream_plan(), jobs=jobs)
 
 
 def _comparable(result):
@@ -88,15 +81,12 @@ def test_arrival_schedules_reproduce_from_seed():
 
 
 def test_stream_cells_identical_across_runners():
-    serial = _run(run_matrix)
+    serial = _run(jobs=1)
     clear_data_cache()
-    parallel = _run(run_matrix_parallel, jobs=2)
-    clear_data_cache()
-    sharded = _run(run_matrix_sharded, jobs=2)
-    assert len(serial) == len(parallel) == len(sharded) == 2
-    for seq, par, sha in zip(serial, parallel, sharded):
+    parallel = _run(jobs=2)
+    assert len(serial) == len(parallel) == 2
+    for seq, par in zip(serial, parallel):
         assert _comparable(seq) == _comparable(par)
-        assert _comparable(seq) == _comparable(sha)
     # The stream actually ran: every job completed, tenants populated.
     for result in serial:
         assert result.stream["jobs_completed"] == 6

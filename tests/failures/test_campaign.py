@@ -255,8 +255,8 @@ def test_artifact_without_schedule_list_rejected(tmp_path):
 
 
 def test_artifact_replay_is_identical_across_serial_parallel_sharded(tmp_path):
-    """The ISSUE acceptance bar: replaying an emitted artifact produces
-    byte-identical outcomes on the serial, parallel, and sharded runners."""
+    """Replaying an emitted artifact produces byte-identical outcomes
+    run serially, over two uneven shards, and one cell per worker."""
     from repro.experiments.runner import shard_map
 
     specs = ["partition:dc-a->dc-b@1+4", "crash:dc-b-w0@2.0"]
@@ -279,7 +279,7 @@ def test_artifact_replay_is_identical_across_serial_parallel_sharded(tmp_path):
     ]
     serial = shard_map(cells, _run_campaign_shard, jobs=1)
     parallel = shard_map(cells, _run_campaign_shard, jobs=2)
-    sharded = shard_map(cells, _run_campaign_shard, jobs=2, shards=3)
+    sharded = shard_map(cells, _run_campaign_shard, jobs=3)
     assert serial == parallel == sharded
     for outcome in serial:
         assert outcome.violations == ()

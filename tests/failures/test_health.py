@@ -451,7 +451,7 @@ def test_pre_merge_merger_election_avoids_blacklisted_host():
     context = make_context(
         backend="pre_merge", health=HealthConfig(blacklist_enabled=True),
     )
-    backend = context.shuffle_service.backend
+    backend = context.shuffle_service
     per_host = {"dc-a-w0": 100.0, "dc-a-w1": 1.0}
     assert backend._choose_merger("dc-a", per_host) == "dc-a-w0"
     context.blacklist.exclude_host("dc-a-w0")
@@ -467,7 +467,7 @@ def test_pre_merge_falls_back_to_fetch_for_excluded_datacenter(seed):
     time, the merge is skipped — the layout stays scattered and reads
     degrade to plain per-source fetches with unchanged output."""
     clean_context, clean_result = _run_pre_merge(seed, HealthConfig())
-    assert clean_context.shuffle_service.backend.counters.merge_rounds > 0
+    assert clean_context.shuffle_service.counters.merge_rounds > 0
     clean_context.shutdown()
 
     def quarantine_dc_a(ctx):
@@ -483,7 +483,7 @@ def test_pre_merge_falls_back_to_fetch_for_excluded_datacenter(seed):
     )
     assert result == clean_result
     assert context.health.fallback_activations >= 1
-    assert context.shuffle_service.backend._fallback
+    assert context.shuffle_service._fallback
     _assert_counters_match_monitor(context)
     context.shutdown()
 

@@ -78,7 +78,7 @@ def _crash_mid_reduce(backend: str, seed: int):
     assert context.recovery.executor_crashes == 1
     assert context.recovery.tasks_relaunched >= 1
     _assert_counters_match_monitor(context)
-    counters = context.shuffle_service.backend.counters
+    counters = context.shuffle_service.counters
     assert counters.recovery_wan_bytes <= counters.wan_bytes
     assert counters.recovery_intra_dc_bytes <= counters.intra_dc_bytes
     context.shutdown()
@@ -116,7 +116,7 @@ def test_pre_merge_crash_recovery_output_correct(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pre_merge_survives_merger_host_loss(seed):
     clean_context, clean_result = _run("pre_merge", seed, dfs_replication=2)
-    mergers = dict(clean_context.shuffle_service.backend._mergers)
+    mergers = dict(clean_context.shuffle_service._mergers)
     assert mergers, "pre_merge run recorded no merger hosts"
     datacenter = sorted(mergers)[0]
     _host, when = _first_reduce_attempt(clean_context)

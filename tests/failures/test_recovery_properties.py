@@ -100,7 +100,7 @@ def test_retries_never_double_count_bytes(backend, seed, crash_at):
     context, result = _run_job(backend, seed, chaos=chaos, failures=failures)
     assert result == clean_result
     _assert_counters_match_monitor(context)
-    counters = context.shuffle_service.backend.counters
+    counters = context.shuffle_service.counters
     assert counters.recovery_wan_bytes <= counters.wan_bytes
     assert counters.recovery_intra_dc_bytes <= counters.intra_dc_bytes
     assert context.failure_injector.total_injected > 0

@@ -7,8 +7,9 @@ numpy (``GeneralPlan``) or, for small components, in plain floats
 so these tests pin:
 
 * the closed form of a same-route component in plain floats
-  (``ScalarUniformPlan``) equals the array one (``UniformPlan``) float
-  for float, and ``build_plan`` picks between them by size alone;
+  (``UniformPlan``) equals the array one it replaced
+  (``reference_cascade.ArrayUniformPlan``) float for float at every
+  size, and ``build_plan`` picks it for every such component;
 
 * every prefix of a lazily extended plan of either shape equals the
   eager reference (``reference_cascade.py``) float for float — bounds,
@@ -30,13 +31,17 @@ import repro.network.cascade as cascade_module
 import repro.network.cascade_vector as cascade_vector
 import repro.network.fabric as fabric_module
 from repro.analysis.sanitizer import sanitized
-from repro.network.cascade import ScalarPlan, ScalarUniformPlan, build_plan
-from repro.network.cascade_vector import GeneralPlan, UniformPlan
+from repro.network.cascade import ScalarPlan, UniformPlan, build_plan
+from repro.network.cascade_vector import GeneralPlan
 from repro.network.fabric import NetworkFabric
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
 
-from tests.network.reference_cascade import EagerGeneralPlan, eager_plan
+from tests.network.reference_cascade import (
+    ArrayUniformPlan,
+    EagerGeneralPlan,
+    eager_plan,
+)
 from tests.network.test_vector_drive import _build
 
 
@@ -175,14 +180,19 @@ def test_lazy_plan_prefixes_equal_eager_schedule(component):
 # ----------------------------------------------------------------------
 # (a') the scalar closed form is the array closed form
 # ----------------------------------------------------------------------
+# Few distinct sizes: simultaneous departures (ties) are common, and
+# 1e6 + 1e-7 lands two departures inside the tie window.
+_UNIFORM_SIZES = st.sampled_from(
+    [1e6, 1e6 + 1e-7, 2e6, 2e6, 5e6, 7.5e6, 3.3e7, 1e7 / 3]
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    # Few distinct sizes: simultaneous departures (ties) are common, and
-    # 1e6 + 1e-7 lands two departures inside the tie window.
-    sizes=st.lists(
-        st.sampled_from([1e6, 1e6 + 1e-7, 2e6, 2e6, 5e6, 7.5e6, 3.3e7, 1e7 / 3]),
-        min_size=1,
-        max_size=40,
+    # Every component size the scalar form serves, up to well past the
+    # 128-flow point where the array form used to be the cheaper one.
+    sizes=st.integers(1, 256).flatmap(
+        lambda count: st.lists(_UNIFORM_SIZES, min_size=count, max_size=count)
     ),
     c_star=st.floats(1e5, 1e9),
     cap=st.sampled_from([float("inf"), 2.5e6, 1e8 / 3]),
@@ -192,8 +202,8 @@ def test_lazy_plan_prefixes_equal_eager_schedule(component):
 def test_scalar_uniform_plan_equals_the_array_one(sizes, c_star, cap, base, weight):
     count = len(sizes)
     flow_ids = list(range(100, 100 + count))
-    scalar = ScalarUniformPlan(flow_ids, base, sizes, c_star, cap)
-    vector = UniformPlan(flow_ids, base, sizes, c_star, cap)
+    scalar = UniformPlan(flow_ids, base, sizes, c_star, cap)
+    vector = ArrayUniformPlan(flow_ids, base, sizes, c_star, cap)
     assert scalar.flow_ids == vector.flow_ids
     assert scalar.pos_of == vector.pos_of
     assert scalar.init_remaining == vector.init_remaining.tolist()
@@ -214,19 +224,35 @@ def test_scalar_uniform_plan_equals_the_array_one(sizes, c_star, cap, base, weig
             assert scalar.remaining_at(pos, now) == vector.remaining_at(pos, now)
             assert scalar.rate_at(pos, now) == vector.rate_at(pos, now)
             assert scalar.initial_rate(pos) == vector.initial_rate(pos)
-    # build_plan picks the shape by size alone, and equal non-unit
-    # weights keep a component uniform.
+    # build_plan picks the closed form whatever the size, and equal
+    # non-unit weights keep a component uniform.
     shared = [("up", "wan", "down")] * count
     capacities = {"up": 3 * c_star, "wan": c_star, "down": 2 * c_star}
     weights = None if weight is None else dict.fromkeys(flow_ids, weight)
     built = build_plan(
         flow_ids, sizes, shared, [cap] * count, capacities, base, weights=weights
     )
-    small = count <= cascade_module.SCALAR_MAX_FLOWS
-    assert type(built) is (ScalarUniformPlan if small else UniformPlan)
+    assert type(built) is UniformPlan
     assert built.shape == "uniform"
     assert built.bounds == scalar.bounds and built.departs == scalar.departs
-    assert list(built.seg_rates) == scalar.seg_rates
+    assert built.seg_rates == scalar.seg_rates
+
+
+def test_build_plan_keeps_a_200_flow_same_route_component_scalar():
+    """Far above ``SCALAR_MAX_FLOWS``, a same-route burst still gets the
+    scalar closed form: floats and lists, the whole schedule solved."""
+    count = 200
+    rng = random.Random(200)
+    flow_ids = list(range(count))
+    sizes = [rng.uniform(1e6, 30e6) for _ in flow_ids]
+    shared = [("a-up", "a->b", "b-down")] * count
+    capacities = {"a-up": 1.25e8, "a->b": 1.25e7, "b-down": 1.25e8}
+    built = build_plan(flow_ids, sizes, shared, [float("inf")] * count, capacities, 5.0)
+    assert count > cascade_module.SCALAR_MAX_FLOWS
+    assert type(built) is UniformPlan
+    assert built.complete and len(built.departs) == count
+    assert all(type(x) is float for x in built.bounds + built.seg_rates + built._cum)
+    assert built.state_at(5.0) == (sorted(sizes), [1.25e7 / count] * count)
 
 
 # ----------------------------------------------------------------------

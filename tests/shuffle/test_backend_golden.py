@@ -120,7 +120,7 @@ def observe(backend: str, scenario: str) -> dict:
             context.chaos_injector.events_applied
             if context.chaos_injector is not None else 0
         ),
-        "counters": context.shuffle_service.backend.counters.as_dict(),
+        "counters": context.shuffle_service.counters.as_dict(),
         "by_tag": dict(context.traffic.by_tag),
         "cross_dc_by_tag": dict(context.traffic.cross_dc_by_tag),
         "health": context.health.as_dict(),

@@ -110,7 +110,7 @@ def test_remote_worker_loss_recovers_without_resubmission():
     assert result == expected
     assert context.recovery.shuffle_worker_losses == 1
     assert context.recovery.stages_resubmitted == 0
-    counters = context.shuffle_service.backend.counters
+    counters = context.shuffle_service.counters
     assert counters.replica_promotions > 0
     assert counters.replication_bytes > 0
     context.sim.run()
@@ -125,7 +125,7 @@ def test_remote_replication_bytes_flow_even_without_chaos():
     context = make_context(backend="remote", scale_factor=1e5)
     result, expected = _run_reduce_job(context)
     assert result == expected
-    counters = context.shuffle_service.backend.counters
+    counters = context.shuffle_service.counters
     assert counters.replication_bytes > 0
     assert counters.rereplication_bytes == 0
     assert counters.replica_promotions == 0
@@ -149,7 +149,7 @@ def test_blob_survives_datacenter_outage_without_resubmission():
     assert result == expected
     assert context.recovery.datacenter_outages == 1
     assert context.recovery.stages_resubmitted == 0
-    counters = context.shuffle_service.backend.counters
+    counters = context.shuffle_service.counters
     assert counters.blob_puts > 0
     assert counters.blob_gets > 0
     _assert_counters_match_monitor(context)
@@ -192,7 +192,7 @@ def test_blob_reads_are_tagged_blob_get_with_and_without_flow_retry(retry):
     assert result == expected
     assert context.traffic.by_tag["blob_get"] > 0
     assert context.traffic.by_tag.get("shuffle", 0.0) == 0
-    assert "shuffle" not in context.shuffle_service.backend.flow_tags
+    assert "shuffle" not in context.shuffle_service.flow_tags
     _assert_counters_match_monitor(context)
     context.shutdown()
 

@@ -1,9 +1,10 @@
-"""The ShuffleService layer: registry, config resolution, wiring."""
+"""The shuffle backend the context binds: registry, config resolution, wiring."""
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.config import (
     backend_config,
     shuffle_config_for_backend,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FetchFailedError
 from repro.shuffle.backends import (
     backend_class,
     backend_names,
@@ -23,6 +24,7 @@ from repro.shuffle.backends.fetch import FetchShuffleBackend
 from repro.shuffle.backends.pre_merge import PreMergeBackend
 from repro.shuffle.backends.push_aggregate import PushAggregateBackend
 from repro.shuffle.service import ShuffleBackend
+from repro.shuffle.stores import ShuffleShard
 from tests.conftest import make_context, small_spec
 
 
@@ -195,9 +197,36 @@ def test_backends_compose_the_shared_data_path():
 # ---------------------------------------------------------------------------
 def test_context_owns_a_service_matching_its_config():
     context = make_context(push=False)
-    assert context.shuffle_service.backend_name == "fetch"
+    assert context.shuffle_service.name == "fetch"
     push = make_context(push=True)
-    assert push.shuffle_service.backend_name == "push_aggregate"
+    assert push.shuffle_service.name == "push_aggregate"
+
+
+@pytest.mark.parametrize("backend", backend_names())
+def test_incomplete_shuffle_read_fails_before_moving_bytes(backend):
+    """Spark's FetchFailed check: a reducer whose shuffle is missing a
+    map output raises before it issues a flow or counts a read, so the
+    DAG scheduler recovers from lineage instead of reading truncated
+    input — whichever backend serves the read."""
+    context = make_context(backend=backend)
+    service = context.shuffle_service
+    workers = context.spec.worker_names()
+    service.register_shuffle(7, 2)
+    service.register_map_output(7, 0, workers[0], [ShuffleShard([("k", 1)], 1e6)])
+    runtime = SimpleNamespace(
+        host=workers[-1],
+        tenant="",
+        task=SimpleNamespace(recovery=False),
+        shuffle_bytes_fetched=0.0,
+        bytes_read_local=0.0,
+    )
+    read = service.shuffle_read(runtime, SimpleNamespace(shuffle_id=7), 0)
+    with pytest.raises(FetchFailedError) as raised:
+        next(read)
+    assert raised.value.shuffle_id == 7
+    assert service.counters.reduce_reads == 0
+    assert service.counters.blocks_fetched == 0
+    assert context.fabric.perf.total_flows == 0
 
 
 def test_push_backend_prepare_job_inserts_transfers():

@@ -194,6 +194,36 @@ def test_every_exported_name_resolves_to_its_defining_module(package):
         module.no_such_name
 
 
+_DIR_PROBE = """
+import importlib, json, sys
+packages = [("repro." + name).rstrip(".") for name in json.loads(sys.argv[1])]
+modules = [importlib.import_module(package) for package in packages]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+missing = {
+    module.__name__: sorted(set(module.__all__) - set(dir(module)))
+    for module in modules
+}
+after = sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+print(json.dumps([missing, before, after]))
+"""
+
+
+def test_dir_lists_every_export_before_it_resolves():
+    """``dir()`` (tab-completion, ``help()``) shows each lazy package's
+    whole export table in a fresh interpreter, and listing it imports
+    no defining module."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _DIR_PROBE, json.dumps(PACKAGES)],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
+        check=True,
+    )
+    missing, before, after = json.loads(done.stdout)
+    assert missing == {name: [] for name in missing}
+    assert len(missing) == len(PACKAGES)
+    assert before == after == sorted(("repro." + p).rstrip(".") for p in PACKAGES)
+
+
 def test_a_lazily_exported_module_does_not_dodge_the_linter(tmp_path):
     """The linter walks files, not imports: a module nothing imports
     until an export table's name is read is linted like any other."""
@@ -203,7 +233,7 @@ def test_a_lazily_exported_module_does_not_dodge_the_linter(tmp_path):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text(
         "from repro import lazy_exports\n"
-        "__getattr__, __all__ = lazy_exports(\n"
+        "__getattr__, __dir__, __all__ = lazy_exports(\n"
         "    __name__, {'repro.lazypkg.clock': ('now',)})\n"
     )
     (package / "clock.py").write_text(
