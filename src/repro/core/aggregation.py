@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Set
 
 from repro.errors import SchedulerError
 from repro.rdd.dependencies import ShuffleDependency, TransferDependency
-from repro.rdd.rdd import RDD, HadoopRDD
+from repro.rdd.rdd import HadoopRDD
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
@@ -31,14 +31,41 @@ if TYPE_CHECKING:  # pragma: no cover
 def stage_input_bytes_by_datacenter(
     stage: Stage, context: ClusterContext
 ) -> Dict[str, float]:
-    """Logical input bytes of a stage, aggregated per datacenter."""
+    """Logical input bytes of a stage, aggregated per datacenter.
+
+    The walk is depth first with dependencies in order — the order the
+    per-datacenter sums are accumulated in.  The stack holds RDDs still
+    to visit and boundary dependencies still to count.
+    """
     topology = context.topology
     by_dc: Dict[str, float] = {name: 0.0 for name in topology.datacenters}
     visited: Set[int] = set()
-
-    def visit(rdd: RDD) -> None:
+    stack: list = [stage.rdd]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ShuffleDependency):
+            tracker = context.map_output_tracker
+            if tracker.is_complete(item.shuffle_id):
+                host_to_dc = {
+                    host: topology.datacenter_of(host)
+                    for host in topology.all_host_names()
+                }
+                for dc, size in tracker.total_output_by_datacenter(
+                    item.shuffle_id, host_to_dc
+                ).items():
+                    by_dc[dc] = by_dc.get(dc, 0.0) + size
+            continue
+        if isinstance(item, TransferDependency):
+            staged = context.transfer_tracker
+            for partition in range(item.parent.num_partitions):
+                entry = staged.try_get(item.transfer_id, partition)
+                if entry is not None:
+                    dc = topology.datacenter_of(entry.host)
+                    by_dc[dc] = by_dc.get(dc, 0.0) + entry.size_bytes
+            continue
+        rdd = item
         if rdd.rdd_id in visited:
-            return
+            continue
         visited.add(rdd.rdd_id)
         if rdd.cached:
             cached_any = False
@@ -49,7 +76,7 @@ def stage_input_bytes_by_datacenter(
                     by_dc[dc] = by_dc.get(dc, 0.0) + entry.size_bytes
                     cached_any = True
             if cached_any:
-                return  # cached data is this branch's effective input
+                continue  # cached data is this branch's effective input
         if isinstance(rdd, HadoopRDD):
             for partition in range(rdd.num_partitions):
                 block_id = rdd.block_id(partition)
@@ -62,30 +89,13 @@ def stage_input_bytes_by_datacenter(
                 size = context.dfs.block_size(block_id)
                 dc = topology.datacenter_of(locations[0])
                 by_dc[dc] = by_dc.get(dc, 0.0) + size
-            return
-        for dep in rdd.dependencies:
-            if isinstance(dep, ShuffleDependency):
-                tracker = context.map_output_tracker
-                if tracker.is_complete(dep.shuffle_id):
-                    host_to_dc = {
-                        host: topology.datacenter_of(host)
-                        for host in topology.all_host_names()
-                    }
-                    for dc, size in tracker.total_output_by_datacenter(
-                        dep.shuffle_id, host_to_dc
-                    ).items():
-                        by_dc[dc] = by_dc.get(dc, 0.0) + size
-            elif isinstance(dep, TransferDependency):
-                staged = context.transfer_tracker
-                for partition in range(dep.parent.num_partitions):
-                    entry = staged.try_get(dep.transfer_id, partition)
-                    if entry is not None:
-                        dc = topology.datacenter_of(entry.host)
-                        by_dc[dc] = by_dc.get(dc, 0.0) + entry.size_bytes
-            else:
-                visit(dep.parent)
-
-    visit(stage.rdd)
+            continue
+        for dep in reversed(rdd.dependencies):
+            stack.append(
+                dep
+                if isinstance(dep, (ShuffleDependency, TransferDependency))
+                else dep.parent
+            )
     return by_dc
 
 

@@ -33,29 +33,27 @@ from repro.rdd.transferred import TransferredRDD
 def insert_transfers(final_rdd: RDD) -> RDD:
     """Embed a transfer before every shuffle reachable from ``final_rdd``.
 
-    Returns ``final_rdd`` (rewritten in place) for call chaining.
+    Returns ``final_rdd`` (rewritten in place) for call chaining.  The
+    walk is depth first with dependencies in order, so transfers (and
+    their ids) are created in lineage order.
     """
-    visited: Set[int] = set()
-
-    def visit(rdd: RDD) -> None:
-        if rdd.rdd_id in visited:
-            return
-        visited.add(rdd.rdd_id)
-        for dep in rdd.dependencies:
-            if isinstance(dep, ShuffleDependency) and not isinstance(
-                dep.parent, TransferredRDD
-            ):
-                pre_combine = (
-                    dep.aggregator if dep.map_side_combine else None
-                )
-                dep.parent = TransferredRDD(
-                    dep.parent,
-                    destination_datacenter=None,
-                    pre_combine=pre_combine,
-                )
-            visit(dep.parent)
-
-    visit(final_rdd)
+    visited: Set[int] = {final_rdd.rdd_id}
+    stack = list(reversed(final_rdd.dependencies))
+    while stack:
+        dep = stack.pop()
+        if isinstance(dep, ShuffleDependency) and not isinstance(
+            dep.parent, TransferredRDD
+        ):
+            pre_combine = dep.aggregator if dep.map_side_combine else None
+            dep.parent = TransferredRDD(
+                dep.parent,
+                destination_datacenter=None,
+                pre_combine=pre_combine,
+            )
+        parent = dep.parent
+        if parent.rdd_id not in visited:
+            visited.add(parent.rdd_id)
+            stack.extend(reversed(parent.dependencies))
     return final_rdd
 
 

@@ -88,10 +88,12 @@ class CascadePlan:
 
     ``bounds``/``departs`` hold the segments solved so far, which is
     all of them once ``complete``; the first :attr:`horizon` may have
-    departure timers armed.  A plan that is not complete has an
-    ``extend()`` that solves further (:meth:`ResumablePlan.extend`).
-    ``shape`` names the subclass for the fabric's ``plans_<shape>``
-    counters.
+    departure timers armed (``timers``, released when the plan dies or
+    its last segment fires).  ``extend()`` pushes the horizon out by
+    twice its last push and returns how many segments that newly
+    solved: a :class:`ResumablePlan` solves further, a
+    :class:`UniformPlan` — solved whole — only arms further.  ``shape``
+    names the subclass for the fabric's ``plans_<shape>`` counters.
     """
 
     __slots__ = (
@@ -124,14 +126,6 @@ class CascadePlan:
         self.timers: list = []
         self.alive = True
 
-    @property
-    def horizon(self) -> int:
-        """How many leading segments are ready for departure timers:
-        all of a complete plan, all but the last (the reserve, see
-        :class:`ResumablePlan`) of one still being solved."""
-        solved = len(self.departs)
-        return solved if self.complete else solved - 1
-
     def _segment(self, offset: float) -> int:
         k = bisect_right(self.bounds, offset) - 1
         last = len(self.departs) - 1
@@ -153,7 +147,10 @@ class CascadePlan:
 
 class UniformPlan(CascadePlan):
     """The closed form for identical-route components, solved whole at
-    construction in plain floats and lists, whatever the size.
+    construction in plain floats and lists, whatever the size, and
+    armed in :class:`ResumablePlan`'s doubling batches (horizon 1, 3,
+    7, ...): most plans die at the next arrival, long before their
+    last departure.
 
     All alive members share one rate per segment, so replay state is
     three 1-D lists: segment bounds, segment rates, and the common
@@ -165,7 +162,7 @@ class UniformPlan(CascadePlan):
     (``tests/network/reference_cascade.py`` keeps the array form).
     """
 
-    __slots__ = ("seg_rates", "_cum")
+    __slots__ = ("seg_rates", "_cum", "horizon", "_batch")
     shape = "uniform"
 
     def __init__(
@@ -218,6 +215,15 @@ class UniformPlan(CascadePlan):
         # _cum[k]: bytes every still-alive member has delivered by the
         # time segment k starts.
         self._cum = cum
+        self.horizon = 1
+        self._batch = 1
+
+    def extend(self) -> int:
+        """Arm-ready twice as many segments as the last batch; the
+        schedule is solved already, so none is newly solved."""
+        self._batch *= 2
+        self.horizon = min(self.horizon + self._batch, len(self.departs))
+        return 0
 
     def _delivered(self, offset: float) -> Tuple[int, float]:
         k = self._segment(offset)
@@ -272,6 +278,14 @@ class ResumablePlan(CascadePlan):
     """
 
     __slots__ = ("rates", "_cum", "_elapsed", "_batch")
+
+    @property
+    def horizon(self) -> int:
+        """How many leading segments are ready for departure timers:
+        all of a complete plan, all but the last (the reserve) of one
+        still being solved."""
+        solved = len(self.departs)
+        return solved if self.complete else solved - 1
 
     def _begin(self) -> None:
         """Solve the first two segments: one to arm and one in reserve

@@ -15,19 +15,25 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.network.cascade import _TIE, ResumablePlan
-from repro.network.vector_solver import build_csr, progressive_fill
+from repro.network.vector_solver import build_csr, fill_levels, saturation_floor
 
 
 class GeneralPlan(ResumablePlan):
     """The vector shape: one
     :func:`~repro.network.vector_solver.progressive_fill` per segment
-    over the component's CSR arrays."""
+    over the component's CSR arrays (:func:`~repro.network.
+    vector_solver.fill_levels`, with the CSR row starts and saturation
+    floor worked out once per plan)."""
 
     __slots__ = (
-        "_csr",
+        "_indices",
+        "_starts",
+        "_flow_of_entry",
         "_capacities",
+        "_floor",
         "_weights",
         "_active",
+        "_live",
         "_live_remaining",
     )
     shape = "vector"
@@ -45,41 +51,46 @@ class GeneralPlan(ResumablePlan):
         super().__init__(flow_ids, base, init_remaining, [0.0], [])
         self.rates: List[np.ndarray] = []
         self._cum: List[np.ndarray] = [np.zeros(len(flow_ids))]
-        self._csr = build_csr(routes)
+        self._indices, indptr, self._flow_of_entry = build_csr(routes)
+        self._starts = indptr[:-1]
         self._capacities = np.asarray(capacities)
+        self._floor = saturation_floor(self._capacities)
         self._weights = None if weights is None else np.asarray(weights)
         self._active = np.ones(len(flow_ids), dtype=bool)
+        # How many members are still in flight.
+        self._live = len(flow_ids)
         self._live_remaining = init_remaining.copy()
         self._begin()
 
     def _advance(self) -> None:
-        indices, indptr, flow_of_entry = self._csr
         active = self._active
         live_remaining = self._live_remaining
-        rates = progressive_fill(
-            indices,
-            indptr,
-            flow_of_entry,
+        rates = fill_levels(
+            self._indices,
+            self._starts,
+            self._flow_of_entry,
             self._capacities,
+            self._floor,
             active,
-            weights=self._weights,
+            self._weights,
         )
-        step = np.full(len(active), np.inf)
-        step[active] = live_remaining[active] / rates[active]
-        shortest = float(step.min())
-        departing = active & (step <= shortest * (1.0 + _TIE))
+        live = np.flatnonzero(active)
+        steps = live_remaining[live] / rates[live]
+        shortest = float(steps.min())
+        departing = live[steps <= shortest * (1.0 + _TIE)]
         self._elapsed += shortest
         live_remaining -= rates * shortest
-        np.clip(live_remaining, 0.0, None, out=live_remaining)
+        np.maximum(live_remaining, 0.0, out=live_remaining)
         live_remaining[departing] = 0.0
         self._cum.append(
             self._cum[-1] + rates * (self._elapsed - self.bounds[-1])
         )
         self.rates.append(rates)
         self.bounds.append(self._elapsed)
-        self.departs.append(np.flatnonzero(departing).tolist())
-        active &= ~departing
-        self.complete = not active.any()
+        self.departs.append(departing.tolist())
+        active[departing] = False
+        self._live -= len(departing)
+        self.complete = not self._live
 
     def state_at(self, now: float) -> Tuple[List[float], List[float]]:
         """``remaining_at`` and ``rate_at`` of every position at once."""

@@ -112,7 +112,9 @@ class Flow:
         # weighted-fair-share weight, resolved at admission.
         self.tenant = tenant
         self.weight = weight
-        self.completion = completion
+        # Dropped when the flow lands: the event's value is the flow, and
+        # a landed flow must not keep its event alive (or form a cycle).
+        self.completion: Optional[Event] = completion
         self.rate = 0.0
         self.started_at = started_at
         self.finished_at: Optional[float] = None
@@ -493,12 +495,12 @@ class NetworkFabric:
                 src_dc, dst_dc, flow.size_bytes, flow.tag, tenant=flow.tenant
             )
         self.completed_flows.append(flow)
+        completion = flow.completion
+        flow.completion = None
         if extra_delay > 0:
-            self.sim.call_later(
-                extra_delay, partial(flow.completion.succeed, flow)
-            )
+            self.sim.call_later(extra_delay, partial(completion.succeed, flow))
         else:
-            flow.completion.succeed(flow)
+            completion.succeed(flow)
 
     # ------------------------------------------------------------------
     # Vector drive (cascade plans)
@@ -522,14 +524,16 @@ class NetworkFabric:
             self.sanitizer.check_remaining(flow.flow_id, flow.remaining)
 
     def _invalidate_plan(self, plan: CascadePlan) -> None:
-        """Kill a plan: lazily cancel its timers and replay every
-        still-active member up to now (one segment lookup for the whole
-        plan) so ``remaining`` is exact before the re-plan."""
+        """Kill a plan: lazily cancel its timers, let go of them, and
+        replay every still-active member up to now (one segment lookup
+        for the whole plan) so ``remaining`` is exact before the
+        re-plan."""
         if not plan.alive:
             return
         plan.alive = False
         for handle in plan.timers:
             handle.cancel()
+        plan.timers.clear()
         remaining, rates = plan.state_at(self.sim.now)
         flows = self._flows
         plans = self._plans
@@ -648,51 +652,47 @@ class NetworkFabric:
         self.perf.solver_seconds += time.perf_counter() - started
 
     def _arm_departures(self, plan: CascadePlan) -> None:
-        """Arm one bare timer per solved segment up to the plan's
+        """Arm one bare timer per segment boundary up to the plan's
         horizon, continuing after those already armed."""
-        armed = len(plan.timers)
-        for segment, depart_time in enumerate(
-            plan.depart_times(armed), armed
-        ):
-            plan.timers.append(
-                self.sim.call_at(
-                    depart_time, self._make_depart_timer(plan, segment)
-                )
-            )
+        timers = plan.timers
+        call_at = self.sim.call_at
+        fire = self._fire_departure
+        armed = len(timers)
+        for segment, depart_time in enumerate(plan.depart_times(armed), armed):
+            timers.append(call_at(depart_time, partial(fire, plan, segment)))
 
-    def _make_depart_timer(self, plan: CascadePlan, segment: int):
-        """The departure callback for one plan segment boundary."""
-
-        def fire() -> None:
-            if not plan.alive:  # pragma: no cover - timers are cancelled
-                return
-            self.perf.events += 1
-            self.perf.plan_segments_fired += 1
-            flows = self._flows
-            plans = self._plans
-            flow_ids = plan.flow_ids
-            for pos in plan.departs[segment]:
-                flow_id = flow_ids[pos]
-                flow = flows.get(flow_id)
-                if flow is None:
-                    continue
-                flow.remaining = 0.0
-                if plans.get(flow_id) is plan:
-                    del plans[flow_id]
-                self._depart(flow)
-            # No re-solve: the plan already models the post-departure
-            # rates of every surviving member.  If the clock has reached
-            # the last armed boundary of a plan still being solved, have
-            # it solve further ahead and arm what that yields.
-            if not plan.complete and segment + 1 == len(plan.timers):
-                # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
-                started = time.perf_counter()
-                self.perf.plan_segments_planned += plan.extend()
-                self._arm_departures(plan)
-                # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
-                self.perf.solver_seconds += time.perf_counter() - started
-
-        return fire
+    def _fire_departure(self, plan: CascadePlan, segment: int) -> None:
+        """The departure timer of one plan segment boundary."""
+        self.perf.events += 1
+        self.perf.plan_segments_fired += 1
+        flows = self._flows
+        plans = self._plans
+        flow_ids = plan.flow_ids
+        for pos in plan.departs[segment]:
+            flow_id = flow_ids[pos]
+            flow = flows.get(flow_id)
+            if flow is None:
+                continue
+            flow.remaining = 0.0
+            if plans.get(flow_id) is plan:
+                del plans[flow_id]
+            self._depart(flow)
+        # No re-solve: the plan already models the post-departure rates
+        # of every surviving member.  At the last armed boundary, a plan
+        # with segments beyond its horizon pushes the horizon out (solving
+        # further ahead if it must) and arms what that yields; one whose
+        # last segment this was lets go of its timers.
+        if segment + 1 < len(plan.timers):
+            return
+        if plan.horizon == len(plan.departs):  # solved and armed to the end
+            plan.timers.clear()
+            return
+        # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
+        started = time.perf_counter()
+        self.perf.plan_segments_planned += plan.extend()
+        self._arm_departures(plan)
+        # repro-lint: allow[DET002] measures real solver cost for the perf counters; never feeds simulated time
+        self.perf.solver_seconds += time.perf_counter() - started
 
     def _depart(self, flow: Flow) -> None:
         """Remove a drained flow from the graph and complete it."""

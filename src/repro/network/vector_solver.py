@@ -64,29 +64,64 @@ def progressive_fill(
     Returns:
         rates array (num_flows,), zero for inactive flows.
     """
+    return fill_levels(
+        indices,
+        indptr[:-1],
+        flow_of_entry,
+        capacities,
+        saturation_floor(capacities),
+        active,
+        weights,
+    )
+
+
+def saturation_floor(capacities: np.ndarray) -> np.ndarray:
+    """Per link, the residual at or below which it counts as saturated."""
+    return _EPSILON * np.maximum(1.0, capacities)
+
+
+def fill_levels(
+    indices: np.ndarray,
+    starts: np.ndarray,
+    flow_of_entry: np.ndarray,
+    capacities: np.ndarray,
+    floor: np.ndarray,
+    active: np.ndarray,
+    weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`progressive_fill` with the system's constants supplied by
+    the caller, who fills the same system many times: the CSR row
+    ``starts`` (``indptr[:-1]``) and the :func:`saturation_floor` of
+    ``capacities``.
+
+    Unweighted, every filling flow holds the same rate — the sum of the
+    bottleneck shares so far — so the loop keeps that one running level
+    and stamps it on the flows each level freezes: the same float
+    additions, in the same order, as adding every share to every filling
+    flow.
+    """
     if weights is not None:
-        return _progressive_fill_weighted(
-            indices, indptr, flow_of_entry, capacities, active, weights
+        return _fill_levels_weighted(
+            indices, starts, flow_of_entry, capacities, floor, active, weights
         )
     num_links = len(capacities)
-    rates = np.zeros(len(indptr) - 1)
+    rates = np.zeros(len(starts))
     # How many flows are still filling: decides every loop exit, so no
     # level pays for an ``.any()`` over a mask.
     filling = np.count_nonzero(active)
     if not filling:
         return rates
     active = active.copy()
-    starts = indptr[:-1]
     crossing = np.bincount(
         indices[active[flow_of_entry]], minlength=num_links
     ).astype(float)
     residual = capacities.astype(float, copy=True)
-    floor = _EPSILON * np.maximum(1.0, residual)
+    level = 0.0
     while True:
         # Some link is carried: a filling flow's route is non-empty.
         carried = crossing > 0.0
         bottleneck = np.minimum.reduce(residual[carried] / crossing[carried])
-        rates[active] += bottleneck
+        level += bottleneck
         residual -= bottleneck * crossing
         np.maximum(residual, 0.0, out=residual)
         saturated = residual <= floor
@@ -99,7 +134,9 @@ def progressive_fill(
         # which guarantees termination and mirrors the scalar solver.
         filling -= np.count_nonzero(frozen) or filling
         if not filling:
+            rates[active] = level
             return rates
+        rates[frozen] = level
         active ^= frozen  # frozen is a subset of active
         # Exact: both sides count entries, and the frozen ones were
         # counted in.
@@ -108,11 +145,12 @@ def progressive_fill(
         )
 
 
-def _progressive_fill_weighted(
+def _fill_levels_weighted(
     indices: np.ndarray,
-    indptr: np.ndarray,
+    starts: np.ndarray,
     flow_of_entry: np.ndarray,
     capacities: np.ndarray,
+    floor: np.ndarray,
     active: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
@@ -121,14 +159,15 @@ def _progressive_fill_weighted(
     The per-link crossing *count* becomes the per-occurrence weight
     sum; an integer carrier count rides along so a link whose carriers
     all froze drops out exactly instead of surviving on float residue.
+    Each filling flow gains its own ``bottleneck * weight`` per level,
+    so rates are accumulated per flow, not stamped from one level.
     """
     num_links = len(capacities)
-    rates = np.zeros(len(indptr) - 1)
+    rates = np.zeros(len(starts))
     filling = np.count_nonzero(active)
     if not filling:
         return rates
     active = active.copy()
-    starts = indptr[:-1]
     entry_weight = weights[flow_of_entry]
     entries = active[flow_of_entry]
     links = indices[entries]
@@ -137,7 +176,6 @@ def _progressive_fill_weighted(
         links, weights=entry_weight[entries], minlength=num_links
     )
     residual = capacities.astype(float, copy=True)
-    floor = _EPSILON * np.maximum(1.0, residual)
     while True:
         carried = carriers > 0
         bottleneck = np.minimum.reduce(residual[carried] / crossing[carried])

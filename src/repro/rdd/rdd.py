@@ -310,19 +310,22 @@ class RDD:
     # Introspection helpers
     # ------------------------------------------------------------------
     def lineage(self) -> List[RDD]:
-        """All ancestor RDDs (including self), deduplicated, parents first."""
-        seen: dict = {}
+        """All ancestor RDDs (including self), deduplicated, parents first
+        (depth-first post-order, dependencies in order)."""
+        seen = {self.rdd_id}
         order: List[RDD] = []
-
-        def visit(rdd: RDD) -> None:
-            if rdd.rdd_id in seen:
-                return
-            seen[rdd.rdd_id] = rdd
-            for dep in rdd.dependencies:
-                visit(dep.parent)
-            order.append(rdd)
-
-        visit(self)
+        stack = [(self, iter(self.dependencies))]
+        while stack:
+            rdd, deps = stack[-1]
+            for dep in deps:
+                parent = dep.parent
+                if parent.rdd_id not in seen:
+                    seen.add(parent.rdd_id)
+                    stack.append((parent, iter(parent.dependencies)))
+                    break
+            else:
+                stack.pop()
+                order.append(rdd)
         return order
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

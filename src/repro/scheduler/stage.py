@@ -95,27 +95,32 @@ class Stage:
     def required_transfers(self, partition: int) -> List[Tuple[Stage, int]]:
         """(producer stage, producer partition) pairs gating this task.
 
-        Walks the in-stage narrow chain translating partition indices so
-        union offsets are honoured.
+        Walks the in-stage narrow chain depth first, dependencies in
+        order, translating partition indices so union offsets are
+        honoured.
         """
         required: List[Tuple[Stage, int]] = []
+        if not self.transfer_inputs:
+            return required
         producer_by_transfer = {
             transferred.transfer_dependency.transfer_id: producer
             for transferred, producer in self.transfer_inputs
         }
-
-        def visit(rdd: RDD, index: int) -> None:
-            for dep in rdd.dependencies:
-                if isinstance(dep, TransferDependency):
-                    producer = producer_by_transfer.get(dep.transfer_id)
-                    if producer is not None:
-                        required.append((producer, index))
-                elif isinstance(dep, NarrowDependency):
-                    if isinstance(dep, RangeDependency) and not dep.covers(index):
-                        continue  # a union branch not owning this partition
-                    visit(dep.parent, dep.parent_partition(index))
-
-        visit(self.rdd, partition)
+        stack = [(dep, partition) for dep in reversed(self.rdd.dependencies)]
+        while stack:
+            dep, index = stack.pop()
+            if isinstance(dep, TransferDependency):
+                producer = producer_by_transfer.get(dep.transfer_id)
+                if producer is not None:
+                    required.append((producer, index))
+            elif isinstance(dep, NarrowDependency):
+                if isinstance(dep, RangeDependency) and not dep.covers(index):
+                    continue  # a union branch not owning this partition
+                index = dep.parent_partition(index)
+                stack.extend(
+                    (parent_dep, index)
+                    for parent_dep in reversed(dep.parent.dependencies)
+                )
         return required
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -130,81 +135,9 @@ def build_stages(final_rdd: RDD) -> Tuple[Stage, List[Stage]]:
     shuffle/transfer dependency are shared (important for cogroup and for
     diamond lineages).
     """
-    stages_by_shuffle: Dict[int, Stage] = {}
-    stages_by_transfer: Dict[int, Stage] = {}
-    all_stages: List[Stage] = []
-
-    def stage_for_boundary(dep: BoundaryDep) -> Stage:
-        if isinstance(dep, ShuffleDependency):
-            existing = stages_by_shuffle.get(dep.shuffle_id)
-            if existing is not None:
-                return existing
-            stage = _new_stage(dep.parent, StageKind.SHUFFLE_MAP, dep)
-            stages_by_shuffle[dep.shuffle_id] = stage
-            return stage
-        existing = stages_by_transfer.get(dep.transfer_id)
-        if existing is not None:
-            return existing
-        stage = _new_stage(dep.parent, StageKind.TRANSFER_PRODUCER, dep)
-        stages_by_transfer[dep.transfer_id] = stage
-        return stage
-
-    def _new_stage(
-        rdd: RDD, kind: StageKind, outgoing: Optional[BoundaryDep]
-    ) -> Stage:
-        stage = Stage(rdd, kind, outgoing)
-        _populate(stage)
-        all_stages.append(stage)
-        return stage
-
-    def _populate(stage: Stage) -> None:
-        """Walk the in-stage narrow subgraph, wiring boundaries."""
-        visited: Set[int] = set()
-
-        def visit(rdd: RDD) -> None:
-            if rdd.rdd_id in visited:
-                return
-            visited.add(rdd.rdd_id)
-            if isinstance(rdd, TransferredRDD):
-                producer = stage_for_boundary(rdd.transfer_dependency)
-                stage.transfer_inputs.append((rdd, producer))
-                if producer not in stage.parents:
-                    stage.parents.append(producer)
-                return  # boundary: do not walk past the transfer
-            for dep in rdd.dependencies:
-                if isinstance(dep, ShuffleDependency):
-                    stage.boundary_shuffle_deps.append(dep)
-                    parent = stage_for_boundary(dep)
-                    if parent not in stage.parents:
-                        stage.parents.append(parent)
-                elif isinstance(dep, TransferDependency):
-                    # Reached only via a TransferredRDD, handled above.
-                    raise LineageError(
-                        "TransferDependency outside a TransferredRDD"
-                    )
-                else:
-                    visit(dep.parent)
-
-        visit(stage.rdd)
-        _mark_combine_done(stage)
-
-    def _mark_combine_done(stage: Stage) -> None:
-        """Detect pre-combined transfers feeding this stage's shuffle write.
-
-        When the stage is exactly ``TransferredRDD -> shuffle`` and the
-        transfer carried a ``pre_combine``, map-side combine already
-        happened at the producer (paper §IV-C-3) and the shuffle write
-        must merge combiners instead of raw values.
-        """
-        if (
-            stage.kind is StageKind.SHUFFLE_MAP
-            and isinstance(stage.rdd, TransferredRDD)
-            and stage.rdd.transfer_dependency.pre_combine is not None
-        ):
-            stage.combine_done = True
-
-    result_stage = _new_stage(final_rdd, StageKind.RESULT, None)
-    ordered = _topological(all_stages)
+    builder = _StageBuilder()
+    result_stage = builder.new_stage(final_rdd, StageKind.RESULT, None)
+    ordered = _topological(builder.stages)
     # Renumber stages in topological order so ids (and the names derived
     # from them) depend only on this job's lineage, not on how many
     # stages earlier jobs in the process happened to build — experiment
@@ -215,23 +148,109 @@ def build_stages(final_rdd: RDD) -> Tuple[Stage, List[Stage]]:
     return result_stage, ordered
 
 
+class _StageBuilder:
+    """One job's stage construction: stages shared per boundary
+    dependency, collected children-after-parents as they complete."""
+
+    __slots__ = ("by_shuffle", "by_transfer", "stages")
+
+    def __init__(self) -> None:
+        self.by_shuffle: Dict[int, Stage] = {}
+        self.by_transfer: Dict[int, Stage] = {}
+        self.stages: List[Stage] = []
+
+    def stage_for_boundary(self, dep: BoundaryDep) -> Stage:
+        if isinstance(dep, ShuffleDependency):
+            existing = self.by_shuffle.get(dep.shuffle_id)
+            if existing is None:
+                existing = self.new_stage(dep.parent, StageKind.SHUFFLE_MAP, dep)
+                self.by_shuffle[dep.shuffle_id] = existing
+            return existing
+        existing = self.by_transfer.get(dep.transfer_id)
+        if existing is None:
+            existing = self.new_stage(
+                dep.parent, StageKind.TRANSFER_PRODUCER, dep
+            )
+            self.by_transfer[dep.transfer_id] = existing
+        return existing
+
+    def new_stage(
+        self, rdd: RDD, kind: StageKind, outgoing: Optional[BoundaryDep]
+    ) -> Stage:
+        stage = Stage(rdd, kind, outgoing)
+        self._populate(stage)
+        # Pre-combined transfer feeding this stage's shuffle write: when
+        # the stage is exactly ``TransferredRDD -> shuffle`` and the
+        # transfer carried a ``pre_combine``, map-side combine already
+        # happened at the producer (paper §IV-C-3) and the shuffle write
+        # must merge combiners instead of raw values.
+        if (
+            kind is StageKind.SHUFFLE_MAP
+            and isinstance(rdd, TransferredRDD)
+            and rdd.transfer_dependency.pre_combine is not None
+        ):
+            stage.combine_done = True
+        self.stages.append(stage)
+        return stage
+
+    def _populate(self, stage: Stage) -> None:
+        """Walk the in-stage narrow subgraph depth first, dependencies in
+        order, wiring boundaries as they are reached.  The stack holds
+        RDDs still to visit and shuffle dependencies still to wire."""
+        parents = stage.parents
+        visited: Set[int] = set()
+        stack: list = [stage.rdd]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, ShuffleDependency):
+                stage.boundary_shuffle_deps.append(item)
+                parent = self.stage_for_boundary(item)
+                if parent not in parents:
+                    parents.append(parent)
+                continue
+            if isinstance(item, TransferDependency):
+                # Reached only via a TransferredRDD, handled below.
+                raise LineageError("TransferDependency outside a TransferredRDD")
+            if item.rdd_id in visited:
+                continue
+            visited.add(item.rdd_id)
+            if isinstance(item, TransferredRDD):
+                producer = self.stage_for_boundary(item.transfer_dependency)
+                stage.transfer_inputs.append((item, producer))
+                if producer not in parents:
+                    parents.append(producer)
+                continue  # boundary: do not walk past the transfer
+            for dep in reversed(item.dependencies):
+                stack.append(
+                    dep
+                    if isinstance(dep, (ShuffleDependency, TransferDependency))
+                    else dep.parent
+                )
+
+
 def _topological(stages: List[Stage]) -> List[Stage]:
-    """Parents-before-children order; detects accidental cycles."""
+    """Parents-before-children order (depth first, parents in order);
+    detects accidental cycles."""
     order: List[Stage] = []
     state: Dict[int, int] = {}  # 0 = visiting, 1 = done
-
-    def visit(stage: Stage) -> None:
-        mark = state.get(stage.stage_id)
-        if mark == 1:
-            return
-        if mark == 0:
-            raise LineageError("cycle detected in stage graph")
-        state[stage.stage_id] = 0
-        for parent in stage.parents:
-            visit(parent)
-        state[stage.stage_id] = 1
-        order.append(stage)
-
-    for stage in stages:
-        visit(stage)
+    for root in stages:
+        if root.stage_id in state:
+            continue
+        state[root.stage_id] = 0
+        stack = [(root, iter(root.parents))]
+        while stack:
+            stage, parents = stack[-1]
+            for parent in parents:
+                mark = state.get(parent.stage_id)
+                if mark == 1:
+                    continue
+                if mark == 0:
+                    raise LineageError("cycle detected in stage graph")
+                state[parent.stage_id] = 0
+                stack.append((parent, iter(parent.parents)))
+                break
+            else:
+                stack.pop()
+                state[stage.stage_id] = 1
+                order.append(stage)
     return order

@@ -59,6 +59,7 @@ class TextGenerator:
         self.tokens_per_document = tokens_per_document
         self.zipf_exponent = zipf_exponent
         self._probabilities = None
+        self._bucket_names: List[str] = []
 
     @property
     def probabilities(self):
@@ -84,11 +85,18 @@ class TextGenerator:
         # repro-lint: allow[DET001] rng is seeded from the named RandomSource stream; fully deterministic per (seed, stream)
         rng = np.random.default_rng(seed)
         counts = rng.multinomial(self.tokens_per_document, self.probabilities)
-        return {
-            self.bucket_name(index): int(count)
-            for index, count in enumerate(counts)
-            if count > 0
-        }
+        if not self._bucket_names:
+            self._bucket_names = [
+                self.bucket_name(index)
+                for index in range(self.vocabulary_buckets)
+            ]
+        drawn = np.flatnonzero(counts)
+        return dict(
+            zip(
+                map(self._bucket_names.__getitem__, drawn.tolist()),
+                counts[drawn].tolist(),
+            )
+        )
 
     def documents(
         self, randomness: RandomSource, stream_prefix: str, count: int

@@ -214,6 +214,9 @@ class ArrayUniformPlan(cascade.UniformPlan):
         cum[0] = 0.0
         np.cumsum(seg_rates * np.diff(bounds), out=cum[1:])
         self._cum = cum
+        # Armed whole at construction, as the array form was.
+        self.horizon = len(departs)
+        self._batch = 1
 
     def state_at(self, now: float) -> Tuple[List[float], List[float]]:
         k, delivered = self._delivered(now - self.base)

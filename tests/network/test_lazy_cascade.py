@@ -211,7 +211,17 @@ def test_scalar_uniform_plan_equals_the_array_one(sizes, c_star, cap, base, weig
     assert scalar.departs == vector.departs
     assert scalar.seg_rates == vector.seg_rates.tolist()
     assert scalar._cum == vector._cum.tolist()
-    assert scalar.complete and scalar.horizon == vector.horizon
+    # Solved whole, armed in doubling batches (1, 3, 7, ... segments):
+    # every armed prefix is the array form's, which was armed whole.
+    horizon = batch = 1
+    while True:
+        assert scalar.horizon == min(horizon, len(scalar.departs))
+        assert scalar.depart_times() == vector.depart_times()[: scalar.horizon]
+        if scalar.horizon == vector.horizon:
+            break
+        batch *= 2
+        horizon += batch
+        assert scalar.extend() == 0  # nothing left to solve
     assert scalar.depart_times() == vector.depart_times()
     assert all(type(x) is float for x in scalar.bounds + scalar.seg_rates + scalar._cum)
     positions = range(count)
@@ -240,7 +250,8 @@ def test_scalar_uniform_plan_equals_the_array_one(sizes, c_star, cap, base, weig
 
 def test_build_plan_keeps_a_200_flow_same_route_component_scalar():
     """Far above ``SCALAR_MAX_FLOWS``, a same-route burst still gets the
-    scalar closed form: floats and lists, the whole schedule solved."""
+    scalar closed form: floats and lists, the whole schedule solved and
+    its first departure ready to arm."""
     count = 200
     rng = random.Random(200)
     flow_ids = list(range(count))
@@ -250,7 +261,7 @@ def test_build_plan_keeps_a_200_flow_same_route_component_scalar():
     built = build_plan(flow_ids, sizes, shared, [float("inf")] * count, capacities, 5.0)
     assert count > cascade_module.SCALAR_MAX_FLOWS
     assert type(built) is UniformPlan
-    assert built.complete and len(built.departs) == count
+    assert len(built.departs) == count and built.horizon == 1
     assert all(type(x) is float for x in built.bounds + built.seg_rates + built._cum)
     assert built.state_at(5.0) == (sorted(sizes), [1.25e7 / count] * count)
 
@@ -345,7 +356,8 @@ def test_capacity_change_on_last_armed_departure_instant(
         recorded_plans.clear()
         got = _run_with_action_at("vector", boundary, observe_then_squeeze)
         plan = recorded_plans[0][2]
-        assert len(plan.timers) > 1  # the boundary's timer fired and extended
+        assert plan.horizon > 1  # the boundary's timer fired and extended
+        assert not plan.alive and plan.timers == []  # the squeeze killed it
         assert sorted(observed) == sorted(plan.flow_ids)
         for flow_id, (remaining, rate) in observed.items():
             pos = plan.pos_of[flow_id]
@@ -380,6 +392,48 @@ def test_cancel_on_last_armed_departure_instant(monkeypatch):
         _assert_finals_match(got, oracle)
         finals.append((boundary, refunds[0], got))
     assert finals[0] == finals[1]
+
+
+def test_uniform_plan_arms_as_departures_fire_and_lets_go_when_done(
+    recorded_plans, monkeypatch
+):
+    """A same-route burst is one uniform plan, solved whole but armed in
+    doubling batches: its horizon grows only as departures fire.  A plan
+    that finishes, or that a later arrival kills, holds no timer."""
+    horizons = []
+    extend = UniformPlan.extend
+
+    def recording_extend(plan):
+        planned = extend(plan)
+        horizons.append(plan.horizon)
+        return planned
+
+    monkeypatch.setattr(UniformPlan, "extend", recording_extend)
+
+    def burst(late_arrival_at=None):
+        recorded_plans.clear()
+        horizons.clear()
+        sim, _topo, fabric = _build("vector")
+        for index in range(20):
+            fabric.transfer("a1", "b1", 1e6 * (index + 1))
+        if late_arrival_at is not None:
+            sim.call_at(late_arrival_at, lambda: fabric.transfer("a1", "b1", 3e6))
+        sim.run()
+        assert fabric.active_flow_count == 0
+        return fabric, [plan for _args, _kwargs, plan in recorded_plans]
+
+    fabric, plans = burst()
+    assert [type(plan) for plan in plans] == [UniformPlan]
+    (plan,) = plans
+    assert horizons == [3, 7, 15, 20]
+    assert plan.horizon == len(plan.departs) == 20
+    assert plan.alive and plan.timers == []
+    assert fabric.perf.plan_segments_fired == fabric.perf.plan_segments_planned == 20
+
+    _fabric, plans = burst(late_arrival_at=2.0)
+    first, *later = plans
+    assert later and not first.alive and first.horizon < len(first.departs)
+    assert all(plan.timers == [] for plan in plans)
 
 
 def _mesh(drive):
@@ -461,13 +515,13 @@ def test_fills_bounded_by_departures_on_a_churning_mesh(monkeypatch):
     pays one fill per *future* departure each time (thousands); the
     resumable one at most two per segment that fired plus two per plan."""
     fills = []
-    fill = cascade_vector.progressive_fill
+    fill = cascade_vector.fill_levels
 
     def counting_fill(*args, **kwargs):
         fills.append(1)
         return fill(*args, **kwargs)
 
-    monkeypatch.setattr(cascade_vector, "progressive_fill", counting_fill)
+    monkeypatch.setattr(cascade_vector, "fill_levels", counting_fill)
     rng = random.Random(15)
     sim = Simulator()
     topo = Topology()

@@ -62,6 +62,36 @@ def test_generator_validation():
         TextGenerator(tokens_per_document=0)
 
 
+def _comprehension_document(generator, randomness, stream):
+    """A document built by one Python pass over every bucket, in bucket
+    order: what ``TextGenerator.document`` must equal."""
+    import numpy as np
+
+    seed = randomness.stream(stream).getrandbits(32)
+    counts = np.random.default_rng(seed).multinomial(
+        generator.tokens_per_document, generator.probabilities
+    )
+    return {
+        generator.bucket_name(index): int(count)
+        for index, count in enumerate(counts)
+        if count > 0
+    }
+
+
+@pytest.mark.parametrize("workload", ["wordcount", "naivebayes"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_document_equals_the_per_bucket_comprehension(workload, seed):
+    from repro.workloads import workload_by_name
+
+    generator = workload_by_name(workload).generator
+    for index in range(4):
+        stream = f"doc:{index}"
+        got = generator.document(RandomSource(seed), stream)
+        expected = _comprehension_document(generator, RandomSource(seed), stream)
+        assert list(got.items()) == list(expected.items())
+        assert all(type(count) is int for count in got.values())
+
+
 def test_documents_batch():
     generator = TextGenerator(vocabulary_buckets=20, tokens_per_document=50)
     docs = generator.documents(RandomSource(0), "batch", 5)
