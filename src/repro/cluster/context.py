@@ -132,6 +132,8 @@ class ClusterContext:
             blacklist=self.blacklist,
         )
         self.dag_scheduler = DAGScheduler(self)
+        # Jobs started on this context so far (each job's ordinal).
+        self.jobs_started = 0
 
         # Timed infrastructure faults: the injector process fires the
         # configured chaos schedule into this context as simulated time

@@ -9,7 +9,10 @@ the task runner then retries, re-reading shuffle input (and re-incurring
 whatever network that costs under the active shuffle mechanism).
 
 Draws are taken from a dedicated seeded stream, so enabling failures
-never perturbs workload data or bandwidth jitter.
+never perturbs workload data or bandwidth jitter, and each is named after
+what the attempt *is* (:func:`task_key` and the attempt number), so a
+cell draws the same failures however many tasks its process built
+before it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,13 @@ from repro.simulation.random_source import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scheduler.task import Task
+
+
+def task_key(task: Task) -> str:
+    """The name of a task's draws: the context's job ordinal, the stage
+    id within that job and the partition."""
+    stage = task.stage
+    return f"{stage.job}:{stage.stage_id}:{task.partition}"
 
 
 class FailureInjector:
@@ -35,6 +45,8 @@ class FailureInjector:
         self.config = config
         self.randomness = randomness
         self.straggler_model = straggler_model
+        # Failures injected so far per task key: every attempt of a
+        # partition counts, whichever Task object ran it.
         self._injected: Dict[str, int] = {}
         self.total_injected = 0
         # Attempts slowed down by the straggler model (surfaced in
@@ -50,12 +62,15 @@ class FailureInjector:
         probability = self.config.reducer_failure_probability
         if probability <= 0:
             return False
-        already = self._injected.get(task.task_id, 0)
+        key = task_key(task)
+        already = self._injected.get(key, 0)
         if already >= self.config.max_injected_failures_per_task:
             return False
-        if not self.randomness.chance(f"failure:{task.task_id}:{already}", probability):
+        if not self.randomness.chance(
+            f"failure:{key}:{task.attempts}", probability
+        ):
             return False
-        self._injected[task.task_id] = already + 1
+        self._injected[key] = already + 1
         self.total_injected += 1
         return True
 
@@ -64,7 +79,7 @@ class FailureInjector:
         if self.straggler_model is None:
             return 1.0
         slowdown = self.straggler_model.slowdown(
-            self.randomness, task.task_id, task.attempts
+            self.randomness, task_key(task), task.attempts
         )
         if slowdown > 1.0:
             self.stragglers_hit += 1

@@ -28,9 +28,9 @@ class StragglerModel:
             raise ValueError("need 1 <= min_slowdown <= max_slowdown")
 
     def slowdown(
-        self, randomness: RandomSource, task_id: str, attempt: int
+        self, randomness: RandomSource, task_key: str, attempt: int
     ) -> float:
-        stream = f"straggler:{task_id}:{attempt}"
+        stream = f"straggler:{task_key}:{attempt}"
         if not randomness.chance(stream, self.probability):
             return 1.0
         return randomness.uniform(

@@ -78,9 +78,11 @@ class DAGScheduler:
     def run_job(self, final_rdd: RDD, action: str, save_path: Optional[str] = None):
         final_rdd = self.context.shuffle_service.prepare_job(final_rdd)
         result_stage, stages = build_stages(final_rdd)
-        if self.tenant is not None:
-            for stage in stages:
-                stage.tenant = self.tenant
+        job = self.context.jobs_started
+        self.context.jobs_started = job + 1
+        for stage in stages:
+            stage.job = job
+            stage.tenant = self.tenant
         if action == "save":
             result_stage.save_path = save_path  # type: ignore[attr-defined]
         # Per-job state: stage processes and per-task completion events.

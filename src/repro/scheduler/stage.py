@@ -74,6 +74,10 @@ class Stage:
         # single-job runs); stamped by the DAGScheduler so every flow
         # the stage's tasks issue can be attributed and weighted.
         self.tenant: Optional[str] = None
+        # Ordinal of that job among the jobs its context started, also
+        # stamped by the DAGScheduler: with ``stage_id`` and a partition
+        # it names the task's failure and straggler draws.
+        self.job = 0
 
     # ------------------------------------------------------------------
     @property

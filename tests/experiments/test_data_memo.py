@@ -12,7 +12,6 @@ possible to show that the sanitizer's oracle catches both.
 """
 
 import dataclasses
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +35,6 @@ from repro.rdd.partitioner import HashPartitioner
 from repro.rdd.rdd import flat_map_records, map_records
 from repro.rdd.shuffled import shard_records, sort_records
 from repro.rdd.size_estimator import Partition, SizedRecord, SizeEstimator
-from repro.scheduler import task as task_module
 from repro.workloads import (
     NAIVE_BAYES,
     PAGERANK,
@@ -57,9 +55,7 @@ from tests.conftest import small_spec
 @pytest.fixture(autouse=True)
 def _clean_cache():
     clear_data_cache()
-    task_ids = task_module._task_ids  # _cell() rewinds it
     yield
-    task_module._task_ids = task_ids
     clear_data_cache()
 
 
@@ -104,20 +100,12 @@ def _comparable(result):
     return data
 
 
-def _cell(workload, scheme, plan, seed=0):
-    # Injected-failure draws are named after process-wide task ids
-    # (``FailureInjector.should_fail``), so a faulted cell repeats only
-    # from the same counter state — with or without a memo.
-    task_module._task_ids = itertools.count()
-    return run_workload_once(workload, scheme, seed, plan)
-
-
 def _cold_then_warm(workload, scheme, plan):
     """One cell on an empty cache, then the same cell again."""
     clear_data_cache()
-    cold = _cell(workload, scheme, plan)
+    cold = run_workload_once(workload, scheme, 0, plan)
     after_cold = data_memo_counts()
-    warm = _cell(workload, scheme, plan)
+    warm = run_workload_once(workload, scheme, 0, plan)
     return cold, after_cold, warm, data_memo_counts()
 
 

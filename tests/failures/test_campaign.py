@@ -340,10 +340,14 @@ class OneSlowTask:
         self.factor = factor
         self._victim = None
 
-    def slowdown(self, _randomness, task_id: str, attempt: int) -> float:
+    def slowdown(self, _randomness, task_key: str, attempt: int) -> float:
+        # The draws are named after (job, stage, partition, attempt), which
+        # a speculative copy shares with the attempt it duplicates: only
+        # the first draw is slow.
         if self._victim is None:
-            self._victim = task_id
-        return self.factor if task_id == self._victim else 1.0
+            self._victim = (task_key, attempt)
+            return self.factor
+        return 1.0
 
 
 def _merge(a: SizedRecord, b: SizedRecord) -> SizedRecord:

@@ -4,16 +4,25 @@ import dataclasses
 
 import pytest
 
-from repro.config import FailureConfig
+from repro.config import FailureConfig, SimulationConfig
+from repro.experiments.runner import ExperimentPlan, run_workload_once
+from repro.experiments.schemes import Scheme
 from repro.failures import FailureInjector, StragglerModel
 from repro.simulation import RandomSource
+from repro.workloads import SORT, TERASORT, Sort, TeraSort
 from tests.conftest import make_context, quiet_config, small_spec
 from repro.cluster.context import ClusterContext
 
 
+class _FakeStage:
+    job = 0
+    stage_id = 1
+
+
 class _FakeTask:
-    def __init__(self, task_id="t1", attempts=1):
-        self.task_id = task_id
+    def __init__(self, partition=0, attempts=1):
+        self.stage = _FakeStage()
+        self.partition = partition
         self.attempts = attempts
 
 
@@ -40,7 +49,7 @@ def test_straggler_hits_are_counted():
         FailureConfig(), RandomSource(0), straggler_model=model
     )
     for i in range(5):
-        injector.straggler_slowdown(_FakeTask(f"t{i}"))
+        injector.straggler_slowdown(_FakeTask(i))
     assert injector.stragglers_hit == 5
 
 
@@ -65,9 +74,25 @@ def test_failures_are_deterministic_per_seed():
     config = FailureConfig(reducer_failure_probability=0.5)
     def draws(seed):
         injector = FailureInjector(config, RandomSource(seed))
-        return [injector.should_fail(_FakeTask(f"t{i}")) for i in range(50)]
+        return [injector.should_fail(_FakeTask(i)) for i in range(50)]
     assert draws(1) == draws(1)
     assert draws(1) != draws(2)
+
+
+def test_a_faulted_cell_repeats_in_one_process():
+    """Failure draws are named after (job, stage, partition, attempt), not
+    after process-wide task ids: the same faulted cell gives the same
+    result however many tasks the process built before it."""
+    plan = ExperimentPlan(
+        base_config=SimulationConfig(
+            failures=FailureConfig(reducer_failure_probability=0.3)
+        )
+    )
+    sort = Sort(spec=SORT)
+    run_workload_once(TeraSort(spec=TERASORT), Scheme.AGGSHUFFLE, 1, plan)
+    runs = [run_workload_once(sort, Scheme.SPARK, 3, plan) for _ in range(3)]
+    assert runs[0].injected_failures_total > 0
+    assert len({(run.duration, run.cross_dc_megabytes) for run in runs}) == 1
 
 
 def test_straggler_model_validation():

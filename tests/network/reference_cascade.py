@@ -15,10 +15,11 @@ every size.  Not a second planner — nothing under ``src/`` imports it.
 
 :func:`checked_build_plan` is the on-workload form of both properties:
 patched over ``repro.network.fabric.build_plan`` it solves every uniform
-component a run plans in the array closed form and every small
-non-uniform one in both resumable shapes, to the end, and asserts they
-agree; played over one round of each end-to-end benchmark workload, it
-checks every plan a real run builds.
+component a run plans in the array closed form, every small non-uniform
+one in both resumable shapes and every larger one in the vector shape
+and the eager schedule, to the end, and asserts they agree; played over
+one round of each end-to-end benchmark workload, it checks every plan a
+real run builds.
 """
 
 from __future__ import annotations
@@ -295,4 +296,14 @@ def checked_build_plan(*args, **kwargs) -> cascade.CascadePlan:
         solved = len(plan.departs)
         assert plan.bounds == scalar.bounds[: solved + 1]
         assert plan.departs == scalar.departs[:solved]
+    else:
+        # Too big for the scalar loop to be quick: every fill, resumed
+        # or weighted, against the eager schedule's fresh one.
+        vector = _solved_whole(0, args, kwargs)
+        eager = eager_plan(*args, **kwargs)
+        assert vector.bounds == eager.bounds.tolist()
+        assert vector.departs == eager.departs
+        assert [row.tobytes() for row in vector.rates] == [
+            row.tobytes() for row in eager.rates
+        ]
     return plan
