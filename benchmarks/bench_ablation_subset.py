@@ -28,9 +28,7 @@ def _run_with_subset(subset_size: int, seed: int):
     config = dataclasses.replace(
         config,
         shuffle=ShuffleConfig(
-            push_based=True,
-            auto_aggregate=True,
-            aggregation_subset_size=subset_size,
+            backend="push_aggregate", aggregation_subset_size=subset_size
         ),
     )
     context = ClusterContext(spec, config)

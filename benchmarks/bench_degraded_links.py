@@ -65,12 +65,10 @@ def _spec() -> ClusterSpec:
     )
 
 
-def _config(backend: str | None = None, push: bool = False, chaos=None,
+def _config(backend: str = "fetch", chaos=None,
             replication: int = 1) -> SimulationConfig:
     return SimulationConfig(
-        shuffle=ShuffleConfig(
-            backend=backend, push_based=push, auto_aggregate=push
-        ),
+        shuffle=ShuffleConfig(backend=backend),
         jitter=None,
         scale_factor=SCALE,
         chaos=chaos,
@@ -100,7 +98,7 @@ def _run_transfer(chaos=None) -> Tuple[ClusterContext, List, object]:
     """The push re-election job: auto-elected aggregator is dc-b (the
     big block's primary), every block keeps a dc-c replica."""
     context = ClusterContext(
-        _spec(), _config(push=True, chaos=chaos, replication=2)
+        _spec(), _config(backend="push_aggregate", chaos=chaos, replication=2)
     )
     context.write_input_file(
         "/in",

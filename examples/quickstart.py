@@ -9,12 +9,7 @@ completion time and cross-datacenter traffic.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    ClusterContext,
-    agg_shuffle_config,
-    fetch_config,
-    two_datacenter_spec,
-)
+from repro import ClusterContext, backend_config, two_datacenter_spec
 
 WORDS = "the quick brown fox jumps over the lazy dog the fox".split()
 
@@ -47,8 +42,8 @@ def run(config, label):
 def main():
     print("Word count on a 2-datacenter cluster")
     print("-" * 52)
-    fetch_counts = run(fetch_config(seed=7), "Spark")
-    push_counts = run(agg_shuffle_config(seed=7), "AggShuffle")
+    fetch_counts = run(backend_config("fetch", seed=7), "Spark")
+    push_counts = run(backend_config("push_aggregate", seed=7), "AggShuffle")
     assert fetch_counts == push_counts, "both mechanisms must agree"
     print("-" * 52)
     top = sorted(push_counts.items(), key=lambda kv: -kv[1])[:3]

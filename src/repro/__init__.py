@@ -19,9 +19,9 @@ Push/Aggregate shuffle for geo-distributed data analytics:
 
 Quickstart::
 
-    from repro import ClusterContext, ec2_six_region_spec, agg_shuffle_config
+    from repro import ClusterContext, backend_config, ec2_six_region_spec
 
-    context = ClusterContext(ec2_six_region_spec(), agg_shuffle_config())
+    context = ClusterContext(ec2_six_region_spec(), backend_config("push_aggregate"))
     context.write_input_file("words", [[("spark", 1), ("wan", 1)]] * 8)
     pairs = context.text_file("words")
     counts = pairs.reduce_by_key(lambda a, b: a + b).collect()
@@ -68,13 +68,12 @@ def lazy_exports(
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.config": (
         "CostModel", "FailureConfig", "SchedulingConfig", "ShuffleConfig",
-        "SimulationConfig", "fetch_config", "agg_shuffle_config",
+        "SimulationConfig", "backend_config",
     ),
     "repro.cluster.builder": (
         "ClusterSpec", "build_topology", "ec2_six_region_spec", "two_datacenter_spec",
     ),
     "repro.cluster.context": ("ClusterContext", "JobHandle"),
-    "repro.cluster.broadcast": ("Broadcast",),
     "repro.errors": ("ReproError",),
 })
 __all__.append("__version__")

@@ -14,5 +14,4 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.cluster.builder": ("ClusterSpec", "build_topology", "ec2_six_region_spec"),
     "repro.cluster.context": ("ClusterContext", "JobHandle"),
-    "repro.cluster.broadcast": ("Broadcast",),
 })

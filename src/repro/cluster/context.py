@@ -81,7 +81,7 @@ class ClusterContext:
         self.transfer_tracker = TransferTracker()
         # The pluggable shuffle data path: one backend per context,
         # selected by name (repro.shuffle.backends registry).
-        self.shuffle_service = create_backend(self.config.shuffle.backend_name)
+        self.shuffle_service = create_backend(self.config.shuffle.backend)
         self.shuffle_service.bind(self)
         self.metrics = MetricsCollector()
         self.recovery = RecoveryCounters()
@@ -357,11 +357,3 @@ class JobHandle:
     @property
     def duration(self) -> float:
         return self.metrics.job.duration
-
-
-# Broadcast variables (context.broadcast / rdd.map_with_broadcast) come
-# with the context itself, however it was imported: the package
-# __init__ exports lazily and runs nothing.
-from repro.cluster.broadcast import install_broadcast_support  # noqa: E402
-
-install_broadcast_support()

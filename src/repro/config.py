@@ -36,43 +36,39 @@ class JitterSpec:
             raise ValueError("max_step_fraction must be in (0, 1]")
 
 
+# Multiplies the byte cost of sorting operators.
+SORT_FACTOR = 1.2
+# In-memory combining / merging is much cheaper per byte than the
+# workload's primary record processing (hash-map updates vs. parsing).
+COMBINE_FACTOR = 0.3
+# Partitioning records into shuffle shards is a single cheap pass.
+SHUFFLE_WRITE_FACTOR = 0.2
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Charges simulated CPU time for computation.
 
     ``cpu_bytes_per_second`` is the per-core streaming rate over *logical*
     bytes (the paper-scale volumes), so CPU time reflects paper-scale data
-    even though the record count is scaled down.  ``seconds_per_record``
-    adds a small per-record overhead so record-heavy operators are not
-    free.  ``sort_factor`` multiplies the byte cost of sorting operators.
+    even though the record count is scaled down.
     """
 
     cpu_bytes_per_second: float = 40e6
-    seconds_per_record: float = 0.0
-    sort_factor: float = 1.2
-    # In-memory combining / merging is much cheaper per byte than the
-    # workload's primary record processing (hash-map updates vs. parsing).
-    combine_factor: float = 0.3
-    # Partitioning records into shuffle shards is a single cheap pass.
-    shuffle_write_factor: float = 0.2
-    task_launch_overhead: float = 0.05
 
-    def compute_time(self, logical_bytes: float, records: int = 0) -> float:
-        if logical_bytes < 0 or records < 0:
+    def compute_time(self, logical_bytes: float) -> float:
+        if logical_bytes < 0:
             raise ValueError("negative computation volume")
-        return (
-            logical_bytes / self.cpu_bytes_per_second
-            + records * self.seconds_per_record
-        )
+        return logical_bytes / self.cpu_bytes_per_second
 
-    def sort_time(self, logical_bytes: float, records: int = 0) -> float:
-        return self.sort_factor * self.compute_time(logical_bytes, records)
+    def sort_time(self, logical_bytes: float) -> float:
+        return SORT_FACTOR * self.compute_time(logical_bytes)
 
-    def combine_time(self, logical_bytes: float, records: int = 0) -> float:
-        return self.combine_factor * self.compute_time(logical_bytes, records)
+    def combine_time(self, logical_bytes: float) -> float:
+        return COMBINE_FACTOR * self.compute_time(logical_bytes)
 
     def shuffle_write_time(self, logical_bytes: float) -> float:
-        return self.shuffle_write_factor * self.compute_time(logical_bytes)
+        return SHUFFLE_WRITE_FACTOR * self.compute_time(logical_bytes)
 
 
 @dataclass(frozen=True)
@@ -101,14 +97,6 @@ class SchedulingConfig:
     speculation_multiplier: float = 2.0
     speculation_quantile: float = 0.75
     speculation_interval: float = 5.0
-    # Lineage recovery (Spark's FetchFailed path): how many times one
-    # stage may be resubmitted when its output is lost (Spark's
-    # ``spark.stage.maxConsecutiveAttempts`` is 4), how long the first
-    # resubmission waits (doubling each time), and how many FetchFailed
-    # retries a single consumer task gets before the job fails.
-    max_stage_retries: int = 4
-    stage_retry_backoff: float = 0.2
-    max_fetch_failures_per_task: int = 8
 
     def __post_init__(self) -> None:
         if self.speculation_multiplier < 1:
@@ -119,14 +107,6 @@ class SchedulingConfig:
             )
         if self.speculation_interval <= 0:
             raise ConfigurationError("speculation_interval must be > 0")
-        if self.max_stage_retries < 1:
-            raise ConfigurationError("max_stage_retries must be >= 1")
-        if self.stage_retry_backoff < 0:
-            raise ConfigurationError("stage_retry_backoff must be >= 0")
-        if self.max_fetch_failures_per_task < 1:
-            raise ConfigurationError(
-                "max_fetch_failures_per_task must be >= 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -134,18 +114,12 @@ class FailureConfig:
     """Task failure injection (paper Fig. 2 / §III-A)."""
 
     reducer_failure_probability: float = 0.0
-    # Fraction of the attempt's work completed before the failure hits.
-    wasted_work_fraction: float = 0.5
     max_injected_failures_per_task: int = 2
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.reducer_failure_probability <= 1.0:
             raise ConfigurationError(
                 "reducer_failure_probability must be in [0, 1]"
-            )
-        if not 0.0 <= self.wasted_work_fraction <= 1.0:
-            raise ConfigurationError(
-                "wasted_work_fraction must be in [0, 1]"
             )
         if self.max_injected_failures_per_task < 0:
             raise ConfigurationError(
@@ -246,65 +220,28 @@ class ShuffleConfig:
     """Which shuffle backend the engine's data path uses.
 
     ``backend`` names a strategy registered in
-    :mod:`repro.shuffle.backends` (``"fetch"``, ``"push_aggregate"``,
-    ``"pre_merge"``, ...).  When omitted it is derived from the legacy
-    flags: ``push_based``/``auto_aggregate`` mirror the paper's
-    ``spark.shuffle.aggregation`` property and select the Push/Aggregate
-    backend (implicit ``transfer_to()`` before every shuffle); both False
-    selects Spark's default fetch-based shuffle.
+    :mod:`repro.shuffle.backends`: ``"fetch"`` is Spark's default
+    fetch-based shuffle, ``"push_aggregate"`` the paper's Push/Aggregate
+    (Spark's ``spark.shuffle.aggregation``: an implicit ``transfer_to()``
+    before every shuffle), then ``"pre_merge"``, ``"remote"``, ...
     """
 
-    push_based: bool = False
-    auto_aggregate: bool = False
+    backend: str = "fetch"
     # Number of datacenters shuffle input is aggregated into (§III-B uses
     # a single datacenter "as an example"; >1 is our ablation extension).
     aggregation_subset_size: int = 1
-    # Explicit backend name; None derives it from the legacy flags.
-    backend: Optional[str] = None
-    # Durability-first backends.  ``remote``: base replica count of the
-    # shuffle-worker pool (adaptively raised — capped at 3 — while WAN
-    # breakers are open or datacenters are blacklist-excluded), workers
-    # pinned per datacenter, and the per-worker memory buffer before
-    # accepted bytes spill to local disk.
-    remote_replication: int = 2
-    shuffle_workers_per_datacenter: int = 1
-    shuffle_worker_buffer_bytes: float = 64e6
-
-    @property
-    def backend_name(self) -> str:
-        """The registered backend this configuration resolves to."""
-        if self.backend is not None:
-            return self.backend
-        return "push_aggregate" if self.auto_aggregate else "fetch"
 
     def validate(self) -> None:
-        if self.auto_aggregate and not self.push_based:
-            raise ConfigurationError(
-                "auto_aggregate requires push_based shuffle"
-            )
         if self.aggregation_subset_size < 1:
             raise ConfigurationError("aggregation_subset_size must be >= 1")
-        if not 1 <= self.remote_replication <= 3:
-            raise ConfigurationError(
-                "remote_replication must be in [1, 3], "
-                f"got {self.remote_replication!r}"
-            )
-        if self.shuffle_workers_per_datacenter < 1:
-            raise ConfigurationError(
-                "shuffle_workers_per_datacenter must be >= 1"
-            )
-        if self.shuffle_worker_buffer_bytes <= 0:
-            raise ConfigurationError(
-                "shuffle_worker_buffer_bytes must be > 0"
-            )
         # Imported lazily: the backend modules depend on config for their
         # own imports.
         from repro.shuffle.backends import backend_names
 
-        if self.backend_name not in backend_names():
+        if self.backend not in backend_names():
             known = ", ".join(sorted(backend_names()))
             raise ConfigurationError(
-                f"unknown shuffle backend {self.backend_name!r} "
+                f"unknown shuffle backend {self.backend!r} "
                 f"(registered: {known})"
             )
 
@@ -372,40 +309,6 @@ class SimulationConfig:
         return replace(self, health=health)
 
 
-def fetch_config(**overrides) -> SimulationConfig:
-    """Baseline Spark configuration (fetch-based shuffle)."""
-    return SimulationConfig(
-        shuffle=ShuffleConfig(push_based=False, auto_aggregate=False),
-        **overrides,
-    )
-
-
-def agg_shuffle_config(**overrides) -> SimulationConfig:
-    """The paper's AggShuffle configuration (implicit Push/Aggregate)."""
-    return SimulationConfig(
-        shuffle=ShuffleConfig(push_based=True, auto_aggregate=True),
-        **overrides,
-    )
-
-
 def backend_config(backend: str, **overrides) -> SimulationConfig:
     """A configuration running any registered shuffle backend by name."""
-    return SimulationConfig(
-        shuffle=shuffle_config_for_backend(backend), **overrides
-    )
-
-
-def shuffle_config_for_backend(
-    backend: str, aggregation_subset_size: int = 1
-) -> ShuffleConfig:
-    """A :class:`ShuffleConfig` for one registered backend, with the
-    legacy flags kept consistent for code that still reads them."""
-    from repro.shuffle.backends import backend_class
-
-    implicit = backend_class(backend).implicit_transfers
-    return ShuffleConfig(
-        push_based=implicit,
-        auto_aggregate=implicit,
-        aggregation_subset_size=aggregation_subset_size,
-        backend=backend,
-    )
+    return SimulationConfig(shuffle=ShuffleConfig(backend=backend), **overrides)

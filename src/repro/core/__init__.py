@@ -9,7 +9,7 @@
 * :mod:`repro.core.transfer_injection` — the implicit embedding of
   ``transfer_to()`` before every shuffle (§IV-D's modified DAGScheduler,
   enabled by ``spark.shuffle.aggregation`` — here
-  ``ShuffleConfig.auto_aggregate``).
+  ``ShuffleConfig(backend="push_aggregate")``).
 
 The user-facing ``transfer_to()`` transformation itself lives on
 :class:`~repro.rdd.rdd.RDD`; this package hosts the decision logic.

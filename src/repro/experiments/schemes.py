@@ -38,11 +38,7 @@ import dataclasses
 import enum
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.config import (
-    ShuffleConfig,
-    SimulationConfig,
-    shuffle_config_for_backend,
-)
+from repro.config import ShuffleConfig, SimulationConfig
 from repro.errors import ConfigurationError
 from repro.shuffle.backends import backend_class, backend_names
 from repro.workloads.specs import WorkloadSpec
@@ -184,9 +180,7 @@ def config_for_scheme(
     cost = dataclasses.replace(
         config.cost, cpu_bytes_per_second=workload_spec.cpu_bytes_per_second
     )
-    shuffle: ShuffleConfig = shuffle_config_for_backend(
-        scheme_spec(scheme).backend
-    )
+    shuffle = ShuffleConfig(backend=scheme_spec(scheme).backend)
     return dataclasses.replace(
         config, seed=seed, cost=cost, shuffle=shuffle
     )

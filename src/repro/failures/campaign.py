@@ -96,8 +96,8 @@ def _policy_config(policy: str, backend: str, seed: int):
     from repro.config import (
         HealthConfig,
         SchedulingConfig,
+        ShuffleConfig,
         SimulationConfig,
-        shuffle_config_for_backend,
     )
 
     if policy not in POLICIES:
@@ -116,7 +116,7 @@ def _policy_config(policy: str, backend: str, seed: int):
         overrides["scheduling"] = SchedulingConfig(speculation=True)
     return SimulationConfig(
         seed=seed,
-        shuffle=shuffle_config_for_backend(backend),
+        shuffle=ShuffleConfig(backend=backend),
         jitter=None,
         # Chaos kinds that destroy storage need a second replica or
         # lineage recovery bottoms out at permanently lost input.

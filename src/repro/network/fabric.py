@@ -18,10 +18,11 @@ Two solver drives exist:
   :class:`~repro.network.IncrementalFairShare` component index scopes
   each perturbation to the connected components of flows and links it
   touches; their departure schedules are then precomputed as
-  :class:`~repro.network.cascade.CascadePlan`\\ s (numpy closed form
-  for uniform-route components; CSR progressive filling otherwise,
-  solved a doubling batch of departures at a time as the clock reaches
-  them).  Departures fire as bare precomputed timers with **zero**
+  :class:`~repro.network.cascade.CascadePlan`\\ s (a scalar closed form
+  for uniform-route components; progressive filling otherwise, in
+  scalar Python up to ``cascade.SCALAR_MAX_FLOWS`` flows and numpy CSR
+  above, solved a doubling batch of departures at a time as the clock
+  reaches them).  Departures fire as bare precomputed timers with **zero**
   re-solves, and a later perturbation replays the plan to recover each
   member's exact remaining bytes;
 * **global** (``drive="global"``, reference) — a from-scratch re-solve

@@ -95,7 +95,7 @@ class DataMemo:
                     f"{len(again)} of a recompute"
                 )
             elif stored.summed not in (None, plain.estimate(again)) or (
-                stored.walked not in (None, plain.estimate_with_count(again)[0])
+                stored.walked not in (None, plain.estimate_walked(again))
             ):
                 problem = (
                     f"carries byte totals ({stored.summed!r}, "

@@ -486,11 +486,3 @@ class UnionRDD(RDD):
     def preferred_locations(self, index: int) -> List[str]:
         parent, parent_index = self._resolve(index)
         return parent.preferred_locations(parent_index)
-
-
-# The extended Spark-style operations (coalesce, sample,
-# aggregate_by_key, combine_by_key, count_by_key, reduce, take, first,
-# sort_by, zip_with_index) come with the class, however it was imported.
-from repro.rdd.extra_ops import install_extra_ops  # noqa: E402
-
-install_extra_ops()

@@ -57,7 +57,7 @@ class Partition(list):
     ``origin`` the ``(step, *arguments)`` call that produced the
     partition (``None`` for the dataset's input); the two natural byte
     totals are filled by the first :meth:`SizeEstimator.estimate` /
-    ``estimate_with_count`` that walks the records — one slot per
+    ``estimate_walked`` that walks the records — one slot per
     summation order, so a later call reads the float the same call
     computed.
     """
@@ -195,14 +195,14 @@ class SizeEstimator:
             records.summed = sum(map(natural_size, records))
         return records.summed * self.scale_factor
 
-    def estimate_with_count(self, records: Iterable[Any]) -> Tuple[float, int]:
+    def estimate_walked(self, records: Iterable[Any]) -> float:
+        """``estimate`` summed by a running ``+=`` instead of ``sum()``:
+        the operator charges' order, kept so no charged float moves."""
         if type(records) is Partition and records.walked is not None:
-            return records.walked * self.scale_factor, len(records)
+            return records.walked * self.scale_factor
         total = 0.0
-        count = 0
         for record in records:
             total += natural_size(record)
-            count += 1
         if type(records) is Partition:
             records.walked = total
-        return total * self.scale_factor, count
+        return total * self.scale_factor

@@ -40,6 +40,15 @@ from repro.simulation.event import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
 
+# Lineage recovery (Spark's FetchFailed path): how many times one stage
+# may be resubmitted when its output is lost (Spark's
+# ``spark.stage.maxConsecutiveAttempts`` is 4), how long the first
+# resubmission waits (doubling each time), and how many FetchFailed
+# retries a single consumer task gets before the job fails.
+MAX_STAGE_RETRIES = 4
+STAGE_RETRY_BACKOFF = 0.2
+MAX_FETCH_FAILURES_PER_TASK = 8
+
 
 class DAGScheduler:
     """One per cluster context; ``run_job`` is a simulation process."""
@@ -68,7 +77,7 @@ class DAGScheduler:
         # Lineage recovery state (per job): in-flight parent-stage
         # resubmissions (so concurrent FetchFailed consumers join one
         # recovery instead of racing) and per-stage resubmit counts
-        # (bounded by SchedulingConfig.max_stage_retries).
+        # (bounded by MAX_STAGE_RETRIES).
         self._active_recoveries: Dict[int, object] = {}
         self._stage_resubmits: Dict[int, int] = {}
 
@@ -239,7 +248,7 @@ class DAGScheduler:
         Mirrors Spark's DAGScheduler: the consumer attempt dies, the
         stage producing the missing output is resubmitted (only its
         missing partitions re-run), and the consumer is retried.  The
-        retry loop is bounded by ``max_fetch_failures_per_task``;
+        retry loop is bounded by ``MAX_FETCH_FAILURES_PER_TASK``;
         resubmissions themselves are bounded per stage.
         """
         config = self.context.config.scheduling
@@ -271,7 +280,7 @@ class DAGScheduler:
             except FetchFailedError as failure:
                 fetch_failures += 1
                 self.context.recovery.fetch_failures += 1
-                if fetch_failures >= config.max_fetch_failures_per_task:
+                if fetch_failures >= MAX_FETCH_FAILURES_PER_TASK:
                     raise
                 yield from self._recover_lost_parent(stage, failure)
                 continue
@@ -317,16 +326,12 @@ class DAGScheduler:
         """Re-run exactly the missing partitions of ``stage`` (a
         simulation process; backoff doubles per consecutive resubmit)."""
         context = self.context
-        config = context.config.scheduling
         count = self._stage_resubmits.get(stage.stage_id, 0) + 1
         self._stage_resubmits[stage.stage_id] = count
-        if count > config.max_stage_retries:
+        if count > MAX_STAGE_RETRIES:
             raise StageRecoveryError(stage.name, count)
         context.recovery.stages_resubmitted += 1
-        if config.stage_retry_backoff > 0:
-            yield self.sim.timeout(
-                config.stage_retry_backoff * 2 ** (count - 1)
-            )
+        yield self.sim.timeout(STAGE_RETRY_BACKOFF * 2 ** (count - 1))
         # A failed transfer destination is re-elected before the
         # producers re-stage: receivers read ``resolved_destinations``
         # fresh on every retry, so the new choice takes effect at once.

@@ -29,6 +29,9 @@ from repro.shuffle.stores import ShuffleShard
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
 
+# Simulated seconds between a slot being granted and the task starting.
+TASK_LAUNCH_OVERHEAD = 0.05
+
 
 class TaskRunner:
     """Executes tasks for one cluster context."""
@@ -41,9 +44,7 @@ class TaskRunner:
         context = self.context
         sim = context.sim
         started = sim.now
-        overhead = context.config.cost.task_launch_overhead
-        if overhead > 0:
-            yield sim.timeout(overhead)
+        yield sim.timeout(TASK_LAUNCH_OVERHEAD)
 
         max_attempts = context.config.scheduling.max_task_attempts
         refetched = 0.0

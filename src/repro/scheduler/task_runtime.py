@@ -40,7 +40,7 @@ class TaskRuntime:
         # Sizing in logical bytes: the estimator's two walks, bound once.
         # A cached dataset's Partition answers from its own totals.
         self.estimate = context.estimator.estimate
-        self.sized = context.estimator.estimate_with_count
+        self.sized = context.estimator.estimate_walked
         # Multiplies CPU charges; >1 models a straggling attempt.
         self.slowdown = 1.0
         # Metrics accumulated over this attempt.
@@ -146,17 +146,16 @@ class TaskRuntime:
     # ------------------------------------------------------------------
     def charge_operator(self, rdd: RDD, input_records: List[Any]):
         """CPU time for one narrow/aggregation operator (generator)."""
-        size, count = self.sized(input_records)
-        seconds = self.context.config.cost.compute_time(size, count)
+        seconds = self.context.config.cost.compute_time(self.sized(input_records))
         seconds *= self.slowdown
         if seconds > 0:
             yield self.sim.timeout(seconds)
 
     def charge_combine(self, rdd: RDD, input_records: List[Any]):
         """Cheaper per-byte charge for in-memory merge/combine passes."""
-        size, count = self.sized(input_records)
         seconds = (
-            self.context.config.cost.combine_time(size, count) * self.slowdown
+            self.context.config.cost.combine_time(self.sized(input_records))
+            * self.slowdown
         )
         if seconds > 0:
             yield self.sim.timeout(seconds)
@@ -170,8 +169,10 @@ class TaskRuntime:
             yield self.sim.timeout(seconds)
 
     def charge_sort(self, rdd: RDD, input_records: List[Any]):
-        size, count = self.sized(input_records)
-        seconds = self.context.config.cost.sort_time(size, count) * self.slowdown
+        seconds = (
+            self.context.config.cost.sort_time(self.sized(input_records))
+            * self.slowdown
+        )
         if seconds > 0:
             yield self.sim.timeout(seconds)
 

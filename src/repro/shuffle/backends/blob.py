@@ -45,7 +45,6 @@ class BlobShuffleBackend(ShuffleBackend):
 
     name = "blob"
     scheme_label = "BlobShuffle"
-    implicit_transfers = False
     flow_tags = ("blob_put", "blob_get", "transfer_to")
 
     def __init__(self) -> None:

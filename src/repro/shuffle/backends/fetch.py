@@ -19,5 +19,4 @@ class FetchShuffleBackend(ShuffleBackend):
 
     name = "fetch"
     scheme_label = "Spark"
-    implicit_transfers = False
     flow_tags = ("shuffle", "transfer_to")

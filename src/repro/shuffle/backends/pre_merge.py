@@ -38,7 +38,6 @@ class PreMergeBackend(ShuffleBackend):
 
     name = "pre_merge"
     scheme_label = "PreMerge"
-    implicit_transfers = False
     flow_tags = ("shuffle", "shuffle_merge", "transfer_to")
 
     def __init__(self) -> None:

@@ -1,10 +1,9 @@
 """The paper's Push/Aggregate backend (``transferTo``, §IV).
 
 ``prepare_job`` embeds an implicit ``transfer_to`` before every shuffle
-(the §IV-D rewrite previously hard-wired into the DAG scheduler behind
-``ShuffleConfig.auto_aggregate``; the rewrite pass itself still lives in
-:mod:`repro.core.transfer_injection`, which this backend subsumes and is
-now the sole caller of).  Map output is pushed — streamed by receiver
+(the §IV-D rewrite, Spark's ``spark.shuffle.aggregation``; the rewrite
+pass itself lives in :mod:`repro.core.transfer_injection`, whose sole
+caller this backend is).  Map output is pushed — streamed by receiver
 tasks into the aggregator datacenter while mappers are still producing —
 so the subsequent shuffle read is mostly datacenter-local.  The read and
 staging machinery is the inherited base-class path: the push strategy
@@ -27,7 +26,6 @@ class PushAggregateBackend(ShuffleBackend):
 
     name = "push_aggregate"
     scheme_label = "AggShuffle"
-    implicit_transfers = True
     flow_tags = ("shuffle", "transfer_to")
 
     def prepare_job(self, final_rdd: RDD) -> RDD:

@@ -45,13 +45,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.shuffle.map_output_tracker import MapStatus
     from repro.shuffle.stores import ShuffleShard
 
+# Base replica count of the shuffle-worker pool (adaptively raised —
+# capped at 3 — while WAN breakers are open or datacenters are
+# blacklist-excluded).
+REMOTE_REPLICATION = 2
+
 
 class RemoteShuffleBackend(ShuffleBackend):
     """Dedicated shuffle workers with adaptive replication."""
 
     name = "remote"
     scheme_label = "RemoteShuffle"
-    implicit_transfers = False
     flow_tags = ("shuffle", "shuffle_upload", "shuffle_replicate",
                  "transfer_to")
 
@@ -70,12 +74,7 @@ class RemoteShuffleBackend(ShuffleBackend):
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ShuffleWorkerPool:
         if self._pool is None:
-            config = self.context.config.shuffle
-            self._pool = ShuffleWorkerPool(
-                self.context.topology,
-                workers_per_datacenter=config.shuffle_workers_per_datacenter,
-                buffer_bytes=config.shuffle_worker_buffer_bytes,
-            )
+            self._pool = ShuffleWorkerPool(self.context.topology)
             for datacenter in sorted(self.context.topology.datacenters):
                 self._provision(datacenter)
         return self._pool
@@ -93,11 +92,11 @@ class RemoteShuffleBackend(ShuffleBackend):
             self._pool.provision(datacenter, live)
 
     def _replication_factor(self) -> int:
-        """Base ``remote_replication`` plus one per active health alarm
+        """Base ``REMOTE_REPLICATION`` plus one per active health alarm
         (open WAN breaker into any DC, blacklist-excluded DC), capped to
         r ∈ [1, 3] — a deterministic function of current health state."""
         context = self.context
-        factor = context.config.shuffle.remote_replication
+        factor = REMOTE_REPLICATION
         datacenters = sorted(context.topology.datacenters)
         if any(
             context.link_health.datacenter_quarantined(dc)

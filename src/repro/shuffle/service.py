@@ -13,7 +13,7 @@ optionally reorganise map output before reducers start
 (``prepare_shuffle_input``), serve reduce reads (``shuffle_read``) and
 receiver pulls (``transfer_read``), and account every byte it moves in
 its :class:`~repro.metrics.perf.ShuffleCounters`.  The cluster context
-binds exactly one backend, chosen by ``ShuffleConfig.backend_name``, as
+binds exactly one backend, chosen by ``ShuffleConfig.backend``, as
 its ``shuffle_service``; the scheduler, the task runtime and the task
 runner call it directly.
 
@@ -57,8 +57,6 @@ class ShuffleBackend:
     * ``name``               — registry key (``ShuffleConfig.backend``);
     * ``scheme_label``       — the experiment scheme this backend backs
       (matched against :class:`repro.experiments.schemes.Scheme` values);
-    * ``implicit_transfers`` — True when ``prepare_job`` rewrites the
-      lineage with ``transfer_to`` boundaries (the push path);
     * ``flow_tags``          — the traffic-monitor tags of every flow
       this backend issues; the counter/monitor equivalence property is
       stated over exactly these tags.
@@ -72,7 +70,6 @@ class ShuffleBackend:
 
     name: str = "abstract"
     scheme_label: str = ""
-    implicit_transfers: bool = False
     flow_tags: Tuple[str, ...] = ("shuffle", "transfer_to")
 
     def __init__(

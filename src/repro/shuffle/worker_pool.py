@@ -37,18 +37,21 @@ if TYPE_CHECKING:  # pragma: no cover
 # (shuffle_id, map_index): the unit of replication.
 OutputKey = Tuple[int, int]
 
+# Workers pinned per datacenter, and the per-worker memory buffer before
+# accepted bytes spill to local disk.
+WORKERS_PER_DATACENTER = 1
+WORKER_BUFFER_BYTES = 64e6
+
 
 class ShuffleWorker:
     """One dedicated shuffle worker pinned to a physical host."""
 
-    __slots__ = ("host", "datacenter", "assigned_bytes", "buffer_bytes",
-                 "spilled_bytes")
+    __slots__ = ("host", "datacenter", "assigned_bytes", "spilled_bytes")
 
-    def __init__(self, host: str, datacenter: str, buffer_bytes: float) -> None:
+    def __init__(self, host: str, datacenter: str) -> None:
         self.host = host
         self.datacenter = datacenter
         self.assigned_bytes = 0.0
-        self.buffer_bytes = buffer_bytes
         self.spilled_bytes = 0.0
 
     def accept(self, size_bytes: float) -> float:
@@ -56,7 +59,7 @@ class ShuffleWorker:
         overflowed the memory buffer and spilled to local disk."""
         before = self.assigned_bytes
         self.assigned_bytes = before + size_bytes
-        over = self.assigned_bytes - self.buffer_bytes
+        over = self.assigned_bytes - WORKER_BUFFER_BYTES
         if over <= 0:
             return 0.0
         spill = min(size_bytes, over)
@@ -72,18 +75,10 @@ class ShuffleWorker:
 class ShuffleWorkerPool:
     """Placement, load-aware assignment, and replica bookkeeping."""
 
-    __slots__ = ("topology", "workers_per_datacenter", "buffer_bytes",
-                 "_workers", "_primary", "_replicas")
+    __slots__ = ("topology", "_workers", "_primary", "_replicas")
 
-    def __init__(
-        self,
-        topology: Topology,
-        workers_per_datacenter: int = 1,
-        buffer_bytes: float = 64e6,
-    ) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.workers_per_datacenter = workers_per_datacenter
-        self.buffer_bytes = buffer_bytes
         # host -> ShuffleWorker (insertion order is provision order, but
         # every selection below sorts explicitly).
         self._workers: Dict[str, ShuffleWorker] = {}
@@ -96,14 +91,12 @@ class ShuffleWorkerPool:
     # ------------------------------------------------------------------
     def provision(self, datacenter: str, live_hosts: List[str]) -> None:
         """(Re-)pin ``datacenter``'s shuffle workers to the first
-        ``workers_per_datacenter`` live hosts, lexicographically —
+        ``WORKERS_PER_DATACENTER`` live hosts, lexicographically —
         deterministic across runs and stable under unrelated losses."""
-        chosen = sorted(live_hosts)[: self.workers_per_datacenter]
+        chosen = sorted(live_hosts)[:WORKERS_PER_DATACENTER]
         for host in chosen:
             if host not in self._workers:
-                self._workers[host] = ShuffleWorker(
-                    host, datacenter, self.buffer_bytes
-                )
+                self._workers[host] = ShuffleWorker(host, datacenter)
 
     def workers_in(self, datacenter: str) -> List[ShuffleWorker]:
         return [

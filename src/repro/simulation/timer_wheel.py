@@ -172,7 +172,8 @@ class TimerWheel:
         """Move every live entry at the earliest time into ``batch``.
 
         Returns that time, or None when the wheel is empty.  The batch
-        is guaranteed non-empty on a non-None return.
+        is non-empty on a non-None return: ``_advance_active`` stops the
+        cursor on a live entry.
         """
         if not self._advance_active():
             return None
@@ -187,10 +188,6 @@ class TimerWheel:
                 batch.append(obj)
             cursor += 1
         self._cursor = cursor
-        if not batch:
-            # Every same-instant entry was cancelled; recurse to the
-            # next instant without reporting an empty batch.
-            return self.pop_batch(batch)
         return time
 
     def __len__(self) -> int:  # pragma: no cover - debugging aid

@@ -21,7 +21,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "TERASORT_BLOAT_FACTOR", "PAGERANK", "PAGERANK_ITERATIONS", "NAIVE_BAYES",
     ),
     "repro.workloads.catalog": ("all_workloads", "workload_by_name"),
-    "repro.workloads.extensions": (
-        "KMeans", "JoinAggregate", "KMEANS_SPEC", "JOIN_SPEC",
-    ),
 })

@@ -34,9 +34,9 @@ def quiet_config(
     **overrides,
 ) -> SimulationConfig:
     """Deterministic config: no jitter, no failures."""
-    shuffle = ShuffleConfig(
-        push_based=push, auto_aggregate=push, backend=backend
-    )
+    if backend is None:
+        backend = "push_aggregate" if push else "fetch"
+    shuffle = ShuffleConfig(backend=backend)
     return SimulationConfig(seed=seed, shuffle=shuffle, jitter=None, **overrides)
 
 

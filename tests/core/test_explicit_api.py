@@ -1,9 +1,9 @@
 """The explicit developer API: push shuffle without implicit embedding.
 
 §IV-E ("Implicit vs. Explicit Embedding"): developers may control data
-placement themselves.  These tests run with ``push_based=True`` but
-``auto_aggregate=False`` — no transfer is inserted unless the program
-calls ``transfer_to`` itself.
+placement themselves.  These tests run on the fetch backend, which
+embeds nothing — no transfer is inserted unless the program calls
+``transfer_to`` itself.
 """
 
 
@@ -18,7 +18,7 @@ from tests.conftest import small_spec
 def explicit_context(seed=0):
     config = SimulationConfig(
         seed=seed,
-        shuffle=ShuffleConfig(push_based=True, auto_aggregate=False),
+        shuffle=ShuffleConfig(backend="fetch"),
         jitter=None,
     )
     return ClusterContext(small_spec(), config)

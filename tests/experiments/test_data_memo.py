@@ -338,10 +338,10 @@ def test_hit_returns_the_object_and_floats_the_miss_produced():
     estimator = SizeEstimator(scale_factor=3.0)
     plain = list(first)
     assert estimator.estimate(first) == estimator.estimate(plain)
-    assert estimator.estimate_with_count(first) == estimator.estimate_with_count(plain)
+    assert estimator.estimate_walked(first) == estimator.estimate_walked(plain)
     first.summed, first.walked = 1.0, 2.0  # prove the cached totals are what is read
     assert estimator.estimate(first) == 3.0
-    assert estimator.estimate_with_count(first) == (6.0, 2)
+    assert estimator.estimate_walked(first) == 6.0
 
 
 def test_partition_pickles_as_its_records_only():

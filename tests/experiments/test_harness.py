@@ -123,10 +123,9 @@ def test_scheme_configs():
             WORDCOUNT.cpu_bytes_per_second
         )
         if scheme is Scheme.AGGSHUFFLE:
-            assert config.shuffle.push_based
-            assert config.shuffle.auto_aggregate
+            assert config.shuffle.backend == "push_aggregate"
         else:
-            assert not config.shuffle.push_based
+            assert config.shuffle.backend != "push_aggregate"
 
 
 def test_generated_input_cached_per_workload_and_seed():

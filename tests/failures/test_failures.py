@@ -34,13 +34,9 @@ def test_failure_config_validates_at_construction():
     with pytest.raises(ConfigurationError):
         FailureConfig(reducer_failure_probability=-0.1)
     with pytest.raises(ConfigurationError):
-        FailureConfig(wasted_work_fraction=2.0)
-    with pytest.raises(ConfigurationError):
-        FailureConfig(wasted_work_fraction=-0.5)
-    with pytest.raises(ConfigurationError):
         FailureConfig(max_injected_failures_per_task=-1)
     # Boundary values are legal.
-    FailureConfig(reducer_failure_probability=1.0, wasted_work_fraction=0.0)
+    FailureConfig(reducer_failure_probability=1.0, max_injected_failures_per_task=0)
 
 
 def test_straggler_hits_are_counted():

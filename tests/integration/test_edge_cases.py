@@ -83,7 +83,7 @@ def test_subset_aggregation_end_to_end():
     config = dataclasses.replace(
         quiet_config(push=True),
         shuffle=ShuffleConfig(
-            push_based=True, auto_aggregate=True, aggregation_subset_size=2
+            backend="push_aggregate", aggregation_subset_size=2
         ),
     )
     context = ClusterContext(spec, config)

@@ -63,11 +63,11 @@ def test_estimator_rejects_bad_scale():
         SizeEstimator(scale_factor=0)
 
 
-def test_estimate_with_count():
+def test_estimate_walked():
     estimator = SizeEstimator()
-    size, count = estimator.estimate_with_count([1, 2, 3])
-    assert count == 3
-    assert size == pytest.approx(estimator.estimate([1, 2, 3]))
+    assert estimator.estimate_walked([1, 2, 3]) == pytest.approx(
+        estimator.estimate([1, 2, 3])
+    )
 
 
 @given(st.lists(st.one_of(st.integers(), st.text(max_size=20))))
@@ -196,14 +196,11 @@ def test_natural_size_equals_the_ladder(record):
 def test_estimates_equal_the_ladder(records, scale):
     estimator = SizeEstimator(scale)
     # Each entry point keeps its own adder: estimate() the built-in
-    # sum (compensated on Python >= 3.12), estimate_with_count() a +=.
+    # sum (compensated on Python >= 3.12), estimate_walked() a +=.
     assert estimator.estimate(records) == (
         sum(ladder_natural_size(record) for record in records) * scale
     )
     total = 0.0
     for record in records:
         total += ladder_natural_size(record)
-    assert estimator.estimate_with_count(iter(records)) == (
-        total * scale,
-        len(records),
-    )
+    assert estimator.estimate_walked(iter(records)) == total * scale

@@ -8,12 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.config import (
-    ShuffleConfig,
-    SimulationConfig,
-    backend_config,
-    shuffle_config_for_backend,
-)
+from repro.config import ShuffleConfig, SimulationConfig, backend_config
 from repro.errors import ConfigurationError, FetchFailedError
 from repro.shuffle.backends import (
     backend_class,
@@ -65,24 +60,9 @@ def test_every_backend_advertises_its_contract():
 # ---------------------------------------------------------------------------
 # Config resolution
 # ---------------------------------------------------------------------------
-def test_legacy_flags_resolve_to_backends():
-    assert ShuffleConfig().backend_name == "fetch"
-    assert (
-        ShuffleConfig(push_based=True, auto_aggregate=True).backend_name
-        == "push_aggregate"
-    )
-
-
-def test_explicit_backend_wins_over_legacy_flags():
-    config = ShuffleConfig(backend="pre_merge")
-    assert config.backend_name == "pre_merge"
-
-
-def test_shuffle_config_for_backend_keeps_legacy_flags_consistent():
-    push = shuffle_config_for_backend("push_aggregate")
-    assert push.push_based and push.auto_aggregate
-    fetch = shuffle_config_for_backend("fetch")
-    assert not fetch.push_based and not fetch.auto_aggregate
+def test_default_backend_is_fetch():
+    assert ShuffleConfig().backend == "fetch"
+    assert backend_config("fetch").shuffle == ShuffleConfig()
 
 
 def test_unknown_backend_rejected_at_validation():
@@ -94,7 +74,7 @@ def test_unknown_backend_rejected_at_validation():
 def test_backend_config_builds_a_runnable_simulation_config():
     config = backend_config("pre_merge")
     config.validate()
-    assert config.shuffle.backend_name == "pre_merge"
+    assert config.shuffle.backend == "pre_merge"
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +130,7 @@ def test_config_for_scheme_uses_registry_backend():
         (Scheme.CENTRALIZED, "fetch"),
     ):
         config = config_for_scheme(scheme, WORDCOUNT, seed=0)
-        assert config.shuffle.backend_name == backend
+        assert config.shuffle.backend == backend
 
 
 def test_dag_scheduler_has_no_strategy_branches():

@@ -224,6 +224,45 @@ def test_dir_lists_every_export_before_it_resolves():
     assert before == after == sorted(("repro." + p).rstrip(".") for p in PACKAGES)
 
 
+_PATCH_PROBE = """
+import importlib, json, pkgutil, types
+import repro
+
+patched = []
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name.endswith(".__main__"):
+        continue
+    module = importlib.import_module(info.name)
+    for cls in vars(module).values():
+        if not (isinstance(cls, type) and cls.__module__ == info.name):
+            continue
+        for attr, value in vars(cls).items():
+            if (
+                isinstance(value, types.FunctionType)
+                and value.__module__.split(".")[0] == "repro"
+                and not value.__qualname__.startswith(cls.__qualname__ + ".")
+            ):
+                patched.append(f"{cls.__qualname__}.{attr}: {value.__qualname__}")
+print(json.dumps(sorted(patched)))
+"""
+
+
+def test_no_class_is_patched_from_outside_its_body():
+    """Every plain function from ``repro`` that a ``repro`` class holds
+    was written in its body, so what a class can do does not depend on
+    which other modules were imported (what the standard library adds —
+    dataclass pickling, enum plumbing — is not ours to check).  A fresh
+    interpreter imports every module first, so every import-time patch
+    has run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _PATCH_PROBE],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300,
+        check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 def test_a_lazily_exported_module_does_not_dodge_the_linter(tmp_path):
     """The linter walks files, not imports: a module nothing imports
     until an export table's name is read is linted like any other."""
