@@ -40,7 +40,6 @@ PLACEMENT = ("dc-a-w0", "dc-a-w1", "dc-a-w0", "dc-a-w1", "dc-a-w1", "dc-b-w0")
 # 5-second flap reliably produces deadline misses during the window.
 RETRY_HEALTH = HealthConfig(
     flow_retry_enabled=True,
-    breaker_enabled=True,
     flow_deadline_base=0.05,
     flow_deadline_multiplier=3.0,
     max_flow_retries=2,

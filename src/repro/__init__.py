@@ -67,8 +67,8 @@ def lazy_exports(
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.config": (
-        "CostModel", "FailureConfig", "SchedulingConfig", "ShuffleConfig",
-        "SimulationConfig", "backend_config",
+        "CostModel", "FailureConfig", "ShuffleConfig", "SimulationConfig",
+        "backend_config",
     ),
     "repro.cluster.builder": (
         "ClusterSpec", "build_topology", "ec2_six_region_spec", "two_datacenter_spec",

@@ -32,7 +32,11 @@ from repro.rdd.size_estimator import SizeEstimator
 from repro.scheduler.cache import CacheManager
 from repro.scheduler.dag_scheduler import DAGScheduler
 from repro.scheduler.task_runner import TaskRunner
-from repro.scheduler.task_scheduler import Executor, TaskScheduler
+from repro.scheduler.task_scheduler import (
+    RECEIVER_WAITS,
+    Executor,
+    TaskScheduler,
+)
 from repro.shuffle.backends import create_backend
 from repro.shuffle.map_output_tracker import MapOutputTracker
 from repro.shuffle.stores import ShuffleStore, TransferTracker
@@ -110,7 +114,6 @@ class ClusterContext:
             self.sim,
             self.topology,
             self.executors,
-            self.config.scheduling,
             run_task=runner.run,
             blacklist=self.blacklist,
         )
@@ -118,7 +121,8 @@ class ClusterContext:
         # map output, overlapping computation on the same workers (the
         # paper's transfers begin while mappers are still producing,
         # §IV-B).  They therefore run on a dedicated per-host transfer
-        # service rather than competing for compute slots.
+        # service rather than competing for compute slots, and queue
+        # there for the aggregator datacenter (RECEIVER_WAITS).
         self.transfer_executors: Dict[str, Executor] = {
             name: Executor(name, self.config.cores_per_host)
             for name in worker_names
@@ -127,9 +131,9 @@ class ClusterContext:
             self.sim,
             self.topology,
             self.transfer_executors,
-            self.config.scheduling,
             run_task=runner.run,
             blacklist=self.blacklist,
+            waits=RECEIVER_WAITS,
         )
         self.dag_scheduler = DAGScheduler(self)
         # Jobs started on this context so far (each job's ordinal).

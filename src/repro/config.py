@@ -1,7 +1,8 @@
 """Configuration objects shared across the whole stack.
 
-All tunables live here so experiments are declarative: a
+Every choice a run makes lives here so experiments are declarative: a
 :class:`SimulationConfig` plus a topology fully determines a run.
+Values no caller varies are constants beside their one reader.
 """
 
 from __future__ import annotations
@@ -72,44 +73,6 @@ class CostModel:
 
 
 @dataclass(frozen=True)
-class SchedulingConfig:
-    """Locality/delay-scheduling behaviour of the task scheduler."""
-
-    # How long a task waits for a preferred-host slot before settling for
-    # a same-datacenter slot, and then for any slot (Spark's
-    # ``spark.locality.wait`` is 3 s by default).
-    locality_wait_host: float = 2.0
-    locality_wait_datacenter: float = 45.0
-    # A reducer only *prefers* hosts that store at least this fraction of
-    # its shuffle input (Spark 1.6's REDUCER_PREF_LOCS_FRACTION = 0.2).
-    reducer_pref_fraction: float = 0.2
-    # Receiver (transferTo) tasks wait this long for a slot in the
-    # aggregator datacenter before falling back to any host; effectively
-    # they queue there, since pushing elsewhere defeats aggregation.
-    receiver_datacenter_wait: float = 600.0
-    max_task_attempts: int = 4
-    # Speculative execution (Spark's spark.speculation): once
-    # ``speculation_quantile`` of a stage's tasks have finished, any
-    # remaining task running longer than ``speculation_multiplier`` x
-    # the median completed duration gets a duplicate launched anywhere;
-    # the first finisher wins.
-    speculation: bool = False
-    speculation_multiplier: float = 2.0
-    speculation_quantile: float = 0.75
-    speculation_interval: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.speculation_multiplier < 1:
-            raise ConfigurationError("speculation_multiplier must be >= 1")
-        if not 0 < self.speculation_quantile <= 1:
-            raise ConfigurationError(
-                "speculation_quantile must be in (0, 1]"
-            )
-        if self.speculation_interval <= 0:
-            raise ConfigurationError("speculation_interval must be > 0")
-
-
-@dataclass(frozen=True)
 class FailureConfig:
     """Task failure injection (paper Fig. 2 / §III-A)."""
 
@@ -129,30 +92,18 @@ class FailureConfig:
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Health-aware degradation: blacklisting, circuit breakers, retry.
+    """Health-aware degradation: which policies a run switches on.
 
-    Everything here is opt-in (all features default off), so the legacy
-    failure path — interrupt attempts, resubmit stages from lineage —
-    is byte-for-byte unchanged unless a feature is enabled.  See
-    DESIGN.md §10 and :mod:`repro.failures.health`.
+    Both default off, so the legacy failure path — interrupt attempts,
+    resubmit stages from lineage — is byte-for-byte unchanged unless a
+    policy is enabled.  The blacklist and breaker thresholds are
+    constants of :mod:`repro.failures.health`; see DESIGN.md §10.
     """
 
     # Spark-style excludeOnFailure: a host accumulating task failures is
     # excluded per-stage first, then app-wide (with timed expiry), and a
     # datacenter most of whose hosts are excluded is escalated whole.
     blacklist_enabled: bool = False
-    max_task_failures_per_executor_stage: int = 2
-    max_task_failures_per_executor: int = 4
-    blacklist_timeout: float = 60.0
-    datacenter_exclusion_threshold: int = 2
-
-    # Per-WAN-link circuit breaker (closed -> open -> half-open with
-    # probe flows), driven by flow deadline misses on the link.
-    breaker_enabled: bool = False
-    breaker_failure_threshold: int = 3
-    breaker_cooldown: float = 10.0
-    breaker_probe_flows: int = 1
-    breaker_probes_to_close: int = 2
 
     # Flow-level retry: a flow missing its per-flow deadline is
     # cancelled and re-issued (possibly from another replica) with
@@ -161,7 +112,9 @@ class HealthConfig:
     # a deep chaos degrade misses it while ordinary fair-share
     # contention does not; the final attempt runs without a deadline —
     # slowness alone never escalates to FetchFailed (genuinely missing
-    # data already raises at lookup time).
+    # data already raises at lookup time).  It also arms the per-WAN-
+    # link circuit breakers, which learn only from these deadline
+    # misses and steer the re-issues off a sick path.
     flow_retry_enabled: bool = False
     max_flow_retries: int = 3
     flow_retry_backoff: float = 0.5
@@ -169,32 +122,6 @@ class HealthConfig:
     flow_deadline_multiplier: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.max_task_failures_per_executor_stage < 1:
-            raise ConfigurationError(
-                "max_task_failures_per_executor_stage must be >= 1"
-            )
-        if self.max_task_failures_per_executor < 1:
-            raise ConfigurationError(
-                "max_task_failures_per_executor must be >= 1"
-            )
-        if self.blacklist_timeout <= 0:
-            raise ConfigurationError("blacklist_timeout must be > 0")
-        if self.datacenter_exclusion_threshold < 1:
-            raise ConfigurationError(
-                "datacenter_exclusion_threshold must be >= 1"
-            )
-        if self.breaker_failure_threshold < 1:
-            raise ConfigurationError(
-                "breaker_failure_threshold must be >= 1"
-            )
-        if self.breaker_cooldown <= 0:
-            raise ConfigurationError("breaker_cooldown must be > 0")
-        if self.breaker_probe_flows < 1:
-            raise ConfigurationError("breaker_probe_flows must be >= 1")
-        if self.breaker_probes_to_close < 1:
-            raise ConfigurationError(
-                "breaker_probes_to_close must be >= 1"
-            )
         if self.max_flow_retries < 1:
             raise ConfigurationError("max_flow_retries must be >= 1")
         if self.flow_retry_backoff < 0:
@@ -254,7 +181,6 @@ class SimulationConfig:
     cores_per_host: int = 2
     cost: CostModel = field(default_factory=CostModel)
     disk: DiskModel = field(default_factory=DiskModel)
-    scheduling: SchedulingConfig = field(default_factory=SchedulingConfig)
     failures: FailureConfig = field(default_factory=FailureConfig)
     # Health-aware degradation (blacklist, WAN circuit breakers,
     # flow-level retry); every feature defaults off.
@@ -280,6 +206,11 @@ class SimulationConfig:
     # watchdog; the chaos campaign arms it so a hung recovery is flagged
     # instead of deadlocking the suite.
     max_wall_seconds: Optional[float] = None
+    # Speculative execution (Spark's spark.speculation): a straggling
+    # task of a mostly finished stage gets a duplicate launched anywhere;
+    # the first finisher wins.  Its thresholds are the SPECULATION_*
+    # constants of repro.scheduler.dag_scheduler.
+    speculation: bool = False
 
     def validate(self) -> None:
         if self.cores_per_host < 1:

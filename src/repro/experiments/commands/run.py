@@ -37,9 +37,11 @@ def add_arguments(commands) -> None:
     )
     run.add_argument(
         "--flow-retry", action="store_true",
-        help="enable flow-level retry with per-flow deadlines and WAN "
-        "circuit breakers: transient degradations are absorbed by "
-        "re-issued flows instead of stage resubmission (DESIGN.md §10)",
+        help="enable flow-level retry with per-flow deadlines; also arms "
+        "the WAN circuit breakers, which learn from the deadline misses "
+        "and steer re-issued flows off a sick path, so transient "
+        "degradations are absorbed instead of resubmitting stages "
+        "(DESIGN.md §10)",
     )
     run.add_argument(
         "--sanitize", action="store_true",
@@ -140,9 +142,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         health = HealthConfig(
             blacklist_enabled=args.blacklist,
             flow_retry_enabled=args.flow_retry,
-            # Flow retry alone cannot dodge a sick path without the
-            # breaker steering re-issues, so the flags travel together.
-            breaker_enabled=args.flow_retry,
         )
     plan = ExperimentPlan(
         seeds=(0,), base_config=_base_config(args.chaos, health)

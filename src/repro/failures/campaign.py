@@ -93,27 +93,14 @@ def fuzz_cluster_spec() -> "ClusterSpec":
 
 
 def _policy_config(policy: str, backend: str, seed: int):
-    from repro.config import (
-        HealthConfig,
-        SchedulingConfig,
-        ShuffleConfig,
-        SimulationConfig,
-    )
+    from repro.config import HealthConfig, ShuffleConfig, SimulationConfig
 
     if policy not in POLICIES:
         known = ", ".join(POLICIES)
         raise ConfigurationError(
             f"unknown campaign policy {policy!r} (one of: {known})"
         )
-    overrides: Dict[str, Any] = {}
-    if policy in ("health", "speculate"):
-        overrides["health"] = HealthConfig(
-            blacklist_enabled=True,
-            flow_retry_enabled=True,
-            breaker_enabled=True,
-        )
-    if policy == "speculate":
-        overrides["scheduling"] = SchedulingConfig(speculation=True)
+    guarded = policy in ("health", "speculate")
     return SimulationConfig(
         seed=seed,
         shuffle=ShuffleConfig(backend=backend),
@@ -121,7 +108,10 @@ def _policy_config(policy: str, backend: str, seed: int):
         # Chaos kinds that destroy storage need a second replica or
         # lineage recovery bottoms out at permanently lost input.
         dfs_replication=2,
-        **overrides,
+        health=HealthConfig(
+            blacklist_enabled=guarded, flow_retry_enabled=guarded
+        ),
+        speculation=policy == "speculate",
     )
 
 

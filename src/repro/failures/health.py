@@ -7,16 +7,17 @@ spectrum (the FuxiShuffle/Exoshuffle argument: recovery policy belongs
 in the shuffle layer, layered below lineage):
 
 * :class:`BlacklistTracker` — Spark-style excludeOnFailure.  Per-
-  (executor, stage) and per-executor failure counts with configurable
-  thresholds; an executor crossing the app-wide threshold is excluded
-  for ``blacklist_timeout`` simulated seconds, and a datacenter most of
-  whose executors are excluded is escalated whole.  Consulted by
+  (executor, stage) and per-executor failure counts against the fixed
+  thresholds below; an executor crossing the app-wide threshold is
+  excluded for ``BLACKLIST_TIMEOUT`` simulated seconds, and a datacenter
+  most of whose executors are excluded is escalated whole.  Consulted by
   :class:`~repro.scheduler.task_scheduler.TaskScheduler` at placement.
 * :class:`LinkHealthMonitor` — a per-directed-WAN-pair circuit breaker
   (closed -> open -> half-open with probe flows) driven by flow
   deadline misses, feeding a reduced capacity *hint* (the EWMA of
   observed rates on the sick path) into the fair-share fabric while the
-  breaker is open.
+  breaker is open.  ``flow_retry_enabled`` arms it: flow retry's
+  deadline misses are all it learns from.
 * :func:`transfer_with_retry` — the flow-level retry loop used by the
   shuffle backends and the DFS input reader: race each flow against a
   per-flow deadline, cancel and re-issue on a miss (possibly from
@@ -55,6 +56,25 @@ ALLOW = "allow"
 PROBE = "probe"
 DEFER = "defer"
 
+# excludeOnFailure thresholds (Spark's spark.excludeOnFailure.*): an
+# executor's failed tasks of one stage before that (executor, stage)
+# pair is excluded, its failed tasks across stages before it is
+# excluded app-wide, how long that exclusion lasts, and how many
+# excluded executors exclude their whole datacenter.
+MAX_TASK_FAILURES_PER_EXECUTOR_STAGE = 2
+MAX_TASK_FAILURES_PER_EXECUTOR = 4
+BLACKLIST_TIMEOUT = 60.0
+DATACENTER_EXCLUSION_THRESHOLD = 2
+
+# Per-WAN-link circuit breaker (closed -> open -> half-open with probe
+# flows): consecutive deadline misses that trip it, seconds it stays
+# open, concurrent probe flows while half-open, and probe successes
+# that close it again.
+BREAKER_FAILURE_THRESHOLD = 3
+BREAKER_COOLDOWN = 10.0
+BREAKER_PROBE_FLOWS = 1
+BREAKER_PROBES_TO_CLOSE = 2
+
 
 class BlacklistTracker:
     """excludeOnFailure: executor -> host -> datacenter escalation.
@@ -63,8 +83,8 @@ class BlacklistTracker:
     per-host tiers coincide: repeated failures inside one stage exclude
     the (executor, stage) pair for that stage's lifetime; enough
     failures across stages exclude the executor app-wide until
-    ``blacklist_timeout`` elapses; and a datacenter with
-    ``datacenter_exclusion_threshold`` (or more) currently-excluded
+    ``BLACKLIST_TIMEOUT`` elapses; and a datacenter with
+    ``DATACENTER_EXCLUSION_THRESHOLD`` (or more) currently-excluded
     executors is treated as excluded whole.  Expiry is lazy — checked
     against ``sim.now`` on every query — so no background process runs.
     """
@@ -105,7 +125,7 @@ class BlacklistTracker:
         count = self._stage_failures.get(key, 0) + 1
         self._stage_failures[key] = count
         if (
-            count >= self.config.max_task_failures_per_executor_stage
+            count >= MAX_TASK_FAILURES_PER_EXECUTOR_STAGE
             and key not in self._stage_excluded
         ):
             self._stage_excluded.add(key)
@@ -113,12 +133,10 @@ class BlacklistTracker:
         total = self._host_failures.get(host, 0) + 1
         self._host_failures[host] = total
         if (
-            total >= self.config.max_task_failures_per_executor
+            total >= MAX_TASK_FAILURES_PER_EXECUTOR
             and host not in self._host_excluded
         ):
-            self._host_excluded[host] = (
-                self.sim.now + self.config.blacklist_timeout
-            )
+            self._host_excluded[host] = self.sim.now + BLACKLIST_TIMEOUT
             self._host_failures[host] = 0  # a fresh window after expiry
             self.counters.hosts_blacklisted += 1
             self._check_escalation(self.topology.datacenter_of(host))
@@ -129,9 +147,7 @@ class BlacklistTracker:
             return
         self._sweep()
         if host not in self._host_excluded:
-            self._host_excluded[host] = (
-                self.sim.now + self.config.blacklist_timeout
-            )
+            self._host_excluded[host] = self.sim.now + BLACKLIST_TIMEOUT
             self.counters.hosts_blacklisted += 1
             self._check_escalation(self.topology.datacenter_of(host))
 
@@ -157,7 +173,7 @@ class BlacklistTracker:
             for host in self._host_excluded
             if self.topology.datacenter_of(host) == datacenter
         )
-        return excluded >= self.config.datacenter_exclusion_threshold
+        return excluded >= DATACENTER_EXCLUSION_THRESHOLD
 
     def next_expiry(self) -> Optional[float]:
         """The earliest pending app-wide exclusion expiry, if any."""
@@ -185,7 +201,7 @@ class BlacklistTracker:
                     for host in self._host_excluded
                     if self.topology.datacenter_of(host) == datacenter
                 )
-                if count < self.config.datacenter_exclusion_threshold:
+                if count < DATACENTER_EXCLUSION_THRESHOLD:
                     self._escalated.discard(datacenter)
 
     def _check_escalation(self, datacenter: str) -> None:
@@ -195,7 +211,7 @@ class BlacklistTracker:
             if self.topology.datacenter_of(host) == datacenter
         )
         if (
-            count >= self.config.datacenter_exclusion_threshold
+            count >= DATACENTER_EXCLUSION_THRESHOLD
             and datacenter not in self._escalated
         ):
             self._escalated.add(datacenter)
@@ -222,10 +238,10 @@ class LinkHealthMonitor:
 
     Keyed by the *directed* (src datacenter, dst datacenter) pair of a
     flow's endpoints.  ``record_failure`` (a flow deadline miss) trips
-    the breaker after ``breaker_failure_threshold`` consecutive misses;
-    while open, admission defers flows until ``breaker_cooldown``
-    elapses, after which up to ``breaker_probe_flows`` concurrent probe
-    flows are let through; ``breaker_probes_to_close`` probe successes
+    the breaker after ``BREAKER_FAILURE_THRESHOLD`` consecutive misses;
+    while open, admission defers flows until ``BREAKER_COOLDOWN``
+    elapses, after which up to ``BREAKER_PROBE_FLOWS`` concurrent probe
+    flows are let through; ``BREAKER_PROBES_TO_CLOSE`` probe successes
     close it again.  While open, the EWMA of the rates the cancelled
     flows actually achieved is fed to the fabric as a capacity hint on
     the pair's WAN link (cleared when the cooldown elapses, so probes
@@ -252,7 +268,7 @@ class LinkHealthMonitor:
 
     @property
     def enabled(self) -> bool:
-        return self.config.breaker_enabled
+        return self.config.flow_retry_enabled
 
     # ------------------------------------------------------------------
     def _breaker(self, src_dc: str, dst_dc: str) -> _Breaker:
@@ -264,7 +280,7 @@ class LinkHealthMonitor:
         """Lazy open -> half-open transition once the cooldown elapsed."""
         if (
             breaker.state == OPEN
-            and self.sim.now >= breaker.opened_at + self.config.breaker_cooldown
+            and self.sim.now >= breaker.opened_at + BREAKER_COOLDOWN
         ):
             breaker.state = HALF_OPEN
             breaker.probes_in_flight = 0
@@ -311,14 +327,14 @@ class LinkHealthMonitor:
         if breaker.state == CLOSED:
             return ALLOW, 0.0
         if breaker.state == OPEN:
-            wait = breaker.opened_at + self.config.breaker_cooldown - self.sim.now
+            wait = breaker.opened_at + BREAKER_COOLDOWN - self.sim.now
             return DEFER, max(wait, 0.0)
         # Half-open: admit a bounded number of concurrent probes.
-        if breaker.probes_in_flight < self.config.breaker_probe_flows:
+        if breaker.probes_in_flight < BREAKER_PROBE_FLOWS:
             breaker.probes_in_flight += 1
             self.counters.breaker_probes += 1
             return PROBE, 0.0
-        return DEFER, self.config.breaker_cooldown
+        return DEFER, BREAKER_COOLDOWN
 
     # ------------------------------------------------------------------
     # Outcomes
@@ -347,7 +363,7 @@ class LinkHealthMonitor:
         if breaker.state == HALF_OPEN or (
             breaker.state == CLOSED
             and breaker.consecutive_failures + 1
-            >= self.config.breaker_failure_threshold
+            >= BREAKER_FAILURE_THRESHOLD
         ):
             self._trip(src_dc, dst_dc, breaker)
         elif breaker.state == CLOSED:
@@ -375,7 +391,7 @@ class LinkHealthMonitor:
             breaker.probes_in_flight = max(breaker.probes_in_flight - 1, 0)
         if breaker.state == HALF_OPEN:
             breaker.probe_successes += 1
-            if breaker.probe_successes >= self.config.breaker_probes_to_close:
+            if breaker.probe_successes >= BREAKER_PROBES_TO_CLOSE:
                 breaker.state = CLOSED
                 breaker.consecutive_failures = 0
                 self.counters.breaker_closes += 1

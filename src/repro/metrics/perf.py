@@ -73,21 +73,6 @@ class FabricPerfCounters:
         summary["mean_flows_per_solve"] = self.mean_flows_per_solve
         return summary
 
-    def format_summary(self) -> str:
-        """One-line human-readable summary for CLI / bench output."""
-        return (
-            f"events={self.events} solves={self.solves} "
-            f"flows_touched={self.flows_touched} "
-            f"(mean {self.mean_flows_per_solve:.1f}/solve) "
-            f"solver={self.solver_seconds * 1e3:.1f}ms "
-            f"peak_flows={self.peak_active_flows} "
-            f"jitter_noops={self.jitter_noops} "
-            f"plan_segments={self.plan_segments_fired}"
-            f"/{self.plan_segments_planned} fired "
-            f"plans={self.plans_uniform}u/{self.plans_scalar}s"
-            f"/{self.plans_vector}v"
-        )
-
 
 @dataclass
 class ShuffleCounters:
@@ -206,34 +191,6 @@ class ShuffleCounters:
         summary["mean_merge_fan_in"] = self.mean_merge_fan_in
         return summary
 
-    def format_summary(self) -> str:
-        """One-line human-readable summary for CLI / bench output."""
-        return (
-            f"maps={self.map_outputs_registered} "
-            f"reads={self.reduce_reads} "
-            f"fetched={self.blocks_fetched} pushed={self.blocks_pushed} "
-            f"merges={self.merge_rounds} "
-            f"(fan-in {self.mean_merge_fan_in:.1f}) "
-            f"wan={self.wan_bytes / 1e6:.1f}MB "
-            f"intra={self.intra_dc_bytes / 1e6:.1f}MB "
-            f"local={self.local_bytes / 1e6:.1f}MB "
-            f"recovery={self.recovery_wan_bytes / 1e6:.1f}MB-wan/"
-            f"{self.recovery_intra_dc_bytes / 1e6:.1f}MB-intra"
-            + (
-                f" repl={self.replication_bytes / 1e6:.1f}MB"
-                f"(+{self.rereplication_bytes / 1e6:.1f}MB re) "
-                f"promotions={self.replica_promotions} "
-                f"spill={self.spill_bytes / 1e6:.1f}MB"
-                if self.replication_bytes or self.replica_promotions
-                else ""
-            )
-            + (
-                f" blob={self.blob_puts}put/{self.blob_gets}get"
-                if self.blob_puts or self.blob_gets
-                else ""
-            )
-        )
-
 
 @dataclass
 class HealthCounters:
@@ -285,27 +242,8 @@ class HealthCounters:
     reelections: int = 0
     fallback_activations: int = 0
 
-    @property
-    def any_activity(self) -> bool:
-        return any(getattr(self, f.name) for f in fields(self))
-
     def as_dict(self) -> Dict[str, float]:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}
-
-    def format_summary(self) -> str:
-        """One-line human-readable summary for CLI / bench output."""
-        return (
-            f"excluded={self.stage_exclusions}stage/"
-            f"{self.hosts_blacklisted}host/{self.datacenters_blacklisted}dc "
-            f"evicted={self.blacklist_evictions} "
-            f"vetoed={self.placements_vetoed} "
-            f"breaker={self.breaker_trips}T/{self.breaker_probes}P/"
-            f"{self.breaker_closes}C "
-            f"flow_retries={self.flow_retries} "
-            f"wasted={self.retry_wasted_bytes / 1e6:.1f}MB "
-            f"reelections={self.reelections} "
-            f"fallbacks={self.fallback_activations}"
-        )
 
 
 @dataclass
@@ -360,26 +298,5 @@ class RecoveryCounters:
     speculative_launched: int = 0
     speculative_wins: int = 0
 
-    @property
-    def any_activity(self) -> bool:
-        return any(getattr(self, f.name) for f in fields(self))
-
     def as_dict(self) -> Dict[str, float]:
         return {f.name: float(getattr(self, f.name)) for f in fields(self)}
-
-    def format_summary(self) -> str:
-        """One-line human-readable summary for CLI / bench output."""
-        return (
-            f"crashes={self.executor_crashes} hosts_lost={self.hosts_lost} "
-            f"outages={self.datacenter_outages} "
-            f"merger_losses={self.merger_losses} "
-            f"shuffle_worker_losses={self.shuffle_worker_losses} "
-            f"blob_outages={self.blob_outages} "
-            f"wan_events={self.wan_degradations} "
-            f"partitions={self.wan_partitions} "
-            f"relaunched={self.tasks_relaunched} "
-            f"fetch_failures={self.fetch_failures} "
-            f"stages_resubmitted={self.stages_resubmitted} "
-            f"recomputed={self.tasks_recomputed} "
-            f"speculative={self.speculative_wins}/{self.speculative_launched}"
-        )

@@ -14,8 +14,8 @@ modifications):
 * resolve aggregator datacenters when a transfer-producer stage is
   submitted, from the distribution of its input (§IV-D);
 * compute task placement preferences: receiver tasks prefer every host
-  of the aggregator datacenter; reducers prefer hosts holding at least a
-  configured fraction of their input; map tasks prefer their input
+  of the aggregator datacenter; reducers prefer hosts holding at least
+  ``REDUCER_PREF_FRACTION`` of their input; map tasks prefer their input
   block/cache replicas;
 * collect result-stage output and assemble the action's return value.
 """
@@ -48,6 +48,17 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_STAGE_RETRIES = 4
 STAGE_RETRY_BACKOFF = 0.2
 MAX_FETCH_FAILURES_PER_TASK = 8
+# A reducer only *prefers* hosts that store at least this fraction of
+# its shuffle input (Spark 1.6's REDUCER_PREF_LOCS_FRACTION = 0.2).
+REDUCER_PREF_FRACTION = 0.2
+# Speculative execution (spark.speculation.interval / .quantile /
+# .multiplier): every SPECULATION_INTERVAL seconds, once
+# SPECULATION_QUANTILE of a stage's tasks have finished, a task running
+# longer than SPECULATION_MULTIPLIER x the median completed duration
+# gets a duplicate launched anywhere; the first finisher wins.
+SPECULATION_INTERVAL = 5.0
+SPECULATION_QUANTILE = 0.75
+SPECULATION_MULTIPLIER = 2.0
 
 
 class DAGScheduler:
@@ -169,7 +180,7 @@ class DAGScheduler:
                 ),
                 name=f"{stage.name}[{partition}]",
             )
-        if context.config.scheduling.speculation:
+        if context.config.speculation:
             self.sim.spawn(
                 self._speculation_monitor(stage, done_events, launch_times),
                 name=f"{stage.name}:speculation",
@@ -251,7 +262,6 @@ class DAGScheduler:
         retry loop is bounded by ``MAX_FETCH_FAILURES_PER_TASK``;
         resubmissions themselves are bounded per stage.
         """
-        config = self.context.config.scheduling
         fetch_failures = 0
         while True:
             task = Task(
@@ -264,14 +274,10 @@ class DAGScheduler:
             task.allowed_hosts = self.allowed_hosts
             scheduler = self.context.task_scheduler
             if stage.is_receiver_stage and task.preferred_hosts:
-                # Receivers queue for the aggregator datacenter rather
-                # than scatter: pushing elsewhere would defeat
-                # aggregation.  They run on the I/O-bound transfer
-                # service, not compute slots.
-                task.locality_wait_host = 0.5
-                task.locality_wait_datacenter = (
-                    config.receiver_datacenter_wait
-                )
+                # Receivers run on the I/O-bound transfer service, not
+                # compute slots, and queue there for the aggregator
+                # datacenter rather than scatter: pushing elsewhere
+                # would defeat aggregation.
                 scheduler = self.context.transfer_scheduler
             if launch_times is not None:
                 launch_times[partition] = self.sim.now
@@ -370,17 +376,16 @@ class DAGScheduler:
         done_events: List[Event],
         launch_times: Dict[int, float],
     ):
-        config = self.context.config.scheduling
         speculated: set = set()
         total = len(done_events)
         if total == 0:
             return
         while True:
-            yield self.sim.timeout(config.speculation_interval)
+            yield self.sim.timeout(SPECULATION_INTERVAL)
             completed = [event for event in done_events if event.triggered]
             if len(completed) == total:
                 return
-            if len(completed) < config.speculation_quantile * total:
+            if len(completed) < SPECULATION_QUANTILE * total:
                 continue
             durations = sorted(
                 event._value.duration
@@ -390,7 +395,7 @@ class DAGScheduler:
             if not durations:
                 continue
             median = durations[len(durations) // 2]
-            threshold = max(config.speculation_multiplier * median, 1e-3)
+            threshold = max(SPECULATION_MULTIPLIER * median, 1e-3)
             for partition, event in enumerate(done_events):
                 if event.triggered or partition in speculated:
                     continue
@@ -562,11 +567,10 @@ class DAGScheduler:
             if location is not None:
                 return [location]
         collected: List[str] = []
-        fraction = context.config.scheduling.reducer_pref_fraction
         for dep in rdd.dependencies:
             if isinstance(dep, ShuffleDependency):
                 for host in context.map_output_tracker.reducer_preferred_hosts(
-                    dep.shuffle_id, index, fraction
+                    dep.shuffle_id, index, REDUCER_PREF_FRACTION
                 ):
                     if host in context.executors and host not in collected:
                         collected.append(host)

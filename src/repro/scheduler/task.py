@@ -27,8 +27,6 @@ class Task:
         "submit_time",
         "attempts",
         "recovery",
-        "locality_wait_host",
-        "locality_wait_datacenter",
         "allowed_hosts",
     )
 
@@ -52,11 +50,6 @@ class Task:
         # loss, or a lineage-resubmitted parent partition.  The shuffle
         # backends tag this task's flows as recovery bytes.
         self.recovery = False
-        # Optional per-task delay-scheduling overrides.  Receiver tasks
-        # use a very long datacenter wait so they stay in the aggregator
-        # datacenter even when its slots are momentarily busy.
-        self.locality_wait_host: Optional[float] = None
-        self.locality_wait_datacenter: Optional[float] = None
         # Multi-tenant executor-pool partition: when set, the task may
         # only run on these hosts (the inter-job scheduler's share for
         # its job).  None means the whole cluster, as before.

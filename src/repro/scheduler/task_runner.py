@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Simulated seconds between a slot being granted and the task starting.
 TASK_LAUNCH_OVERHEAD = 0.05
+# Attempts one task gets before the job fails (Spark's
+# ``spark.task.maxFailures`` is 4).
+MAX_TASK_ATTEMPTS = 4
 
 
 class TaskRunner:
@@ -46,13 +49,12 @@ class TaskRunner:
         started = sim.now
         yield sim.timeout(TASK_LAUNCH_OVERHEAD)
 
-        max_attempts = context.config.scheduling.max_task_attempts
         refetched = 0.0
         runtime = None
         records: List = []
         while True:
             task.attempts += 1
-            if task.attempts > max_attempts:
+            if task.attempts > MAX_TASK_ATTEMPTS:
                 raise TaskFailedError(task.task_id, task.attempts - 1)
             runtime = TaskRuntime(context, task, host)
             runtime.slowdown = context.failure_injector.straggler_slowdown(task)

@@ -5,8 +5,9 @@ Mirrors the Spark standalone behaviour the paper relies on:
 * every worker host is an :class:`Executor` with a fixed number of cores;
 * a task prefers specific hosts (``preferred_hosts``); it is placed there
   immediately if a slot is free, falls back to a *same-datacenter* host
-  after ``locality_wait_host`` seconds, and to *any* host after an
-  additional ``locality_wait_datacenter`` seconds;
+  after the scheduler's host wait, and to *any* host after its
+  additional datacenter wait (``COMPUTE_WAITS`` for compute slots,
+  ``RECEIVER_WAITS`` for the transfer service);
 * tasks with no preference run anywhere immediately, and free slots are
   offered most-free-host first, spreading no-preference tasks across the
   cluster — which is precisely how the stock scheduler scatters reducers
@@ -21,7 +22,6 @@ import itertools
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.config import SchedulingConfig
 from repro.errors import NoEligibleExecutorError, SchedulerError
 from repro.network.topology import Topology
 from repro.scheduler.task import Task, TaskResult
@@ -32,6 +32,16 @@ from repro.simulation.kernel import Simulator
 _HOST_LOCAL = 0
 _DC_LOCAL = 1
 _ANY = 2
+
+# (host, datacenter) delay-scheduling waits, in seconds: how long a task
+# waits for a preferred-host slot before settling for a same-datacenter
+# slot, and then for any slot.  Compute tasks use Spark-like waits
+# (``spark.locality.wait`` is 3 s by default).  Receiver (transferTo)
+# tasks wait 600 s for the aggregator datacenter before falling back to
+# any host: effectively they queue there, since pushing elsewhere
+# defeats aggregation (§III-C).
+COMPUTE_WAITS = (2.0, 45.0)
+RECEIVER_WAITS = (0.5, 600.0)
 
 # run_task(task, host) is a generator returning a TaskResult.
 TaskBody = Callable[[Task, str], object]
@@ -121,16 +131,22 @@ class TaskScheduler:
         sim: Simulator,
         topology: Topology,
         executors: Dict[str, Executor],
-        config: SchedulingConfig,
         run_task: TaskBody,
         blacklist=None,
+        waits: Tuple[float, float] = COMPUTE_WAITS,
     ) -> None:
         if not executors:
             raise NoEligibleExecutorError("no executors registered")
         self.sim = sim
         self.topology = topology
         self.executors = executors
-        self.config = config
+        # Delay (from submission) after which a preferring task may
+        # also run datacenter-local, then anywhere.
+        host_wait, datacenter_wait = waits
+        self._tier_waits = (
+            (_DC_LOCAL, host_wait),
+            (_ANY, host_wait + datacenter_wait),
+        )
         self.run_task = run_task
         # Optional BlacklistTracker consulted at placement (excludeOn-
         # Failure); None or a disabled tracker leaves dispatch untouched.
@@ -252,8 +268,7 @@ class TaskScheduler:
         entry.datacenters = tuple(
             dict.fromkeys(map(self.topology.datacenter_of, preferred))
         )
-        host_wait, dc_wait = self._task_waits(task)
-        for level, wait in ((_DC_LOCAL, host_wait), (_ANY, host_wait + dc_wait)):
+        for level, wait in self._tier_waits:
             heapq.heappush(
                 self._tiers,
                 (_first_instant(now, wait), sequence, level),
@@ -278,8 +293,9 @@ class TaskScheduler:
             elif sequence > next(reversed(bucket)):
                 bucket[sequence] = entry
             else:
-                # A tier that opened out of submission order (mixed wait
-                # overrides, an executor loss): restore sequence order.
+                # A tier that opened out of submission order (a later
+                # entry filed early by _forget_preferences, an executor
+                # loss): restore sequence order.
                 bucket[sequence] = entry
                 buckets[key] = dict(sorted(bucket.items()))
 
@@ -427,19 +443,6 @@ class TaskScheduler:
             vetoed = None
         vetoes[stage_id] = vetoed
         return vetoed
-
-    def _task_waits(self, task: Task) -> Tuple[float, float]:
-        host_wait = (
-            task.locality_wait_host
-            if task.locality_wait_host is not None
-            else self.config.locality_wait_host
-        )
-        dc_wait = (
-            task.locality_wait_datacenter
-            if task.locality_wait_datacenter is not None
-            else self.config.locality_wait_datacenter
-        )
-        return host_wait, dc_wait
 
     def _launch(self, entry: _PendingEntry, executor: Executor) -> None:
         executor.busy += 1

@@ -354,22 +354,21 @@ def _merge(a: SizedRecord, b: SizedRecord) -> SizedRecord:
     return SizedRecord(a.payload + b.payload, a.natural_size + b.natural_size)
 
 
-def test_speculative_duplicate_races_host_kill_without_double_charge():
+def test_speculative_duplicate_races_host_kill_without_double_charge(
+    monkeypatch,
+):
     from repro.cluster.context import ClusterContext
-    from repro.config import SchedulingConfig
+    from repro.scheduler import dag_scheduler
 
-    scheduling = SchedulingConfig(
-        speculation=True,
-        speculation_multiplier=1.5,
-        speculation_quantile=0.5,
-        speculation_interval=1.0,
-    )
+    monkeypatch.setattr(dag_scheduler, "SPECULATION_MULTIPLIER", 1.5)
+    monkeypatch.setattr(dag_scheduler, "SPECULATION_QUANTILE", 0.5)
+    monkeypatch.setattr(dag_scheduler, "SPECULATION_INTERVAL", 1.0)
     chaos = ChaosSchedule((
         ChaosEvent(at=2.0, kind="host", target="dc-b-w0"),
         ChaosEvent(at=3.0, kind="shuffle_worker", target="dc-a"),
     ))
     config = dataclasses.replace(
-        quiet_config(scheduling=scheduling, dfs_replication=2), chaos=chaos
+        quiet_config(speculation=True, dfs_replication=2), chaos=chaos
     )
     with sanitized():
         context = ClusterContext(

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.config import HealthConfig
 from repro.failures import ChaosEvent, ChaosSchedule
+from repro.failures import health as health_module
 from repro.failures.health import (
     ALLOW,
     CLOSED,
@@ -48,7 +49,6 @@ BACKENDS = ("fetch", "push_aggregate", "pre_merge")
 # config must still be correct, it just wastes some bytes.
 RETRY_HEALTH = HealthConfig(
     flow_retry_enabled=True,
-    breaker_enabled=True,
     flow_deadline_base=0.05,
     flow_deadline_multiplier=3.0,
     max_flow_retries=2,
@@ -68,15 +68,10 @@ def _fake_topology():
 # ---------------------------------------------------------------------------
 # BlacklistTracker unit tests (fake clock)
 # ---------------------------------------------------------------------------
-def _tracker(**overrides):
-    config = HealthConfig(
-        blacklist_enabled=True,
-        max_task_failures_per_executor_stage=2,
-        max_task_failures_per_executor=3,
-        blacklist_timeout=10.0,
-        datacenter_exclusion_threshold=2,
-        **overrides,
-    )
+def _tracker(monkeypatch):
+    monkeypatch.setattr(health_module, "MAX_TASK_FAILURES_PER_EXECUTOR", 3)
+    monkeypatch.setattr(health_module, "BLACKLIST_TIMEOUT", 10.0)
+    config = HealthConfig(blacklist_enabled=True)
     clock = _fake_clock()
     counters = HealthCounters()
     tracker = BlacklistTracker(config, counters, _fake_topology(), clock)
@@ -91,11 +86,11 @@ def test_blacklist_disabled_is_inert():
         tracker.note_task_failure("dc-a-w0", stage_id=1)
     assert not tracker.is_excluded("dc-a-w0", stage_id=1)
     assert not tracker.is_datacenter_excluded("dc-a")
-    assert not counters.any_activity
+    assert not any(counters.as_dict().values())
 
 
-def test_stage_exclusion_is_per_stage():
-    tracker, counters, _ = _tracker()
+def test_stage_exclusion_is_per_stage(monkeypatch):
+    tracker, counters, _ = _tracker(monkeypatch)
     tracker.note_task_failure("dc-a-w0", stage_id=7)
     assert not tracker.is_excluded("dc-a-w0", stage_id=7)
     tracker.note_task_failure("dc-a-w0", stage_id=7)
@@ -105,8 +100,8 @@ def test_stage_exclusion_is_per_stage():
     assert counters.stage_exclusions == 1
 
 
-def test_host_exclusion_expires_after_timeout():
-    tracker, counters, clock = _tracker()
+def test_host_exclusion_expires_after_timeout(monkeypatch):
+    tracker, counters, clock = _tracker(monkeypatch)
     for _ in range(3):
         tracker.note_task_failure("dc-a-w0", stage_id=1)
     assert tracker.is_excluded("dc-a-w0")
@@ -120,10 +115,10 @@ def test_host_exclusion_expires_after_timeout():
     assert tracker.next_expiry() is None
 
 
-def test_failure_window_resets_after_exclusion():
+def test_failure_window_resets_after_exclusion(monkeypatch):
     """Exclusion consumes the failure count: a single post-expiry
     failure must not immediately re-exclude the host."""
-    tracker, _, clock = _tracker()
+    tracker, _, clock = _tracker(monkeypatch)
     for _ in range(3):
         tracker.note_task_failure("dc-a-w0", stage_id=1)
     clock.now = 20.0
@@ -131,8 +126,8 @@ def test_failure_window_resets_after_exclusion():
     assert not tracker.is_excluded("dc-a-w0")
 
 
-def test_datacenter_escalation_and_unwind():
-    tracker, counters, clock = _tracker()
+def test_datacenter_escalation_and_unwind(monkeypatch):
+    tracker, counters, clock = _tracker(monkeypatch)
     tracker.exclude_host("dc-a-w0")
     assert not tracker.is_datacenter_excluded("dc-a")
     tracker.exclude_host("dc-a-w1")
@@ -164,15 +159,10 @@ class _RecordingFabric:
         self.hints.pop(link.name, None)
 
 
-def _monitor(**overrides):
-    config = HealthConfig(
-        breaker_enabled=True,
-        breaker_failure_threshold=2,
-        breaker_cooldown=5.0,
-        breaker_probe_flows=1,
-        breaker_probes_to_close=2,
-        **overrides,
-    )
+def _monitor(monkeypatch):
+    monkeypatch.setattr(health_module, "BREAKER_FAILURE_THRESHOLD", 2)
+    monkeypatch.setattr(health_module, "BREAKER_COOLDOWN", 5.0)
+    config = HealthConfig(flow_retry_enabled=True)
     clock = _fake_clock()
     counters = HealthCounters()
     link = SimpleNamespace(name="wan:dc-a->dc-b")
@@ -182,8 +172,8 @@ def _monitor(**overrides):
     return monitor, counters, clock, fabric, link
 
 
-def test_breaker_trips_after_consecutive_failures():
-    monitor, counters, _, fabric, link = _monitor()
+def test_breaker_trips_after_consecutive_failures(monkeypatch):
+    monitor, counters, _, fabric, link = _monitor(monkeypatch)
     monitor.record_failure("dc-a", "dc-b", observed_rate=1e6)
     assert monitor.state("dc-a", "dc-b") == CLOSED
     monitor.record_failure("dc-a", "dc-b", observed_rate=1e6)
@@ -198,16 +188,16 @@ def test_breaker_trips_after_consecutive_failures():
     assert not monitor.datacenter_quarantined("dc-a")  # directed
 
 
-def test_success_resets_consecutive_failure_count():
-    monitor, _, _, _, _ = _monitor()
+def test_success_resets_consecutive_failure_count(monkeypatch):
+    monitor, _, _, _, _ = _monitor(monkeypatch)
     monitor.record_failure("dc-a", "dc-b")
     monitor.record_success("dc-a", "dc-b")
     monitor.record_failure("dc-a", "dc-b")
     assert monitor.state("dc-a", "dc-b") == CLOSED
 
 
-def test_half_open_probe_quota_and_close():
-    monitor, counters, clock, fabric, link = _monitor()
+def test_half_open_probe_quota_and_close(monkeypatch):
+    monitor, counters, clock, fabric, link = _monitor(monkeypatch)
     monitor.record_failure("dc-a", "dc-b", observed_rate=1e6)
     monitor.record_failure("dc-a", "dc-b", observed_rate=1e6)
     clock.now = 5.0
@@ -231,8 +221,8 @@ def test_half_open_probe_quota_and_close():
     assert verdict == ALLOW
 
 
-def test_half_open_probe_failure_reopens():
-    monitor, counters, clock, _, _ = _monitor()
+def test_half_open_probe_failure_reopens(monkeypatch):
+    monitor, counters, clock, _, _ = _monitor(monkeypatch)
     monitor.record_failure("dc-a", "dc-b")
     monitor.record_failure("dc-a", "dc-b")
     clock.now = 5.0
@@ -248,8 +238,8 @@ def test_half_open_probe_failure_reopens():
     assert wait == pytest.approx(1.0)
 
 
-def test_intra_datacenter_flows_never_touch_breakers():
-    monitor, counters, _, _, _ = _monitor()
+def test_intra_datacenter_flows_never_touch_breakers(monkeypatch):
+    monitor, counters, _, _, _ = _monitor(monkeypatch)
     for _ in range(10):
         monitor.record_failure("dc-a", "dc-a")
     assert monitor.admission("dc-a", "dc-a") == (ALLOW, 0.0)
@@ -358,14 +348,11 @@ def test_excluded_host_is_avoided_at_placement(seed):
     context.shutdown()
 
 
-def test_repeated_injected_failures_blacklist_the_host():
+def test_repeated_injected_failures_blacklist_the_host(monkeypatch):
     """The failure injector's per-attempt failures all land on the
     victim host's counters and cross the app-wide threshold."""
-    context = make_context(
-        health=HealthConfig(
-            blacklist_enabled=True, max_task_failures_per_executor=2
-        ),
-    )
+    monkeypatch.setattr(health_module, "MAX_TASK_FAILURES_PER_EXECUTOR", 2)
+    context = make_context(health=HealthConfig(blacklist_enabled=True))
     for _ in range(2):
         context.blacklist.note_task_failure("dc-b-w1", stage_id=3)
     assert context.blacklist.is_excluded("dc-b-w1")

@@ -5,13 +5,14 @@ import dataclasses
 import pytest
 
 from repro.cluster.context import ClusterContext
-from repro.config import FailureConfig, SchedulingConfig, ShuffleConfig
+from repro.config import FailureConfig, ShuffleConfig
 from repro.errors import (
     ConfigurationError,
     FileExistsInDFSError,
     FileNotFoundInDFSError,
     TaskFailedError,
 )
+from repro.scheduler import task_runner
 from tests.conftest import quiet_config, small_spec
 
 
@@ -60,16 +61,14 @@ def test_all_empty_input(fetch_context):
     assert fetch_context.text_file("/empty").count() == 0
 
 
-def test_task_exhausts_retries_and_job_fails():
+def test_task_exhausts_retries_and_job_fails(monkeypatch):
     """Failure probability 1 with more injections than attempts."""
     failures = FailureConfig(
         reducer_failure_probability=1.0,
         max_injected_failures_per_task=10,
     )
-    scheduling = SchedulingConfig(max_task_attempts=2)
-    config = dataclasses.replace(
-        quiet_config(), failures=failures, scheduling=scheduling
-    )
+    monkeypatch.setattr(task_runner, "MAX_TASK_ATTEMPTS", 2)
+    config = quiet_config(failures=failures)
     context = ClusterContext(small_spec(), config)
     context.write_input_file("/in", [[("a", 1)], [("b", 2)]])
     with pytest.raises(TaskFailedError):

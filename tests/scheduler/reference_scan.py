@@ -18,12 +18,11 @@ import itertools
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import SchedulingConfig
 from repro.errors import NoEligibleExecutorError, SchedulerError
 from repro.network.topology import Topology
 from repro.scheduler.job_scheduler import JobStreamScheduler, _Queued
 from repro.scheduler.task import Task
-from repro.scheduler.task_scheduler import Executor, TaskBody
+from repro.scheduler.task_scheduler import COMPUTE_WAITS, Executor, TaskBody
 from repro.simulation.event import Event
 from repro.simulation.kernel import Simulator
 
@@ -73,16 +72,16 @@ class ScanTaskScheduler:
         sim: Simulator,
         topology: Topology,
         executors: Dict[str, Executor],
-        config: SchedulingConfig,
         run_task: TaskBody,
         blacklist=None,
+        waits: Tuple[float, float] = COMPUTE_WAITS,
     ) -> None:
         if not executors:
             raise NoEligibleExecutorError("no executors registered")
         self.sim = sim
         self.topology = topology
         self.executors = executors
-        self.config = config
+        self.host_wait, self.datacenter_wait = waits
         self.run_task = run_task
         # Optional BlacklistTracker consulted at placement (excludeOn-
         # Failure); None or a disabled tracker leaves dispatch untouched.
@@ -234,19 +233,6 @@ class ScanTaskScheduler:
             return None
         return vetoed
 
-    def _task_waits(self, task: Task) -> Tuple[float, float]:
-        host_wait = (
-            task.locality_wait_host
-            if task.locality_wait_host is not None
-            else self.config.locality_wait_host
-        )
-        dc_wait = (
-            task.locality_wait_datacenter
-            if task.locality_wait_datacenter is not None
-            else self.config.locality_wait_datacenter
-        )
-        return host_wait, dc_wait
-
     def _eligibility(self, task: Task, host: str) -> Optional[int]:
         """The locality level at which ``task`` may run on ``host`` now."""
         if not task.preferred_hosts:
@@ -259,7 +245,7 @@ class ScanTaskScheduler:
             # tiers cannot help, so run anywhere now and let the read
             # path escalate to re-election instead of stalling.
             return _ANY
-        host_wait, dc_wait = self._task_waits(task)
+        host_wait, dc_wait = self.host_wait, self.datacenter_wait
         waited = self.sim.now - task.submit_time
         if waited >= host_wait:
             host_dc = self.topology.datacenter_of(host)
@@ -323,7 +309,7 @@ class ScanTaskScheduler:
             submitted = entry.task.submit_time
             if not entry.task.preferred_hosts:
                 continue
-            wait_host, wait_dc = self._task_waits(entry.task)
+            wait_host, wait_dc = self.host_wait, self.datacenter_wait
             for wait in (wait_host, wait_host + wait_dc):
                 if self.sim.now - submitted >= wait:
                     continue  # this tier is open, by _eligibility's own test

@@ -12,20 +12,25 @@ import sys
 
 import pytest
 
-from repro.config import HealthConfig, SchedulingConfig
+from repro.config import HealthConfig
+from repro.failures import health
 from repro.failures.health import BlacklistTracker
 from repro.metrics.perf import HealthCounters
 from repro.network.topology import GBPS, Topology
 from repro.scheduler.task import Task
-from repro.scheduler.task_scheduler import Executor, TaskScheduler
+from repro.scheduler.task_scheduler import (
+    RECEIVER_WAITS,
+    Executor,
+    TaskScheduler,
+)
 from repro.simulation import Simulator
 
 from tests.scheduler.reference_scan import ScanTaskScheduler
 
 DATACENTERS = ("A", "B", "C")
 HOSTS_PER_DC = 3
-HOST_WAITS = (None, 0.0, 0.3, 0.5, 2.0)
-DC_WAITS = (None, 0.0, 1.0, 3.7, 1000.0)
+HOST_WAITS = (0.0, 0.3, 0.5, 2.0)
+DC_WAITS = (0.0, 1.0, 1.5, 3.7, 45.0, 1000.0)
 
 
 class _Stage:
@@ -82,8 +87,6 @@ def _scenario(seed):
                 dict(
                     partition=index,
                     preferred=preferred,
-                    host_wait=rng.choice(HOST_WAITS),
-                    dc_wait=rng.choice(DC_WAITS),
                     allowed=rng.choice(shares),
                     stage_id=rng.randrange(3),
                     duration=rng.choice((0.05, 0.4, 1.3, 6.0)) * rng.random(),
@@ -110,8 +113,7 @@ def _scenario(seed):
     actions.sort(key=lambda action: action[0])
     return dict(
         cores=rng.choice((1, 2)),
-        wait_host=rng.choice((0.0, 0.5, 2.0)),
-        wait_dc=rng.choice((0.0, 1.5, 45.0)),
+        waits=(rng.choice(HOST_WAITS), rng.choice(DC_WAITS)),
         blacklist_timeout=rng.choice((0.8, 5.0, 60.0)),
         actions=actions,
     )
@@ -119,6 +121,14 @@ def _scenario(seed):
 
 def _run(scheduler_class, scenario):
     """Replay ``scenario``; returns launches, outcomes and the end clock."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            health, "BLACKLIST_TIMEOUT", scenario["blacklist_timeout"]
+        )
+        return _replay(scheduler_class, scenario)
+
+
+def _replay(scheduler_class, scenario):
     sim = Simulator()
     topology = _topology()
     executors = {
@@ -126,10 +136,7 @@ def _run(scheduler_class, scenario):
         for name in topology.all_host_names()
     }
     blacklist = BlacklistTracker(
-        HealthConfig(
-            blacklist_enabled=True,
-            blacklist_timeout=scenario["blacklist_timeout"],
-        ),
+        HealthConfig(blacklist_enabled=True),
         HealthCounters(),
         topology,
         sim,
@@ -149,12 +156,9 @@ def _run(scheduler_class, scenario):
         sim,
         topology,
         executors,
-        SchedulingConfig(
-            locality_wait_host=scenario["wait_host"],
-            locality_wait_datacenter=scenario["wait_dc"],
-        ),
         run_task,
         blacklist=blacklist,
+        waits=scenario["waits"],
     )
     completions = {}
 
@@ -166,8 +170,6 @@ def _run(scheduler_class, scenario):
                 payload["partition"],
                 payload["preferred"],
             )
-            task.locality_wait_host = payload["host_wait"]
-            task.locality_wait_datacenter = payload["dc_wait"]
             task.allowed_hosts = payload["allowed"]
             completions[payload["partition"]] = scheduler.submit(task)
         elif kind == "remove":
@@ -237,9 +239,7 @@ def test_placements_vetoed_counts_decisions_not_scan_visits():
         yield sim.timeout(1.0)
         return host
 
-    scheduler = TaskScheduler(
-        sim, topology, executors, SchedulingConfig(), run_task, blacklist
-    )
+    scheduler = TaskScheduler(sim, topology, executors, run_task, blacklist)
     stage = _Stage(0)
     # Three decisions each skip free A0 for the next host; the fourth
     # finds only A0 free and places nothing, and so does each of the
@@ -292,15 +292,12 @@ def test_dispatch_work_follows_free_hosts_not_pending_tasks(pending):
         yield sim.timeout(1e9)
 
     scheduler = TaskScheduler(
-        sim, topology, executors, SchedulingConfig(), run_task
+        sim, topology, executors, run_task, waits=RECEIVER_WAITS
     )
     aggregator = [f"dc0-w{index}" for index in range(4)]
     stage = _Stage(0)
     for index in range(8 + pending):
-        task = Task(stage, index, aggregator)
-        task.locality_wait_host = 0.5
-        task.locality_wait_datacenter = 600.0
-        scheduler.submit(task)
+        scheduler.submit(Task(stage, index, aggregator))
     sim.run(until=5.0)  # the datacenter tier has opened; nothing fits
     assert scheduler.pending_count == pending
     assert scheduler.total_free_slots() == 48

@@ -33,9 +33,10 @@ from repro.workloads.arrivals import (
 
 def test_two_tenant_fair_aggshuffle_stream_completes():
     """``batch``'s pool excludes the elected aggregator datacenter, so
-    its receivers wait out ``receiver_datacenter_wait`` and depend on the
-    tier wake-up alone; with input seed 7000 that wake-up landed one ulp
-    early and the stream spun until the liveness watchdog killed it."""
+    its receivers wait out the transfer service's datacenter wait
+    (``RECEIVER_WAITS``) and depend on the tier wake-up alone; with
+    input seed 7000 that wake-up landed one ulp early and the stream
+    spun until the liveness watchdog killed it."""
     seed = 7000
     cluster = ExperimentPlan().cluster
     spec = StreamSpec(
@@ -83,7 +84,7 @@ def test_tier_wakeup_fires_at_the_first_eligible_instant(sum_is, wait):
     if sum_is == "late" and wait < 10:
         pytest.skip("submit + wait never overshoots for waits this small")
     sim, scheduler, stage, launched, duration = build(
-        cores=1, locality_wait_host=wait, locality_wait_datacenter=1e9
+        cores=1, waits=(wait, 1e9)
     )
     duration[0] = 1e6  # A0 stays busy; A1 is the datacenter-local fallback
     submit = _submit_time_where(sum_is, wait)

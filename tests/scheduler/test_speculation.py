@@ -1,10 +1,19 @@
 """Speculative execution: duplicate stragglers, first finisher wins."""
 
-import dataclasses
+import pytest
 
 from repro.cluster.context import ClusterContext
-from repro.config import SchedulingConfig
+from repro.config import SimulationConfig
+from repro.scheduler import dag_scheduler
 from tests.conftest import quiet_config, small_spec
+
+
+@pytest.fixture(autouse=True)
+def eager_speculation(monkeypatch):
+    """Speculate sooner than Spark's defaults, so an 8-task stage shows it."""
+    monkeypatch.setattr(dag_scheduler, "SPECULATION_MULTIPLIER", 1.5)
+    monkeypatch.setattr(dag_scheduler, "SPECULATION_QUANTILE", 0.5)
+    monkeypatch.setattr(dag_scheduler, "SPECULATION_INTERVAL", 1.0)
 
 
 class OneSlowTask:
@@ -25,16 +34,9 @@ class OneSlowTask:
 
 
 def build_context(speculation: bool, straggler=None, spec_kwargs=None):
-    scheduling = SchedulingConfig(
-        speculation=speculation,
-        speculation_multiplier=1.5,
-        speculation_quantile=0.5,
-        speculation_interval=1.0,
-    )
-    config = dataclasses.replace(quiet_config(), scheduling=scheduling)
     return ClusterContext(
         small_spec(**(spec_kwargs or {})),
-        config,
+        quiet_config(speculation=speculation),
         straggler_model=straggler,
     )
 
@@ -101,4 +103,4 @@ def test_speculation_records_duplicate_attempts():
 
 
 def test_speculation_off_by_default():
-    assert SchedulingConfig().speculation is False
+    assert SimulationConfig().speculation is False

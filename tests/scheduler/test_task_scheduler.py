@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.config import SchedulingConfig
 from repro.network.topology import GBPS, Topology
 from repro.scheduler.task import Task
-from repro.scheduler.task_scheduler import Executor, TaskScheduler
+from repro.scheduler.task_scheduler import (
+    COMPUTE_WAITS,
+    RECEIVER_WAITS,
+    Executor,
+    TaskScheduler,
+)
 from repro.simulation import Simulator
 
 
@@ -24,7 +28,7 @@ class FakeStage:
         self.rdd.context.topology = topology
 
 
-def build(cores=1, hosts_per_dc=2, dcs=("A", "B"), **config_kwargs):
+def build(cores=1, hosts_per_dc=2, dcs=("A", "B"), waits=COMPUTE_WAITS):
     sim = Simulator()
     topo = Topology()
     for dc in dcs:
@@ -45,8 +49,7 @@ def build(cores=1, hosts_per_dc=2, dcs=("A", "B"), **config_kwargs):
         return host
 
     task_duration = [1.0]
-    config = SchedulingConfig(**config_kwargs)
-    scheduler = TaskScheduler(sim, topo, executors, config, run_task)
+    scheduler = TaskScheduler(sim, topo, executors, run_task, waits=waits)
     stage = FakeStage(topo)
     return sim, scheduler, stage, launched, task_duration
 
@@ -81,7 +84,7 @@ def test_tasks_queue_when_slots_busy():
 def test_locality_wait_then_same_datacenter():
     """Preferred host busy: task upgrades to DC-local after the wait."""
     sim, scheduler, stage, launched, duration = build(
-        cores=1, locality_wait_host=2.0, locality_wait_datacenter=100.0
+        cores=1, waits=(2.0, 100.0)
     )
     duration[0] = 50.0
     scheduler.submit(Task(stage, 0, ["A0"]))  # occupies A0
@@ -97,7 +100,7 @@ def test_locality_wait_then_same_datacenter():
 def test_locality_wait_then_anywhere():
     """Whole preferred DC busy: task escapes after host+dc waits."""
     sim, scheduler, stage, launched, duration = build(
-        cores=1, locality_wait_host=1.0, locality_wait_datacenter=3.0
+        cores=1, waits=(1.0, 3.0)
     )
     duration[0] = 50.0
     scheduler.submit(Task(stage, 0, ["A0"]))
@@ -109,17 +112,16 @@ def test_locality_wait_then_anywhere():
     assert third[0][2] == pytest.approx(4.0)
 
 
-def test_per_task_wait_override_pins_longer():
+def test_receiver_waits_pin_tasks_to_their_datacenter():
+    """The transfer service's waits keep a task queued for its
+    preferred datacenter where compute waits would let it escape."""
     sim, scheduler, stage, launched, duration = build(
-        cores=1, locality_wait_host=1.0, locality_wait_datacenter=1.0
+        cores=1, waits=RECEIVER_WAITS
     )
     duration[0] = 6.0
     scheduler.submit(Task(stage, 0, ["A0"]))
     scheduler.submit(Task(stage, 1, ["A1"]))
-    pinned = Task(stage, 2, ["A0", "A1"])
-    pinned.locality_wait_host = 0.5
-    pinned.locality_wait_datacenter = 1000.0
-    scheduler.submit(pinned)
+    scheduler.submit(Task(stage, 2, ["A0", "A1"]))
     sim.run()
     third = [entry for entry in launched if entry[0].partition == 2]
     # It waited for an A slot (freed at t=6) instead of escaping to B.
@@ -176,7 +178,7 @@ def test_scheduler_requires_executors():
     from repro.errors import NoEligibleExecutorError
 
     with pytest.raises(NoEligibleExecutorError):
-        TaskScheduler(sim, topo, {}, SchedulingConfig(), lambda t, h: None)
+        TaskScheduler(sim, topo, {}, lambda t, h: None)
 
 
 def test_executor_validation():
@@ -193,9 +195,7 @@ def test_tier_timers_do_not_keep_a_finished_task_alive():
     import gc
     import weakref
 
-    sim, scheduler, stage, launched, _d = build(
-        locality_wait_host=600.0, locality_wait_datacenter=600.0
-    )
+    sim, scheduler, stage, launched, _d = build(waits=(600.0, 600.0))
     own_stage = FakeStage(scheduler.topology)
     alive = weakref.ref(own_stage)
     done = scheduler.submit(Task(own_stage, 0, preferred_hosts=["A0"]))

@@ -43,7 +43,6 @@ GOLDEN_PATH = Path(__file__).with_name("backend_golden.json")
 
 RETRY_HEALTH = HealthConfig(
     flow_retry_enabled=True,
-    breaker_enabled=True,
     flow_deadline_base=0.05,
     flow_deadline_multiplier=3.0,
     max_flow_retries=2,

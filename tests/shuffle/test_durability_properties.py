@@ -219,7 +219,6 @@ def test_stream_cells_reconcile_per_tenant(backend):
     ))
     health = HealthConfig(
         flow_retry_enabled=True,
-        breaker_enabled=True,
         flow_deadline_base=0.05,
         flow_deadline_multiplier=3.0,
         max_flow_retries=2,
