@@ -10,7 +10,7 @@ from tests.conftest import quiet_config, small_spec
 
 @pytest.fixture(autouse=True)
 def eager_speculation(monkeypatch):
-    """Speculate sooner than Spark's defaults, so an 8-task stage shows it."""
+    """Speculate sooner than the defaults, so an 8-task stage shows it."""
     monkeypatch.setattr(dag_scheduler, "SPECULATION_MULTIPLIER", 1.5)
     monkeypatch.setattr(dag_scheduler, "SPECULATION_QUANTILE", 0.5)
     monkeypatch.setattr(dag_scheduler, "SPECULATION_INTERVAL", 1.0)
