@@ -11,14 +11,19 @@ same seed — a full one and a ``--smoke`` one::
 An entry records the interpreter, numpy, the core count and the seed, and
 per workload the end-to-end medians with their quartiles (host times:
 recorded, never gated), the full run's ``sim_digest`` and the smoke
-run's.  After CI's e2e smoke::
+run's, and both runs' deterministic counts (every ``per_layer`` metric
+whose unit is ``count``: ``simulation.events``, ``network.solves``, each
+``<layer>.calls``, ...).  After CI's e2e smoke::
 
     PYTHONPATH=src python -m benchmarks.check_e2e_trajectory check smoke.json
 
-fails (exit 1) when a workload's smoke ``sim_digest`` differs from the
-one in the newest entry recorded on the same Python minor version: the
-simulated results moved.  A change that moves them on purpose appends an
-entry and says why in CHANGES.md.
+prints each workload's count deltas against the newest entry recorded on
+the same Python minor version, and fails (exit 1) when a smoke
+``sim_digest`` or a semantic count (:data:`SEMANTIC_COUNTS`) differs from
+that entry's: the simulated results, or the work done to get them, moved.
+``<layer>.calls`` counts are recorded but not gated.  A change that moves
+them on purpose appends an entry and says why in CHANGES.md.  ``diff A B``
+prints what moved between two recorded entries (commit prefixes).
 """
 
 from __future__ import annotations
@@ -28,9 +33,18 @@ import json
 import statistics
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 TRAJECTORY = Path(__file__).resolve().parent / "results" / "BENCH_e2e.json"
+# Counts of simulated work: they move only when what is simulated, or how
+# much work simulating it takes, changes.
+SEMANTIC_COUNTS = (
+    "simulation.events",
+    "network.flows",
+    "network.solves",
+    "network.flows_touched",
+    "scheduler.stages_run",
+)
 
 
 def _load(path: Path) -> Any:
@@ -46,6 +60,30 @@ def _quartiles(values: Sequence[float]) -> List[float]:
         return [values[0], values[0]]
     q1, _median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, q3]
+
+
+def _counts(result: Dict[str, Any]) -> Dict[str, float]:
+    return {
+        name: metric["value"]
+        for name, metric in sorted(result["per_layer"].items())
+        if metric["unit"] == "count"
+    }
+
+
+def count_deltas(
+    old: Optional[Dict[str, float]], new: Dict[str, float]
+) -> Tuple[List[str], List[str]]:
+    """(one line per count that moved, the semantic counts among them)."""
+    if old is None:
+        return ["counts not recorded"], []
+    lines, moved = [], []
+    for name, value in new.items():
+        before = old.get(name)
+        if before != value:
+            lines.append(f"{name}: {before} -> {value}")
+            if name in SEMANTIC_COUNTS:
+                moved.append(name)
+    return lines or [f"{len(new)} counts equal"], moved
 
 
 def make_entry(full: Dict[str, Any], smoke: Dict[str, Any]) -> Dict[str, Any]:
@@ -71,6 +109,8 @@ def make_entry(full: Dict[str, Any], smoke: Dict[str, Any]) -> Dict[str, Any]:
             },
             "sim_digest": result["sim_digest"],
             "smoke_sim_digest": smoke["workloads"][name]["sim_digest"],
+            "counts": _counts(result),
+            "smoke_counts": _counts(smoke["workloads"][name]),
         }
     return {
         "commit": full["commit"],
@@ -106,7 +146,8 @@ def check(smoke_path: Path, trajectory: Path) -> int:
     newest = recorded[-1]
     moved = []
     for name, result in sorted(smoke["workloads"].items()):
-        expected = newest["workloads"].get(name, {}).get("smoke_sim_digest")
+        entry = newest["workloads"].get(name, {})
+        expected = entry.get("smoke_sim_digest")
         if expected is None:
             status = "not recorded"
         elif result["sim_digest"] == expected:
@@ -115,13 +156,50 @@ def check(smoke_path: Path, trajectory: Path) -> int:
             status = "MOVED"
             moved.append(name)
         print(f"{name:<20} {result['sim_digest'][:16]}  {status}")
+        lines, counts = count_deltas(entry.get("smoke_counts"), _counts(result))
+        for line in lines:
+            print(f"    {line}")
+        moved += [f"{name} {count}" for count in counts]
     print(f"against {newest['commit'][:12]} (python {newest['python']})")
     if moved:
         print(
-            f"smoke sim_digest moved on {', '.join(moved)}: simulated results "
+            f"moved: {', '.join(moved)}: simulated results or simulated work "
             "changed; if that is meant, append an entry and say why in CHANGES.md"
         )
         return 1
+    return 0
+
+
+def diff(first: str, second: str, trajectory: Path) -> int:
+    """What moved between two recorded entries, named by commit prefix."""
+    entries = _load(trajectory)
+
+    def find(prefix: str) -> Dict[str, Any]:
+        found = [e for e in entries if e["commit"].startswith(prefix)]
+        if len(found) != 1:
+            raise SystemExit(f"{prefix}: {len(found)} entries match")
+        return found[0]
+
+    old, new = find(first), find(second)
+    print(f"{old['commit'][:12]} (python {old['python']}) -> "
+          f"{new['commit'][:12]} (python {new['python']})")
+    for name, result in sorted(new["workloads"].items()):
+        before = old["workloads"].get(name, {})
+        same = all(
+            before.get(key) == result[key]
+            for key in ("sim_digest", "smoke_sim_digest")
+        )
+        wall = [
+            w["end_to_end"]["wall_s"]["median"] if w else float("nan")
+            for w in (before, result)
+        ]
+        print(f"{name:<20} digests {'equal' if same else 'MOVED'}  "
+              f"wall_s {wall[0]:.3f} -> {wall[1]:.3f}")
+        lines = ["counts not recorded"]
+        if "counts" in result:
+            lines, _moved = count_deltas(before.get("counts"), result["counts"])
+        for line in lines:
+            print(f"    {line}")
     return 0
 
 
@@ -132,11 +210,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add = commands.add_parser("append", help="record a commit's full + smoke aggregates")
     add.add_argument("full", type=Path)
     add.add_argument("smoke", type=Path)
-    compare = commands.add_parser("check", help="compare a smoke aggregate's digests")
+    compare = commands.add_parser(
+        "check", help="compare a smoke aggregate's digests and counts"
+    )
     compare.add_argument("smoke", type=Path)
+    between = commands.add_parser("diff", help="compare two recorded entries")
+    between.add_argument("first", help="commit prefix of the older entry")
+    between.add_argument("second", help="commit prefix of the newer entry")
     args = parser.parse_args(argv)
     if args.command == "append":
         return append(args.full, args.smoke, args.trajectory)
+    if args.command == "diff":
+        return diff(args.first, args.second, args.trajectory)
     return check(args.smoke, args.trajectory)
 
 

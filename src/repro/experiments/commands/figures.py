@@ -65,56 +65,23 @@ def _matrix(args: argparse.Namespace):
     )
 
 
-def _print_by_scheme(title: str, figure, cell) -> None:
-    """One row per workload, one ``cell(by_scheme, scheme name)`` per
-    paper scheme."""
-    from repro.experiments.schemes import PAPER_SCHEMES
-    from repro.metrics.reporting import format_table
+def _print_figure(args: argparse.Namespace, name: str) -> int:
+    """Aggregate and render through :data:`repro.experiments.figures.FIGURES`,
+    the code that writes the tracked tables."""
+    from repro.experiments.figures import FIGURES
 
-    names = [scheme.value for scheme in PAPER_SCHEMES]
-    rows = [
-        [workload] + [cell(by_scheme, name) for name in names]
-        for workload, by_scheme in figure.items()
-    ]
-    print(title)
-    print(format_table(["workload"] + names, rows))
+    aggregate, render = FIGURES[name]
+    print("\n".join(render(aggregate(_matrix(args)))))
+    return 0
 
 
 def cmd_fig7(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import fig7_job_completion_times
-
-    _print_by_scheme(
-        "Fig. 7 — trimmed-mean JCT (s)",
-        fig7_job_completion_times(_matrix(args)),
-        lambda by_scheme, name: f"{by_scheme[name].trimmed:.1f}",
-    )
-    return 0
+    return _print_figure(args, "fig7")
 
 
 def cmd_fig8(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import fig8_cross_dc_traffic
-
-    _print_by_scheme(
-        "Fig. 8 — cross-DC traffic (MB)",
-        fig8_cross_dc_traffic(_matrix(args)),
-        lambda by_scheme, name: f"{by_scheme.get(name, 0):.1f}",
-    )
-    return 0
+    return _print_figure(args, "fig8")
 
 
 def cmd_headline(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import headline_numbers
-    from repro.metrics.reporting import format_table
-
-    rows = [
-        [
-            workload,
-            f"{entry['jct_reduction_pct']:.1f}",
-            f"{entry.get('traffic_reduction_pct', float('nan')):.1f}",
-        ]
-        for workload, entry in headline_numbers(_matrix(args)).items()
-    ]
-    print(format_table(
-        ["workload", "JCT reduction %", "traffic reduction %"], rows
-    ))
-    return 0
+    return _print_figure(args, "headline")

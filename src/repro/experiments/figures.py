@@ -1,8 +1,11 @@
-"""Figure-level aggregation: the rows/series the paper's plots show.
+"""The paper's Fig. 7, Fig. 8, Fig. 9 and headline tables, aggregated and
+rendered once.
 
-Each function consumes :class:`~repro.experiments.runner.RunResult`
+Each aggregation consumes :class:`~repro.experiments.runner.RunResult`
 lists (typically produced by ``run_matrix``) and returns plain data
-structures; the benchmark scripts format them as tables.
+structures; each ``render_*`` turns one into the text table that both
+``repro fig7|fig8|headline`` and ``python -m benchmarks.tables`` print,
+so the command line and the tracked tables cannot disagree.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ from typing import Dict, List, Sequence, Tuple
 from repro.experiments.runner import RunResult
 from repro.experiments.schemes import Scheme
 from repro.metrics.stats import SummaryStats, reduction_percent, summarize
+
+# Row and column order of every rendered figure (Table I, Figs. 7-9).
+WORKLOADS = ("WordCount", "Sort", "TeraSort", "PageRank", "NaiveBayes")
+SCHEMES = ("Spark", "Centralized", "AggShuffle")
 
 
 def _group(
@@ -120,3 +127,72 @@ def headline_numbers(results: Sequence[RunResult]) -> Dict[str, Dict[str, float]
             entry["aggshuffle_traffic_mb"] = agg_traffic
         headline[workload] = entry
     return headline
+
+
+def _rows(figure) -> List[str]:
+    return [workload for workload in WORKLOADS if workload in figure]
+
+
+def render_fig7(figure: Dict[str, Dict[str, SummaryStats]]) -> List[str]:
+    lines = [
+        "Fig. 7 — job completion time (seconds), trimmed mean "
+        "[median, q25-q75]",
+        f"{'workload':<12}" + "".join(f"{s:>28}" for s in SCHEMES),
+    ]
+    for workload in _rows(figure):
+        cells = [
+            f"{stats.trimmed:9.1f} [{stats.median:7.1f},"
+            f" {stats.q25:6.1f}-{stats.q75:6.1f}]"
+            for stats in (figure[workload][scheme] for scheme in SCHEMES)
+        ]
+        lines.append(f"{workload:<12}" + "".join(f"{c:>28}" for c in cells))
+    return lines
+
+
+def render_fig8(figure: Dict[str, Dict[str, float]]) -> List[str]:
+    lines = [
+        "Fig. 8 — cross-datacenter traffic (MB, mean over runs)",
+        f"{'workload':<12}" + "".join(f"{s:>14}" for s in SCHEMES),
+    ]
+    for workload in _rows(figure):
+        cells = [figure[workload].get(s, float("nan")) for s in SCHEMES]
+        lines.append(f"{workload:<12}" + "".join(f"{c:14.1f}" for c in cells))
+    return lines
+
+
+def render_fig9(figure: Dict[str, Dict[str, List[SummaryStats]]]) -> List[str]:
+    lines = ["Fig. 9 — stage durations (s), trimmed mean [q25-q75]"]
+    for workload in _rows(figure):
+        lines += ["", workload]
+        for scheme in SCHEMES:
+            cells = " | ".join(
+                f"s{i}: {s.trimmed:7.1f} [{s.q25:6.1f}-{s.q75:6.1f}]"
+                for i, s in enumerate(figure[workload].get(scheme, []))
+            )
+            lines.append(f"  {scheme:<12} {cells}")
+    return lines
+
+
+def render_headline(headline: Dict[str, Dict[str, float]]) -> List[str]:
+    lines = [
+        "Headline — AggShuffle vs Spark",
+        f"{'workload':<12}{'JCT red. %':>12}{'traffic red. %':>16}"
+        f"{'Spark IQR':>12}{'Agg IQR':>10}",
+    ]
+    for workload in _rows(headline):
+        entry = headline[workload]
+        lines.append(
+            f"{workload:<12}{entry['jct_reduction_pct']:12.1f}"
+            f"{entry.get('traffic_reduction_pct', float('nan')):16.1f}"
+            f"{entry['spark_iqr']:12.1f}{entry['aggshuffle_iqr']:10.1f}"
+        )
+    return lines
+
+
+# Each figure's aggregation and renderer, by the command that prints it.
+FIGURES = {
+    "fig7": (fig7_job_completion_times, render_fig7),
+    "fig8": (fig8_cross_dc_traffic, render_fig8),
+    "fig9": (fig9_stage_breakdown, render_fig9),
+    "headline": (headline_numbers, render_headline),
+}

@@ -74,9 +74,9 @@ _INF = float("inf")
 # resumes those fills past the levels a departure cannot change).  Fetch
 # shuffle streams (at most 16 flows) and chaos campaigns (at most 22)
 # build no bigger component, so those processes never load numpy.
-# benchmarks/bench_engine_micro.py ("small component re-plan") fails
-# when the scalar shape is the slower one here or the vector shape the
-# slower one at four times this.
+# The engine_micro table's checks ("small component re-plan", python -m
+# benchmarks.tables engine_micro) fail when the scalar shape is the
+# slower one here or the vector shape the slower one at four times this.
 SCALAR_MAX_FLOWS = 24
 
 

@@ -25,5 +25,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.simulation.event": ("Event", "Timeout", "AllOf", "AnyOf"),
     "repro.simulation.kernel": ("Simulator", "Process"),
     "repro.simulation.random_source": ("RandomSource",),
-    "repro.simulation.resources": ("Resource", "Store"),
 })
