@@ -438,6 +438,7 @@ def check_degraded_links(data: Dict) -> None:
         assert row["same_output"], backend
         assert row["resubmitted"] == 0 and row["relaunched"] == 0, backend
     assert flap["fetch"]["retries"] > 0
+    assert sum(row["retries"] for row in flap.values()) > 0
     assert push["clean_destinations"] == ["dc-b"]
     assert push["same_output"] and push["reelections"] >= 1
     assert push["destinations"] and "dc-b" not in push["destinations"]
