@@ -29,7 +29,6 @@ import dataclasses
 import functools
 import json
 import random
-import subprocess
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from benchmarks import scenarios
 from benchmarks.check_e2e_trajectory import TRAJECTORY
+from benchmarks.e2e.__main__ import git_commit
 from repro.cluster.builder import ec2_six_region_spec
 from repro.cluster.context import ClusterContext
 from repro.config import ShuffleConfig, SimulationConfig
@@ -777,17 +777,6 @@ TABLES: Dict[str, Table] = {table.name: table for table in (
 # ---------------------------------------------------------------------------
 # Stamps and staleness
 # ---------------------------------------------------------------------------
-def git_commit() -> str:
-    try:
-        done = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"], cwd=RESULTS_DIR,
-            capture_output=True, text=True, timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return done.stdout.strip() if done.returncode == 0 else "unknown"
-
-
 def stamp_line(stamp: Dict[str, Any]) -> str:
     return " ".join(
         [STAMP] + [f"{key}={str(value).lower()}" for key, value in stamp.items()]
@@ -892,7 +881,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown table(s): {' '.join(unknown)}")
     tables = [TABLES[name] for name in args.names] or list(TABLES.values())
     entries = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
-    base_stamp = {"commit": git_commit(), "trajectory": entries[-1]["commit"][:12]}
+    base_stamp = {
+        "commit": git_commit()[:12], "trajectory": entries[-1]["commit"][:12]
+    }
     failures = []
     for table in tables:
         failures += run_table(table, args.check, base_stamp)
