@@ -1,5 +1,7 @@
-"""The hand-built scenarios behind three tables of ``benchmarks.tables``.
+"""The hand-built scenarios behind five tables of ``benchmarks.tables``.
 
+* ``fig1_pipelining`` and ``fig2_failure`` replay the paper's motivating
+  timelines (Fig. 1 / Fig. 2) on a bare two-datacenter fabric.
 * ``failure_recovery`` and ``degraded_links`` drive the chaos subsystem
   (``repro.failures``) on one small 3-datacenter cluster: the same
   reduce job, the same faults against every shuffle backend.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.network.cascade as cascade
@@ -30,6 +33,183 @@ from repro.network.fabric import NetworkFabric
 from repro.network.incremental import IncrementalFairShare
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
+
+# ---------------------------------------------------------------------------
+# The paper's motivating examples (Fig. 1 and Fig. 2) on the bare fabric
+# ---------------------------------------------------------------------------
+# Setup (§III-A): two mapper workers A and B in one datacenter, reducers
+# in another; the inter-datacenter link has 1/4 the capacity of a
+# datacenter link.  Mapper A finishes at t=4, mapper B at t=8, and each
+# produces one unit of shuffle input (4 s to transfer alone over the WAN
+# link).  A 2-second scheduling gap separates a stage's completion from
+# the next stage's task launch.
+#
+# * Fig. 1 — fetch: both transfers start when stage N+1 begins (t=10) and
+#   share the WAN link, finishing at t=18.  Push: each transfer starts the
+#   moment its mapper finishes (t=4 / t=8), runs alone, and finishes by
+#   t=12; the reducers start at t=14 instead of t=18.
+# * Fig. 2 — a reducer fails right after its first read.  Fetch must
+#   re-fetch the shuffle input across the WAN; push re-reads it inside the
+#   local datacenter.
+# Abstract capacity units: the datacenter link moves 1 data unit per
+# second; the WAN link 1/4 of that (the paper's "optimistic estimate").
+_DC_CAPACITY = 1.0
+_WAN_CAPACITY = 0.25
+_MAP_OUTPUT_UNITS = 1.0
+_MAP_FINISH_TIMES = (4.0, 8.0)
+_SCHEDULING_GAP = 2.0
+_REDUCE_DURATION = 4.0
+_LOCAL_READ_DURATION = 0.5
+
+
+@dataclass
+class MotivationTimeline:
+    """Event times of one simulated scenario."""
+
+    transfer_starts: List[float]
+    transfer_ends: List[float]
+    reduce_start: float
+    reduce_end: float
+
+    @property
+    def shuffle_input_ready(self) -> float:
+        return max(self.transfer_ends)
+
+
+def _build_fabric() -> Tuple[Simulator, NetworkFabric]:
+    sim = Simulator()
+    topology = Topology()
+    topology.add_datacenter("dc-map")
+    topology.add_datacenter("dc-reduce")
+    for name in ("worker-a", "worker-b"):
+        topology.add_host(
+            name, "dc-map", access_bandwidth=_DC_CAPACITY, access_latency=0.0
+        )
+    topology.add_host(
+        "reducer-host", "dc-reduce",
+        access_bandwidth=_DC_CAPACITY, access_latency=0.0,
+    )
+    topology.connect_datacenters(
+        "dc-map", "dc-reduce", _WAN_CAPACITY, latency=0.0
+    )
+    return sim, NetworkFabric(sim, topology)
+
+
+def fetch_timeline() -> MotivationTimeline:
+    """Fig. 1 (a): transfers start together when stage N+1 begins."""
+    sim, fabric = _build_fabric()
+    starts: List[float] = []
+    ends: List[float] = []
+
+    def scenario(sim):
+        stage_start = max(_MAP_FINISH_TIMES) + _SCHEDULING_GAP
+        yield sim.timeout(stage_start)
+        flows = []
+        for source in ("worker-a", "worker-b"):
+            starts.append(sim.now)
+            flows.append(
+                fabric.transfer(
+                    source, "reducer-host", _MAP_OUTPUT_UNITS, tag="shuffle"
+                )
+            )
+        finished = yield sim.all_of(flows)
+        for flow in finished:
+            ends.append(flow.finished_at)
+        yield sim.timeout(_REDUCE_DURATION)
+        return sim.now
+
+    reduce_end = sim.run_process(scenario(sim))
+    return MotivationTimeline(
+        transfer_starts=starts,
+        transfer_ends=ends,
+        reduce_start=max(ends),
+        reduce_end=reduce_end,
+    )
+
+
+def push_timeline() -> MotivationTimeline:
+    """Fig. 1 (b): each push starts the moment its mapper finishes."""
+    sim, fabric = _build_fabric()
+    starts: List[float] = []
+    ends: List[float] = []
+
+    def one_push(sim, source, ready_at):
+        yield sim.timeout(ready_at)
+        starts.append(sim.now)
+        flow = yield fabric.transfer(
+            source, "reducer-host", _MAP_OUTPUT_UNITS, tag="transfer_to"
+        )
+        ends.append(flow.finished_at)
+
+    def scenario(sim):
+        pushes = [
+            sim.spawn(one_push(sim, source, ready))
+            for source, ready in zip(
+                ("worker-a", "worker-b"), _MAP_FINISH_TIMES
+            )
+        ]
+        yield sim.all_of(pushes)
+        # Reducers launch one scheduling gap after the data is in place.
+        yield sim.timeout(_SCHEDULING_GAP)
+        yield sim.timeout(_REDUCE_DURATION)
+        return sim.now
+
+    reduce_end = sim.run_process(scenario(sim))
+    return MotivationTimeline(
+        transfer_starts=sorted(starts),
+        transfer_ends=sorted(ends),
+        reduce_start=max(ends) + _SCHEDULING_GAP,
+        reduce_end=reduce_end,
+    )
+
+
+@dataclass
+class FailureRecovery:
+    """Fig. 2: time to recover a failed reducer under each mechanism."""
+
+    first_attempt_end: float
+    recovery_read_seconds: float
+    recovered_at: float
+
+
+def fetch_failure_recovery() -> FailureRecovery:
+    """Fig. 2 (a): the retry re-fetches shuffle input across the WAN."""
+    sim, fabric = _build_fabric()
+
+    def scenario(sim):
+        yield sim.timeout(max(_MAP_FINISH_TIMES) + _SCHEDULING_GAP)
+        yield fabric.transfer("worker-a", "reducer-host", _MAP_OUTPUT_UNITS)
+        yield sim.timeout(_REDUCE_DURATION)  # the attempt that fails
+        failed_at = sim.now
+        refetch_start = sim.now
+        yield fabric.transfer("worker-a", "reducer-host", _MAP_OUTPUT_UNITS)
+        refetch_seconds = sim.now - refetch_start
+        yield sim.timeout(_REDUCE_DURATION)
+        return failed_at, refetch_seconds, sim.now
+
+    failed_at, read_seconds, done = sim.run_process(scenario(sim))
+    return FailureRecovery(failed_at, read_seconds, done)
+
+
+def push_failure_recovery() -> FailureRecovery:
+    """Fig. 2 (b): shuffle input already lives with the reducer."""
+    sim, fabric = _build_fabric()
+
+    def scenario(sim):
+        yield sim.timeout(_MAP_FINISH_TIMES[0])
+        yield fabric.transfer("worker-a", "reducer-host", _MAP_OUTPUT_UNITS)
+        yield sim.timeout(_SCHEDULING_GAP)
+        yield sim.timeout(_REDUCE_DURATION)  # the attempt that fails
+        failed_at = sim.now
+        # Recovery reads the locally stored shuffle input.
+        yield sim.timeout(_LOCAL_READ_DURATION)
+        read_seconds = sim.now - failed_at
+        yield sim.timeout(_REDUCE_DURATION)
+        return failed_at, read_seconds, sim.now
+
+    failed_at, read_seconds, done = sim.run_process(scenario(sim))
+    return FailureRecovery(failed_at, read_seconds, done)
+
 
 # ---------------------------------------------------------------------------
 # The chaos cluster shared by failure_recovery and degraded_links

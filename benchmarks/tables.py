@@ -46,12 +46,6 @@ from repro.core.analysis import (
     total_fetch_volume,
 )
 from repro.experiments.figures import FIGURES
-from repro.experiments.motivation import (
-    fetch_failure_recovery,
-    fetch_timeline,
-    push_failure_recovery,
-    push_timeline,
-)
 from repro.experiments.placement import skewed_block_placement
 from repro.experiments.runner import (
     ExperimentPlan,
@@ -735,10 +729,11 @@ def _check_fuzz_campaign(report) -> None:
 TABLES: Dict[str, Table] = {table.name: table for table in (
     # name, unit, full, check, build, render, checks
     Table("fig1_pipelining", "runs", 1, 1,
-          lambda _: (fetch_timeline(), push_timeline()),
+          lambda _: (scenarios.fetch_timeline(), scenarios.push_timeline()),
           _render_fig1, _check_fig1),
     Table("fig2_failure", "runs", 1, 1,
-          lambda _: (fetch_failure_recovery(), push_failure_recovery()),
+          lambda _: (scenarios.fetch_failure_recovery(),
+                     scenarios.push_failure_recovery()),
           _render_fig2, _check_fig2),
     Table("eq_model", "instances", 500, 500,
           _eq_model, _render_eq_model, _check_eq_model),

@@ -65,9 +65,6 @@ class ClusterSpec:
     inter_dc_bandwidth: float = 200 * MBPS
     # Shared per-region WAN border capacity (None disables gateways).
     gateway_bandwidth: Optional[float] = 150 * MBPS
-    # Single-flow throughput bound over WAN paths (TCP over high RTT);
-    # None (the default) disables the cap; enable it for ablations.
-    wan_flow_cap: Optional[float] = None
     driver_datacenter: Optional[str] = None
     wan_latencies: Dict[Tuple[str, str], float] = field(default_factory=dict)
 
@@ -154,7 +151,7 @@ def two_datacenter_spec(
     workers_per_datacenter: int = 2,
     inter_dc_bandwidth: float = 100 * MBPS,
 ) -> ClusterSpec:
-    """A minimal two-DC cluster used by tests and the motivation benches."""
+    """A minimal two-DC cluster, as the quickstart example uses."""
     return ClusterSpec(
         datacenters=("dc-a", "dc-b"),
         workers_per_datacenter=workers_per_datacenter,

@@ -64,12 +64,7 @@ class ClusterContext:
         self.randomness = RandomSource(self.config.seed)
         self.topology = build_topology(spec)
         self.traffic = TrafficMonitor()
-        self.fabric = NetworkFabric(
-            self.sim,
-            self.topology,
-            monitor=self.traffic,
-            wan_flow_cap=spec.wan_flow_cap,
-        )
+        self.fabric = NetworkFabric(self.sim, self.topology, monitor=self.traffic)
         self.driver_host = spec.driver_host_name
 
         worker_names = spec.worker_names()
@@ -160,8 +155,7 @@ class ClusterContext:
             self._jitter.start()
             # Region gateways stay static: they model provisioned border
             # capacity, while the measured EC2 fluctuation (80-300 Mbps)
-            # lives on the per-region-pair paths.  (A gateway jitter can
-            # be added via BandwidthJitter(require_wan_flag=False).)
+            # lives on the per-region-pair paths.
 
     # ------------------------------------------------------------------
     # Derived properties

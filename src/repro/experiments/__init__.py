@@ -12,8 +12,9 @@ tables and figures.
 * :mod:`repro.experiments.figures` — Fig. 7 (job completion times),
   Fig. 8 (cross-datacenter traffic), Fig. 9 (stage breakdowns), and the
   §V headline numbers.
-* :mod:`repro.experiments.motivation` — the Fig. 1 / Fig. 2 timing
-  examples on the raw network fabric.
+
+The Fig. 1 / Fig. 2 timing examples on the raw network fabric live with
+the tables that print them, in ``benchmarks.scenarios``.
 """
 
 from repro import lazy_exports

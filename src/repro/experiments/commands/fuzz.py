@@ -58,7 +58,7 @@ def add_arguments(commands) -> None:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.failures.campaign import CampaignConfig, run_campaign
+    from repro.failures.campaign import POLICIES, CampaignConfig, run_campaign
 
     schedules = args.schedules
     seed = args.seed
@@ -76,7 +76,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         rotate=not args.full_matrix,
         minimize=not args.no_minimize,
         artifact_dir=args.artifact_dir,
-        **({"policies": policies} if policies else {}),
+        policies=policies or POLICIES,
     )
     with usage_errors():
         config.validate()

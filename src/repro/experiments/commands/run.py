@@ -187,11 +187,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{shuffle['merge_rounds']:.0f} merge rounds "
             f"(mean fan-in {shuffle['mean_merge_fan_in']:.1f})"
         )
-    if result.injected_failures_total or result.straggler_hits:
+    if result.injected_failures_total:
         print(
             "  fault injection : "
-            f"{result.injected_failures_total} attempt failure(s) "
-            f"injected, {result.straggler_hits} straggler(s) hit"
+            f"{result.injected_failures_total} attempt failure(s) injected"
         )
     if args.chaos:
         print(

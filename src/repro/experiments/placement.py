@@ -5,8 +5,8 @@ generators run from the master region, so raw input lands *skewed
 toward the driver's datacenter* while still spreading over every region
 (raw data "generated at geographically distributed datacenters").  The
 placement below reproduces that: each block picks a datacenter by
-weight (``hot_weight`` for the hot datacenter, 1 for each other) and a
-round-robin host within it.
+weight (``DEFAULT_HOT_WEIGHT`` for the hot datacenter, 1 for each
+other) and a round-robin host within it.
 """
 
 from __future__ import annotations
@@ -24,16 +24,13 @@ def skewed_block_placement(
     randomness: RandomSource,
     num_blocks: int,
     hot_datacenter: Optional[str] = None,
-    hot_weight: float = DEFAULT_HOT_WEIGHT,
 ) -> List[str]:
     """One host per block, weighted toward ``hot_datacenter``."""
     if num_blocks < 1:
         raise ValueError("num_blocks must be >= 1")
-    if hot_weight < 1:
-        raise ValueError("hot_weight must be >= 1")
     hot = hot_datacenter or spec.resolved_driver_datacenter
     datacenters = list(spec.datacenters)
-    weights = [hot_weight if dc == hot else 1.0 for dc in datacenters]
+    weights = [DEFAULT_HOT_WEIGHT if dc == hot else 1.0 for dc in datacenters]
     total = sum(weights)
     cumulative: List[float] = []
     running = 0.0

@@ -28,10 +28,7 @@ from repro.config import SimulationConfig
 from repro.metrics.billing import bill_traffic, blob_request_dollars
 from repro.rdd.memo import DataMemo
 from repro.rdd.size_estimator import Partition
-from repro.experiments.placement import (
-    DEFAULT_HOT_WEIGHT,
-    skewed_block_placement,
-)
+from repro.experiments.placement import skewed_block_placement
 from repro.experiments.schemes import Scheme, config_for_scheme, scheme_spec
 from repro.simulation.random_source import RandomSource
 from repro.workloads.base import Workload
@@ -74,11 +71,10 @@ class RunResult:
     backend: str = ""
     shuffle_perf: Dict[str, float] = field(default_factory=dict)
     # Fault-injection surface: every injected per-attempt failure across
-    # the cell (not just the measured job), straggler-slowed attempts,
-    # chaos events that actually applied, and the recovery counters
-    # (relaunches, resubmissions, recomputed tasks, speculation).
+    # the cell (not just the measured job), chaos events that actually
+    # applied, and the recovery counters (relaunches, resubmissions,
+    # recomputed tasks, speculation).
     injected_failures_total: int = 0
-    straggler_hits: int = 0
     chaos_events_applied: int = 0
     recovery: Dict[str, int] = field(default_factory=dict)
     # Health-aware degradation counters (blacklist exclusions, breaker
@@ -97,12 +93,8 @@ class ExperimentPlan:
 
     cluster: ClusterSpec = field(default_factory=ec2_six_region_spec)
     seeds: Sequence[int] = tuple(range(10))
-    hot_weight: float = DEFAULT_HOT_WEIGHT
     base_config: Optional[SimulationConfig] = None
     keep_action_results: bool = False
-    # Optional straggler model (repro.failures.StragglerModel); applied
-    # to every task attempt's CPU charges.
-    straggler_model: Any = None
     # Seed for data generation and block placement; None regenerates
     # them per run seed (see module docstring).
     fixed_data_seed: Optional[int] = 0
@@ -158,9 +150,7 @@ def run_workload_once(
     """Execute one cell and return its measurements."""
     plan = plan if plan is not None else ExperimentPlan()
     config = config_for_scheme(scheme, workload.spec, seed, plan.base_config)
-    context = ClusterContext(
-        plan.cluster, config, straggler_model=plan.straggler_model
-    )
+    context = ClusterContext(plan.cluster, config)
     if plan.stream is not None:
         return _run_stream_cell(workload, scheme, seed, plan, context)
 
@@ -170,7 +160,6 @@ def run_workload_once(
         plan.cluster,
         RandomSource(data_seed).child(f"placement:{workload.name}"),
         num_blocks=len(partitions),
-        hot_weight=plan.hot_weight,
     )
     workload.install(context, partitions, placement_hosts=placement)
 
@@ -205,7 +194,6 @@ def run_workload_once(
                 duration=centralize_duration,
             ),
         )
-    shuffle_perf = context.shuffle_service.perf_snapshot()
     return RunResult(
         workload=workload.name,
         scheme=scheme,
@@ -213,6 +201,19 @@ def run_workload_once(
         duration=duration,
         job_duration=job.duration,
         centralize_duration=centralize_duration,
+        stages=stages,
+        injected_failures=job.injected_failures,
+        action_result=action_result if plan.keep_action_results else None,
+        **_measurements(context),
+    )
+
+
+def _measurements(context: ClusterContext) -> Dict[str, Any]:
+    """The ``RunResult`` fields every cell reads off its finished
+    context: traffic, cost, fabric and shuffle perf, fault injection,
+    recovery and health."""
+    shuffle_perf = context.shuffle_service.perf_snapshot()
+    return dict(
         cross_dc_megabytes=context.traffic.cross_dc_megabytes,
         total_megabytes=context.traffic.total_bytes / 1e6,
         cross_dc_by_tag={
@@ -225,14 +226,10 @@ def run_workload_once(
             bill_traffic(context.traffic).total_dollars
             + blob_request_dollars(shuffle_perf)
         ),
-        stages=stages,
-        injected_failures=job.injected_failures,
-        action_result=action_result if plan.keep_action_results else None,
         fabric_perf=context.fabric.perf_snapshot(),
         backend=context.shuffle_service.name,
         shuffle_perf=shuffle_perf,
         injected_failures_total=context.failure_injector.total_injected,
-        straggler_hits=context.failure_injector.stragglers_hit,
         chaos_events_applied=(
             context.chaos_injector.events_applied
             if context.chaos_injector is not None
@@ -279,7 +276,6 @@ def _run_stream_cell(
         row["monitor_wan_bytes"] = context.traffic.cross_dc_by_tenant.get(
             name, 0.0
         )
-    shuffle_perf = context.shuffle_service.perf_snapshot()
     return RunResult(
         workload=f"stream:{stream_spec.policy}",
         scheme=scheme,
@@ -287,28 +283,7 @@ def _run_stream_cell(
         duration=duration,
         job_duration=stream_result.duration,
         centralize_duration=0.0,
-        cross_dc_megabytes=context.traffic.cross_dc_megabytes,
-        total_megabytes=context.traffic.total_bytes / 1e6,
-        cross_dc_by_tag={
-            tag: size / 1e6
-            for tag, size in context.traffic.cross_dc_by_tag.items()
-        },
-        cost_dollars=(
-            bill_traffic(context.traffic).total_dollars
-            + blob_request_dollars(shuffle_perf)
-        ),
-        backend=context.shuffle_service.name,
-        fabric_perf=context.fabric.perf_snapshot(),
-        shuffle_perf=shuffle_perf,
-        injected_failures_total=context.failure_injector.total_injected,
-        straggler_hits=context.failure_injector.stragglers_hit,
-        chaos_events_applied=(
-            context.chaos_injector.events_applied
-            if context.chaos_injector is not None
-            else 0
-        ),
-        recovery=context.recovery.as_dict(),
-        health=context.health.as_dict(),
+        **_measurements(context),
         tenants=stream_result.tenants,
         stream={
             "policy": stream_result.policy,

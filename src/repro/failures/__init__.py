@@ -1,4 +1,4 @@
-"""Failure, straggler, and chaos injection (paper Fig. 2 / §II-B)."""
+"""Failure and chaos injection (paper Fig. 2 / §II-B)."""
 
 from repro import lazy_exports
 
@@ -13,5 +13,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.failures.injector": ("FailureInjector",),
     "repro.failures.minimize": ("MinimizationResult", "minimize_schedule"),
-    "repro.failures.stragglers": ("StragglerModel",),
 })

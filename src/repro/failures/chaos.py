@@ -65,7 +65,6 @@ from repro.errors import ConfigurationError, NoRouteError, parse_token
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
     from repro.network.topology import Link
-    from repro.simulation.random_source import RandomSource
 
 KINDS = (
     "crash", "host", "outage", "merger",
@@ -232,55 +231,6 @@ class ChaosSchedule:
     @classmethod
     def from_specs(cls, specs: Sequence[str]) -> ChaosSchedule:
         return cls(tuple(cls.parse_event(spec) for spec in specs))
-
-    @classmethod
-    def random(
-        cls,
-        randomness: RandomSource,
-        hosts: Sequence[str],
-        wan_pairs: Sequence[Tuple[str, str]] = (),
-        crashes: int = 1,
-        degradations: int = 0,
-        window: Tuple[float, float] = (1.0, 30.0),
-    ) -> ChaosSchedule:
-        """A seeded random schedule over the given hosts/links.
-
-        Draws come from dedicated streams of ``randomness``, so the same
-        root seed always produces the same schedule — runs comparing
-        backends under "random" chaos stay paired.
-        """
-        if crashes > 0 and not hosts:
-            raise ConfigurationError("random chaos needs candidate hosts")
-        if degradations > 0 and not wan_pairs:
-            raise ConfigurationError("random chaos needs WAN pairs")
-        start, end = window
-        events: List[ChaosEvent] = []
-        for index in range(crashes):
-            events.append(ChaosEvent(
-                at=randomness.uniform(f"chaos:crash:{index}", start, end),
-                kind="crash",
-                target=randomness.choice(
-                    f"chaos:crash-host:{index}", sorted(hosts)
-                ),
-            ))
-        for index in range(degradations):
-            src, dst = randomness.choice(
-                f"chaos:degrade-link:{index}", sorted(wan_pairs)
-            )
-            events.append(ChaosEvent(
-                at=randomness.uniform(f"chaos:degrade:{index}", start, end),
-                kind="degrade",
-                target=f"{src}->{dst}",
-                factor=randomness.uniform(
-                    f"chaos:degrade-factor:{index}", 0.05, 0.5
-                ),
-                duration=randomness.uniform(
-                    f"chaos:degrade-duration:{index}", 1.0, 10.0
-                ),
-            ))
-        schedule = cls(tuple(events))
-        schedule.validate()
-        return schedule
 
 
 def _parse_number(spec: str, text: str) -> float:

@@ -19,7 +19,7 @@ campaign's replay artifacts are just these spec lists in JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError, NoRouteError, parse_token
@@ -114,9 +114,6 @@ class GrammarConfig:
 
     events: int = 3
     window: Tuple[float, float] = (0.5, 4.0)
-    weights: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_WEIGHTS)
-    )
 
     def validate(self) -> None:
         if self.events < 0:
@@ -127,27 +124,15 @@ class GrammarConfig:
                 f"grammar window must satisfy 0 <= start <= end, "
                 f"got {self.window!r}"
             )
-        for kind, weight in self.weights.items():
-            if kind not in DEFAULT_WEIGHTS:
-                known = ", ".join(sorted(DEFAULT_WEIGHTS))
-                raise ConfigurationError(
-                    f"unknown chaos kind {kind!r} in weights (one of: {known})"
-                )
-            if weight < 0:
-                raise ConfigurationError(
-                    f"weight for {kind!r} must be >= 0, got {weight!r}"
-                )
-        if not any(weight > 0 for weight in self.weights.values()):
-            raise ConfigurationError("grammar needs at least one positive weight")
 
 
 def _weighted_kind(
     randomness: RandomSource, index: int, weights: Mapping[str, float]
 ) -> str:
     """Draw a kind proportionally to its weight (deterministic order:
-    kinds are scanned in sorted order, so dict insertion order of the
-    caller's weights never leaks into the draw)."""
-    items = [(kind, weight) for kind, weight in sorted(weights.items()) if weight > 0]
+    kinds are scanned in sorted order, so the insertion order of the
+    weights never leaks into the draw)."""
+    items = sorted(weights.items())
     total = sum(weight for _, weight in items)
     point = randomness.uniform(f"fuzz:kind:{index}", 0.0, total)
     running = 0.0
@@ -171,14 +156,10 @@ def random_schedule(
     universe.validate()
     config = config or GrammarConfig()
     config.validate()
-    weights = dict(config.weights)
+    weights = dict(DEFAULT_WEIGHTS)
     if not universe.wan_pairs:
-        weights.pop("degrade", None)
-        weights.pop("partition", None)
-        if not any(weight > 0 for weight in weights.values()):
-            raise ConfigurationError(
-                "grammar weights leave no drawable kind for a single-DC universe"
-            )
+        weights.pop("degrade")
+        weights.pop("partition")
     start, end = config.window
     hosts = tuple(sorted(universe.hosts))
     datacenters = tuple(sorted(universe.datacenters))

@@ -44,14 +44,13 @@ class FailureInjector:
     ) -> None:
         self.config = config
         self.randomness = randomness
+        # Slow attempts, for tests: any object whose ``slowdown(
+        # randomness, task_key, attempt)`` returns a CPU slowdown factor.
         self.straggler_model = straggler_model
         # Failures injected so far per task key: every attempt of a
         # partition counts, whichever Task object ran it.
         self._injected: Dict[str, int] = {}
         self.total_injected = 0
-        # Attempts slowed down by the straggler model (surfaced in
-        # RunResult / the CLI run summary alongside total_injected).
-        self.stragglers_hit = 0
 
     def should_fail(self, task: Task) -> bool:
         """Decide whether this attempt of ``task`` fails.
@@ -78,9 +77,6 @@ class FailureInjector:
         """CPU slowdown multiplier for this attempt (1.0 = healthy)."""
         if self.straggler_model is None:
             return 1.0
-        slowdown = self.straggler_model.slowdown(
+        return self.straggler_model.slowdown(
             self.randomness, task_key(task), task.attempts
         )
-        if slowdown > 1.0:
-            self.stragglers_hit += 1
-        return slowdown

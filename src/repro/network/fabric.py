@@ -144,23 +144,15 @@ class NetworkFabric:
         sim: Simulator,
         topology: Topology,
         monitor: Optional[TrafficMonitor] = None,
-        wan_flow_cap: Optional[float] = None,
         drive: str = "vector",
     ) -> None:
-        """``wan_flow_cap`` bounds any single WAN-crossing flow's rate
-        (bytes/second), modelling TCP throughput over high-RTT paths —
-        a single stream cannot fill an inter-region link even when the
-        link itself is idle.
-
-        ``drive`` selects the solver drive: ``"vector"`` (production)
-        or ``"global"`` (the reference oracle).
-        """
+        """``drive`` selects the solver drive: ``"vector"`` (production)
+        or ``"global"`` (the reference oracle)."""
         if drive not in ("vector", "global"):
             raise ValueError(f"unknown fabric drive: {drive!r}")
         self.sim = sim
         self.topology = topology
         self.monitor = monitor if monitor is not None else TrafficMonitor()
-        self.wan_flow_cap = wan_flow_cap
         self.perf = FabricPerfCounters()
         # Runtime invariant sanitizer (None unless REPRO_SANITIZE /
         # --sanitize): checks capacity conservation and rate sanity
@@ -184,9 +176,7 @@ class NetworkFabric:
         # The vector drive's flow<->link component index; ``None`` on
         # the global reference drive, which re-solves everything.
         self._engine: Optional[IncrementalFairShare] = (
-            IncrementalFairShare(
-                wan_flow_cap=wan_flow_cap, hints=self._capacity_hints
-            )
+            IncrementalFairShare(hints=self._capacity_hints)
             if drive == "vector"
             else None
         )
@@ -724,21 +714,13 @@ class NetworkFabric:
         capacities: Dict[str, float] = {}
         hints = self._capacity_hints
         for flow_id, flow in self._flows.items():
-            names = [link.name for link in flow.route]
             for link in flow.route:
                 capacity = link.capacity
                 hint = hints.get(link.name)
                 if hint is not None and hint < capacity:
                     capacity = hint
                 capacities[link.name] = capacity
-            # The TCP cap is a virtual per-flow link on WAN routes.
-            if self.wan_flow_cap is not None and any(
-                link.is_wan for link in flow.route
-            ):
-                cap_name = f"cap:{flow_id}"
-                names.append(cap_name)
-                capacities[cap_name] = self.wan_flow_cap
-            routes[flow_id] = tuple(names)
+            routes[flow_id] = tuple(link.name for link in flow.route)
         return routes, capacities
 
     def _recompute_rates(self) -> None:

@@ -23,10 +23,6 @@ max-min allocation is unique and components are independent constraint
 systems, a component-scoped solve yields the same rates as a global
 from-scratch one (property-tested in
 ``tests/network/test_incremental_fair_share.py``).
-
-The per-flow WAN rate cap is modelled exactly as in the global drive: a
-virtual ``cap:<flow-id>`` link crossed only by that flow.  Virtual cap
-links never connect components.
 """
 
 from __future__ import annotations
@@ -42,27 +38,19 @@ _UNCAPPED = float("inf")
 class IncrementalFairShare:
     """Flow<->link graph: components and their solver sub-problems."""
 
-    def __init__(
-        self,
-        wan_flow_cap: Optional[float] = None,
-        hints: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.wan_flow_cap = wan_flow_cap
+    def __init__(self, hints: Optional[Dict[str, float]] = None) -> None:
         # link name -> health-advised capacity ceiling (shared with the
         # fabric, which mutates it); clamps every capacity read so an
         # open circuit breaker can throttle a sick path below its
         # nominal bandwidth without touching the Link object.
         self._hints: Dict[str, float] = hints if hints is not None else {}
-        # flow id -> full solver route (shared link names + optional
-        # virtual cap link), built once at admission and reused by every
-        # subsequent solve.
+        # flow id -> solver route (link names, the graph's edges), built
+        # once at admission and reused by every subsequent solve.
         self._routes: Dict[FlowId, Tuple[str, ...]] = {}
-        # flow id -> the *shared* link names only (graph edges).
-        self._shared: Dict[FlowId, Tuple[str, ...]] = {}
-        # shared link name -> ids of flows currently crossing it.
+        # link name -> ids of flows currently crossing it.
         self._link_flows: Dict[str, Set[FlowId]] = {}
-        # link name (shared or virtual cap) -> current capacity; kept in
-        # lockstep with the graph instead of being rebuilt per solve.
+        # link name -> current capacity; kept in lockstep with the graph
+        # instead of being rebuilt per solve.
         self._capacities: Dict[str, float] = {}
         # flow id -> fair-share weight; ``_non_unit`` counts flows whose
         # weight != 1.0 so the all-unit case hands the solvers *no*
@@ -103,26 +91,18 @@ class IncrementalFairShare:
                 self._capacities[name] = self._effective_capacity(link)
             else:
                 carriers.add(flow_id)
-        self._shared[flow_id] = tuple(names)
-        if self.wan_flow_cap is not None and any(l.is_wan for l in route):
-            cap_name = f"cap:{flow_id}"
-            names.append(cap_name)
-            self._capacities[cap_name] = self.wan_flow_cap
         self._routes[flow_id] = tuple(names)
 
     def remove_flow(self, flow_id: FlowId) -> None:
-        shared = self._shared.pop(flow_id)
+        route = self._routes.pop(flow_id)
         # dict.fromkeys dedupes while keeping order: a route may cross
         # the same link twice, but the carrier set must be unwound once.
-        for name in dict.fromkeys(shared):
+        for name in dict.fromkeys(route):
             carriers = self._link_flows[name]
             carriers.discard(flow_id)
             if not carriers:
                 del self._link_flows[name]
                 del self._capacities[name]
-        route = self._routes.pop(flow_id)
-        if len(route) > len(shared):
-            del self._capacities[route[-1]]
         if self._weights.pop(flow_id) != 1.0:
             self._non_unit -= 1
 
@@ -142,7 +122,7 @@ class IncrementalFairShare:
     def component(
         self, seed_flows: Iterable[FlowId], seed_links: Iterable[str]
     ) -> Set[FlowId]:
-        """Every flow connected (via shared links) to the seeds."""
+        """Every flow connected (via links they share) to the seeds."""
         stack: List[FlowId] = [f for f in seed_flows if f in self._routes]
         for name in seed_links:
             stack.extend(self._link_flows.get(name, ()))
@@ -153,7 +133,7 @@ class IncrementalFairShare:
             if flow_id in component:
                 continue
             component.add(flow_id)
-            for name in self._shared[flow_id]:
+            for name in self._routes[flow_id]:
                 if name in seen_links:
                     continue
                 seen_links.add(name)
@@ -167,23 +147,14 @@ class IncrementalFairShare:
     ) -> Tuple[List[Tuple[str, ...]], List[float], Dict[str, float]]:
         """The constraint system restricted to ``flow_ids``, as the
         cascade planner consumes it: per flow (in the order given) its
-        shared link names and its private WAN cap (``inf``: none), and
-        the capacity of every shared link named."""
+        link names and its private rate cap (``inf``: no flow has one),
+        and the capacity of every link named."""
         capacities = self._capacities
-        shared = []
-        caps = []
-        for flow_id in flow_ids:
-            names = self._shared[flow_id]
-            route = self._routes[flow_id]
-            shared.append(names)
-            # A capped flow's solver route ends in its virtual cap link.
-            caps.append(
-                capacities[route[-1]] if len(route) > len(names) else _UNCAPPED
-            )
+        routes = [self._routes[flow_id] for flow_id in flow_ids]
         return (
-            shared,
-            caps,
-            {name: capacities[name] for names in shared for name in names},
+            routes,
+            [_UNCAPPED] * len(routes),
+            {name: capacities[name] for names in routes for name in names},
         )
 
     def flows_on(self, name: str) -> Iterable[FlowId]:
@@ -206,8 +177,8 @@ class IncrementalFairShare:
     def solver_inputs(
         self, flow_ids: Optional[Iterable[FlowId]] = None
     ) -> Tuple[Dict[FlowId, Tuple[str, ...]], Dict[str, float]]:
-        """Copies of the (routes, capacities) solver inputs, virtual cap
-        links included — of every flow, or of ``flow_ids`` only.  Feed
+        """Copies of the (routes, capacities) solver inputs of every
+        flow, or of ``flow_ids`` only.  Feed
         them to :func:`max_min_fair_rates` to cross-check the vector
         drive's rates against a from-scratch solve (the tests and the
         sanitizer do)."""

@@ -30,18 +30,12 @@ class BandwidthJitter:
         links: Iterable[Link],
         spec: JitterSpec,
         randomness: Optional[RandomSource] = None,
-        require_wan_flag: bool = True,
     ) -> None:
-        """``require_wan_flag`` keeps the default behaviour of touching
-        only links marked ``is_wan``; pass False to jitter an explicit
-        link list (e.g. region gateway links)."""
+        """Of ``links``, only those marked ``is_wan`` jitter."""
         spec.validate()
         self.sim = sim
         self.fabric = fabric
-        if require_wan_flag:
-            self.links = [link for link in links if link.is_wan]
-        else:
-            self.links = list(links)
+        self.links = [link for link in links if link.is_wan]
         self.spec = spec
         self.randomness = randomness if randomness is not None else RandomSource(0)
         self._running = False
@@ -110,12 +104,3 @@ class BandwidthJitter:
             # (and hence determinism) independent of flow activity.
             self.fabric.notify_capacity_change(changed_links=self.links)
 
-
-class StaticBandwidth:
-    """Pin every WAN link to a fixed capacity (used for deterministic tests)."""
-
-    def __init__(self, links: Iterable[Link], capacity: float) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        for link in links:
-            link.set_capacity(capacity)

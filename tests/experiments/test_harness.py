@@ -29,7 +29,7 @@ from tests.conftest import make_context, small_spec
 def test_skewed_placement_favours_hot_datacenter():
     spec = ec2_six_region_spec()
     hosts = skewed_block_placement(
-        spec, RandomSource(0), num_blocks=600, hot_weight=8.0
+        spec, RandomSource(0), num_blocks=600
     )
     hot = sum(1 for host in hosts if host.startswith("us-east-1"))
     # Expected share 8/13 ~ 0.615.
@@ -55,8 +55,6 @@ def test_skewed_placement_validation():
     spec = ec2_six_region_spec()
     with pytest.raises(ValueError):
         skewed_block_placement(spec, RandomSource(0), 0)
-    with pytest.raises(ValueError):
-        skewed_block_placement(spec, RandomSource(0), 5, hot_weight=0.5)
 
 
 def test_uniform_and_single_dc_placements():

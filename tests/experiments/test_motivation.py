@@ -9,7 +9,7 @@ instead of t=18.
 
 import pytest
 
-from repro.experiments.motivation import (
+from benchmarks.scenarios import (
     fetch_failure_recovery,
     fetch_timeline,
     push_failure_recovery,

@@ -174,7 +174,6 @@ def _small_campaign_config(**overrides):
         rotate=True,
         events_min=2,
         events_max=4,
-        cell_wall_seconds=30.0,
         minimize=False,
     )
     defaults.update(overrides)
@@ -229,8 +228,6 @@ def test_campaign_validates_config():
         run_campaign(CampaignConfig(policies=("yolo",)))
     with pytest.raises(ConfigurationError):
         CampaignConfig(events_min=5, events_max=2).validate()
-    with pytest.raises(ConfigurationError):
-        CampaignConfig(cell_wall_seconds=0.0).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.failures import ChaosEvent, ChaosSchedule
-from repro.simulation import RandomSource
 from tests.conftest import make_context, small_spec
 
 
@@ -129,28 +128,6 @@ def test_sorted_events_orders_by_time_stably():
     early = ChaosEvent(at=1.0, kind="crash", target="c")
     schedule = ChaosSchedule((first, second, early))
     assert schedule.sorted_events() == [early, first, second]
-
-
-def test_random_schedule_is_seed_deterministic():
-    hosts = ["h0", "h1", "h2"]
-    pairs = [("dc-a", "dc-b")]
-
-    def build(seed):
-        return ChaosSchedule.random(
-            RandomSource(seed), hosts, pairs, crashes=2, degradations=1
-        )
-
-    assert build(7) == build(7)
-    assert build(7) != build(8)
-    for event in build(7).events:
-        assert 1.0 <= event.at <= 30.0
-
-
-def test_random_schedule_needs_candidates():
-    with pytest.raises(ConfigurationError):
-        ChaosSchedule.random(RandomSource(0), [], crashes=1)
-    with pytest.raises(ConfigurationError):
-        ChaosSchedule.random(RandomSource(0), ["h0"], degradations=1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from repro.config import FailureConfig, SimulationConfig
 from repro.experiments.runner import ExperimentPlan, run_workload_once
 from repro.experiments.schemes import Scheme
-from repro.failures import FailureInjector, StragglerModel
+from repro.failures import FailureInjector
 from repro.simulation import RandomSource
 from repro.workloads import SORT, TERASORT, Sort, TeraSort
 from tests.conftest import make_context, quiet_config, small_spec
@@ -37,16 +37,6 @@ def test_failure_config_validates_at_construction():
         FailureConfig(max_injected_failures_per_task=-1)
     # Boundary values are legal.
     FailureConfig(reducer_failure_probability=1.0, max_injected_failures_per_task=0)
-
-
-def test_straggler_hits_are_counted():
-    model = StragglerModel(probability=1.0, min_slowdown=2.0, max_slowdown=4.0)
-    injector = FailureInjector(
-        FailureConfig(), RandomSource(0), straggler_model=model
-    )
-    for i in range(5):
-        injector.straggler_slowdown(_FakeTask(i))
-    assert injector.stragglers_hit == 5
 
 
 def test_zero_probability_never_fails():
@@ -89,23 +79,6 @@ def test_a_faulted_cell_repeats_in_one_process():
     runs = [run_workload_once(sort, Scheme.SPARK, 3, plan) for _ in range(3)]
     assert runs[0].injected_failures_total > 0
     assert len({(run.duration, run.cross_dc_megabytes) for run in runs}) == 1
-
-
-def test_straggler_model_validation():
-    with pytest.raises(ValueError):
-        StragglerModel(probability=2.0)
-    with pytest.raises(ValueError):
-        StragglerModel(min_slowdown=0.5)
-    with pytest.raises(ValueError):
-        StragglerModel(min_slowdown=3.0, max_slowdown=2.0)
-
-
-def test_straggler_slowdown_in_range():
-    model = StragglerModel(probability=1.0, min_slowdown=2.0, max_slowdown=4.0)
-    randomness = RandomSource(0)
-    for i in range(50):
-        slowdown = model.slowdown(randomness, f"t{i}", 1)
-        assert 2.0 <= slowdown <= 4.0
 
 
 def test_straggler_off_by_default_in_injector():

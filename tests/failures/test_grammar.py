@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.failures import ChaosUniverse, GrammarConfig
+from repro.failures import ChaosUniverse, GrammarConfig, grammar
 from repro.failures.chaos import KINDS, ChaosSchedule as Schedule
 from repro.failures.grammar import (
     DEFAULT_WEIGHTS,
@@ -50,17 +50,16 @@ def test_different_seeds_differ():
     )
 
 
-def test_weight_dict_order_does_not_leak_into_draws():
-    """The kind draw scans sorted kinds, so two weight dicts with the
-    same contents but different insertion order draw identically."""
+def test_weight_dict_order_does_not_leak_into_draws(monkeypatch):
+    """The kind draw scans sorted kinds, so reordering the weight table
+    leaves every draw as it was."""
     universe = three_dc_universe()
-    forward = GrammarConfig(events=6, weights=dict(DEFAULT_WEIGHTS))
-    backward = GrammarConfig(
-        events=6, weights=dict(reversed(list(DEFAULT_WEIGHTS.items())))
+    config = GrammarConfig(events=6)
+    forward = random_schedule(RandomSource(3), universe, config)
+    monkeypatch.setattr(
+        grammar, "DEFAULT_WEIGHTS", dict(reversed(list(DEFAULT_WEIGHTS.items())))
     )
-    assert random_schedule(RandomSource(3), universe, forward) == random_schedule(
-        RandomSource(3), universe, backward
-    )
+    assert random_schedule(RandomSource(3), universe, config) == forward
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +128,6 @@ def test_single_dc_universe_redistributes_link_weights():
     assert "partition" not in kinds
 
 
-def test_single_dc_universe_with_only_link_weights_errors():
-    universe = ChaosUniverse(
-        hosts=("dc-a-w0",), datacenters=("dc-a",), wan_pairs=()
-    )
-    config = GrammarConfig(
-        events=1, weights={"degrade": 1.0, "partition": 1.0}
-    )
-    with pytest.raises(ConfigurationError):
-        random_schedule(RandomSource(0), universe, config)
-
-
 def test_empty_universe_rejected():
     with pytest.raises(ConfigurationError):
         ChaosUniverse(hosts=(), datacenters=("dc-a",), wan_pairs=()).validate()
@@ -154,9 +142,6 @@ def test_empty_universe_rejected():
         GrammarConfig(events=-1),
         GrammarConfig(window=(3.0, 1.0)),
         GrammarConfig(window=(-1.0, 2.0)),
-        GrammarConfig(weights={"warp": 1.0}),
-        GrammarConfig(weights={"crash": -1.0}),
-        GrammarConfig(weights={"crash": 0.0}),
     ],
 )
 def test_bad_grammar_config_rejected(config):

@@ -1,4 +1,4 @@
-"""NetworkFabric: flow timing under sharing, caps, and capacity changes."""
+"""NetworkFabric: flow timing under sharing and capacity changes."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
 
 
-def build(latency=0.0, wan_mbps=100, gateways=None, flow_cap=None):
+def build(latency=0.0, wan_mbps=100, gateways=None):
     sim = Simulator()
     topo = Topology()
     topo.add_datacenter("A")
@@ -20,7 +20,7 @@ def build(latency=0.0, wan_mbps=100, gateways=None, flow_cap=None):
     if gateways is not None:
         topo.set_gateway("A", gateways * MBPS)
         topo.set_gateway("B", gateways * MBPS)
-    fabric = NetworkFabric(sim, topo, wan_flow_cap=flow_cap)
+    fabric = NetworkFabric(sim, topo)
     return sim, topo, fabric
 
 
@@ -107,19 +107,6 @@ def test_gateway_limits_aggregate_ingress():
     )
     # Gateway 100 Mbps shared: 25 MB over 12.5 MB/s = 2 s.
     assert finished[0] == pytest.approx(2.0)
-
-
-def test_wan_flow_cap_limits_single_flow():
-    sim, _topo, fabric = build(wan_mbps=1000, flow_cap=25 * MBPS)
-    finished = run_transfers(sim, fabric, [("a1", "b1", 12_500_000, 0.0)])
-    # Capped at 25 Mbps = 3.125 MB/s -> 4 s despite the fast link.
-    assert finished[0] == pytest.approx(4.0)
-
-
-def test_wan_flow_cap_ignores_intra_dc_flows():
-    sim, _topo, fabric = build(flow_cap=1 * MBPS)
-    finished = run_transfers(sim, fabric, [("a1", "a2", 125_000_000, 0.0)])
-    assert finished[0] == pytest.approx(1.0)
 
 
 def test_capacity_change_midway_adjusts_rate():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.fabric import NetworkFabric
-from repro.network.jitter import BandwidthJitter, JitterSpec, StaticBandwidth
+from repro.network.jitter import BandwidthJitter, JitterSpec
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import RandomSource, Simulator
 
@@ -214,11 +214,3 @@ def test_walk_equals_named_stream_uniform_walk():
     assert partitioned[1] == 1.0 and partitioned[0] >= spec.low
     assert observed[heal_at][0][1] == observed[heal_at][0][0] * 0.25
 
-
-def test_static_bandwidth_pins_capacity():
-    _sim, topo, _fabric = build()
-    StaticBandwidth(topo.wan_links(), 123 * MBPS)
-    for link in topo.wan_links():
-        assert link.capacity == pytest.approx(123 * MBPS)
-    with pytest.raises(ValueError):
-        StaticBandwidth(topo.wan_links(), 0)

@@ -5,9 +5,9 @@ as bare timers — zero re-solves between perturbations.  These tests pin
 the hard part: a perturbation landing *mid-plan* (arrival, cancel,
 capacity change) must replay the affected plans to recover exact
 remaining bytes, and every completion time must match the global
-re-solve-everything drive to 1e-9 relative.  Also covered: the per-flow
-WAN cap, and plan invalidation after a component has *split* (a plan
-member unreachable from the perturbed link must still be re-planned).
+re-solve-everything drive to 1e-9 relative.  Also covered: plan
+invalidation after a component has *split* (a plan member unreachable
+from the perturbed link must still be re-planned).
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.simulation import Simulator
 DRIVES = ("vector", "global")
 
 
-def _build(drive, wan_flow_cap=None):
+def _build(drive):
     sim = Simulator()
     topo = Topology()
     for dc in ("A", "B", "C"):
@@ -28,13 +28,13 @@ def _build(drive, wan_flow_cap=None):
         topo.add_host(host, dc, access_bandwidth=GBPS, access_latency=0.0)
     topo.connect_datacenters("A", "B", 100 * MBPS, latency=0.0)
     topo.connect_datacenters("A", "C", 100 * MBPS, latency=0.0)
-    fabric = NetworkFabric(sim, topo, drive=drive, wan_flow_cap=wan_flow_cap)
+    fabric = NetworkFabric(sim, topo, drive=drive)
     return sim, topo, fabric
 
 
-def _run_scenario(scenario, drive, wan_flow_cap=None):
+def _run_scenario(scenario, drive):
     """Run ``scenario`` under ``drive``; returns {label: completion time}."""
-    sim, topo, fabric = _build(drive, wan_flow_cap=wan_flow_cap)
+    sim, topo, fabric = _build(drive)
     completions = {}
 
     def track(label, event):
@@ -48,10 +48,10 @@ def _run_scenario(scenario, drive, wan_flow_cap=None):
     return completions
 
 
-def _assert_equivalent(scenario, wan_flow_cap=None):
-    oracle = _run_scenario(scenario, "global", wan_flow_cap=wan_flow_cap)
+def _assert_equivalent(scenario):
+    oracle = _run_scenario(scenario, "global")
     assert oracle  # scenario must complete something
-    got = _run_scenario(scenario, "vector", wan_flow_cap=wan_flow_cap)
+    got = _run_scenario(scenario, "vector")
     assert got.keys() == oracle.keys()
     for label, expected in oracle.items():
         assert got[label] == pytest.approx(expected, rel=1e-9), (
@@ -144,26 +144,6 @@ def test_capacity_change_mid_plan():
         sim.spawn(squeeze(sim))
 
     _assert_equivalent(scenario)
-
-
-def test_wan_flow_cap_respected():
-    """Per-flow WAN caps become virtual ``cap:`` links; a lone flow on a
-    100 Mbps link capped at 30 Mbps takes size/cap seconds."""
-
-    def scenario(sim, topo, fabric, track):
-        track("capped", fabric.transfer("a1", "b1", 3e6))
-        for index in range(3):
-            track(index, fabric.transfer("a1", "c1", 2e6 * (index + 1)))
-
-    _assert_equivalent(scenario, wan_flow_cap=30 * MBPS)
-    solo = _run_scenario(
-        lambda sim, topo, fabric, track: track(
-            "capped", fabric.transfer("a1", "b1", 3e6)
-        ),
-        "vector",
-        wan_flow_cap=30 * MBPS,
-    )
-    assert solo["capped"] == pytest.approx(3e6 / (30 * MBPS), rel=1e-9)
 
 
 def test_replan_reaches_split_plan_members():

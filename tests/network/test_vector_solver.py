@@ -155,20 +155,20 @@ def test_component_index_handles_duplicate_links():
 
 
 def test_subproblem_is_the_solver_inputs_with_the_cap_as_a_value():
-    """The planner's slice names no virtual link: a capped flow's
-    private cap travels as a number beside its shared route."""
-    engine = IncrementalFairShare(wan_flow_cap=4.0)
+    """The planner's slice is the solver inputs, with each flow's private
+    cap as a number beside its route: ``inf``, since no flow has one."""
+    engine = IncrementalFairShare()
     wan = Link("wan", 10.0, is_wan=True)
     lan = Link("lan", 50.0)
     engine.add_flow(7, [lan, wan, lan])
     engine.add_flow(9, [lan])
     shared, caps, capacities = engine.subproblem([7, 9])
     assert shared == [("lan", "wan", "lan"), ("lan",)]
-    assert caps == [4.0, float("inf")]
+    assert caps == [float("inf")] * 2
     assert capacities == {"lan": 50.0, "wan": 10.0}
-    routes, with_caps = engine.solver_inputs([7, 9])
-    assert routes == {7: ("lan", "wan", "lan", "cap:7"), 9: ("lan",)}
-    assert with_caps == {**capacities, "cap:7": 4.0}
-    assert (routes, with_caps) == engine.solver_inputs()
+    routes, solver_capacities = engine.solver_inputs([7, 9])
+    assert routes == {7: ("lan", "wan", "lan"), 9: ("lan",)}
+    assert solver_capacities == capacities
+    assert (routes, capacities) == engine.solver_inputs()
     engine.remove_flow(7)
     assert engine.solver_inputs() == ({9: ("lan",)}, {"lan": 50.0})

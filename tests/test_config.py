@@ -2,7 +2,9 @@
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -116,8 +118,24 @@ def test_every_config_field_is_read():
     assert unread == []
 
 
-# Config fields that no code outside the tests sets yet, and why each
-# stays settable.
+# The classes the reach guard covers beyond the config dataclasses: the
+# plan and spec dataclasses (their fields) and the components a context
+# assembles (their ``__init__`` parameters).
+REACH_CLASSES = (
+    "repro.experiments.runner:ExperimentPlan",
+    "repro.cluster.builder:ClusterSpec",
+    "repro.failures.campaign:CampaignConfig",
+    "repro.failures.grammar:GrammarConfig",
+    "repro.cluster.context:ClusterContext",
+    "repro.network.fabric:NetworkFabric",
+    "repro.scheduler.task_scheduler:TaskScheduler",
+    "repro.failures.injector:FailureInjector",
+    "repro.network.jitter:BandwidthJitter",
+    "repro.simulation.kernel:Simulator",
+)
+
+# Settable values that no code outside the tests sets, and who needs
+# each to stay settable.
 UNSET_OUTSIDE_TESTS = {
     "JitterSpec.period": "part of the WAN fluctuation model, beside low/high",
     "JitterSpec.max_step_fraction":
@@ -127,48 +145,126 @@ UNSET_OUTSIDE_TESTS = {
     "FailureConfig.max_injected_failures_per_task":
         "reducer-failure injection waits for its experiment (ROADMAP 9)",
     "SimulationConfig.cores_per_host": "the cluster's shape, not a policy",
+    "ExperimentPlan.cluster":
+        "tests shrink the cluster under a figure's run matrix",
+    "ClusterContext.straggler_model":
+        "the speculation and campaign tests install a slow-attempt fake",
+    "Simulator.timer_granularity":
+        "the timer wheel's bucket-edge tests pick the bucket width",
 }
 
 
-def test_no_config_field_is_set_only_by_tests():
-    """A value only tests set is a constant in disguise: each scalar
-    field of the config dataclasses is passed as a keyword to its class,
-    to ``dataclasses.replace`` or to ``backend_config`` somewhere under
-    ``src/repro``, ``benchmarks`` or ``examples`` — or is pinned above
-    with its reason.  Fields holding a nested config object are checked
-    through that object's own fields."""
-    classes = _config_classes()
-    fields = {
-        cls.__name__: [
-            field.name for field in dataclasses.fields(cls)
-            if not dataclasses.is_dataclass(field.default_factory)
-        ]
-        for cls in classes
+def _settable(cls) -> List[str]:
+    """What a caller of ``cls`` may set, in positional order: a
+    dataclass's init fields, or any other class's ``__init__``
+    parameters."""
+    if dataclasses.is_dataclass(cls):
+        return [field.name for field in dataclasses.fields(cls) if field.init]
+    parameters = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return [
+        parameter.name for parameter in parameters
+        if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
+                              parameter.KEYWORD_ONLY)
+    ]
+
+
+def reach_findings(
+    classes: Sequence[type],
+    tops: Sequence[Path],
+    pinned: Dict[str, str],
+    wrappers: Optional[Dict[str, str]] = None,
+) -> Tuple[List[str], List[str]]:
+    """The settable values of ``classes`` (as ``Class.name``) that no
+    call under ``tops`` passes and no entry of ``pinned`` covers, and the
+    pins of values some call does pass.  A call passes a value
+    positionally or as a keyword to the class itself, or as a keyword to
+    ``dataclasses.replace`` or to a ``wrappers`` function (function name
+    -> the class it forwards its keywords to).  A field holding a nested
+    config object is checked through that object's own fields."""
+    values = {cls.__name__: _settable(cls) for cls in classes}
+    callees = {name: [name] for name in values}
+    callees["replace"] = [
+        cls.__name__ for cls in classes if dataclasses.is_dataclass(cls)
+    ]
+    for function, owner in (wrappers or {}).items():
+        callees[function] = [owner]
+    nested = {
+        f"{cls.__name__}.{field.name}"
+        for cls in classes if dataclasses.is_dataclass(cls)
+        for field in dataclasses.fields(cls)
+        if dataclasses.is_dataclass(field.default_factory)
     }
-    # Which callee may set which class's fields.
-    callees = {name: [name] for name in fields}
-    callees["replace"] = list(fields)
-    callees["backend_config"] = ["SimulationConfig"]
-    set_fields = set()
-    for top in ("src/repro", "benchmarks", "examples"):
-        for path in (ROOT / top).rglob("*.py"):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
+    found = set()
+    for top in tops:
+        for path in top.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 for owner in callees.get(name, ()):
-                    set_fields.update(
-                        f"{owner}.{keyword.arg}"
-                        for keyword in node.keywords
-                        if keyword.arg in fields[owner]
+                    names = values[owner]
+                    passed = {keyword.arg for keyword in node.keywords}
+                    if owner == name:
+                        passed.update(names[:len(node.args)])
+                    found.update(
+                        f"{owner}.{value}" for value in names if value in passed
                     )
     unset = {
-        f"{owner}.{name}"
-        for owner, names in fields.items()
-        for name in names
-    } - set_fields
-    pinned = set(UNSET_OUTSIDE_TESTS)
-    assert sorted(unset - pinned) == [], "set only by tests: make constants"
-    assert sorted(pinned - unset) == [], "set outside tests now: unpin"
+        f"{owner}.{name}" for owner, names in values.items() for name in names
+    } - nested - found
+    return sorted(unset - set(pinned)), sorted(set(pinned) - unset)
+
+
+def _reach_classes() -> List[type]:
+    import importlib
+
+    resolved = []
+    for target in REACH_CLASSES:
+        module, name = target.split(":")
+        resolved.append(getattr(importlib.import_module(module), name))
+    return _config_classes() + resolved
+
+
+def test_no_config_field_is_set_only_by_tests():
+    """A value only tests set is a constant in disguise: each field of
+    the config, plan and spec dataclasses and each ``__init__`` parameter
+    of the components in ``REACH_CLASSES`` is passed somewhere under
+    ``src/repro``, ``benchmarks`` or ``examples`` — or is pinned above
+    with who needs it."""
+    unpinned, stale = reach_findings(
+        _reach_classes(),
+        [ROOT / top for top in ("src/repro", "benchmarks", "examples")],
+        UNSET_OUTSIDE_TESTS,
+        wrappers={"backend_config": "SimulationConfig"},
+    )
+    assert all(UNSET_OUTSIDE_TESTS.values())
+    assert unpinned == [], "set only by tests: make constants"
+    assert stale == [], "set outside tests now: unpin"
+
+
+def test_the_reach_guard_sees_values_only_tests_set(tmp_path, monkeypatch):
+    """A parameter only a test passes is reported, one passed outside the
+    tests (positionally or by keyword) is not, a pin covers the reported
+    one, and a pin of a value passed outside the tests is stale."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "knobs.py").write_text(
+        "class Knob:\n"
+        "    def __init__(self, size, speed=1, color='red', mode='a'):\n"
+        "        pass\n\n\n"
+        "def build():\n"
+        "    return Knob(4, 2, color='blue'), Knob(2, speed=3)\n"
+    )
+    (tmp_path / "tests" / "test_knobs.py").write_text(
+        "from knobs import Knob\n\nKnob(1, mode='b')\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    from knobs import Knob
+
+    tops = [tmp_path / "src"]
+    assert reach_findings([Knob], tops, {}) == (["Knob.mode"], [])
+    pinned = {"Knob.mode": "a test picks the mode"}
+    assert reach_findings([Knob], tops, pinned) == ([], [])
+    pinned["Knob.speed"] = "stale"
+    assert reach_findings([Knob], tops, pinned) == ([], ["Knob.speed"])

@@ -16,6 +16,7 @@ command line is *meant* to change::
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -282,6 +283,143 @@ def test_a_lazily_exported_module_does_not_dodge_the_linter(tmp_path):
     assert [(f.rule, Path(f.path).name) for f in findings] == [
         ("DET002", "clock.py")
     ]
+
+
+# ----------------------------------------------------------------------
+# Reach: every module under src/repro is one a command or example runs
+# ----------------------------------------------------------------------
+# Modules outside the static import closure of the commands and the
+# examples, and why each stays in src/repro.
+UNREACHED_MODULES = {
+    "repro.core.analysis": "gains a reader in ROADMAP item 10",
+}
+
+
+def _module_files(src: Path) -> dict:
+    """Dotted module name -> file, for every module of ``src/repro``."""
+    files = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def _runtime_nodes(tree: ast.AST):
+    """Every node of ``tree`` except the bodies of ``if TYPE_CHECKING:``
+    blocks, which import nothing at run time."""
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            pending.extend(node.orelse)
+            continue
+        yield node
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def _lazy_table(tree: ast.AST) -> dict:
+    """Exported name -> defining module, from a package ``__init__``'s
+    ``lazy_exports(__name__, {...})`` call (empty if it has none)."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lazy_exports"
+            and len(node.args) == 2
+        ):
+            table = ast.literal_eval(node.args[1])
+            return {name: module for module, names in table.items() for name in names}
+    return {}
+
+
+def unreached_modules(src: Path, scripts) -> set:
+    """The modules of ``src/repro`` outside the static import closure of
+    ``repro.cli``, ``repro.__main__``, every ``repro.experiments.commands``
+    module and the ``scripts``.  Imports inside functions count (commands
+    import the simulator at dispatch); ``from <lazy package> import Name``
+    reaches the one module the package's export table maps ``Name`` to."""
+    files = _module_files(src)
+    trees = {
+        name: ast.parse(path.read_text(encoding="utf-8"))
+        for name, path in files.items()
+    }
+    lazy = {name: _lazy_table(tree) for name, tree in trees.items()}
+    reached = set()
+    pending = [
+        (None, ast.parse(Path(script).read_text(encoding="utf-8")))
+        for script in scripts
+    ]
+
+    def reach(name):
+        # Importing a module runs every package __init__ above it.
+        while name in files and name not in reached:
+            reached.add(name)
+            pending.append((name, trees[name]))
+            name = name.rpartition(".")[0]
+
+    for name in files:
+        if name in ("repro.cli", "repro.__main__") or name.startswith(
+            "repro.experiments.commands"
+        ):
+            reach(name)
+    while pending:
+        importer, tree = pending.pop()
+        for node in _runtime_nodes(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    reach(alias.name)
+            elif isinstance(node, ast.ImportFrom):
+                assert not node.level, f"{importer}: relative import"
+                base = node.module
+                reach(base)
+                for alias in node.names:
+                    if f"{base}.{alias.name}" in files:
+                        reach(f"{base}.{alias.name}")
+                    elif alias.name in lazy.get(base, {}):
+                        reach(lazy[base][alias.name])
+    return set(files) - reached
+
+
+def test_every_module_is_reached_by_a_command_or_an_example():
+    """``src/repro`` holds what a command or an example runs: a module
+    outside their import closure is deleted, moved to the code that uses
+    it, or pinned above with a reason."""
+    unreached = unreached_modules(
+        ROOT / "src", sorted((ROOT / "examples").glob("*.py"))
+    )
+    pinned = set(UNREACHED_MODULES)
+    assert all(UNREACHED_MODULES.values())
+    assert sorted(unreached - pinned) == [], "reached by no command or example"
+    assert sorted(pinned - unreached) == [], "reached now: unpin"
+
+
+def test_the_reach_gate_sees_orphans_and_unread_lazy_entries(tmp_path):
+    """A module nothing imports, and one only a lazy-export entry names
+    that nobody reads, are both outside the closure; the entry that is
+    read, the package above it and the command are inside."""
+    package = tmp_path / "repro" / "lazypkg"
+    package.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (tmp_path / "repro" / "cli.py").write_text(
+        "def main():\n    from repro.lazypkg import used\n    return used\n"
+    )
+    (tmp_path / "repro" / "orphan.py").write_text("ORPHAN = 1\n")
+    (package / "__init__.py").write_text(
+        "from repro import lazy_exports\n"
+        "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+        "    'repro.lazypkg.used': ('used',),\n"
+        "    'repro.lazypkg.unread': ('unread',),\n"
+        "})\n"
+    )
+    (package / "used.py").write_text("used = 1\n")
+    (package / "unread.py").write_text("unread = 2\n")
+    assert unreached_modules(tmp_path, []) == {
+        "repro.orphan", "repro.lazypkg.unread"
+    }
+    script = tmp_path / "example.py"
+    script.write_text("import repro.orphan\n")
+    assert unreached_modules(tmp_path, [script]) == {"repro.lazypkg.unread"}
 
 
 if __name__ == "__main__":  # regenerate the parser dump
