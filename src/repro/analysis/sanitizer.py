@@ -197,10 +197,6 @@ class Sanitizer:
         """Check counters (for the CLI's sanitize report)."""
         return {name: float(count) for name, count in self.checks.items()}
 
-    @property
-    def total_checks(self) -> int:
-        return sum(self.checks.values())
-
 
 # ---------------------------------------------------------------------------
 # Post-run reconciliation oracle (chaos campaign adapter)

@@ -207,9 +207,6 @@ class ClusterContext:
     def run_collect(self, rdd: RDD) -> List[Any]:
         return self._run(rdd, "collect")
 
-    def run_count(self, rdd: RDD) -> int:
-        return self._run(rdd, "count")
-
     def run_save(self, rdd: RDD, path: str) -> None:
         if not path:
             raise ConfigurationError("save path must be non-empty")
@@ -246,15 +243,11 @@ class ClusterContext:
         )
         job = scheduler.run_job(rdd, action, save_path=save_path)
         process = self.sim.spawn(job, name=f"job:{action}:{rdd.name}")
-        return JobHandle(self, process, metrics)
+        return JobHandle(process, metrics)
 
     def set_tenant_weight(self, tenant: str, weight: float) -> None:
         """Give ``tenant``'s flows a weighted max-min fair share."""
         self.fabric.set_tenant_weight(tenant, weight)
-
-    def wait_all(self, handles: Sequence[JobHandle]) -> List[Any]:
-        """Run the simulation until every handle's job completes."""
-        return [handle.result() for handle in handles]
 
     # ------------------------------------------------------------------
     # Fault injection (chaos events and manual failures)
@@ -319,10 +312,6 @@ class ClusterContext:
             "blocks_without_replicas": len(lost_blocks),
         }
 
-    @property
-    def live_workers(self) -> List[str]:
-        return list(self.executors)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -335,23 +324,9 @@ class ClusterContext:
 
 
 class JobHandle:
-    """A concurrently running job: await its result, inspect its metrics."""
+    """A concurrently running job: its process (an event that fires with
+    the job's result) and its own metrics."""
 
-    def __init__(self, context: ClusterContext, process, metrics) -> None:
-        self.context = context
+    def __init__(self, process, metrics) -> None:
         self.process = process
         self.metrics = metrics
-
-    @property
-    def done(self) -> bool:
-        return self.process.triggered
-
-    def result(self) -> Any:
-        """Run the simulation until this job finishes; return its value."""
-        if not self.process.triggered:
-            self.context.sim.run_until_event(self.process)
-        return self.process.value
-
-    @property
-    def duration(self) -> float:
-        return self.metrics.job.duration

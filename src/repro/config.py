@@ -227,14 +227,8 @@ class SimulationConfig:
         if self.chaos is not None:
             self.chaos.validate()
 
-    def with_shuffle(self, shuffle: ShuffleConfig) -> SimulationConfig:
-        return replace(self, shuffle=shuffle)
-
     def with_chaos(self, chaos: Optional[ChaosSchedule]) -> SimulationConfig:
         return replace(self, chaos=chaos)
-
-    def with_seed(self, seed: int) -> SimulationConfig:
-        return replace(self, seed=seed)
 
     def with_health(self, health: HealthConfig) -> SimulationConfig:
         return replace(self, health=health)

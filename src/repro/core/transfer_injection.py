@@ -56,14 +56,3 @@ def insert_transfers(final_rdd: RDD) -> RDD:
             stack.extend(reversed(parent.dependencies))
     return final_rdd
 
-
-def count_inserted_transfers(final_rdd: RDD) -> int:
-    """How many shuffle parents are TransferredRDDs (for diagnostics)."""
-    count = 0
-    for rdd in final_rdd.lineage():
-        for dep in rdd.dependencies:
-            if isinstance(dep, ShuffleDependency) and isinstance(
-                dep.parent, TransferredRDD
-            ):
-                count += 1
-    return count

@@ -53,18 +53,3 @@ def skewed_block_placement(
         hosts.append(f"{chosen}-w{index}")
     return hosts
 
-
-def uniform_block_placement(spec: ClusterSpec, num_blocks: int) -> List[str]:
-    """Strict round-robin over every worker of every datacenter."""
-    workers = spec.worker_names()
-    return [workers[index % len(workers)] for index in range(num_blocks)]
-
-
-def single_datacenter_placement(
-    spec: ClusterSpec, num_blocks: int, datacenter: str
-) -> List[str]:
-    """All blocks inside one datacenter (round-robin over its workers)."""
-    return [
-        f"{datacenter}-w{index % spec.workers_per_datacenter}"
-        for index in range(num_blocks)
-    ]

@@ -32,6 +32,7 @@ from repro.experiments.placement import skewed_block_placement
 from repro.experiments.schemes import Scheme, config_for_scheme, scheme_spec
 from repro.simulation.random_source import RandomSource
 from repro.workloads.base import Workload
+from repro.workloads.specs import WorkloadSpec
 
 
 @dataclass
@@ -109,16 +110,17 @@ class ExperimentPlan:
 # Each entry roots its dataset's partitions and owns the memo of every
 # pure data-plane step taken over them (repro.rdd.memo), so the cells of
 # a matrix row compute and size each partition once between them.
-_DATA_CACHE: Dict[Tuple[str, int], DataMemo] = {}
+_DATA_CACHE: Dict[Tuple[type, WorkloadSpec, int], DataMemo] = {}
 
 
 def generated_input(workload: Workload, seed: int) -> List[Partition]:
-    """Seed-deterministic input partitions, cached per (workload, seed).
+    """Seed-deterministic input partitions, cached per what generation
+    reads: the workload's class, its spec and the seed.
 
     The partitions are shared by every cell that runs over them and are
     read-only: no RDD function may change a record it is handed.
     """
-    key = (workload.name, seed)
+    key = (type(workload), workload.spec, seed)
     if key not in _DATA_CACHE:
         _DATA_CACHE[key] = DataMemo(
             workload.generate(RandomSource(seed).child(f"data:{workload.name}"))
@@ -129,16 +131,6 @@ def generated_input(workload: Workload, seed: int) -> List[Partition]:
 def clear_data_cache() -> None:
     """Drop every dataset and, with it, everything memoised over it."""
     _DATA_CACHE.clear()
-
-
-def data_memo_counts() -> Dict[str, int]:
-    """Hits, misses and stored entries summed over the cached datasets."""
-    memos = list(_DATA_CACHE.values())
-    return {
-        "hits": sum(memo.hits for memo in memos),
-        "misses": sum(memo.misses for memo in memos),
-        "entries": sum(len(memo.table) for memo in memos),
-    }
 
 
 def run_workload_once(

@@ -165,10 +165,6 @@ class CellOutcome:
     recovery: Tuple[Tuple[str, float], ...]
     observed_hash: Optional[str]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def run_cell(
     cell: CampaignCell, schedule: Optional[ChaosSchedule] = None
@@ -358,10 +354,6 @@ class CampaignReport:
     recovery_totals: Dict[str, float] = field(default_factory=dict)
     wall_seconds: float = 0.0
     stopped_early: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
 
     def format_summary(self) -> str:
         lines = [

@@ -2,7 +2,7 @@
 
 * :mod:`repro.metrics.collectors` — listener collecting job/stage/task
   spans and byte counters during a run.
-* :mod:`repro.metrics.stats` — the 10 %-trimmed mean, median, and
+* :mod:`repro.metrics.stats` — the 10 %-trimmed mean, percentiles and
   interquartile range used in Fig. 7 / Fig. 9.
 * :mod:`repro.metrics.reporting` — plain-text tables for benchmark
   output.
@@ -18,6 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "repro.metrics.perf": ("FabricPerfCounters",),
     "repro.metrics.stats": (
-        "interquartile_range", "median", "summarize", "trimmed_mean", "SummaryStats",
+        "interquartile_range", "summarize", "trimmed_mean", "SummaryStats",
     ),
 })

@@ -52,11 +52,6 @@ class BillingReport:
     by_source: Dict[str, float]
     by_pair: Dict[Tuple[str, str], float]
 
-    def dominant_source(self) -> str:
-        if not self.by_source:
-            return ""
-        return max(self.by_source, key=self.by_source.get)
-
 
 def bill_traffic(
     monitor: TrafficMonitor, policy: PricingPolicy | None = None
@@ -114,14 +109,3 @@ def blob_request_dollars(
         int(shuffle_perf.get("blob_puts", 0)),
         int(shuffle_perf.get("blob_gets", 0)),
     )
-
-
-def cost_comparison(
-    monitors: Mapping[str, TrafficMonitor],
-    policy: PricingPolicy | None = None,
-) -> Dict[str, float]:
-    """Scheme name -> run cost in dollars, for side-by-side reporting."""
-    return {
-        name: bill_traffic(monitor, policy).total_dollars
-        for name, monitor in monitors.items()
-    }

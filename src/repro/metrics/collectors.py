@@ -24,10 +24,6 @@ class TaskSpan:
     shuffle_bytes_fetched: float
     output_bytes: float
 
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
 
 @dataclass
 class StageSpan:
@@ -64,9 +60,6 @@ class JobMetrics:
         if self.finished_at is None:
             return 0.0
         return self.finished_at - self.started_at
-
-    def stage_durations(self) -> List[float]:
-        return [stage.duration for stage in self.stages]
 
 
 class MetricsCollector:

@@ -1,18 +1,14 @@
-"""Plain-text reporting: tables, stage timelines, and traffic matrices.
+"""Plain-text reporting: fixed-width tables and lineage dumps.
 
 §IV-E of the paper notes that expressing transfers as computation lets
-"inter-datacenter data transfers ... be shown from the Spark WebUI ...
-visualizing the critical inter-datacenter traffic".  This module is that
-idea for a terminal: render a job's stage Gantt chart (transfers appear
-as first-class stages) and the cross-datacenter traffic matrix.
+"inter-datacenter data transfers ... be shown from the Spark WebUI".
+This module is that idea for a terminal: a lineage dump shows transfers
+as first-class stage boundaries beside the shuffles.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-from repro.metrics.collectors import JobMetrics
-from repro.network.traffic_monitor import TrafficMonitor
+from typing import List, Sequence
 
 
 def format_table(
@@ -41,84 +37,6 @@ def format_table(
     lines.append("  ".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in cells)
     return "\n".join(lines)
-
-
-def stage_timeline(job: JobMetrics, width: int = 60) -> str:
-    """An ASCII Gantt chart of a job's stages.
-
-    Transfer-producer and receiver stages appear alongside computation,
-    making the WAN pushes visible exactly as §IV-E envisions.
-    """
-    if not job.stages:
-        return "(no stages recorded)"
-    start = min(span.submitted_at for span in job.stages)
-    end = max(
-        span.finished_at
-        for span in job.stages
-        if span.finished_at is not None
-    )
-    horizon = max(end - start, 1e-9)
-    lines = [
-        f"job: {job.duration:.1f}s over {len(job.stages)} stages "
-        f"(1 col = {horizon / width:.2f}s)"
-    ]
-    for span in job.stages:
-        if span.finished_at is None:
-            continue
-        lead = int((span.submitted_at - start) / horizon * width)
-        body = max(1, int(span.duration / horizon * width))
-        bar = " " * lead + "#" * body
-        label = span.kind[:17]
-        lines.append(
-            f"  {label:<18}|{bar:<{width}}| {span.duration:7.1f}s"
-        )
-    return "\n".join(lines)
-
-
-def traffic_matrix(
-    monitor: TrafficMonitor, datacenters: Sequence[str]
-) -> str:
-    """Source x destination cross-datacenter megabytes."""
-    headers = ["src \\ dst"] + list(datacenters)
-    rows: List[List[str]] = []
-    for src in datacenters:
-        row: List[str] = [src]
-        for dst in datacenters:
-            megabytes = monitor.by_pair.get((src, dst), 0.0) / 1e6
-            row.append(f"{megabytes:.1f}" if megabytes else ".")
-        rows.append(row)
-    table = format_table(headers, rows)
-    total = monitor.cross_dc_megabytes
-    return f"{table}\ncross-DC total: {total:.1f} MB"
-
-
-def traffic_by_cause(monitor: TrafficMonitor) -> str:
-    """Cross-datacenter megabytes per flow tag (shuffle, transfer, ...)."""
-    rows: List[Tuple[str, str]] = [
-        (tag, f"{size / 1e6:.1f}")
-        for tag, size in sorted(
-            monitor.cross_dc_by_tag.items(), key=lambda item: -item[1]
-        )
-    ]
-    if not rows:
-        return "(no cross-datacenter traffic)"
-    return format_table(["cause", "cross-DC MB"], rows)
-
-
-def job_report(
-    job: JobMetrics,
-    monitor: TrafficMonitor,
-    datacenters: Sequence[str],
-) -> str:
-    """The full after-job report: timeline + traffic views."""
-    sections = [
-        stage_timeline(job),
-        "",
-        traffic_by_cause(monitor),
-        "",
-        traffic_matrix(monitor, datacenters),
-    ]
-    return "\n".join(sections)
 
 
 def lineage_dump(rdd) -> str:

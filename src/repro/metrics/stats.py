@@ -49,25 +49,11 @@ def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (``0 <= q <= 100``) of ``values``.
 
     Linear interpolation between closest ranks — ``percentile(v, 50)``
-    equals :func:`median`, matching numpy's default method.
+    is the median, matching numpy's default method.
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile q must be in [0, 100], got {q}")
     return _quantile(sorted(values), q / 100.0)
-
-
-def p95(values: Sequence[float]) -> float:
-    """95th percentile (tail-latency convention for JCT reports)."""
-    return percentile(values, 95)
-
-
-def p99(values: Sequence[float]) -> float:
-    """99th percentile (tail-latency convention for JCT reports)."""
-    return percentile(values, 99)
-
-
-def median(values: Sequence[float]) -> float:
-    return _quantile(sorted(values), 0.5)
 
 
 def interquartile_range(values: Sequence[float]) -> Tuple[float, float]:

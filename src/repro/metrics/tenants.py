@@ -95,10 +95,6 @@ class TenantLedger:
             grouped[tenant].append(charged)
         return {tenant: fsum(values) for tenant, values in grouped.items()}
 
-    @property
-    def total_bytes(self) -> float:
-        return fsum(self.bytes_by_tenant.values())
-
 
 class TenantCounters:
     """Per-tenant job-stream outcomes (JCT distribution, makespan)."""

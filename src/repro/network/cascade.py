@@ -19,7 +19,7 @@ Three shapes, chosen by :func:`build_plan` and by nothing else:
   route signature (the dominant shuffle pattern: a burst of fetches
   between one host pair), the whole cascade collapses to a running sum
   over the size-sorted remaining bytes: with ``k`` flows left the
-  shared rate is ``min(C*/k, cap)`` where ``C* = min_j capacity_j /
+  shared rate is ``C*/k`` where ``C* = min_j capacity_j /
   multiplicity_j`` over the shared route, so each departure gap costs
   ``(e_i - e_{i-1}) / rate(k)`` seconds.  Because every alive flow
   always runs at the same rate, the plan stores only per-segment lists
@@ -62,7 +62,6 @@ from repro.network.fair_share import _EPSILON
 # Departures within this relative window collapse into one segment (and
 # one timer); keeps float noise from splitting simultaneous drains.
 _TIE = 1e-12
-_INF = float("inf")
 
 # The largest non-uniform component planned in scalar Python (a uniform
 # one always is: its closed form has no fill levels).  Both shapes cost one
@@ -175,20 +174,17 @@ class UniformPlan(CascadePlan):
         base: float,
         remaining: List[float],
         c_star: float,
-        cap: float,
     ) -> None:
         count = len(flow_ids)
         order = sorted(range(count), key=remaining.__getitem__)
         sizes = [remaining[index] for index in order]
-        # With k flows left the shared rate is min(C*/k, cap); stage i
-        # ends once its size gap has drained at that rate.
+        # With k flows left the shared rate is C*/k; stage i ends once
+        # its size gap has drained at that rate.
         stage_rates = []
         ends = []
         end = previous = 0.0
         for index, size in enumerate(sizes):
             rate = c_star / (count - index)
-            if cap < rate:
-                rate = cap
             end += (size - previous) / rate
             previous = size
             stage_rates.append(rate)
@@ -484,7 +480,6 @@ def build_plan(
     flow_ids: Sequence[int],
     remaining: List[float],
     shared: List[Tuple[str, ...]],
-    caps: List[float],
     capacities: Mapping[str, float],
     base: float,
     weights: Optional[Mapping[int, float]] = None,
@@ -492,11 +487,11 @@ def build_plan(
     """Plan one component's departure schedule — the only place that
     chooses a plan shape.
 
-    ``flow_ids`` must be sorted (determinism); ``shared`` / ``caps`` /
+    ``flow_ids`` must be sorted (determinism); ``shared`` /
     ``capacities`` are the component index's
     :meth:`~repro.network.incremental.IncrementalFairShare.subproblem`
-    for exactly these flows — per flow its shared link names and its
-    private WAN cap (``inf``: none), and the shared links' capacities.
+    for exactly these flows — per flow its link names, and those links'
+    capacities.
     The returned plan's ``flow_ids`` may be a reordering of the input.
     ``weights`` (flow id -> weighted-fair-share weight, absent flows
     weigh 1.0) selects the weighted fill; ``None`` keeps the exact
@@ -504,12 +499,7 @@ def build_plan(
     """
     count = len(flow_ids)
     shared0 = shared[0]
-    cap0 = caps[0]
-    uniform = (
-        bool(shared0)
-        and shared.count(shared0) == count
-        and caps.count(cap0) == count
-    )
+    uniform = bool(shared0) and shared.count(shared0) == count
     weight_list: Optional[List[float]] = None
     if weights:
         weight_list = [float(weights.get(fid, 1.0)) for fid in flow_ids]
@@ -527,13 +517,12 @@ def build_plan(
         c_star = min(
             capacities[name] / times for name, times in multiplicity.items()
         )
-        return UniformPlan(flow_ids, base, remaining, c_star, cap0)
-    # Links become dense indices in first-appearance order; a private
-    # cap is one more link that only its own flow crosses.
+        return UniformPlan(flow_ids, base, remaining, c_star)
+    # Links become dense indices in first-appearance order.
     interned: Dict[str, int] = {}
     link_caps: List[float] = []
     routes: List[List[int]] = []
-    for names, cap in zip(shared, caps):
+    for names in shared:
         row = []
         for name in names:
             index = interned.get(name)
@@ -541,9 +530,6 @@ def build_plan(
                 index = interned[name] = len(link_caps)
                 link_caps.append(capacities[name])
             row.append(index)
-        if cap != _INF:
-            row.append(len(link_caps))
-            link_caps.append(cap)
         routes.append(row)
     if count <= SCALAR_MAX_FLOWS:
         return ScalarPlan(

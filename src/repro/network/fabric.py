@@ -38,7 +38,6 @@ global drive detects stale wake-ups with a version counter.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -777,16 +776,3 @@ class NetworkFabric:
         self._advance_progress()
         self._reschedule_global()
 
-
-def ideal_transfer_time(
-    topology: Topology, src_host: str, dst_host: str, size_bytes: float
-) -> float:
-    """Lower-bound transfer time assuming the flow is alone on its route."""
-    route = topology.route(src_host, dst_host)
-    latency = sum(link.latency for link in route)
-    if not route or size_bytes <= 0:
-        return latency
-    bottleneck = min(link.capacity for link in route)
-    if bottleneck <= 0 or math.isinf(bottleneck):  # pragma: no cover
-        return latency
-    return latency + size_bytes / bottleneck

@@ -32,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.network.topology import Link
 
 FlowId = int
-_UNCAPPED = float("inf")
 
 
 class IncrementalFairShare:
@@ -144,18 +143,13 @@ class IncrementalFairShare:
 
     def subproblem(
         self, flow_ids: Iterable[FlowId]
-    ) -> Tuple[List[Tuple[str, ...]], List[float], Dict[str, float]]:
+    ) -> Tuple[List[Tuple[str, ...]], Dict[str, float]]:
         """The constraint system restricted to ``flow_ids``, as the
         cascade planner consumes it: per flow (in the order given) its
-        link names and its private rate cap (``inf``: no flow has one),
-        and the capacity of every link named."""
+        link names, and the capacity of every link named."""
         capacities = self._capacities
         routes = [self._routes[flow_id] for flow_id in flow_ids]
-        return (
-            routes,
-            [_UNCAPPED] * len(routes),
-            {name: capacities[name] for names in routes for name in names},
-        )
+        return routes, {name: capacities[name] for names in routes for name in names}
 
     def flows_on(self, name: str) -> Iterable[FlowId]:
         """The flows currently crossing link ``name`` (possibly none)."""
@@ -202,7 +196,3 @@ class IncrementalFairShare:
             for flow_id, weight in self._weights.items()
             if weight != 1.0
         }
-
-    @property
-    def flow_count(self) -> int:
-        return len(self._routes)

@@ -307,9 +307,6 @@ class Topology:
             self._latency_cache[key] = latency
         return latency
 
-    def is_cross_datacenter(self, src_host: str, dst_host: str) -> bool:
-        return self.datacenter_of(src_host) != self.datacenter_of(dst_host)
-
     def all_host_names(self) -> List[str]:
         return list(self.hosts)
 

@@ -78,29 +78,3 @@ class TrafficMonitor:
     @property
     def cross_dc_megabytes(self) -> float:
         return self.cross_dc_bytes / MB
-
-    def cross_dc_bytes_from(self, datacenter: str) -> float:
-        return sum(
-            size
-            for (src, dst), size in self.by_pair.items()
-            if src == datacenter and dst != datacenter
-        )
-
-    def cross_dc_bytes_into(self, datacenter: str) -> float:
-        return sum(
-            size
-            for (src, dst), size in self.by_pair.items()
-            if dst == datacenter and src != datacenter
-        )
-
-    def snapshot(self) -> Dict[str, float]:
-        """A flat summary used by the experiment harness."""
-        return {
-            "total_bytes": self.total_bytes,
-            "cross_dc_bytes": self.cross_dc_bytes,
-            "cross_dc_megabytes": self.cross_dc_megabytes,
-            "flow_count": float(self.flow_count),
-        }
-
-    def reset(self) -> None:
-        self.__init__()

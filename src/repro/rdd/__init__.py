@@ -23,14 +23,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.rdd.partitioner": ("Partitioner", "HashPartitioner", "RangePartitioner"),
     "repro.rdd.size_estimator": ("SizeEstimator",),
     "repro.rdd.dependencies": (
-        "Dependency", "NarrowDependency", "RangeDependency", "ShuffleDependency",
-        "TransferDependency",
+        "Dependency", "NarrowDependency", "ShuffleDependency", "TransferDependency",
     ),
     "repro.rdd.aggregator": ("Aggregator",),
-    "repro.rdd.rdd": (
-        "RDD", "HadoopRDD", "MappedRDD", "FlatMappedRDD", "FilteredRDD",
-        "MapPartitionsRDD", "UnionRDD",
-    ),
+    "repro.rdd.rdd": ("RDD", "HadoopRDD", "MappedRDD", "FlatMappedRDD"),
     "repro.rdd.shuffled": ("ShuffledRDD", "CoGroupedRDD"),
     "repro.rdd.transferred": ("TransferredRDD",),
 })

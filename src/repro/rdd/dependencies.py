@@ -2,9 +2,9 @@
 
 Three families matter here:
 
-* :class:`NarrowDependency` / :class:`RangeDependency` — one-to-one
-  partition relationships; parent and child live in the same stage and
-  are pipelined inside one task (exactly Spark's behaviour).
+* :class:`NarrowDependency` — partition *i* of the child reads partition
+  *i* of the parent; parent and child live in the same stage and are
+  pipelined inside one task (exactly Spark's behaviour).
 * :class:`ShuffleDependency` — an all-to-all boundary.  The parent stage
   writes sharded map output; the child stage reads it through the shuffle
   machinery (fetch- or push-based depending on configuration).
@@ -41,30 +41,6 @@ class Dependency:
 
 class NarrowDependency(Dependency):
     """Partition i of the child depends on partition i of the parent."""
-
-    def parent_partition(self, child_partition: int) -> int:
-        return child_partition
-
-
-class RangeDependency(NarrowDependency):
-    """Used by union: a contiguous slice of child partitions maps onto
-    the parent's partitions with an offset."""
-
-    def __init__(self, parent: RDD, child_start: int, length: int) -> None:
-        super().__init__(parent)
-        self.child_start = child_start
-        self.length = length
-
-    def covers(self, child_partition: int) -> bool:
-        return self.child_start <= child_partition < self.child_start + self.length
-
-    def parent_partition(self, child_partition: int) -> int:
-        if not self.covers(child_partition):
-            raise ValueError(
-                f"partition {child_partition} outside range "
-                f"[{self.child_start}, {self.child_start + self.length})"
-            )
-        return child_partition - self.child_start
 
 
 class ShuffleDependency(Dependency):

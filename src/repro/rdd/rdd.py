@@ -1,7 +1,7 @@
 """The RDD base class, input RDDs, and narrow transformations.
 
 An RDD here is a lazy *description*; nothing computes until an action
-(:meth:`RDD.collect`, :meth:`RDD.count`, :meth:`RDD.save_as_file`) hands
+(:meth:`RDD.collect`, :meth:`RDD.save_as_file`) hands
 the lineage to the DAG scheduler.  Each RDD implements
 
 * ``num_partitions`` — how many partitions it has,
@@ -13,7 +13,7 @@ the lineage to the DAG scheduler.  Each RDD implements
 * ``preferred_locations(index)`` — host-level locality hints used by the
   task scheduler (non-empty only for data sources).
 
-User functions passed to ``map``/``filter``/... are ordinary Python
+User functions passed to ``map``/``flat_map``/... are ordinary Python
 callables over records; simulated time is charged per operator from the
 logical byte volume, so the real Python cost of tiny scaled-down datasets
 is irrelevant to the measured results.
@@ -22,7 +22,6 @@ is irrelevant to the measured results.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -35,11 +34,7 @@ from typing import (
 
 from repro.errors import PartitionError
 from repro.rdd.aggregator import Aggregator
-from repro.rdd.dependencies import (
-    Dependency,
-    NarrowDependency,
-    RangeDependency,
-)
+from repro.rdd.dependencies import Dependency, NarrowDependency
 from repro.rdd.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.rdd.size_estimator import Partition
 
@@ -64,27 +59,6 @@ def flat_map_records(
     records: List[Any], func: Callable[[Any], Iterable[Any]]
 ) -> List[Any]:
     return list(itertools.chain.from_iterable(map(func, records)))
-
-
-def filter_records(records: List[Any], predicate: Callable[[Any], bool]) -> List[Any]:
-    return list(filter(predicate, records))
-
-
-def map_partition_records(
-    records: List[Any], func: Callable[[List[Any]], Iterable[Any]]
-) -> List[Any]:
-    return list(func(records))
-
-
-_key_of = itemgetter(0)
-_value_of = itemgetter(1)
-
-
-def _emit_joined_pairs(record):
-    key, (left_values, right_values) = record
-    for left in left_values:
-        for right in right_values:
-            yield (key, (left, right))
 
 
 class RDD:
@@ -134,31 +108,6 @@ class RDD:
     ) -> FlatMappedRDD:
         """Apply ``func`` and flatten the resulting iterables."""
         return FlatMappedRDD(self, func, name=name)
-
-    def filter(self, predicate: Callable[[Any], bool]) -> FilteredRDD:
-        """Keep only records satisfying ``predicate``."""
-        return FilteredRDD(self, predicate)
-
-    def map_partitions(
-        self,
-        func: Callable[[List[Any]], Iterable[Any]],
-        name: str = "mapPartitions",
-        preserves_partitioning: bool = False,
-    ) -> MapPartitionsRDD:
-        """Apply ``func`` to each whole partition."""
-        return MapPartitionsRDD(
-            self, func, name=name, preserves_partitioning=preserves_partitioning
-        )
-
-    def keys(self) -> MappedRDD:
-        return MappedRDD(self, _key_of, name="keys")
-
-    def values(self) -> MappedRDD:
-        return MappedRDD(self, _value_of, name="values")
-
-    def union(self, other: RDD) -> UnionRDD:
-        """Concatenate two RDDs partition-wise (no data movement)."""
-        return UnionRDD(self.context, [self, other])
 
     # ------------------------------------------------------------------
     # Shuffle transformations (defined in shuffled.py, bound here)
@@ -224,15 +173,6 @@ class RDD:
             name="sortByKey",
         )
 
-    def partition_by(self, partitioner: Partitioner) -> RDD:
-        """Repartition (k, v) records by ``partitioner`` via a shuffle."""
-        from repro.rdd.shuffled import ShuffledRDD
-
-        return ShuffledRDD(
-            self, partitioner, aggregator=None, map_side_combine=False,
-            name="partitionBy",
-        )
-
     def cogroup(
         self, other: RDD, num_partitions: Optional[int] = None
     ) -> RDD:
@@ -243,17 +183,6 @@ class RDD:
             num_partitions or self.context.default_parallelism
         )
         return CoGroupedRDD(self, other, partitioner)
-
-    def join(self, other: RDD, num_partitions: Optional[int] = None) -> RDD:
-        """Inner join on keys: (k, (left value, right value))."""
-        grouped = self.cogroup(other, num_partitions)
-        return grouped.flat_map(_emit_joined_pairs, name="join")
-
-    def distinct(self, num_partitions: Optional[int] = None) -> RDD:
-        """Remove duplicate records via a shuffle."""
-        keyed = self.map(lambda record: (record, None), name="distinct:key")
-        reduced = keyed.reduce_by_key(lambda a, _b: a, num_partitions)
-        return reduced.keys()
 
     # ------------------------------------------------------------------
     # The paper's transformation
@@ -297,10 +226,6 @@ class RDD:
     def collect(self) -> List[Any]:
         """Materialise every partition and return records in order."""
         return self.context.run_collect(self)
-
-    def count(self) -> int:
-        """Number of records across all partitions."""
-        return self.context.run_count(self)
 
     def save_as_file(self, path: str) -> None:
         """Write each output partition to the DFS at the task's host."""
@@ -427,62 +352,3 @@ class FlatMappedRDD(_NarrowRDD):
         self, parent: RDD, func: Callable[[Any], Iterable[Any]], name: str = "flatMap"
     ) -> None:
         super().__init__(parent, flat_map_records, func, name)
-
-
-class FilteredRDD(_NarrowRDD):
-    """Keeps records satisfying a predicate; preserves partitioning."""
-
-    def __init__(self, parent: RDD, predicate: Callable[[Any], bool]) -> None:
-        super().__init__(parent, filter_records, predicate, "filter")
-        self.partitioner = parent.partitioner
-
-
-class MapPartitionsRDD(_NarrowRDD):
-    """Whole-partition transformation."""
-
-    def __init__(
-        self,
-        parent: RDD,
-        func: Callable[[List[Any]], Iterable[Any]],
-        name: str = "mapPartitions",
-        preserves_partitioning: bool = False,
-    ) -> None:
-        super().__init__(parent, map_partition_records, func, name)
-        if preserves_partitioning:
-            self.partitioner = parent.partitioner
-
-
-class UnionRDD(RDD):
-    """Concatenation of several RDDs; partitions are stacked in order."""
-
-    def __init__(self, context: ClusterContext, parents: Sequence[RDD]) -> None:
-        if not parents:
-            raise PartitionError("union requires at least one parent")
-        dependencies: List[Dependency] = []
-        start = 0
-        for parent in parents:
-            dependencies.append(
-                RangeDependency(parent, start, parent.num_partitions)
-            )
-            start += parent.num_partitions
-        super().__init__(context, dependencies, name="union")
-        self._total_partitions = start
-
-    @property
-    def num_partitions(self) -> int:
-        return self._total_partitions
-
-    def _resolve(self, index: int) -> tuple:
-        for dep in self.dependencies:
-            if dep.covers(index):  # type: ignore[attr-defined]
-                return dep.parent, dep.parent_partition(index)  # type: ignore[attr-defined]
-        raise PartitionError(f"union partition {index} out of range")
-
-    def compute(self, index: int, runtime):
-        parent, parent_index = self._resolve(index)
-        records = yield from runtime.materialize(parent, parent_index)
-        return records
-
-    def preferred_locations(self, index: int) -> List[str]:
-        parent, parent_index = self._resolve(index)
-        return parent.preferred_locations(parent_index)

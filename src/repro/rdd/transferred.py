@@ -47,10 +47,6 @@ class TransferredRDD(RDD):
     def num_partitions(self) -> int:
         return self.dependencies[0].parent.num_partitions
 
-    @property
-    def destination_datacenter(self) -> Optional[str]:
-        return self.transfer_dependency.destination_datacenter
-
     def compute(self, index: int, runtime):
         # The runtime pulls the parent partition from its origin host to
         # the receiver task's host (a no-op when already local).

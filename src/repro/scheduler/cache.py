@@ -36,9 +36,6 @@ class CacheManager:
             self.hits += 1
         return entry
 
-    def has(self, rdd_id: int, partition: int) -> bool:
-        return (rdd_id, partition) in self._entries
-
     def location(self, rdd_id: int, partition: int) -> Optional[str]:
         entry = self._entries.get((rdd_id, partition))
         return entry.host if entry is not None else None
@@ -65,14 +62,6 @@ class CacheManager:
             if entry.host != host
         }
 
-    def evict_rdd(self, rdd_id: int) -> None:
-        self._entries = {
-            key: value for key, value in self._entries.items() if key[0] != rdd_id
-        }
-
     @property
     def entry_count(self) -> int:
         return len(self._entries)
-
-    def cached_bytes(self) -> float:
-        return sum(entry.size_bytes for entry in self._entries.values())

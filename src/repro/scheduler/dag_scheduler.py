@@ -28,7 +28,6 @@ from repro.core.aggregation import select_aggregator_datacenters
 from repro.errors import FetchFailedError, SchedulerError, StageRecoveryError
 from repro.rdd.dependencies import (
     NarrowDependency,
-    RangeDependency,
     ShuffleDependency,
     TransferDependency,
 )
@@ -577,11 +576,7 @@ class DAGScheduler:
             elif isinstance(dep, TransferDependency):
                 continue  # receiver placement handled separately
             elif isinstance(dep, NarrowDependency):
-                if isinstance(dep, RangeDependency) and not dep.covers(index):
-                    continue  # a union branch not owning this partition
-                for host in self._walk_preferences(
-                    dep.parent, dep.parent_partition(index)
-                ):
+                for host in self._walk_preferences(dep.parent, index):
                     if host not in collected:
                         collected.append(host)
         return collected
@@ -595,8 +590,6 @@ class DAGScheduler:
             for result in results:
                 collected.extend(result.records or [])
             return collected
-        if action == "count":
-            return sum((result.records or [0])[0] for result in results)
         if action == "save":
             return None
         raise SchedulerError(f"unknown action {action!r}")

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from repro.errors import LineageError
 from repro.rdd.dependencies import (
     NarrowDependency,
-    RangeDependency,
     ShuffleDependency,
     TransferDependency,
 )
@@ -100,8 +99,8 @@ class Stage:
         """(producer stage, producer partition) pairs gating this task.
 
         Walks the in-stage narrow chain depth first, dependencies in
-        order, translating partition indices so union offsets are
-        honoured.
+        order; a narrow dependency is one-to-one, so every RDD on the
+        chain is read at ``partition``.
         """
         required: List[Tuple[Stage, int]] = []
         if not self.transfer_inputs:
@@ -110,21 +109,15 @@ class Stage:
             transferred.transfer_dependency.transfer_id: producer
             for transferred, producer in self.transfer_inputs
         }
-        stack = [(dep, partition) for dep in reversed(self.rdd.dependencies)]
+        stack = list(reversed(self.rdd.dependencies))
         while stack:
-            dep, index = stack.pop()
+            dep = stack.pop()
             if isinstance(dep, TransferDependency):
                 producer = producer_by_transfer.get(dep.transfer_id)
                 if producer is not None:
-                    required.append((producer, index))
+                    required.append((producer, partition))
             elif isinstance(dep, NarrowDependency):
-                if isinstance(dep, RangeDependency) and not dep.covers(index):
-                    continue  # a union branch not owning this partition
-                index = dep.parent_partition(index)
-                stack.extend(
-                    (parent_dep, index)
-                    for parent_dep in reversed(dep.parent.dependencies)
-                )
+                stack.extend(reversed(dep.parent.dependencies))
         return required
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

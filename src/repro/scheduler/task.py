@@ -41,7 +41,7 @@ class Task:
         self.stage = stage
         self.partition = partition
         self.preferred_hosts = list(preferred_hosts)
-        # Only result-stage tasks carry an action ("collect"/"count"/"save").
+        # Only result-stage tasks carry an action ("collect"/"save").
         self.action = action
         self.submit_time: float = 0.0
         self.attempts = 0

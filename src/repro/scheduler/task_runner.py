@@ -181,12 +181,6 @@ class TaskRunner:
                 tenant=runtime.tenant,
             )
             return view(records)
-        if action == "count":
-            yield context.fabric.transfer(
-                host, context.driver_host, 8.0, tag="result",
-                tenant=runtime.tenant,
-            )
-            return [len(records)]
         if action == "save":
             size = runtime.estimate(records)
             yield from runtime.charge_disk_write(size)

@@ -196,17 +196,6 @@ class TaskScheduler:
         self._dispatch()
         return completion
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def running_count(self) -> int:
-        return len(self._running)
-
-    def total_free_slots(self) -> int:
-        return self._free_slots
-
     def remove_executor(self, host: str) -> int:
         """Take one executor out of service (executor crash / host loss).
 

@@ -11,7 +11,7 @@ consults it to pick aggregator datacenters for downstream transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.errors import MapOutputMissingError
 
@@ -138,10 +138,3 @@ class MapOutputTracker:
             by_dc[dc] = by_dc.get(dc, 0.0) + status.total_size
         return by_dc
 
-    def shard_size(
-        self, shuffle_id: int, map_index: int, reduce_index: int
-    ) -> Optional[float]:
-        try:
-            return self.map_status(shuffle_id, map_index).shard_sizes[reduce_index]
-        except MapOutputMissingError:
-            return None

@@ -56,15 +56,6 @@ class ShuffleStore:
             )
         return self._shards[key]
 
-    def host_of(self, shuffle_id: int, map_index: int) -> str:
-        key = (shuffle_id, map_index)
-        if key not in self._hosts:
-            raise MapOutputMissingError(
-                f"no shuffle output registered for shuffle {shuffle_id} "
-                f"map {map_index}"
-            )
-        return self._hosts[key]
-
     def bytes_by_host(self) -> Dict[str, float]:
         """Total stored shuffle bytes per host.
 
@@ -138,15 +129,6 @@ class TransferTracker:
         self._staged[(transfer_id, partition_index)] = StagedPartition(
             host=host, records=records, size_bytes=size_bytes
         )
-
-    def get(self, transfer_id: int, partition_index: int) -> StagedPartition:
-        key = (transfer_id, partition_index)
-        if key not in self._staged:
-            raise MapOutputMissingError(
-                f"no staged partition for transfer {transfer_id} "
-                f"partition {partition_index}"
-            )
-        return self._staged[key]
 
     def try_get(
         self, transfer_id: int, partition_index: int

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, List, Sequence, TypeVar
+from typing import Dict, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -41,9 +41,6 @@ class RandomSource:
     def uniform(self, name: str, low: float, high: float) -> float:
         return self.stream(name).uniform(low, high)
 
-    def expovariate(self, name: str, rate: float) -> float:
-        return self.stream(name).expovariate(rate)
-
     def gauss(self, name: str, mean: float, stddev: float) -> float:
         return self.stream(name).gauss(mean, stddev)
 
@@ -54,35 +51,6 @@ class RandomSource:
 
     def choice(self, name: str, options: Sequence[T]) -> T:
         return self.stream(name).choice(options)
-
-    def shuffled(self, name: str, items: Sequence[T]) -> List[T]:
-        """Return a new shuffled list, leaving the input untouched."""
-        copy = list(items)
-        self.stream(name).shuffle(copy)
-        return copy
-
-    def zipf_indices(
-        self, name: str, count: int, vocabulary_size: int, exponent: float = 1.1
-    ) -> Iterator[int]:
-        """Yield ``count`` indices in [0, vocabulary_size) with a Zipf law.
-
-        Implemented by inverse-CDF sampling over the (finite) harmonic
-        weights, which is exact and needs no scipy.
-        """
-        if vocabulary_size <= 0:
-            raise ValueError("vocabulary_size must be positive")
-        weights = [1.0 / (rank + 1) ** exponent for rank in range(vocabulary_size)]
-        total = sum(weights)
-        cumulative: List[float] = []
-        running = 0.0
-        for weight in weights:
-            running += weight / total
-            cumulative.append(running)
-        rng = self.stream(name)
-        import bisect
-
-        for _ in range(count):
-            yield bisect.bisect_left(cumulative, rng.random())
 
     def child(self, name: str) -> RandomSource:
         """A new RandomSource whose streams are independent of this one."""

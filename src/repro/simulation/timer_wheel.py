@@ -56,10 +56,6 @@ class TimerHandle:
         """Lazily cancel: the wheel skips this entry when it drains."""
         self._cancelled = True
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def _deliver(self) -> None:
         self.fn()
 

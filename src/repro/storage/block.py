@@ -23,12 +23,8 @@ class Block:
     records: List[Any] = field(default_factory=list)
     size_bytes: float = 0.0
 
-    @property
-    def record_count(self) -> int:
-        return len(self.records)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Block {self.block_id} {self.record_count} records, "
+            f"<Block {self.block_id} {len(self.records)} records, "
             f"{self.size_bytes / 1e6:.2f} MB>"
         )

@@ -42,9 +42,5 @@ class DataNode:
     def block_ids(self) -> List[BlockId]:
         return list(self._blocks)
 
-    @property
-    def used_bytes(self) -> float:
-        return sum(block.size_bytes for block in self._blocks.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<DataNode {self.host_name} blocks={len(self._blocks)}>"

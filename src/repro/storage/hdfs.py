@@ -90,13 +90,7 @@ class DistributedFileSystem:
         locations = self.namenode.block_locations(block_id)
         return self.datanodes[locations[0]].get(block_id).size_bytes
 
-    def file_size(self, path: str) -> float:
-        return sum(self.block_size(b) for b in self.file_blocks(path))
-
     def delete_file(self, path: str) -> None:
         for block_id in self.namenode.delete_file(path):
             for datanode in self.datanodes.values():
                 datanode.remove(block_id)
-
-    def exists(self, path: str) -> bool:
-        return self.namenode.exists(path)

@@ -46,12 +46,6 @@ class NameNode:
             self._locations.pop(block_id, None)
         return blocks
 
-    def exists(self, path: str) -> bool:
-        return path in self._files
-
-    def list_files(self) -> List[str]:
-        return list(self._files)
-
     def file_blocks(self, path: str) -> List[BlockId]:
         try:
             return list(self._files[path])

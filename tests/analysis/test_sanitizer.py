@@ -155,7 +155,7 @@ def test_enable_and_context_manager():
     disable()
     with sanitized() as scoped:
         assert get_sanitizer() is scoped
-        assert scoped.total_checks == 0
+        assert sum(scoped.checks.values()) == 0
     assert get_sanitizer() is None
 
 

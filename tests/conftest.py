@@ -8,6 +8,8 @@ from repro.cluster.builder import ClusterSpec
 from repro.cluster.context import ClusterContext
 from repro.config import ShuffleConfig, SimulationConfig
 from repro.network.topology import GBPS, MBPS
+from repro.rdd.dependencies import ShuffleDependency
+from repro.rdd.transferred import TransferredRDD
 
 
 def small_spec(
@@ -63,3 +65,13 @@ def fetch_context():
 def push_context():
     """A small Push/Aggregate (AggShuffle) cluster context."""
     return make_context(push=True)
+
+
+def count_inserted_transfers(final_rdd) -> int:
+    """How many shuffle parents in ``final_rdd``'s lineage are
+    ``TransferredRDD``s."""
+    return sum(
+        isinstance(dep, ShuffleDependency) and isinstance(dep.parent, TransferredRDD)
+        for rdd in final_rdd.lineage()
+        for dep in rdd.dependencies
+    )

@@ -23,7 +23,6 @@ from repro.experiments import runner
 from repro.experiments.runner import (
     ExperimentPlan,
     clear_data_cache,
-    data_memo_counts,
     generated_input,
     run_workload_once,
 )
@@ -50,6 +49,16 @@ from repro.workloads import (
 )
 from repro.workloads.text_gen import TextGenerator
 from tests.conftest import small_spec
+
+
+def data_memo_counts():
+    """Hits, misses and stored entries summed over the cached datasets."""
+    memos = list(runner._DATA_CACHE.values())
+    return {
+        "hits": sum(memo.hits for memo in memos),
+        "misses": sum(memo.misses for memo in memos),
+        "entries": sum(len(memo.table) for memo in memos),
+    }
 
 
 @pytest.fixture(autouse=True)
@@ -209,6 +218,19 @@ def test_second_run_seed_misses_the_split_and_hits_the_narrow_ops(name):
     assert _comparable(seed_1) == cold_seed_1
 
 
+def test_a_spec_variant_gets_its_own_partitions():
+    """The cache is keyed by what generation reads: a workload whose spec
+    differs only in its records per partition, under the same name and
+    seed, gets a dataset of its own size, not the other spec's."""
+    small = WORKLOADS["sort"]()
+    large = Sort(spec=dataclasses.replace(small.spec, records_per_partition=40))
+    assert small.name == large.name
+    assert {len(p) for p in generated_input(small, 0)} == {20}
+    assert {len(p) for p in generated_input(large, 0)} == {40}
+    assert generated_input(small, 0) is generated_input(small, 0)
+    assert len(runner._DATA_CACHE) == 2
+
+
 # ----------------------------------------------------------------------
 # Jobs without a dataset-cache root never enter the memo
 # ----------------------------------------------------------------------
@@ -232,7 +254,7 @@ def test_parallelize_and_hand_written_files_create_no_entry(monkeypatch):
         assert sorted(k for k, _ in on_disk.collect()) == sorted(
             {k for k, _ in pairs}
         )
-        assert on_disk.count() == 7
+        assert len(on_disk.collect()) == 7
         context.shutdown()
     assert data_memo_counts() == {"hits": 0, "misses": 0, "entries": 0}
 
@@ -310,7 +332,7 @@ def test_function_mutating_its_input_trips_the_oracle():
         )
         workload.install(context, partitions)
         try:
-            return context.text_file(workload.input_path).map(stamp).count()
+            return len(context.text_file(workload.input_path).map(stamp).collect())
         finally:
             context.shutdown()
 

@@ -6,11 +6,7 @@ import pytest
 
 from repro.cluster.builder import ec2_six_region_spec
 from repro.experiments.centralize import centralize_input
-from repro.experiments.placement import (
-    single_datacenter_placement,
-    skewed_block_placement,
-    uniform_block_placement,
-)
+from repro.experiments.placement import skewed_block_placement
 from repro.experiments.runner import (
     ExperimentPlan,
     clear_data_cache,
@@ -55,14 +51,6 @@ def test_skewed_placement_validation():
     spec = ec2_six_region_spec()
     with pytest.raises(ValueError):
         skewed_block_placement(spec, RandomSource(0), 0)
-
-
-def test_uniform_and_single_dc_placements():
-    spec = ec2_six_region_spec()
-    uniform = uniform_block_placement(spec, 24)
-    assert len(set(uniform)) == 24
-    pinned = single_datacenter_placement(spec, 8, "sa-east-1")
-    assert all(h.startswith("sa-east-1") for h in pinned)
 
 
 # ----------------------------------------------------------------------

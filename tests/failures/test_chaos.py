@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MapOutputMissingError
 from repro.failures import ChaosEvent, ChaosSchedule
+from repro.shuffle.stores import ShuffleShard
 from tests.conftest import make_context, small_spec
 
 
@@ -139,21 +140,21 @@ def _chaos_context(*events, **overrides):
 
 def test_crash_event_removes_executor_but_keeps_storage():
     context = _chaos_context(ChaosEvent(at=1.0, kind="crash", target="dc-a-w0"))
-    context.shuffle_store.put_map_output(0, 0, "dc-a-w0", [])
+    context.shuffle_store.put_map_output(0, 0, "dc-a-w0", [ShuffleShard([1], 1.0)])
     context.sim.run(until=2.0)
     assert "dc-a-w0" not in context.executors
-    assert context.shuffle_store.host_of(0, 0) == "dc-a-w0"
+    assert context.shuffle_store.bytes_by_host() == {"dc-a-w0": 1.0}
     assert context.recovery.executor_crashes == 1
     assert context.chaos_injector.events_applied == 1
 
 
 def test_host_event_removes_executor_and_storage():
     context = _chaos_context(ChaosEvent(at=1.0, kind="host", target="dc-a-w0"))
-    context.shuffle_store.put_map_output(0, 0, "dc-a-w0", [])
+    context.shuffle_store.put_map_output(0, 0, "dc-a-w0", [ShuffleShard([1], 1.0)])
     context.sim.run(until=2.0)
     assert "dc-a-w0" not in context.executors
-    with pytest.raises(Exception):
-        context.shuffle_store.host_of(0, 0)
+    with pytest.raises(MapOutputMissingError):
+        context.shuffle_store.get_shard(0, 0, 0)
     assert context.recovery.hosts_lost == 1
 
 
@@ -181,7 +182,7 @@ def test_last_executor_is_never_taken():
 def test_outage_takes_down_whole_datacenter():
     context = _chaos_context(ChaosEvent(at=1.0, kind="outage", target="dc-b"))
     context.sim.run(until=2.0)
-    assert context.live_workers == ["dc-a-w0", "dc-a-w1"]
+    assert list(context.executors) == ["dc-a-w0", "dc-a-w1"]
     assert context.recovery.datacenter_outages == 1
     assert context.recovery.hosts_lost == 2
 

@@ -184,7 +184,7 @@ def test_fetch_survives_datacenter_outage(seed):
     assert result == clean_result
     assert context.recovery.datacenter_outages == 1
     assert context.recovery.hosts_lost == 2
-    assert context.live_workers == ["dc-a-w0", "dc-a-w1"]
+    assert list(context.executors) == ["dc-a-w0", "dc-a-w1"]
     _assert_counters_match_monitor(context)
     context.shutdown()
 

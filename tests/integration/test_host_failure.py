@@ -23,8 +23,8 @@ def test_fail_host_reports_losses(fetch_context):
     context.text_file("/in").reduce_by_key(lambda a, b: a + b).collect()
     report = context.fail_host("dc-a-w0")
     assert report["map_outputs_lost"] >= 0
-    assert "dc-a-w0" not in context.live_workers
-    assert len(context.live_workers) == 3
+    assert "dc-a-w0" not in context.executors
+    assert len(context.executors) == 3
 
 
 def test_fail_unknown_host_rejected(fetch_context):

@@ -116,7 +116,7 @@ def test_executor_slots_fully_released_after_job():
         assert executor.busy == 0
     for executor in context.transfer_executors.values():
         assert executor.busy == 0
-    assert context.task_scheduler.pending_count == 0
+    assert not context.task_scheduler._pending
     context.shutdown()
 
 

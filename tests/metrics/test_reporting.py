@@ -1,16 +1,7 @@
-"""Text reporting: tables, timelines, traffic views, lineage dumps."""
+"""Text reporting: tables and lineage dumps."""
 
 
-from repro.metrics.collectors import JobMetrics, StageSpan
-from repro.metrics.reporting import (
-    format_table,
-    job_report,
-    lineage_dump,
-    stage_timeline,
-    traffic_by_cause,
-    traffic_matrix,
-)
-from repro.network.traffic_monitor import TrafficMonitor
+from repro.metrics.reporting import format_table, lineage_dump
 from tests.conftest import make_context
 
 
@@ -29,60 +20,6 @@ def test_format_table_alignment_and_separator():
 def test_format_table_empty_rows():
     table = format_table(["a", "b"], [])
     assert "a" in table
-
-
-def test_stage_timeline_renders_bars():
-    job = JobMetrics(started_at=0.0, finished_at=20.0)
-    job.stages.append(
-        StageSpan(1, "s1", "shuffle_map", submitted_at=0.0, finished_at=10.0)
-    )
-    job.stages.append(
-        StageSpan(2, "s2", "result", submitted_at=10.0, finished_at=20.0)
-    )
-    chart = stage_timeline(job, width=40)
-    lines = chart.splitlines()
-    assert "shuffle_map" in lines[1]
-    assert "result" in lines[2]
-    assert "#" in lines[1]
-    # The second stage's bar starts after the first's.
-    assert lines[2].index("#") > lines[1].index("#")
-
-
-def test_stage_timeline_empty_job():
-    assert "no stages" in stage_timeline(JobMetrics())
-
-
-def test_traffic_matrix_shows_pairs():
-    monitor = TrafficMonitor()
-    monitor.record("a", "b", 5e6, tag="shuffle")
-    monitor.record("b", "b", 1e6, tag="local")
-    text = traffic_matrix(monitor, ["a", "b"])
-    assert "5.0" in text
-    assert "cross-DC total: 5.0 MB" in text
-
-
-def test_traffic_by_cause_sorted_desc():
-    monitor = TrafficMonitor()
-    monitor.record("a", "b", 1e6, tag="small")
-    monitor.record("a", "b", 9e6, tag="big")
-    text = traffic_by_cause(monitor)
-    assert text.index("big") < text.index("small")
-
-
-def test_traffic_by_cause_empty():
-    assert "no cross-datacenter" in traffic_by_cause(TrafficMonitor())
-
-
-def test_job_report_from_real_run():
-    context = make_context(push=True)
-    context.write_input_file("/in", [[("a", 1)], [("b", 2)]])
-    context.text_file("/in").reduce_by_key(lambda a, b: a + b).collect()
-    report = job_report(
-        context.metrics.job, context.traffic, ["dc-a", "dc-b"]
-    )
-    assert "job:" in report
-    assert "src \\ dst" in report
-    context.shutdown()
 
 
 def test_lineage_dump_marks_boundaries_and_cache():

@@ -5,9 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.metrics.stats import (
     interquartile_range,
-    median,
-    p95,
-    p99,
     percentile,
     reduction_percent,
     summarize,
@@ -37,8 +34,8 @@ def test_trimmed_mean_validation():
 
 
 def test_median_odd_and_even():
-    assert median([3.0, 1.0, 2.0]) == 2.0
-    assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
+    assert summarize([3.0, 1.0, 2.0]).median == 2.0
+    assert summarize([1.0, 2.0, 3.0, 4.0]).median == 2.5
 
 
 def test_iqr_of_uniform_sequence():
@@ -106,13 +103,13 @@ def test_trimming_reduces_or_keeps_spread_influence(values):
 
 
 # ----------------------------------------------------------------------
-# percentile / p95 / p99 (tail-latency reporting for per-tenant JCTs)
+# percentile (tail-latency reporting for per-tenant JCTs)
 # ----------------------------------------------------------------------
 def test_percentile_boundaries():
     values = [4.0, 1.0, 3.0, 2.0]
     assert percentile(values, 0) == 1.0
     assert percentile(values, 100) == 4.0
-    assert percentile(values, 50) == median(values) == 2.5
+    assert percentile(values, 50) == summarize(values).median == 2.5
 
 
 def test_percentile_interpolates_between_ranks():
@@ -138,10 +135,8 @@ def test_percentile_rejects_empty():
 
 def test_p95_p99_conventions():
     values = list(range(1, 101))  # 1..100
-    assert p95(values) == pytest.approx(percentile(values, 95))
-    assert p99(values) == pytest.approx(percentile(values, 99))
-    assert p95(values) == pytest.approx(95.05)
-    assert p99(values) == pytest.approx(99.01)
+    assert percentile(values, 95) == pytest.approx(95.05)
+    assert percentile(values, 99) == pytest.approx(99.01)
 
 
 @given(floats, st.floats(0, 100))

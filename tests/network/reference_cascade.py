@@ -116,21 +116,15 @@ def eager_plan(
     flow_ids: Sequence[int],
     remaining: Sequence[float],
     shared: Sequence[Tuple[str, ...]],
-    caps: Sequence[float],
     capacities: Mapping[str, float],
     base: float,
     weights: Optional[Mapping[int, float]] = None,
 ) -> EagerGeneralPlan:
-    """``build_plan``'s general branch, solved whole (same arguments;
-    a private cap is the virtual link ``cap:<fid>`` it has always been)."""
-    capacities = dict(capacities)
+    """``build_plan``'s general branch, solved whole (same arguments)."""
     interned: Dict[Hashable, int] = {}
     link_caps: List[float] = []
     index_routes: List[np.ndarray] = []
-    for fid, route, cap in zip(flow_ids, shared, caps):
-        if cap != np.inf:
-            route = route + (f"cap:{fid}",)
-            capacities[route[-1]] = cap
+    for route in shared:
         row = np.empty(len(route), dtype=np.intp)
         for position, name in enumerate(route):
             index = interned.get(name)
@@ -155,14 +149,14 @@ def eager_plan(
 
 
 def uniform_schedule(
-    sorted_remaining: np.ndarray, c_star: float, cap: float
+    sorted_remaining: np.ndarray, c_star: float
 ) -> Tuple[np.ndarray, np.ndarray, List[List[int]]]:
     """Closed-form cascade over size-sorted remaining bytes."""
     count = len(sorted_remaining)
     gaps = sorted_remaining.copy()
     gaps[1:] -= sorted_remaining[:-1]
     alive = count - np.arange(count)
-    stage_rates = np.minimum(c_star / alive, cap)
+    stage_rates = c_star / alive
     ends = np.cumsum(gaps / stage_rates)
     # Group stages whose departure instants coincide (within the tie
     # window) into single segments.
@@ -194,14 +188,11 @@ class ArrayUniformPlan(cascade.UniformPlan):
         base: float,
         remaining: List[float],
         c_star: float,
-        cap: float,
     ) -> None:
         init_remaining = np.asarray(remaining, dtype=float)
         order = np.argsort(init_remaining, kind="stable")
         sorted_remaining = init_remaining[order]
-        bounds, seg_rates, departs = uniform_schedule(
-            sorted_remaining, c_star, cap
-        )
+        bounds, seg_rates, departs = uniform_schedule(sorted_remaining, c_star)
         cascade.CascadePlan.__init__(
             self,
             [flow_ids[index] for index in order.tolist()],
@@ -233,7 +224,6 @@ def array_uniform_plan(
     flow_ids: Sequence[int],
     remaining: List[float],
     shared: Sequence[Tuple[str, ...]],
-    caps: Sequence[float],
     capacities: Mapping[str, float],
     base: float,
     weights: Optional[Mapping[int, float]] = None,
@@ -246,7 +236,7 @@ def array_uniform_plan(
     c_star = min(
         capacities[name] / times for name, times in multiplicity.items()
     )
-    return ArrayUniformPlan(flow_ids, base, remaining, c_star, caps[0])
+    return ArrayUniformPlan(flow_ids, base, remaining, c_star)
 
 
 def _solved_whole(limit: int, args, kwargs) -> cascade.ResumablePlan:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.network.fabric import NetworkFabric, ideal_transfer_time
+from repro.network.fabric import NetworkFabric
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
+from tests.network.test_fabric_properties import ideal_transfer_time
 
 
 def build(latency=0.0, wan_mbps=100, gateways=None):

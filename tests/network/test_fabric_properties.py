@@ -9,9 +9,20 @@ Conservation laws that must hold for arbitrary flow populations:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.fabric import NetworkFabric, ideal_transfer_time
+from repro.network.fabric import NetworkFabric
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
+
+
+def ideal_transfer_time(
+    topology: Topology, src_host: str, dst_host: str, size_bytes: float
+) -> float:
+    """Lower-bound transfer time assuming the flow is alone on its route."""
+    route = topology.route(src_host, dst_host)
+    latency = sum(link.latency for link in route)
+    if not route or size_bytes <= 0:
+        return latency
+    return latency + size_bytes / min(link.capacity for link in route)
 
 
 def build(num_hosts_per_dc=2):

@@ -63,13 +63,6 @@ def components(draw):
     capacities = draw(
         st.lists(st.floats(1e5, 1e9), min_size=num_links, max_size=num_links)
     )
-    # Private caps: one more link each, crossed by its own flow only.
-    cap = draw(st.sampled_from([None, 2.5e6, 1e8 / 3]))
-    if cap is not None:
-        for route in routes:
-            if draw(st.booleans()):
-                route.append(len(capacities))
-                capacities.append(cap)
     # A small pool of sizes makes simultaneous departures (ties) common.
     sizes = draw(
         st.lists(
@@ -198,15 +191,14 @@ _UNIFORM_SIZES = st.sampled_from(
         lambda count: st.lists(_UNIFORM_SIZES, min_size=count, max_size=count)
     ),
     c_star=st.floats(1e5, 1e9),
-    cap=st.sampled_from([float("inf"), 2.5e6, 1e8 / 3]),
     base=st.sampled_from([0.0, 12.5, 1234.56789]),
     weight=st.sampled_from([None, 1.0, 0.3, 2.9]),
 )
-def test_scalar_uniform_plan_equals_the_array_one(sizes, c_star, cap, base, weight):
+def test_scalar_uniform_plan_equals_the_array_one(sizes, c_star, base, weight):
     count = len(sizes)
     flow_ids = list(range(100, 100 + count))
-    scalar = UniformPlan(flow_ids, base, sizes, c_star, cap)
-    vector = ArrayUniformPlan(flow_ids, base, sizes, c_star, cap)
+    scalar = UniformPlan(flow_ids, base, sizes, c_star)
+    vector = ArrayUniformPlan(flow_ids, base, sizes, c_star)
     assert scalar.flow_ids == vector.flow_ids
     assert scalar.pos_of == vector.pos_of
     assert scalar.init_remaining == vector.init_remaining.tolist()
@@ -242,9 +234,7 @@ def test_scalar_uniform_plan_equals_the_array_one(sizes, c_star, cap, base, weig
     shared = [("up", "wan", "down")] * count
     capacities = {"up": 3 * c_star, "wan": c_star, "down": 2 * c_star}
     weights = None if weight is None else dict.fromkeys(flow_ids, weight)
-    built = build_plan(
-        flow_ids, sizes, shared, [cap] * count, capacities, base, weights=weights
-    )
+    built = build_plan(flow_ids, sizes, shared, capacities, base, weights=weights)
     assert type(built) is UniformPlan
     assert built.shape == "uniform"
     assert built.bounds == scalar.bounds and built.departs == scalar.departs
@@ -261,7 +251,7 @@ def test_build_plan_keeps_a_200_flow_same_route_component_scalar():
     sizes = [rng.uniform(1e6, 30e6) for _ in flow_ids]
     shared = [("a-up", "a->b", "b-down")] * count
     capacities = {"a-up": 1.25e8, "a->b": 1.25e7, "b-down": 1.25e8}
-    built = build_plan(flow_ids, sizes, shared, [float("inf")] * count, capacities, 5.0)
+    built = build_plan(flow_ids, sizes, shared, capacities, 5.0)
     assert count > cascade_module.SCALAR_MAX_FLOWS
     assert type(built) is UniformPlan
     assert len(built.departs) == count and built.horizon == 1
@@ -498,7 +488,7 @@ def test_component_draining_across_the_crossover_matches_global():
 
 def test_sanitizer_checks_every_scalar_plan(monkeypatch):
     """The rate and capacity checks run once per plan whatever its
-    shape, over the full constraint system (private caps included)."""
+    shape, over the full constraint system."""
     counts = []
     for limit, _shape in _SHAPES:
         monkeypatch.setattr(cascade_module, "SCALAR_MAX_FLOWS", limit)

@@ -6,7 +6,7 @@ which a flow that just departed froze, instead of refilling from level 0
 moves by a bit, so every segment of a plan driven to completion is
 compared with a fresh ``fill_levels`` on that segment's active set by
 ``tobytes()``: random components of 33-120 flows (the vector shape's
-sizes) with duplicate-link routes, private caps and tied departures,
+sizes) with duplicate-link routes and tied departures,
 plus the cases the resume rule has to get right by construction.
 """
 
@@ -56,13 +56,6 @@ def components(draw):
     capacities = draw(
         st.lists(st.floats(1e5, 1e9), min_size=num_links, max_size=num_links)
     )
-    # Private caps: one more link each, crossed by its own flow only.
-    cap = draw(st.sampled_from([None, 2.5e6, 1e8 / 3]))
-    if cap is not None:
-        for route in routes:
-            if draw(st.booleans()):
-                route.append(len(capacities))
-                capacities.append(cap)
     # A small pool of sizes makes simultaneous departures (ties) common.
     sizes = draw(
         st.lists(

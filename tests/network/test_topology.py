@@ -58,12 +58,6 @@ def test_route_latency_sums_links():
     assert latency == pytest.approx(0.05 + 2 * 0.0005)
 
 
-def test_is_cross_datacenter():
-    topo = build_two_dc()
-    assert topo.is_cross_datacenter("e1", "w1")
-    assert not topo.is_cross_datacenter("e1", "e2")
-
-
 def test_unknown_host_raises():
     topo = build_two_dc()
     with pytest.raises(UnknownHostError):

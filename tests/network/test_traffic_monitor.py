@@ -25,16 +25,6 @@ def test_cross_dc_traffic_counted_by_pair_and_tag():
     assert monitor.cross_dc_by_tag["shuffle"] == pytest.approx(15.0)
 
 
-def test_directional_accounting_helpers():
-    monitor = TrafficMonitor()
-    monitor.record("a", "b", 10.0)
-    monitor.record("a", "c", 20.0)
-    monitor.record("c", "a", 5.0)
-    monitor.record("a", "a", 99.0)
-    assert monitor.cross_dc_bytes_from("a") == pytest.approx(30.0)
-    assert monitor.cross_dc_bytes_into("a") == pytest.approx(5.0)
-
-
 def test_megabyte_conversion():
     monitor = TrafficMonitor()
     monitor.record("a", "b", 2_500_000.0)
@@ -45,14 +35,3 @@ def test_untagged_flows_skip_tag_maps():
     monitor = TrafficMonitor()
     monitor.record("a", "b", 10.0, tag="")
     assert monitor.by_tag == {}
-
-
-def test_snapshot_and_reset():
-    monitor = TrafficMonitor()
-    monitor.record("a", "b", 10.0, tag="t")
-    snap = monitor.snapshot()
-    assert snap["cross_dc_bytes"] == 10.0
-    assert snap["flow_count"] == 1.0
-    monitor.reset()
-    assert monitor.total_bytes == 0.0
-    assert monitor.flow_count == 0

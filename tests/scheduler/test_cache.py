@@ -31,22 +31,4 @@ def test_partitions_are_independent():
     assert cache.entry_count == 3
     assert cache.location(1, 1) == "b"
     assert cache.location(2, 0) == "c"
-    assert not cache.has(2, 1)
-
-
-def test_evict_rdd_removes_all_its_partitions():
-    cache = CacheManager()
-    cache.put(1, 0, "a", [], 4.0)
-    cache.put(1, 1, "a", [], 4.0)
-    cache.put(2, 0, "a", [], 4.0)
-    cache.evict_rdd(1)
-    assert not cache.has(1, 0)
-    assert not cache.has(1, 1)
-    assert cache.has(2, 0)
-
-
-def test_cached_bytes_sums_entries():
-    cache = CacheManager()
-    cache.put(1, 0, "a", [], 10.0)
-    cache.put(1, 1, "a", [], 20.0)
-    assert cache.cached_bytes() == 30.0
+    assert cache.location(2, 1) is None

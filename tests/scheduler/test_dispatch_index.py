@@ -183,14 +183,12 @@ def _replay(scheduler_class, scenario):
     for moment, kind, payload in scenario["actions"]:
         sim.call_at(moment, lambda k=kind, p=payload: apply(k, p))
     sim.run()
-    assert scheduler.pending_count == 0 and scheduler.running_count == 0
+    assert not scheduler._pending and not scheduler._running
     outcomes = {
         partition: ("failed" if done.failed else done.value)
         for partition, done in completions.items()
     }
-    assert scheduler.total_free_slots() == sum(
-        executor.cores for executor in executors.values()
-    )
+    assert all(executor.free == executor.cores for executor in executors.values())
     return launches, outcomes, sim.now
 
 
@@ -248,7 +246,7 @@ def test_placements_vetoed_counts_decisions_not_scan_visits():
     for index in range(4):
         scheduler.submit(Task(stage, index, []))
         assert counters.placements_vetoed == index + 1
-    assert scheduler.pending_count == 1
+    assert len(scheduler._pending) == 1
     for index in range(4, 10):
         scheduler.submit(Task(stage, index, []))
     assert counters.placements_vetoed == 10
@@ -299,11 +297,11 @@ def test_dispatch_work_follows_free_hosts_not_pending_tasks(pending):
     for index in range(8 + pending):
         scheduler.submit(Task(stage, index, aggregator))
     sim.run(until=5.0)  # the datacenter tier has opened; nothing fits
-    assert scheduler.pending_count == pending
-    assert scheduler.total_free_slots() == 48
+    assert len(scheduler._pending) == pending
+    assert sum(executor.free for executor in executors.values()) == 48
 
     calls = _count_calls(scheduler._dispatch)
-    assert scheduler.pending_count == pending
+    assert len(scheduler._pending) == pending
     # A look at each host under a non-empty bucket plus bookkeeping; the
     # scan made pending x 24 eligibility checks (>= 6 000) here.
     assert calls <= 4 * len(executors), calls

@@ -48,16 +48,17 @@ def big_partitions(count=8):
 
 
 def test_speculation_rescues_straggling_stage():
-    # count() keeps the job CPU-bound so the straggler dominates.
+    # A small result per record keeps the job CPU-bound, so the
+    # straggler dominates.
     slow = build_context(speculation=False, straggler=OneSlowTask())
     slow.write_input_file("/in", big_partitions())
-    slow.text_file("/in").map(lambda r: r).count()
+    slow.text_file("/in").map(lambda r: 0).collect()
     without = slow.metrics.job.duration
     slow.shutdown()
 
     fast = build_context(speculation=True, straggler=OneSlowTask())
     fast.write_input_file("/in", big_partitions())
-    fast.text_file("/in").map(lambda r: r).count()
+    fast.text_file("/in").map(lambda r: 0).collect()
     with_speculation = fast.metrics.job.duration
     fast.shutdown()
 
@@ -80,7 +81,7 @@ def test_no_speculation_without_stragglers():
     """Healthy stages launch no duplicates (task count stays exact)."""
     context = build_context(speculation=True)
     context.write_input_file("/in", [[i] for i in range(4)])
-    context.text_file("/in").map(lambda r: r).collect()
+    context.text_file("/in").map(lambda r: 0).collect()
     total_tasks = sum(
         len(span.tasks) for span in context.metrics.job.stages
     )
@@ -91,7 +92,7 @@ def test_no_speculation_without_stragglers():
 def test_speculation_records_duplicate_attempts():
     context = build_context(speculation=True, straggler=OneSlowTask(12.0))
     context.write_input_file("/in", big_partitions())
-    context.text_file("/in").map(lambda r: r).count()
+    context.text_file("/in").map(lambda r: 0).collect()
     # The job ends when the duplicate wins; drain the simulator so the
     # losing original also finishes and is recorded.
     context.sim.run()

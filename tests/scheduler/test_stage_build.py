@@ -3,6 +3,7 @@
 
 from repro.core.transfer_injection import insert_transfers
 from repro.scheduler.stage import StageKind, build_stages
+from tests.conftest import count_inserted_transfers
 
 
 def install(context, partitions=None, path="/in"):
@@ -13,7 +14,7 @@ def install(context, partitions=None, path="/in"):
 
 
 def test_narrow_only_job_is_single_stage(fetch_context):
-    rdd = install(fetch_context).map(lambda x: x).filter(lambda x: True)
+    rdd = install(fetch_context).map(lambda x: x).flat_map(lambda x: [x])
     result_stage, stages = build_stages(rdd)
     assert len(stages) == 1
     assert result_stage.kind is StageKind.RESULT
@@ -61,8 +62,6 @@ def test_insert_transfers_rewrites_every_shuffle(fetch_context):
 
 
 def test_insert_transfers_is_idempotent(fetch_context):
-    from repro.core.transfer_injection import count_inserted_transfers
-
     rdd = install(fetch_context).reduce_by_key(lambda a, b: a + b)
     insert_transfers(rdd)
     insert_transfers(rdd)
@@ -113,10 +112,12 @@ def test_diamond_lineage_shares_shuffle_stage(fetch_context):
     base = install(fetch_context).reduce_by_key(lambda a, b: a + b)
     left = base.map(lambda kv: (kv[0], 1))
     right = base.map(lambda kv: (kv[0], 2))
-    rdd = left.union(right)
+    rdd = left.cogroup(right)
     _result, stages = build_stages(rdd)
     map_stages = [s for s in stages if s.kind is StageKind.SHUFFLE_MAP]
-    assert len(map_stages) == 1
+    # One map stage per cogroup side, and one for the shared shuffle.
+    shared = [s for s in map_stages if s.rdd is base.dependencies[0].parent]
+    assert len(map_stages) == 3 and len(shared) == 1
 
 
 def test_iterative_lineage_stage_count(fetch_context):

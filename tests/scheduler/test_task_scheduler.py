@@ -167,7 +167,7 @@ def test_failing_task_body_fails_completion():
     sim.run()
     assert done.failed
     # The slot must have been released.
-    assert scheduler.total_free_slots() == 4
+    assert sum(executor.free for executor in scheduler.executors.values()) == 4
 
 
 def test_scheduler_requires_executors():

@@ -20,7 +20,7 @@ from repro.shuffle.backends.pre_merge import PreMergeBackend
 from repro.shuffle.backends.push_aggregate import PushAggregateBackend
 from repro.shuffle.service import ShuffleBackend
 from repro.shuffle.stores import ShuffleShard
-from tests.conftest import make_context, small_spec
+from tests.conftest import count_inserted_transfers, make_context, small_spec
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +210,6 @@ def test_incomplete_shuffle_read_fails_before_moving_bytes(backend):
 
 
 def test_push_backend_prepare_job_inserts_transfers():
-    from repro.core.transfer_injection import count_inserted_transfers
-
     context = make_context(push=True)
     rdd = context.parallelize([("a", 1), ("b", 2)], 2).reduce_by_key(
         lambda a, b: a + b, num_partitions=2
@@ -222,8 +220,6 @@ def test_push_backend_prepare_job_inserts_transfers():
 
 
 def test_fetch_backend_prepare_job_is_identity():
-    from repro.core.transfer_injection import count_inserted_transfers
-
     context = make_context(push=False)
     rdd = context.parallelize([("a", 1), ("b", 2)], 2).reduce_by_key(
         lambda a, b: a + b, num_partitions=2

@@ -86,13 +86,6 @@ def test_output_by_datacenter():
     assert by_dc == {"east": 20.0, "west": 30.0}
 
 
-def test_shard_size_lookup():
-    tracker = tracked(num_maps=1)
-    tracker.register_map_output(7, MapStatus(0, "h0", [3.0, 4.0]))
-    assert tracker.shard_size(7, 0, 1) == 4.0
-    assert tracker.shard_size(7, 5, 0) is None
-
-
 def test_unregister_shuffle():
     tracker = tracked(num_maps=1)
     tracker.register_map_output(7, MapStatus(0, "h0", [1.0]))
@@ -109,14 +102,14 @@ def test_shuffle_store_roundtrip():
     store.put_map_output(1, 0, "h0", shards)
     assert store.get_shard(1, 0, 0).records == [("a", 1)]
     assert store.get_shard(1, 0, 1).size_bytes == 0.0
-    assert store.host_of(1, 0) == "h0"
+    assert store.bytes_by_host() == {"h0": 10.0}
 
 
 def test_shuffle_store_reregistration_overwrites():
     store = ShuffleStore()
     store.put_map_output(1, 0, "h0", [ShuffleShard([1], 1.0)])
     store.put_map_output(1, 0, "h9", [ShuffleShard([2], 2.0)])
-    assert store.host_of(1, 0) == "h9"
+    assert store.bytes_by_host() == {"h9": 2.0}
     assert store.get_shard(1, 0, 0).records == [2]
 
 
@@ -124,8 +117,6 @@ def test_shuffle_store_missing_raises():
     store = ShuffleStore()
     with pytest.raises(MapOutputMissingError):
         store.get_shard(1, 0, 0)
-    with pytest.raises(MapOutputMissingError):
-        store.host_of(1, 0)
 
 
 def test_shuffle_store_remove_shuffle():
@@ -144,12 +135,10 @@ def test_shuffle_store_remove_shuffle():
 def test_transfer_tracker_roundtrip():
     tracker = TransferTracker()
     tracker.stage_partition(5, 0, "h0", [1, 2], 16.0)
-    staged = tracker.get(5, 0)
+    staged = tracker.try_get(5, 0)
     assert staged.host == "h0"
     assert staged.records == [1, 2]
     assert tracker.try_get(5, 1) is None
-    with pytest.raises(MapOutputMissingError):
-        tracker.get(5, 1)
 
 
 def test_transfer_tracker_remove():

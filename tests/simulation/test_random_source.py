@@ -54,44 +54,15 @@ def test_chance_clamps_out_of_range():
     assert not source.chance("small", -1.0)
 
 
-def test_choice_and_shuffled_preserve_elements():
+def test_choice_draws_one_of_the_options():
     source = RandomSource(5)
     items = list(range(30))
     assert source.choice("c", items) in items
-    shuffled = source.shuffled("s", items)
-    assert sorted(shuffled) == items
     assert items == list(range(30))  # input untouched
 
 
-@given(st.integers(min_value=1, max_value=50))
-def test_zipf_indices_within_range(vocabulary_size):
-    source = RandomSource(11)
-    draws = list(source.zipf_indices("z", 100, vocabulary_size))
-    assert len(draws) == 100
-    assert all(0 <= index < vocabulary_size for index in draws)
-
-
-def test_zipf_is_skewed_toward_low_ranks():
-    source = RandomSource(13)
-    draws = list(source.zipf_indices("z", 5000, 100, exponent=1.2))
-    low = sum(1 for d in draws if d < 10)
-    high = sum(1 for d in draws if d >= 90)
-    assert low > high * 2
-
-
-def test_zipf_rejects_empty_vocabulary():
-    source = RandomSource(0)
-    try:
-        list(source.zipf_indices("z", 1, 0))
-        raised = False
-    except ValueError:
-        raised = True
-    assert raised
-
-
 @given(st.integers(), st.text(max_size=20))
-def test_gauss_and_expovariate_deterministic(seed, name):
+def test_gauss_deterministic(seed, name):
     a = RandomSource(seed)
     b = RandomSource(seed)
     assert a.gauss(name, 0, 1) == b.gauss(name, 0, 1)
-    assert a.expovariate(name, 2.0) == b.expovariate(name, 2.0)

@@ -21,7 +21,7 @@ def test_cancel_after_fire_is_harmless():
     assert fired == [1.0]
     # The timer already fired; cancelling now must be a silent no-op.
     handle.cancel()
-    assert handle.cancelled
+    assert handle._cancelled
     sim.run()
     assert fired == [1.0]
 
@@ -35,7 +35,7 @@ def test_cancelled_timer_never_fires_and_costs_no_delivery():
     before = sim.processed_events
     sim.run()
     assert fired == ["keep"]
-    assert not keep.cancelled
+    assert not keep._cancelled
     # Only the surviving timer was delivered; the cancelled one was
     # purged at drain time, not dispatched as a no-op.
     assert sim.processed_events == before + 1
@@ -88,7 +88,7 @@ def test_earlier_timer_scheduled_after_parking_fires_first():
     sim.run(until=10.5)
     assert fired == [10.2]
     early = sim.call_later(0.1, lambda: fired.append("early"))
-    assert not early.cancelled
+    assert not early._cancelled
     sim.run()
     assert fired == [10.2, "early", 10.8]
 

@@ -68,7 +68,10 @@ class NameNodeMachine(RuleBasedStateMachine):
 
     @invariant()
     def namespace_matches_model(self):
-        assert sorted(self.namenode.list_files()) == sorted(self.model)
+        for path in (f"/{name}" for name in "abcdefgh"):
+            if path not in self.model:
+                with pytest.raises(FileNotFoundInDFSError):
+                    self.namenode.file_blocks(path)
         for path, blocks in self.model.items():
             assert self.namenode.file_blocks(path) == [b for b, _h in blocks]
             for block_id, host in blocks:
@@ -103,19 +106,18 @@ class CacheMachine(RuleBasedStateMachine):
             assert entry is not None
             assert (entry.host, entry.size_bytes) == expected
 
-    @rule(rdd=st.integers(0, 5))
-    def evict(self, rdd):
-        self.cache.evict_rdd(rdd)
+    @rule(host=st.sampled_from(["h0", "h1"]))
+    def evict(self, host):
+        self.cache.evict_host(host)
         self.model = {
-            key: value for key, value in self.model.items() if key[0] != rdd
+            key: value for key, value in self.model.items() if value[0] != host
         }
 
     @invariant()
     def counts_match(self):
         assert self.cache.entry_count == len(self.model)
-        assert self.cache.cached_bytes() == pytest.approx(
-            sum(size for _host, size in self.model.values())
-        )
+        for (rdd, partition), (host, _size) in self.model.items():
+            assert self.cache.location(rdd, partition) == host
 
 
 TestNameNodeStateful = NameNodeMachine.TestCase

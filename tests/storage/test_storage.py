@@ -15,8 +15,7 @@ from repro.storage import Block, DataNode, DiskModel, NameNode
 # ----------------------------------------------------------------------
 def test_block_record_count_and_repr():
     block = Block("b1", records=[1, 2, 3], size_bytes=300.0)
-    assert block.record_count == 3
-    assert "b1" in repr(block)
+    assert repr(block) == "<Block b1 3 records, 0.00 MB>"
 
 
 # ----------------------------------------------------------------------
@@ -28,13 +27,12 @@ def test_datanode_put_get_remove():
     node.put(block)
     assert node.has("b1")
     assert node.get("b1") is block
-    assert node.used_bytes == 10.0
     assert node.bytes_written == 10.0
     node.remove("b1")
     assert not node.has("b1")
-    # bytes_written is cumulative, used_bytes reflects current content.
+    # bytes_written is cumulative: removing a block leaves it alone.
     assert node.bytes_written == 10.0
-    assert node.used_bytes == 0.0
+    assert node.block_ids() == []
 
 
 def test_datanode_missing_block_raises():
@@ -56,14 +54,15 @@ def test_datanode_block_ids():
 def test_namenode_file_lifecycle():
     namenode = NameNode()
     namenode.create_file("/f")
-    assert namenode.exists("/f")
+    assert namenode.file_blocks("/f") == []
     namenode.append_block("/f", "b0", ["h1"])
     namenode.append_block("/f", "b1", ["h2"])
     assert namenode.file_blocks("/f") == ["b0", "b1"]
     assert namenode.block_locations("b0") == ["h1"]
     removed = namenode.delete_file("/f")
     assert removed == ["b0", "b1"]
-    assert not namenode.exists("/f")
+    with pytest.raises(FileNotFoundInDFSError):
+        namenode.file_blocks("/f")
     with pytest.raises(BlockNotFoundError):
         namenode.block_locations("b0")
 

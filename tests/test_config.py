@@ -11,6 +11,7 @@ import pytest
 from repro.config import (
     CostModel,
     FailureConfig,
+    HealthConfig,
     ShuffleConfig,
     SimulationConfig,
     backend_config,
@@ -58,11 +59,10 @@ def test_fetch_and_agg_presets():
 
 def test_with_helpers_do_not_mutate():
     base = SimulationConfig()
-    reseeded = base.with_seed(9)
-    assert base.seed == 0 and reseeded.seed == 9
-    reshuffled = base.with_shuffle(ShuffleConfig(backend="push_aggregate"))
-    assert base.shuffle.backend == "fetch"
-    assert reshuffled.shuffle.backend == "push_aggregate"
+    healthy = base.with_health(HealthConfig(blacklist_enabled=True))
+    assert not base.health.blacklist_enabled
+    assert healthy.health.blacklist_enabled
+    assert base.with_chaos(None) == base
 
 
 def test_default_scheduling_values_documented():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro import cli
+from tests.reach_sweep import uncalled_defs
 
 ROOT = Path(__file__).resolve().parent.parent
 PARSER_DUMP = Path(__file__).with_name("cli_parser.json")
@@ -420,6 +422,77 @@ def test_the_reach_gate_sees_orphans_and_unread_lazy_entries(tmp_path):
     script = tmp_path / "example.py"
     script.write_text("import repro.orphan\n")
     assert unreached_modules(tmp_path, [script]) == {"repro.lazypkg.unread"}
+
+
+# ----------------------------------------------------------------------
+# Call reach: the third gate's analysis (tests/reach_sweep.py runs it)
+# ----------------------------------------------------------------------
+_PLANTED = """\
+def called():
+    return 1
+
+
+def uncalled():
+    return 2
+
+
+def pinned():
+    return 3
+
+
+def outer():
+    def inner():
+        return 5
+
+    return inner
+
+
+class Box:
+    @staticmethod
+    def decorated():
+        return 4
+
+    def __repr__(self):
+        return "box"
+
+    def stub(self):
+        raise NotImplementedError
+"""
+
+
+def test_the_call_gate_sees_uncalled_defs_and_stale_pins(tmp_path):
+    """A def the sweep never enters is reported unless pinned; a pin on
+    a def that is gone or that the sweep reaches is reported as stale.
+    Decorated defs are keyed by their first decorator's line, nested
+    defs count, and implicit dunders and ``NotImplementedError`` stubs
+    are exempt."""
+    package = tmp_path / "plant"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(_PLANTED)
+    spec = importlib.util.spec_from_file_location("plant.mod", package / "mod.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def sweep():
+        module.called()
+        module.Box.decorated()
+        module.outer()
+
+    pins = {
+        "plant.mod:pinned": "a test needs it",
+        "plant.mod:gone": "its def was deleted",
+        "plant.mod:called": "the sweep reaches it",
+    }
+    assert uncalled_defs(package, sweep, pins) == [
+        "uncalled: plant.mod:outer.<locals>.inner",
+        "uncalled: plant.mod:uncalled",
+        "stale pin (reached): plant.mod:called",
+        "stale pin (no such def): plant.mod:gone",
+    ]
+    del pins["plant.mod:gone"], pins["plant.mod:called"]
+    pins["plant.mod:uncalled"] = pins["plant.mod:outer.<locals>.inner"] = "pinned"
+    assert uncalled_defs(package, sweep, pins) == []
 
 
 if __name__ == "__main__":  # regenerate the parser dump
