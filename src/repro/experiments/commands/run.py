@@ -7,6 +7,7 @@ import argparse
 from typing import List, Optional
 
 from repro.cli import usage_errors
+from repro.errors import ReproError
 from repro.experiments.commands import (
     arm_sanitizer,
     print_sanitizer_report,
@@ -146,7 +147,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     plan = ExperimentPlan(
         seeds=(0,), base_config=_base_config(args.chaos, health)
     )
-    result = run_workload_once(workload, scheme, args.seed, plan)
+    try:
+        result = run_workload_once(workload, scheme, args.seed, plan)
+    except ReproError as error:
+        # A job the faults defeat (e.g. every replica of an input block
+        # lost) is an outcome of the run, not a crash of the command.
+        raise SystemExit(
+            f"job failed: {type(error).__name__}: {error}"
+        ) from None
     print(f"{workload.name} / {scheme.value} (seed {args.seed})")
     print(f"  shuffle backend : {result.backend}")
     print(f"  completion time : {result.duration:9.1f} s")

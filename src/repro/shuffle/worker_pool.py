@@ -46,13 +46,12 @@ WORKER_BUFFER_BYTES = 64e6
 class ShuffleWorker:
     """One dedicated shuffle worker pinned to a physical host."""
 
-    __slots__ = ("host", "datacenter", "assigned_bytes", "spilled_bytes")
+    __slots__ = ("host", "datacenter", "assigned_bytes")
 
     def __init__(self, host: str, datacenter: str) -> None:
         self.host = host
         self.datacenter = datacenter
         self.assigned_bytes = 0.0
-        self.spilled_bytes = 0.0
 
     def accept(self, size_bytes: float) -> float:
         """Account ``size_bytes`` stored here; returns the portion that
@@ -62,9 +61,7 @@ class ShuffleWorker:
         over = self.assigned_bytes - WORKER_BUFFER_BYTES
         if over <= 0:
             return 0.0
-        spill = min(size_bytes, over)
-        self.spilled_bytes += spill
-        return spill
+        return min(size_bytes, over)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -9,6 +9,7 @@ and :class:`AllOf` / :class:`AnyOf` compose several events into one.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 from repro.errors import EventAlreadyFiredError
@@ -41,8 +42,8 @@ class Event:
         self._callbacks: List[Callable[[Event], None]] = []
         # Has the kernel already delivered this event's callbacks?
         self._processed = False
-        # Lazy cancellation (see repro.simulation.timer_wheel): the
-        # kernel skips cancelled entries at drain time.
+        # Lazy cancellation: the kernel drops a cancelled entry when it
+        # comes due instead of delivering it.
         self._cancelled = False
 
     # ------------------------------------------------------------------
@@ -167,7 +168,7 @@ class Timeout(Event):
         if delay <= 0:
             sim._ready.append(self)
         else:
-            sim._wheel.push(sim._now + delay, next(sim._sequence), self)
+            heappush(sim._agenda, (sim._now + delay, next(sim._sequence), self))
 
     def _label(self) -> str:
         return self.name or f"timeout({self.delay})"
@@ -182,8 +183,8 @@ class Timeout(Event):
 
     def cancel(self) -> None:
         """Lazily cancel the timeout: it will never fire, its callbacks
-        never run, and the agenda entry is skipped (not delivered) when
-        its timer-wheel bucket drains."""
+        never run, and the agenda entry is dropped (not delivered) when
+        it comes due."""
         self._cancelled = True
 
     # A Timeout is born triggered-at-a-future-time; it cannot be re-fired.

@@ -5,14 +5,13 @@ The :class:`Simulator` separates its agenda into two stores:
 * a **ready deque** of entries due at the current instant — scheduling
   a zero-delay event (the overwhelmingly common case: ``succeed()``,
   recompute triggers, process bootstraps) is a plain append, no heap;
-* a bucketed **timer wheel** (:mod:`repro.simulation.timer_wheel`) for
-  future entries, with lazy cancellation so superseded timers are
-  skipped at drain time instead of being delivered as no-ops.
+* a binary heap (``heapq``) of ``(time, sequence, entry)`` for future
+  entries, with lazy cancellation: a cancelled entry stays in the heap
+  and is dropped when it reaches the top, never delivered as a no-op.
 
 Entries fire in ``(time, sequence)`` order, where ``sequence`` is a
 monotonically increasing tie-breaker, so events scheduled at the same
-instant fire in FIFO order and runs stay fully deterministic — the
-exact ordering contract of the original single-heap agenda.
+instant fire in FIFO order and runs stay fully deterministic.
 
 A :class:`Process` wraps a generator.  Each value the generator yields
 must be an :class:`Event`; the process sleeps until that event fires
@@ -23,8 +22,8 @@ one another.
 
 Hot paths that only need "call me back at time T" use
 :meth:`Simulator.call_at` / :meth:`Simulator.call_later`, which
-schedule a bare cancellable :class:`~repro.simulation.timer_wheel.
-TimerHandle` instead of allocating an :class:`Event`.
+schedule a bare cancellable :class:`TimerHandle` instead of allocating
+an :class:`Event`.
 """
 
 from __future__ import annotations
@@ -32,17 +31,40 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Optional
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.errors import LivenessError, SimulationError
 from repro.simulation.event import _PENDING, AllOf, AnyOf, Event, Timeout
-from repro.simulation.timer_wheel import TimerHandle, TimerWheel
 
-# The wall-clock watchdog samples the clock once per this many timer-
-# wheel batch pulls, so the steady-state cost is one integer decrement
-# per clock advance.
+# The wall-clock watchdog samples the clock once per this many batch
+# pulls, so the steady-state cost is one integer decrement per clock
+# advance.
 _WALL_CHECK_INTERVAL = 1024
+
+
+class TimerHandle:
+    """A bare scheduled callback — no Event allocation, no value.
+
+    Returned by ``Simulator.call_at`` / ``call_later``; the hot paths
+    (fabric departure timers, retry deadlines) use these instead of
+    :class:`Timeout` events to skip the callback-list machinery.
+    """
+
+    __slots__ = ("fn", "_cancelled")
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self._cancelled = False
+
+    def cancel(self) -> None:
+        """Lazily cancel: the kernel skips this entry when it comes due."""
+        self._cancelled = True
+
+    def _deliver(self) -> None:
+        self.fn()
 
 
 class _Start:
@@ -125,28 +147,20 @@ class Process(Event):
 class Simulator:
     """Discrete-event simulator: clock, agenda, and process spawner."""
 
-    def __init__(
-        self,
-        timer_granularity: float = 0.05,
-        wall_deadline_seconds: Optional[float] = None,
-    ) -> None:
-        """``timer_granularity`` is the wheel bucket width in simulated
-        seconds; entries within one bucket are sorted at drain time, so
-        the width trades bucket count against per-bucket sort size.
-
-        ``wall_deadline_seconds`` arms the liveness watchdog: a run that
-        keeps the *real* clock busy past the deadline raises
-        :class:`LivenessError` at the next timer-wheel batch pull
-        instead of hanging the caller.  The watchdog observes only the
-        wall clock — it never feeds simulated time, so determinism of
-        non-timed-out runs is untouched.
+    def __init__(self, wall_deadline_seconds: Optional[float] = None) -> None:
+        """``wall_deadline_seconds`` arms the liveness watchdog: a run
+        that keeps the *real* clock busy past the deadline raises
+        :class:`LivenessError` at the next batch pull instead of hanging
+        the caller.  The watchdog observes only the wall clock — it
+        never feeds simulated time, so determinism of non-timed-out runs
+        is untouched.
         """
         self._now: float = 0.0
         self._ready: deque = deque()
-        self._wheel = TimerWheel(timer_granularity)
+        # Future entries: a heap of (time, sequence, entry).
+        self._agenda: list = []
         self._sequence = itertools.count()
         self._processed_events = 0
-        self._batch: list = []
         # Runtime invariant sanitizer (None unless REPRO_SANITIZE /
         # --sanitize): validates clock monotonicity on every batch pull.
         self._sanitizer = get_sanitizer()
@@ -205,8 +219,8 @@ class Simulator:
     def call_at(self, time: float, fn: Callable[[], None]) -> TimerHandle:
         """Run ``fn()`` at simulated ``time``; returns a cancellable handle.
 
-        Cancellation is lazy — a cancelled handle is skipped when its
-        wheel bucket drains, costing O(1) instead of a delivered no-op.
+        Cancellation is lazy — a cancelled handle is dropped when it
+        comes due, costing O(1) instead of a delivered no-op.
         """
         if time < self._now:
             raise SimulationError(
@@ -216,7 +230,7 @@ class Simulator:
         if time == self._now:
             self._ready.append(handle)
         else:
-            self._wheel.push(time, next(self._sequence), handle)
+            heappush(self._agenda, (time, next(self._sequence), handle))
         return handle
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
@@ -228,12 +242,18 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _pull_batch(self) -> bool:
-        """Advance the clock to the wheel's next instant and stage every
-        entry due then onto the ready deque.  False when nothing is left."""
-        batch = self._batch
-        next_time = self._wheel.pop_batch(batch)
-        if next_time is None:
+    def _pull_batch(self, horizon: float = inf) -> bool:
+        """Advance the clock to the agenda's next live instant and move
+        every entry due then onto the ready deque (which drops the
+        cancelled ones).  False when nothing live is left, or the next
+        instant is past ``horizon``."""
+        agenda = self._agenda
+        while agenda and agenda[0][2]._cancelled:
+            heappop(agenda)
+        if not agenda:
+            return False
+        next_time = agenda[0][0]
+        if next_time > horizon:
             return False
         if self._sanitizer is not None:
             self._sanitizer.check_time(self._now, next_time)
@@ -247,8 +267,9 @@ class Simulator:
                 self._wall_countdown = _WALL_CHECK_INTERVAL
                 self._check_wall_deadline()
         self._now = next_time
-        self._ready.extend(batch)
-        batch.clear()
+        ready = self._ready
+        while agenda and agenda[0][0] == next_time:
+            ready.append(heappop(agenda)[2])
         return True
 
     def _check_wall_deadline(self) -> None:
@@ -262,20 +283,6 @@ class Simulator:
                 f"{self._processed_events} events delivered)"
             )
 
-    def step(self) -> bool:
-        """Deliver the next event.  Returns False if the agenda is empty."""
-        ready = self._ready
-        while True:
-            if not ready:
-                if not self._pull_batch():
-                    return False
-            obj = ready.popleft()
-            if obj._cancelled:
-                continue
-            self._processed_events += 1
-            obj._deliver()
-            return True
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the agenda empties or the clock passes ``until``.
 
@@ -286,38 +293,18 @@ class Simulator:
                 f"run(until={until}) is in the past (now={self._now})"
             )
         ready = self._ready
-        if until is None:
-            # Unbounded run: inline the delivery loop (no per-event
-            # step() call, no wheel peek between events).
-            while True:
-                while ready:
-                    obj = ready.popleft()
-                    if obj._cancelled:
-                        continue
-                    self._processed_events += 1
-                    obj._deliver()
-                if not self._pull_batch():
-                    return self._now
+        horizon = inf if until is None else until
         while True:
-            # Purge cancelled entries here rather than via step(), which
-            # would otherwise pull the next wheel batch — possibly past
-            # ``until`` — just to find something deliverable.
-            while ready and ready[0]._cancelled:
-                ready.popleft()
-            if ready:
-                if not self.step():  # pragma: no cover - defensive
-                    break
-                continue
-            next_time = self._wheel.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self._now = until
+            while ready:
+                obj = ready.popleft()
+                if obj._cancelled:
+                    continue
+                self._processed_events += 1
+                obj._deliver()
+            if not self._pull_batch(horizon):
+                if until is not None:
+                    self._now = until
                 return self._now
-            self.step()
-        if until is not None:
-            self._now = max(self._now, until)
-        return self._now
 
     def run_until_event(self, event: Event) -> Any:
         """Run until ``event`` fires, then return its value.

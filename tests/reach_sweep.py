@@ -114,11 +114,8 @@ UNCALLED_DEFS: Dict[str, str] = {
     "repro.rdd.size_estimator:_mapping_size": _SIZER,
     "repro.rdd.size_estimator:_text_size": _SIZER,
     "repro.simulation.event:Timeout.cancel":
-        "lazy cancel of a Timeout, which the timer wheel's skip path serves "
-        "as it does TimerHandle.cancel (tests/simulation)",
-    "repro.simulation.timer_wheel:TimerWheel._suspend_active":
-        "parks a bucket when run(until=) stops inside it and an earlier "
-        "timer arrives (tests/simulation)",
+        "lazy cancel of a Timeout, which the agenda drops when it comes due "
+        "as it does a cancelled TimerHandle (tests/simulation)",
     # Picked up by a later roadmap item.
     "repro.core.analysis:aggregation_benefit": "gains a reader in ROADMAP item 10",
     "repro.core.analysis:shard_matrix": "gains a reader in ROADMAP item 10",

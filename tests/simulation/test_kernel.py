@@ -51,8 +51,8 @@ def test_run_until_past_raises():
         sim.run(until=1.0)
 
 
-def test_step_returns_false_when_empty():
-    assert Simulator().step() is False
+def test_run_on_an_empty_agenda_returns_zero():
+    assert Simulator().run() == 0.0
 
 
 def test_simple_process():

@@ -1,11 +1,12 @@
-"""Timer-wheel edge cases: lazy cancellation after firing, bucket
-rollover around ``run(until=...)`` horizons, and past-time scheduling."""
+"""Agenda edge cases: lazy cancellation before and after firing,
+``run(until=...)`` horizons between close timers, and past-time
+scheduling.  ``test_agenda.py`` holds the ordering contract as a
+property; these are the named cases beside it."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.simulation.kernel import Simulator
-from repro.simulation.timer_wheel import TimerHandle, TimerWheel
 
 
 # ---------------------------------------------------------------------------
@@ -41,32 +42,15 @@ def test_cancelled_timer_never_fires_and_costs_no_delivery():
     assert sim.processed_events == before + 1
 
 
-def test_all_cancelled_batch_skips_to_next_instant():
-    wheel = TimerWheel(0.05)
-    a, b = TimerHandle(lambda: None), TimerHandle(lambda: None)
-    later = TimerHandle(lambda: None)
-    wheel.push(1.0, 0, a)
-    wheel.push(1.0, 1, b)
-    wheel.push(2.0, 2, later)
-    a.cancel()
-    b.cancel()
-    batch = []
-    # pop_batch must not report an empty batch for the dead instant.
-    assert wheel.pop_batch(batch) == 2.0
-    assert batch == [later]
-    assert wheel.pop_batch([]) is None
-
-
 # ---------------------------------------------------------------------------
-# Bucket rollover at the wheel horizon
+# run(until=...) horizons
 # ---------------------------------------------------------------------------
 
 
 def test_run_until_parks_mid_bucket_then_resumes_in_order():
-    # Two timers land in the *same* bucket (granularity 0.05); the run
-    # horizon splits the bucket, so the remainder must be parked and
-    # resumed without loss or reordering.
-    sim = Simulator(timer_granularity=0.05)
+    # The run horizon falls between two close timers: the later one
+    # must wait for the next run, without loss or reordering.
+    sim = Simulator()
     fired = []
     sim.call_at(0.101, lambda: fired.append(0.101))
     sim.call_at(0.104, lambda: fired.append(0.104))
@@ -78,10 +62,9 @@ def test_run_until_parks_mid_bucket_then_resumes_in_order():
 
 
 def test_earlier_timer_scheduled_after_parking_fires_first():
-    # After parking mid-bucket, schedule a new timer into an *earlier*
-    # bucket than the parked remainder: the wheel must notice the newer
-    # bucket precedes the suspended one (the _suspend_active path).
-    sim = Simulator(timer_granularity=1.0)
+    # After a run stops between two timers, a new timer earlier than the
+    # pending one must fire before it.
+    sim = Simulator()
     fired = []
     sim.call_at(10.2, lambda: fired.append(10.2))
     sim.call_at(10.8, lambda: fired.append(10.8))
@@ -103,10 +86,10 @@ def test_same_instant_entries_fire_in_schedule_order():
 
 
 def test_push_into_active_bucket_keeps_sorted_order():
-    # While draining a bucket, a callback schedules another timer into
-    # the same bucket at a later sub-bucket time: it must fire after the
-    # current entry, in time order.
-    sim = Simulator(timer_granularity=1.0)
+    # While an instant is delivered, a callback schedules another timer
+    # a little later: it must fire after the current entry, in time
+    # order.
+    sim = Simulator()
     fired = []
 
     def first():

@@ -149,8 +149,6 @@ UNSET_OUTSIDE_TESTS = {
         "tests shrink the cluster under a figure's run matrix",
     "ClusterContext.straggler_model":
         "the speculation and campaign tests install a slow-attempt fake",
-    "Simulator.timer_granularity":
-        "the timer wheel's bucket-edge tests pick the bucket width",
 }
 
 
