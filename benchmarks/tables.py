@@ -59,6 +59,7 @@ from repro.experiments.schemes import (
     SCHEME_REGISTRY,
     Scheme,
     config_for_scheme,
+    scheme_spec,
 )
 from repro.failures import CampaignConfig, run_campaign
 from repro.failures.chaos import KINDS
@@ -75,10 +76,10 @@ from repro.workloads.arrivals import ArrivalSpec, StreamSpec, TenantSpec
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 STAMP = "# stamp"
 
-# Every scheme that is purely a shuffle backend, registry-enumerated: a
-# newly registered backend joins the backend matrix automatically.
+# Every scheme that is purely a shuffle backend, read from the scheme
+# table: a backend's row joins the backend matrix automatically.
 BACKEND_SCHEMES: Tuple[Scheme, ...] = tuple(
-    spec.scheme for spec in SCHEME_REGISTRY.values() if spec.preprocess is None
+    spec.scheme for spec in SCHEME_REGISTRY if spec.preprocess is None
 )
 
 
@@ -566,7 +567,7 @@ def _render_shuffle_backends(data) -> List[str]:
 def _check_shuffle_backends(data) -> None:
     grouped = data["backends"]
     assert set(grouped) == {
-        SCHEME_REGISTRY[s].backend for s in BACKEND_SCHEMES
+        scheme_spec(s).backend for s in BACKEND_SCHEMES
     }
     for backend, runs in grouped.items():
         for result in runs:

@@ -29,8 +29,8 @@ from typing import Iterator, List, Optional
 
 from repro.errors import ConfigurationError, WorkloadError
 
-# What the parser and argument errors need of the live registries
-# (``all_workloads()``, ``all_schemes()``, ``backend_names()``), without
+# What the parser and argument errors need of the live tables
+# (``all_workloads()``, ``SCHEME_REGISTRY``, ``BACKENDS``), without
 # importing them; tests/test_import_graph.py holds the two equal.
 WORKLOADS = ("wordcount", "sort", "terasort", "pagerank", "naivebayes")
 SCHEMES = (

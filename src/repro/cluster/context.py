@@ -39,7 +39,7 @@ from repro.scheduler.task_scheduler import (
 )
 from repro.shuffle.backends import create_backend
 from repro.shuffle.map_output_tracker import MapOutputTracker
-from repro.shuffle.stores import ShuffleStore, TransferTracker
+from repro.shuffle.stores import TransferTracker
 from repro.simulation.kernel import Simulator
 from repro.simulation.random_source import RandomSource
 from repro.storage.hdfs import DistributedFileSystem
@@ -76,10 +76,9 @@ class ClusterContext:
         self.estimator = SizeEstimator(scale_factor=self.config.scale_factor)
         self.cache = CacheManager()
         self.map_output_tracker = MapOutputTracker()
-        self.shuffle_store = ShuffleStore()
         self.transfer_tracker = TransferTracker()
         # The pluggable shuffle data path: one backend per context,
-        # selected by name (repro.shuffle.backends registry).
+        # selected by name (the repro.shuffle.backends.BACKENDS table).
         self.shuffle_service = create_backend(self.config.shuffle.backend)
         self.shuffle_service.bind(self)
         self.metrics = MetricsCollector()
@@ -298,7 +297,6 @@ class ClusterContext:
         self.recovery.hosts_lost += 1
         self.recovery.tasks_relaunched += relaunched
         lost_outputs = self.map_output_tracker.unregister_host(host)
-        self.shuffle_store.remove_host(host)
         self.transfer_tracker.remove_host(host)
         self.shuffle_service.on_host_failure(host)
         cached_before = self.cache.entry_count

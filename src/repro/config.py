@@ -163,10 +163,10 @@ class ShuffleConfig:
             raise ConfigurationError("aggregation_subset_size must be >= 1")
         # Imported lazily: the backend modules depend on config for their
         # own imports.
-        from repro.shuffle.backends import backend_names
+        from repro.shuffle.backends import BACKENDS
 
-        if self.backend not in backend_names():
-            known = ", ".join(sorted(backend_names()))
+        if self.backend not in BACKENDS:
+            known = ", ".join(sorted(BACKENDS))
             raise ConfigurationError(
                 f"unknown shuffle backend {self.backend!r} "
                 f"(registered: {known})"

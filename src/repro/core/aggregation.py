@@ -46,12 +46,8 @@ def stage_input_bytes_by_datacenter(
         if isinstance(item, ShuffleDependency):
             tracker = context.map_output_tracker
             if tracker.is_complete(item.shuffle_id):
-                host_to_dc = {
-                    host: topology.datacenter_of(host)
-                    for host in topology.all_host_names()
-                }
                 for dc, size in tracker.total_output_by_datacenter(
-                    item.shuffle_id, host_to_dc
+                    item.shuffle_id, topology.datacenter_of
                 ).items():
                     by_dc[dc] = by_dc.get(dc, 0.0) + size
             continue

@@ -1,4 +1,4 @@
-"""Evaluated schemes, driven by the shuffle-backend registry (§V-A).
+"""Evaluated schemes: one literal table over the shuffle backends (§V-A).
 
 A *scheme* is a named experiment configuration: which shuffle backend
 moves the data, whether the scheme is part of the paper's evaluation,
@@ -25,22 +25,20 @@ and an optional input pre-processing phase that runs before the job.
 * ``Scheme.BLOB`` — extension: the ``blob`` backend, a per-region
   object store where recovery cost is re-read dollars.
 
-Backend-only schemes are *enumerated from the registry*: registering a
-new :class:`~repro.shuffle.service.ShuffleBackend` (plus an enum member
-whose value matches its ``scheme_label``) makes it appear in
-``all_schemes()`` and the CLI ``--scheme`` choices automatically, with
-no conditional branching here or in the runner.
+``SCHEME_REGISTRY`` is the one table of schemes, one row per member: a
+new backend appears in ``all_schemes()`` and the runner with a
+``Scheme`` member and a row naming its backend, with no conditional
+branching here or in the runner (the CLI's ``--scheme`` choices are the
+static ``repro.cli.SCHEMES``, held equal to this table by a test).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.config import ShuffleConfig, SimulationConfig
-from repro.errors import ConfigurationError
-from repro.shuffle.backends import backend_class, backend_names
 from repro.workloads.specs import WorkloadSpec
 
 
@@ -87,9 +85,11 @@ def _iridium(context, input_path: str, cluster_spec) -> float:
     return iridium_redistribute(context, input_path)
 
 
-# Schemes that are more than a backend: a preprocessing pass over the
-# plain fetch backend.  Everything else is enumerated from the registry.
-_PREPROCESS_SPECS: Tuple[SchemeSpec, ...] = (
+# One row per Scheme member, in declaration order.  Centralized and
+# IridiumLike are more than a backend: a preprocessing pass over the
+# plain fetch backend.
+SCHEME_REGISTRY: Tuple[SchemeSpec, ...] = (
+    SchemeSpec(scheme=Scheme.SPARK, backend="fetch", paper=True),
     SchemeSpec(
         scheme=Scheme.CENTRALIZED,
         backend="fetch",
@@ -97,69 +97,32 @@ _PREPROCESS_SPECS: Tuple[SchemeSpec, ...] = (
         preprocess=_centralize,
         preprocess_stage_name="centralize-input",
     ),
+    SchemeSpec(scheme=Scheme.AGGSHUFFLE, backend="push_aggregate", paper=True),
     SchemeSpec(
         scheme=Scheme.IRIDIUM,
         backend="fetch",
-        paper=False,
         preprocess=_iridium,
         preprocess_stage_name="redistribute-input",
     ),
+    SchemeSpec(scheme=Scheme.PREMERGE, backend="pre_merge"),
+    SchemeSpec(scheme=Scheme.REMOTE, backend="remote"),
+    SchemeSpec(scheme=Scheme.BLOB, backend="blob"),
 )
-
-# Backend scheme_labels whose plain (no-preprocess) scheme is evaluated
-# in the paper.
-_PAPER_BACKEND_LABELS = frozenset({"Spark", "AggShuffle"})
-
-
-def _build_registry() -> Dict[Scheme, SchemeSpec]:
-    registry: Dict[Scheme, SchemeSpec] = {}
-    for name in backend_names():
-        label = backend_class(name).scheme_label
-        try:
-            scheme = Scheme(label)
-        except ValueError:
-            raise ConfigurationError(
-                f"shuffle backend {name!r} advertises scheme label "
-                f"{label!r}, which has no Scheme enum member"
-            ) from None
-        registry[scheme] = SchemeSpec(
-            scheme=scheme,
-            backend=name,
-            paper=label in _PAPER_BACKEND_LABELS,
-        )
-    for spec in _PREPROCESS_SPECS:
-        if spec.backend not in backend_names():
-            raise ConfigurationError(
-                f"scheme {spec.scheme.value!r} references unregistered "
-                f"backend {spec.backend!r}"
-            )
-        registry[spec.scheme] = spec
-    # Deterministic enum-declaration order, whatever order backends
-    # registered in.
-    return {scheme: registry[scheme] for scheme in Scheme if scheme in registry}
-
-
-SCHEME_REGISTRY: Dict[Scheme, SchemeSpec] = _build_registry()
 
 # The paper's evaluated systems, in presentation order (Figs. 7-9).
 PAPER_SCHEMES: Tuple[Scheme, ...] = tuple(
-    scheme for scheme, spec in SCHEME_REGISTRY.items() if spec.paper
+    spec.scheme for spec in SCHEME_REGISTRY if spec.paper
 )
 
 
 def all_schemes() -> Tuple[Scheme, ...]:
     """Every runnable scheme, in enum-declaration order."""
-    return tuple(SCHEME_REGISTRY)
+    return tuple(spec.scheme for spec in SCHEME_REGISTRY)
 
 
 def scheme_spec(scheme: Scheme) -> SchemeSpec:
-    """The registry entry for ``scheme``."""
-    try:
-        return SCHEME_REGISTRY[scheme]
-    except KeyError:
-        raise ConfigurationError(
-            f"scheme {scheme.value!r} is not registered"
-        ) from None
+    """The table row of ``scheme``."""
+    return next(spec for spec in SCHEME_REGISTRY if spec.scheme is scheme)
 
 
 def config_for_scheme(
@@ -173,7 +136,7 @@ def config_for_scheme(
     The same seed drives bandwidth jitter and failure draws in every
     scheme, so compared runs see identical network weather.  The
     workload's CPU rate (text parsing vs. binary records) is applied to
-    the cost model, and the scheme's registered shuffle backend to the
+    the cost model, and the scheme's shuffle backend to the
     shuffle configuration.
     """
     config = base if base is not None else SimulationConfig()

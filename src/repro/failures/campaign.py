@@ -443,9 +443,9 @@ def run_campaign(
     config.validate()
     backends = config.backends
     if not backends:
-        from repro.shuffle.backends import backend_names
+        from repro.shuffle.backends import BACKENDS
 
-        backends = tuple(backend_names())
+        backends = tuple(BACKENDS)
     # repro-lint: allow[DET002] campaign wall budget; never feeds simulated time
     started = time.monotonic()
     report = CampaignReport(config=config)

@@ -396,7 +396,7 @@ class ChaosInjector:
         ]
         if not candidates:
             return None
-        by_host = context.shuffle_store.bytes_by_host()
+        by_host = context.map_output_tracker.bytes_by_host()
         return min(
             candidates, key=lambda host: (-by_host.get(host, 0.0), host)
         )

@@ -20,7 +20,7 @@ Three families matter here:
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.rdd.aggregator import Aggregator
 from repro.rdd.partitioner import Partitioner
@@ -83,6 +83,9 @@ class TransferDependency(Dependency):
         pre_combine: aggregator applied to the parent partition *before*
             the transfer (the §IV-C-3 map-side-combine-before-transfer
             optimisation); None disables it.
+        resolved_destinations: the aggregator datacenter(s) elected when
+            the producer stage is submitted (re-elected on resubmission);
+            empty until then.
     """
 
     def __init__(
@@ -95,3 +98,4 @@ class TransferDependency(Dependency):
         self.transfer_id = next(_transfer_ids)
         self.destination_datacenter = destination_datacenter
         self.pre_combine = pre_combine
+        self.resolved_destinations: List[str] = []

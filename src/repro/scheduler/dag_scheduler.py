@@ -487,11 +487,11 @@ class DAGScheduler:
         context = self.context
         dep = producer_stage.outgoing_dep
         assert isinstance(dep, TransferDependency)
-        previous = getattr(dep, "resolved_destinations", None)
+        previous = dep.resolved_destinations
         if previous and not reelect:
             return
         if dep.destination_datacenter is not None:
-            dep.resolved_destinations = [dep.destination_datacenter]  # type: ignore[attr-defined]
+            dep.resolved_destinations = [dep.destination_datacenter]
             return
         exclude = []
         if reelect:
@@ -506,7 +506,7 @@ class DAGScheduler:
         chosen = select_aggregator_datacenters(
             producer_stage, context, subset_size=subset, exclude=exclude
         )
-        dep.resolved_destinations = chosen  # type: ignore[attr-defined]
+        dep.resolved_destinations = chosen
         if reelect and previous and chosen != list(previous):
             context.health.reelections += 1
 
@@ -515,7 +515,7 @@ class DAGScheduler:
         hosts: List[str] = []
         for transferred, _producer in stage.transfer_inputs:
             dep = transferred.transfer_dependency
-            destinations = getattr(dep, "resolved_destinations", None)
+            destinations = dep.resolved_destinations
             if not destinations:
                 if dep.destination_datacenter is not None:
                     destinations = [dep.destination_datacenter]

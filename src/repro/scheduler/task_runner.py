@@ -24,7 +24,7 @@ from repro.rdd.size_estimator import Partition, view
 from repro.scheduler.stage import StageKind
 from repro.scheduler.task import Task, TaskResult
 from repro.scheduler.task_runtime import TaskRuntime
-from repro.shuffle.stores import ShuffleShard
+from repro.shuffle.map_output_tracker import ShuffleShard
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext

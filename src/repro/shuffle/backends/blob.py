@@ -30,7 +30,7 @@ costs before its bytes move (``_before_remote_reads``); the rest is
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.shuffle.service import ShuffleBackend
 from repro.storage.blob import BlobStore
@@ -44,7 +44,6 @@ class BlobShuffleBackend(ShuffleBackend):
     """Per-region object-store shuffle with request+egress pricing."""
 
     name = "blob"
-    scheme_label = "BlobShuffle"
     flow_tags = ("blob_put", "blob_get", "transfer_to")
 
     def __init__(self) -> None:
@@ -91,11 +90,11 @@ class BlobShuffleBackend(ShuffleBackend):
         statuses = context.map_output_tracker.map_statuses(shuffle_id)
 
         # Latency draws happen here, in sorted status order, so the draw
-        # sequence is a pure function of the seed and the layout.  Shards
-        # are snapshotted *before* any yield: a map host dying mid-PUT
-        # must not lose payloads the flows already carry.
+        # sequence is a pure function of the seed and the layout.  The
+        # planned statuses keep their shards across the yields: a map
+        # host dying mid-PUT must not lose payloads the flows carry.
         flows = []
-        moves: List[Tuple[MapStatus, str, str, List[Any]]] = []
+        moves: List[Tuple[MapStatus, str, str]] = []
         latency = 0.0
         regions_touched: List[str] = []
         for status in statuses:
@@ -108,7 +107,6 @@ class BlobShuffleBackend(ShuffleBackend):
             if region not in regions_touched:
                 regions_touched.append(region)
             latency = max(latency, store.request_latency("put"))
-            shards = self.shards_of(shuffle_id, status)
             if status.host != endpoint and status.total_size > 0:
                 flows.append(
                     self._move(
@@ -116,7 +114,7 @@ class BlobShuffleBackend(ShuffleBackend):
                         "blob_put", tenant, shuffle_id, recovery,
                     )
                 )
-            moves.append((status, region, endpoint, shards))
+            moves.append((status, region, endpoint))
         for region in regions_touched:
             yield from self._wait_out_outage(region)
         if latency > 0:
@@ -126,10 +124,10 @@ class BlobShuffleBackend(ShuffleBackend):
         # Commit objects and relocate metadata only after every PUT
         # landed; reducers launch after this process returns.
         tracker = context.map_output_tracker
-        for status, region, endpoint, shards in moves:
+        for status, region, endpoint in moves:
             store.put(
                 region, (shuffle_id, status.map_index),
-                shards, status.total_size,
+                status.shards, status.total_size,
             )
             self.counters.blob_puts += 1
             if status.host != endpoint or not tracker.has_map_output(
@@ -138,7 +136,7 @@ class BlobShuffleBackend(ShuffleBackend):
                 # Relocation to the endpoint — or a restore, when the
                 # map host died while its PUT was in flight.
                 self.relocate_map_output(
-                    shuffle_id, status.map_index, endpoint, shards
+                    shuffle_id, status.map_index, endpoint, status.shards
                 )
 
     # ------------------------------------------------------------------
@@ -165,7 +163,7 @@ class BlobShuffleBackend(ShuffleBackend):
     # ------------------------------------------------------------------
     def on_host_failure(self, host: str) -> None:
         """The object store outlives any executor.  ``fail_host``
-        dropped the tracker/store entries registered at ``host``; every
+        dropped the tracker records registered at ``host``; every
         durable object re-registers at its endpoint synchronously, so
         reads continue with zero stage resubmissions — recovery cost is
         the re-read traffic the relaunched tasks pay, in dollars."""

@@ -18,5 +18,4 @@ class FetchShuffleBackend(ShuffleBackend):
     """Spark's default fetch-based shuffle (the paper's baseline)."""
 
     name = "fetch"
-    scheme_label = "Spark"
     flow_tags = ("shuffle", "transfer_to")

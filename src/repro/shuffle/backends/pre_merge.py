@@ -37,7 +37,6 @@ class PreMergeBackend(ShuffleBackend):
     """Merge map outputs per-datacenter before the WAN hop."""
 
     name = "pre_merge"
-    scheme_label = "PreMerge"
     flow_tags = ("shuffle", "shuffle_merge", "transfer_to")
 
     def __init__(self) -> None:
@@ -162,13 +161,14 @@ class PreMergeBackend(ShuffleBackend):
                     )
         if flows:
             yield context.sim.all_of(flows)
-        # Relocate metadata and payloads only after the flows finished:
-        # reducers are not launched until this process returns, so no
-        # read can observe a half-merged layout.
+        # Relocate only after the flows finished: reducers are not
+        # launched until this process returns, so no read can observe a
+        # half-merged layout.
+        tracker = context.map_output_tracker
         for status, merger in moves:
             self.relocate_map_output(
                 shuffle_id, status.map_index, merger,
-                self.shards_of(shuffle_id, status),
+                tracker.map_status(shuffle_id, status.map_index).shards,
             )
 
     # ------------------------------------------------------------------

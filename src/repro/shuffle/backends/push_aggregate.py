@@ -25,7 +25,6 @@ class PushAggregateBackend(ShuffleBackend):
     """Push/Aggregate: implicit ``transfer_to`` before every shuffle."""
 
     name = "push_aggregate"
-    scheme_label = "AggShuffle"
     flow_tags = ("shuffle", "transfer_to")
 
     def prepare_job(self, final_rdd: RDD) -> RDD:

@@ -42,8 +42,7 @@ from repro.shuffle.worker_pool import ShuffleWorker, ShuffleWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdd.dependencies import ShuffleDependency
-    from repro.shuffle.map_output_tracker import MapStatus
-    from repro.shuffle.stores import ShuffleShard
+    from repro.shuffle.map_output_tracker import MapStatus, ShuffleShard
 
 # Base replica count of the shuffle-worker pool (adaptively raised —
 # capped at 3 — while WAN breakers are open or datacenters are
@@ -55,7 +54,6 @@ class RemoteShuffleBackend(ShuffleBackend):
     """Dedicated shuffle workers with adaptive replication."""
 
     name = "remote"
-    scheme_label = "RemoteShuffle"
     flow_tags = ("shuffle", "shuffle_upload", "shuffle_replicate",
                  "transfer_to")
 
@@ -144,7 +142,7 @@ class RemoteShuffleBackend(ShuffleBackend):
         # Phase 1: upload each map output to the least-loaded shuffle
         # worker of its own datacenter (cheap intra-DC flows, like the
         # pre-merge hop, but onto the dedicated tier).
-        plan: List[Tuple[MapStatus, ShuffleWorker, List[ShuffleShard]]] = []
+        plan: List[Tuple[MapStatus, ShuffleWorker]] = []
         upload_flows = []
         spilled = 0.0
         for status in statuses:
@@ -154,7 +152,6 @@ class RemoteShuffleBackend(ShuffleBackend):
             worker = pool.assign(topology.datacenter_of(status.host))
             if worker is None:
                 continue  # no workers left anywhere: stay scattered
-            shards = self.shards_of(shuffle_id, status)
             size = status.total_size
             spilled += worker.accept(size)
             if status.host != worker.host and size > 0:
@@ -164,7 +161,7 @@ class RemoteShuffleBackend(ShuffleBackend):
                         "shuffle_upload", tenant, shuffle_id, recovery,
                     )
                 )
-            plan.append((status, worker, shards))
+            plan.append((status, worker))
         if upload_flows:
             yield context.sim.all_of(upload_flows)
         if spilled > 0:
@@ -173,10 +170,10 @@ class RemoteShuffleBackend(ShuffleBackend):
 
         # Phase 2: replicate each primary to r-1 other workers (other
         # datacenters first), sourced from the freshly-loaded primary.
-        replica_plan: List[Tuple[int, ShuffleWorker, List[ShuffleShard],
+        replica_plan: List[Tuple[MapStatus, ShuffleWorker,
                                  List[ShuffleWorker]]] = []
         replica_flows = []
-        for status, worker, shards in plan:
+        for status, worker in plan:
             targets = pool.replica_targets(worker.host, factor - 1)
             size = status.total_size
             for target in targets:
@@ -191,33 +188,34 @@ class RemoteShuffleBackend(ShuffleBackend):
                             "shuffle_replicate", tenant, shuffle_id, recovery,
                         )
                     )
-            replica_plan.append((status.map_index, worker, shards, targets))
+            replica_plan.append((status, worker, targets))
         if replica_flows:
             yield context.sim.all_of(replica_flows)
 
-        # Relocate metadata/payloads only after every flow landed:
-        # reducers launch after this process returns, so no read can
-        # observe a half-made hand-off.
+        # Relocate only after every flow landed: reducers launch after
+        # this process returns, so no read can observe a half-made
+        # hand-off.  The planned statuses keep their shards, so a map
+        # host dying mid-upload loses nothing the flows carry.
         tracker = context.map_output_tracker
-        for map_index, worker, shards, targets in replica_plan:
-            key = (shuffle_id, map_index)
+        for status, worker, targets in replica_plan:
+            key = (shuffle_id, status.map_index)
             if not (
                 tracker.has_map_output(*key)
                 and tracker.map_status(*key).host == worker.host
             ):
                 self.relocate_map_output(
-                    shuffle_id, map_index, worker.host, shards
+                    shuffle_id, status.map_index, worker.host, status.shards
                 )
             pool.record_primary(key, worker.host)
             for target in targets:
-                pool.record_replica(key, target.host, shards)
+                pool.record_replica(key, target.host, status.shards)
 
     # ------------------------------------------------------------------
     # Failure handling: promote, then re-replicate in the background
     # ------------------------------------------------------------------
     def on_host_failure(self, host: str) -> None:
-        """Called from ``fail_host`` *after* the tracker and store
-        dropped the dead host's entries — promotion below re-registers
+        """Called from ``fail_host`` *after* the tracker dropped the
+        dead host's records — promotion below re-registers
         surviving replicas synchronously, so the tracker is complete
         again before any other simulation event can observe the gap."""
         if self._pool is None:
@@ -255,7 +253,7 @@ class RemoteShuffleBackend(ShuffleBackend):
             missing = factor - pool.copy_count(key)
             if missing <= 0 or not tracker.has_map_output(*key):
                 continue
-            shards = self.shards_of(key[0], tracker.map_status(*key))
+            shards = tracker.map_status(*key).shards
             exclude = tuple(pool.replica_hosts(key))
             for target in pool.replica_targets(primary, missing, exclude):
                 self._repairs.append(

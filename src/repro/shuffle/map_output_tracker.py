@@ -1,32 +1,44 @@
-"""MapOutputTracker: driver-side metadata about shuffle output.
+"""MapOutputTracker: the one record of every map task's shuffle output.
 
 For every shuffle it records, per map partition, the host where the
-sharded output was written and the logical size of each reduce shard.
-Reducers consult it to plan fetches; the task scheduler consults it to
-compute reducer locality preferences (hosts holding at least a configured
-fraction of a reducer's input, Spark 1.6 semantics); the DAG scheduler
-consults it to pick aggregator datacenters for downstream transfers.
+sharded output lives and the shards themselves (records and logical
+size, one per reduce partition).  Reducers read their shard from it;
+the task scheduler consults it to compute reducer locality preferences
+(hosts holding at least a configured fraction of a reducer's input,
+Spark 1.6 semantics); the DAG scheduler consults it to pick aggregator
+datacenters for downstream transfers.  A backend that moves map output
+re-registers the record at the new host, and a host failure drops the
+records registered there, so where a shard lives and what it holds
+cannot drift apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List
 
 from repro.errors import MapOutputMissingError
 
 
 @dataclass
+class ShuffleShard:
+    """One (map partition, reduce partition) shard of shuffle output."""
+
+    records: List[Any] = field(default_factory=list)
+    size_bytes: float = 0.0
+
+
+@dataclass
 class MapStatus:
-    """Location and shard sizes of one map partition's shuffle output."""
+    """Location and reduce shards of one map partition's shuffle output."""
 
     map_index: int
     host: str
-    shard_sizes: List[float]
+    shards: List[ShuffleShard]
 
     @property
     def total_size(self) -> float:
-        return sum(self.shard_sizes)
+        return sum(shard.size_bytes for shard in self.shards)
 
 
 class MapOutputTracker:
@@ -42,6 +54,8 @@ class MapOutputTracker:
             self._num_maps[shuffle_id] = num_maps
 
     def register_map_output(self, shuffle_id: int, status: MapStatus) -> None:
+        """Record ``status``; a re-registration (relocation or re-run)
+        replaces the previous record of that map partition."""
         if shuffle_id not in self._shuffles:
             raise MapOutputMissingError(f"shuffle {shuffle_id} not registered")
         self._shuffles[shuffle_id][status.map_index] = status
@@ -104,7 +118,7 @@ class MapOutputTracker:
         """Logical bytes this reducer must read, keyed by source host."""
         by_host: Dict[str, float] = {}
         for status in self.map_statuses(shuffle_id):
-            size = status.shard_sizes[reduce_index]
+            size = status.shards[reduce_index].size_bytes
             if size > 0:
                 by_host[status.host] = by_host.get(status.host, 0.0) + size
         return by_host
@@ -129,12 +143,26 @@ class MapOutputTracker:
         ]
 
     def total_output_by_datacenter(
-        self, shuffle_id: int, host_to_dc: Mapping[str, str]
+        self, shuffle_id: int, datacenter_of: Callable[[str], str]
     ) -> Dict[str, float]:
         """Aggregate registered map-output bytes per datacenter."""
         by_dc: Dict[str, float] = {}
         for status in self.map_statuses(shuffle_id):
-            dc = host_to_dc[status.host]
+            dc = datacenter_of(status.host)
             by_dc[dc] = by_dc.get(dc, 0.0) + status.total_size
         return by_dc
 
+    def bytes_by_host(self) -> Dict[str, float]:
+        """Total registered shuffle bytes per host, over every shuffle.
+
+        Used by chaos targeting: on backends without mergers, the
+        data-heaviest live host stands in for a "merger" so the same
+        chaos schedule stays meaningful across backends.
+        """
+        totals: Dict[str, float] = {}
+        for statuses in self._shuffles.values():
+            for status in statuses.values():
+                host = status.host
+                for shard in status.shards:
+                    totals[host] = totals.get(host, 0.0) + shard.size_bytes
+        return totals

@@ -20,11 +20,12 @@ runner call it directly.
 The base class owns the one data path every backend composes (DESIGN.md
 §8): **move** (``_move`` / ``_move_read``, the only place a flow is
 issued and accounted), **read** (``shuffle_read``), **stage once** (the
-``_stage`` hook's lifecycle) and **snapshot / relocate** (``shards_of``
-/ ``relocate_map_output``).  All metadata/payload bookkeeping stays in the
-existing :class:`~repro.shuffle.map_output_tracker.MapOutputTracker`,
-:class:`~repro.shuffle.stores.ShuffleStore`, and
-:class:`~repro.shuffle.stores.TransferTracker`; backends reorganise
+``_stage`` hook's lifecycle) and **relocate** (``relocate_map_output``).
+A map output has one record, its
+:class:`~repro.shuffle.map_output_tracker.MapStatus` in the
+:class:`~repro.shuffle.map_output_tracker.MapOutputTracker` (host and
+shards); staged transfer partitions have theirs in the
+:class:`~repro.shuffle.stores.TransferTracker`.  Backends reorganise
 *where* data lives, never what it is.
 """
 
@@ -37,8 +38,7 @@ from repro.failures.health import transfer_with_retry
 from repro.metrics.perf import ShuffleCounters
 from repro.rdd.shuffled import gather
 from repro.rdd.size_estimator import view
-from repro.shuffle.map_output_tracker import MapStatus
-from repro.shuffle.stores import ShuffleShard
+from repro.shuffle.map_output_tracker import MapStatus, ShuffleShard
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
@@ -55,8 +55,6 @@ class ShuffleBackend:
     attributes:
 
     * ``name``               — registry key (``ShuffleConfig.backend``);
-    * ``scheme_label``       — the experiment scheme this backend backs
-      (matched against :class:`repro.experiments.schemes.Scheme` values);
     * ``flow_tags``          — the traffic-monitor tags of every flow
       this backend issues; the counter/monitor equivalence property is
       stated over exactly these tags.
@@ -69,7 +67,6 @@ class ShuffleBackend:
     """
 
     name: str = "abstract"
-    scheme_label: str = ""
     flow_tags: Tuple[str, ...] = ("shuffle", "transfer_to")
 
     def __init__(
@@ -130,32 +127,13 @@ class ShuffleBackend:
     ) -> None:
         """(Re-)register an existing map output at ``host`` — a merge,
         hand-off, promotion or restore — without counting a new one."""
-        self.context.shuffle_store.put_map_output(
-            shuffle_id, map_index, host, shards
-        )
         self.context.map_output_tracker.register_map_output(
-            shuffle_id,
-            MapStatus(
-                map_index=map_index,
-                host=host,
-                shard_sizes=[shard.size_bytes for shard in shards],
-            ),
+            shuffle_id, MapStatus(map_index, host, shards)
         )
-
-    def shards_of(
-        self, shuffle_id: int, status: MapStatus
-    ) -> List[ShuffleShard]:
-        """Snapshot of one map output's shard payloads, in reduce order."""
-        store = self.context.shuffle_store
-        return [
-            store.get_shard(shuffle_id, status.map_index, reduce_index)
-            for reduce_index in range(len(status.shard_sizes))
-        ]
 
     def remove_shuffle(self, shuffle_id: int) -> None:
-        """Drop one shuffle's metadata and payloads."""
+        """Drop one shuffle's map outputs."""
         self.context.map_output_tracker.unregister_shuffle(shuffle_id)
-        self.context.shuffle_store.remove_shuffle(shuffle_id)
         self._staged.discard(shuffle_id)
 
     def on_host_failure(self, host: str) -> None:
@@ -248,14 +226,13 @@ class ShuffleBackend:
         shuffle_id = dep.shuffle_id
         if not context.map_output_tracker.is_complete(shuffle_id):
             raise FetchFailedError(shuffle_id=shuffle_id)
-        store = context.shuffle_store
         self.counters.reduce_reads += 1
         shards: List[List[Any]] = []
         local_bytes = 0.0
         requests = 0
         remote: List[Tuple[str, float]] = []
         for status in context.map_output_tracker.map_statuses(shuffle_id):
-            shard = store.get_shard(shuffle_id, status.map_index, reduce_index)
+            shard = status.shards[reduce_index]
             shards.append(shard.records)
             if shard.size_bytes <= 0:
                 continue

@@ -18,8 +18,9 @@ actual network flows.  The pool tracks:
   charged disk time and counted, never silently dropped);
 * the replica map: for every (shuffle_id, map_index) the primary
   serving host plus the extra copies (the
-  :class:`~repro.shuffle.stores.ShuffleStore` holds exactly one copy,
-  so replica payloads live here until promotion re-registers them).
+  :class:`~repro.shuffle.map_output_tracker.MapOutputTracker` records
+  exactly one copy, the primary, so replica payloads live here until
+  promotion re-registers them).
 
 Every iteration is over sorted keys, so pool decisions depend only on
 the byte distribution — never on dict order — and replay identically
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.topology import Topology
-    from repro.shuffle.stores import ShuffleShard
+    from repro.shuffle.map_output_tracker import ShuffleShard
 
 # (shuffle_id, map_index): the unit of replication.
 OutputKey = Tuple[int, int]

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.topology import Topology
-    from repro.shuffle.stores import ShuffleShard
+    from repro.shuffle.map_output_tracker import ShuffleShard
     from repro.simulation.random_source import RandomSource
 
 ObjectKey = Tuple[int, int]

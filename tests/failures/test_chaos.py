@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError, MapOutputMissingError
 from repro.failures import ChaosEvent, ChaosSchedule
-from repro.shuffle.stores import ShuffleShard
+from repro.shuffle.map_output_tracker import ShuffleShard
 from tests.conftest import make_context, small_spec
 
 
@@ -138,23 +138,30 @@ def _chaos_context(*events, **overrides):
     return make_context(chaos=ChaosSchedule(tuple(events)), **overrides)
 
 
+def _register_output(context, host, size_bytes):
+    """Publish one one-map shuffle's output (shuffle 0, map 0) at ``host``."""
+    service = context.shuffle_service
+    service.register_shuffle(0, 1)
+    service.register_map_output(0, 0, host, [ShuffleShard([1], size_bytes)])
+
+
 def test_crash_event_removes_executor_but_keeps_storage():
     context = _chaos_context(ChaosEvent(at=1.0, kind="crash", target="dc-a-w0"))
-    context.shuffle_store.put_map_output(0, 0, "dc-a-w0", [ShuffleShard([1], 1.0)])
+    _register_output(context, "dc-a-w0", 1.0)
     context.sim.run(until=2.0)
     assert "dc-a-w0" not in context.executors
-    assert context.shuffle_store.bytes_by_host() == {"dc-a-w0": 1.0}
+    assert context.map_output_tracker.bytes_by_host() == {"dc-a-w0": 1.0}
     assert context.recovery.executor_crashes == 1
     assert context.chaos_injector.events_applied == 1
 
 
 def test_host_event_removes_executor_and_storage():
     context = _chaos_context(ChaosEvent(at=1.0, kind="host", target="dc-a-w0"))
-    context.shuffle_store.put_map_output(0, 0, "dc-a-w0", [ShuffleShard([1], 1.0)])
+    _register_output(context, "dc-a-w0", 1.0)
     context.sim.run(until=2.0)
     assert "dc-a-w0" not in context.executors
     with pytest.raises(MapOutputMissingError):
-        context.shuffle_store.get_shard(0, 0, 0)
+        context.map_output_tracker.map_status(0, 0)
     assert context.recovery.hosts_lost == 1
 
 
@@ -188,12 +195,8 @@ def test_outage_takes_down_whole_datacenter():
 
 
 def test_merger_event_falls_back_to_data_heaviest_host():
-    from repro.shuffle.stores import ShuffleShard
-
     context = _chaos_context(ChaosEvent(at=1.0, kind="merger", target="dc-b"))
-    context.shuffle_store.put_map_output(
-        0, 0, "dc-b-w1", [ShuffleShard(records=[1], size_bytes=100.0)]
-    )
+    _register_output(context, "dc-b-w1", 100.0)
     context.sim.run(until=2.0)
     assert "dc-b-w1" not in context.executors
     assert "dc-b-w0" in context.executors
@@ -219,14 +222,10 @@ def test_degrade_scales_link_and_restores_after_duration():
 def test_shuffle_worker_event_falls_back_to_data_heaviest_host():
     """Backends without a worker pool resolve the target like ``merger``
     does: the live host storing the most map-output bytes."""
-    from repro.shuffle.stores import ShuffleShard
-
     context = _chaos_context(
         ChaosEvent(at=1.0, kind="shuffle_worker", target="dc-b")
     )
-    context.shuffle_store.put_map_output(
-        0, 0, "dc-b-w1", [ShuffleShard(records=[1], size_bytes=100.0)]
-    )
+    _register_output(context, "dc-b-w1", 100.0)
     context.sim.run(until=2.0)
     assert "dc-b-w1" not in context.executors
     assert "dc-b-w0" in context.executors

@@ -387,7 +387,7 @@ def test_outage_of_aggregation_datacenter_reelects_destination(seed):
     )
     moved, reduced = _install_transfer_job(clean_context)
     clean_result = sorted(reduced.collect())
-    assert getattr(moved.transfer_dependency, "resolved_destinations") == ["dc-b"]
+    assert moved.transfer_dependency.resolved_destinations == ["dc-b"]
     spans = [
         span
         for stage in clean_context.metrics.job.stages
@@ -411,7 +411,7 @@ def test_outage_of_aggregation_datacenter_reelects_destination(seed):
     result = sorted(reduced.collect())
     assert result == clean_result
     assert context.recovery.stages_resubmitted >= 1
-    destinations = getattr(moved.transfer_dependency, "resolved_destinations")
+    destinations = moved.transfer_dependency.resolved_destinations
     assert destinations and "dc-b" not in destinations
     assert context.health.reelections >= 1
     context.shutdown()

@@ -10,7 +10,7 @@ from repro.failures.campaign import CampaignCell, run_cell
 from repro.failures.chaos import DEFAULT_PARTITION_DURATION
 from repro.network.jitter import JitterSpec
 from repro.network.topology import MBPS, PARTITION_CAPACITY_FLOOR
-from repro.shuffle.backends import backend_names
+from repro.shuffle.backends import BACKENDS
 from tests.conftest import make_context
 
 
@@ -179,7 +179,7 @@ def test_degrade_composes_multiplicatively_with_jitter():
 # unexplained hang (the cell's liveness oracle would flag one) and
 # without corrupting results or accounting.
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_partition_absorbed_by_every_backend(backend):
     cell = CampaignCell(
         index=0,

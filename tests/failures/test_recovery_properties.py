@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.config import FailureConfig
 from repro.failures import ChaosEvent, ChaosSchedule
-from repro.shuffle.backends import backend_names
+from repro.shuffle.backends import BACKENDS
 from tests.conftest import make_context, quiet_config, small_spec
 from tests.shuffle.test_counter_properties import _assert_counters_match_monitor
 from repro.cluster.context import ClusterContext
@@ -49,7 +49,7 @@ def _run_job(backend: str, seed: int, chaos=None, failures=None):
 
 @settings(max_examples=10, deadline=None)
 @given(
-    backend=st.sampled_from(tuple(backend_names())),
+    backend=st.sampled_from(tuple(BACKENDS)),
     seed=st.integers(min_value=0, max_value=3),
     victim=st.sampled_from(HOSTS),
     crash_at=st.floats(min_value=0.1, max_value=40.0),
@@ -80,7 +80,7 @@ def test_output_identical_with_chaos_on_vs_off(
 
 @settings(max_examples=8, deadline=None)
 @given(
-    backend=st.sampled_from(tuple(backend_names())),
+    backend=st.sampled_from(tuple(BACKENDS)),
     seed=st.integers(min_value=0, max_value=2),
     crash_at=st.floats(min_value=0.5, max_value=30.0),
 )

@@ -68,7 +68,7 @@ def test_transfer_to_without_destination_resolves_automatically():
     result = dict(moved.reduce_by_key(lambda a, b: a + b).collect())
     assert result == {"a": 1, "b": 2}
     dep = moved.transfer_dependency
-    assert getattr(dep, "resolved_destinations") == ["dc-b"]
+    assert dep.resolved_destinations == ["dc-b"]
     context.shutdown()
 
 

@@ -126,7 +126,6 @@ UNCALLED_DEFS: Dict[str, str] = {
     "repro.shuffle.backends.remote:RemoteShuffleBackend.remove_shuffle": _RELEASE,
     "repro.shuffle.map_output_tracker:MapOutputTracker.unregister_shuffle": _RELEASE,
     "repro.shuffle.service:ShuffleBackend.remove_shuffle": _RELEASE,
-    "repro.shuffle.stores:ShuffleStore.remove_shuffle": _RELEASE,
     "repro.shuffle.stores:TransferTracker.remove_transfer": _RELEASE,
     "repro.shuffle.worker_pool:ShuffleWorkerPool.drop_shuffle": _RELEASE,
     "repro.storage.blob:BlobStore.drop_shuffle": _RELEASE,

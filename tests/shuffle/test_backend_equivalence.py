@@ -16,7 +16,7 @@ from repro.experiments.runner import (
     clear_data_cache,
     run_workload_once,
 )
-from repro.experiments.schemes import SCHEME_REGISTRY, Scheme
+from repro.experiments.schemes import SCHEME_REGISTRY, Scheme, scheme_spec
 from tests.conftest import small_spec
 from tests.integration.test_paper_properties import (
     small_pagerank,
@@ -27,7 +27,7 @@ from tests.integration.test_paper_properties import (
 # Schemes that are purely a shuffle backend (no input preprocessing):
 # exactly these must be output-equivalent given identical inputs.
 BACKEND_SCHEMES = tuple(
-    spec.scheme for spec in SCHEME_REGISTRY.values() if spec.preprocess is None
+    spec.scheme for spec in SCHEME_REGISTRY if spec.preprocess is None
 )
 
 
@@ -56,7 +56,7 @@ def _result(workload_factory, scheme, seed=0):
 
 
 def test_backend_schemes_cover_all_backends():
-    covered = {SCHEME_REGISTRY[s].backend for s in BACKEND_SCHEMES}
+    covered = {scheme_spec(s).backend for s in BACKEND_SCHEMES}
     assert covered == {
         "fetch", "push_aggregate", "pre_merge", "remote", "blob"
     }

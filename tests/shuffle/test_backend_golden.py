@@ -36,7 +36,7 @@ import pytest
 
 from repro.config import HealthConfig
 from repro.failures.chaos import ChaosEvent, ChaosSchedule
-from repro.shuffle.backends import backend_names
+from repro.shuffle.backends import BACKENDS
 from tests.conftest import make_context, small_spec
 
 GOLDEN_PATH = Path(__file__).with_name("backend_golden.json")
@@ -134,7 +134,7 @@ def observe_all() -> dict:
         backend: {
             scenario: observe(backend, scenario) for scenario in SCENARIOS
         }
-        for backend in backend_names()
+        for backend in BACKENDS
     }
 
 
@@ -143,11 +143,11 @@ def _golden() -> dict:
 
 
 def test_golden_covers_every_registered_backend():
-    assert sorted(_golden()) == sorted(backend_names())
+    assert sorted(_golden()) == sorted(BACKENDS)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_backend_matches_golden(backend, scenario):
     expected = _golden()[backend][scenario]
     # Round-trip through JSON so both sides have identical key/number
@@ -160,7 +160,7 @@ def test_backend_matches_golden(backend, scenario):
         )
 
 
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_golden_scenarios_exercise_what_they_claim(backend):
     """The pin is only worth something if the scenarios bite."""
     golden = _golden()[backend]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.sanitizer import reconcile_run
-from repro.shuffle.backends import backend_class, backend_names
+from repro.shuffle.backends import BACKENDS
 from tests.conftest import make_context, small_spec
 
 
@@ -32,7 +32,7 @@ def _assert_counters_match_monitor(context) -> None:
 
 @settings(max_examples=12, deadline=None)
 @given(
-    backend=st.sampled_from(tuple(backend_names())),
+    backend=st.sampled_from(tuple(BACKENDS)),
     num_slices=st.integers(min_value=2, max_value=6),
     num_keys=st.integers(min_value=1, max_value=25),
     num_reduces=st.integers(min_value=1, max_value=4),
@@ -59,7 +59,7 @@ def test_counters_equal_monitor_for_reduce_by_key(
 
 @settings(max_examples=8, deadline=None)
 @given(
-    backend=st.sampled_from(tuple(backend_names())),
+    backend=st.sampled_from(tuple(BACKENDS)),
     num_keys=st.integers(min_value=2, max_value=20),
     seed=st.integers(min_value=0, max_value=2),
 )
@@ -78,7 +78,7 @@ def test_counters_equal_monitor_for_group_by_key(backend, num_keys, seed):
     context.shutdown()
 
 
-@pytest.mark.parametrize("backend", tuple(backend_names()))
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_counters_equal_monitor_end_to_end(backend):
     """Same invariant through the full experiment harness (DFS input,
     skewed placement, save actions) rather than a bare parallelize."""
@@ -92,7 +92,7 @@ def test_counters_equal_monitor_end_to_end(backend):
     clear_data_cache()
     scheme = next(
         spec.scheme
-        for spec in SCHEME_REGISTRY.values()
+        for spec in SCHEME_REGISTRY
         if spec.backend == backend and spec.preprocess is None
     )
     from tests.integration.test_paper_properties import small_wordcount
@@ -105,7 +105,7 @@ def test_counters_equal_monitor_end_to_end(backend):
     )
     result = run_workload_once(small_wordcount(), scheme, 0, plan)
     clear_data_cache()
-    tags = backend_class(backend).flow_tags
+    tags = BACKENDS[backend].flow_tags
     monitor_cross_dc_mb = sum(
         result.cross_dc_by_tag.get(tag, 0.0) for tag in tags
     )

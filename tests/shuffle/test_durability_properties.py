@@ -236,8 +236,8 @@ def test_stream_cells_reconcile_per_tenant(backend):
         max_concurrent=2,
     )
     scheme = next(
-        name
-        for name, spec in SCHEME_REGISTRY.items()
+        spec.scheme
+        for spec in SCHEME_REGISTRY
         if spec.backend == backend and spec.preprocess is None
     )
     plan = ExperimentPlan(

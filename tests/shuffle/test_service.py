@@ -10,16 +10,12 @@ import pytest
 
 from repro.config import ShuffleConfig, SimulationConfig, backend_config
 from repro.errors import ConfigurationError, FetchFailedError
-from repro.shuffle.backends import (
-    backend_class,
-    backend_names,
-    create_backend,
-)
+from repro.shuffle.backends import BACKENDS, create_backend
 from repro.shuffle.backends.fetch import FetchShuffleBackend
 from repro.shuffle.backends.pre_merge import PreMergeBackend
 from repro.shuffle.backends.push_aggregate import PushAggregateBackend
 from repro.shuffle.service import ShuffleBackend
-from repro.shuffle.stores import ShuffleShard
+from repro.shuffle.map_output_tracker import ShuffleShard
 from tests.conftest import count_inserted_transfers, make_context, small_spec
 
 
@@ -27,16 +23,16 @@ from tests.conftest import count_inserted_transfers, make_context, small_spec
 # Registry
 # ---------------------------------------------------------------------------
 def test_registry_contains_the_three_backends():
-    names = backend_names()
+    names = list(BACKENDS)
     assert "fetch" in names
     assert "push_aggregate" in names
     assert "pre_merge" in names
 
 
 def test_backend_class_lookup():
-    assert backend_class("fetch") is FetchShuffleBackend
-    assert backend_class("push_aggregate") is PushAggregateBackend
-    assert backend_class("pre_merge") is PreMergeBackend
+    assert BACKENDS["fetch"] is FetchShuffleBackend
+    assert BACKENDS["push_aggregate"] is PushAggregateBackend
+    assert BACKENDS["pre_merge"] is PreMergeBackend
 
 
 def test_unknown_backend_raises_with_known_names():
@@ -49,11 +45,9 @@ def test_create_backend_returns_fresh_instances():
 
 
 def test_every_backend_advertises_its_contract():
-    for name in backend_names():
-        cls = backend_class(name)
+    for name, cls in BACKENDS.items():
         assert issubclass(cls, ShuffleBackend)
         assert cls.name == name
-        assert cls.scheme_label
         assert cls.flow_tags
 
 
@@ -88,10 +82,14 @@ def test_scheme_registry_enumerates_registered_backends():
         scheme_spec,
     )
 
-    labels = {backend_class(name).scheme_label for name in backend_names()}
-    covered = {spec.scheme.value for spec in SCHEME_REGISTRY.values()}
-    assert labels <= covered
-    assert all_schemes() == tuple(SCHEME_REGISTRY)
+    # Every Scheme member has exactly one row, in declaration order...
+    assert [spec.scheme for spec in SCHEME_REGISTRY] == list(Scheme)
+    assert all_schemes() == tuple(Scheme)
+    # ...and every backend backs exactly one scheme with no preprocess
+    # step.
+    plain = [spec.backend for spec in SCHEME_REGISTRY if spec.preprocess is None]
+    assert sorted(plain) == sorted(BACKENDS)
+    assert all(spec.backend in BACKENDS for spec in SCHEME_REGISTRY)
     assert scheme_spec(Scheme.PREMERGE).backend == "pre_merge"
     assert scheme_spec(Scheme.AGGSHUFFLE).backend == "push_aggregate"
 
@@ -106,7 +104,9 @@ def test_paper_schemes_preserved_and_registry_driven():
     assert PAPER_SCHEMES == (
         Scheme.SPARK, Scheme.CENTRALIZED, Scheme.AGGSHUFFLE
     )
-    assert all(SCHEME_REGISTRY[s].paper for s in PAPER_SCHEMES)
+    assert PAPER_SCHEMES == tuple(
+        spec.scheme for spec in SCHEME_REGISTRY if spec.paper
+    )
 
 
 def test_preprocess_schemes_ride_on_the_fetch_backend():
@@ -145,7 +145,7 @@ def test_dag_scheduler_has_no_strategy_branches():
 def test_backends_compose_the_shared_data_path():
     """One data path: flows are issued (and retried) only inside the
     base-class move primitive, and no backend module re-implements the
-    reduce read, the shard snapshot or the relocation fix-up."""
+    reduce read or builds a map-output record."""
     from pathlib import Path
 
     import repro.shuffle
@@ -164,7 +164,7 @@ def test_backends_compose_the_shared_data_path():
 
     assert occurrences("fabric.transfer(") == {"service.py": 1}
     assert occurrences("transfer_with_retry(") == {"service.py": 1}
-    assert occurrences("range(len(status.shard_sizes))") == {"service.py": 1}
+    assert occurrences("MapStatus(") == {"service.py": 1}
     assert occurrences("map_outputs_registered -= 1") == {}
     assert not any(
         "def shuffle_read" in text
@@ -182,7 +182,7 @@ def test_context_owns_a_service_matching_its_config():
     assert push.shuffle_service.name == "push_aggregate"
 
 
-@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("backend", tuple(BACKENDS))
 def test_incomplete_shuffle_read_fails_before_moving_bytes(backend):
     """Spark's FetchFailed check: a reducer whose shuffle is missing a
     map output raises before it issues a flow or counts a read, so the

@@ -141,9 +141,7 @@ def test_stream_cell_reconciles_under_chaos():
         max_concurrent=2,
     )
     scheme = next(
-        name
-        for name, spec in SCHEME_REGISTRY.items()
-        if spec.preprocess is None
+        spec.scheme for spec in SCHEME_REGISTRY if spec.preprocess is None
     )
     plan = ExperimentPlan(
         cluster=small_spec(datacenters=("dc-a", "dc-b")),

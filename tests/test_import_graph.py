@@ -166,13 +166,15 @@ def test_parser_surface_is_the_checked_in_one():
 
 
 def test_static_name_registry_equals_the_live_registries():
-    from repro.experiments.schemes import all_schemes
-    from repro.shuffle.backends import backend_names
+    from repro.experiments.schemes import SCHEME_REGISTRY
+    from repro.shuffle.backends import BACKENDS
     from repro.workloads import all_workloads
 
     assert list(cli.WORKLOADS) == [w.name.lower() for w in all_workloads()]
-    assert list(cli.SCHEMES) == [s.value.lower() for s in all_schemes()]
-    assert list(cli.BACKENDS) == list(backend_names())
+    assert list(cli.SCHEMES) == [
+        spec.scheme.value.lower() for spec in SCHEME_REGISTRY
+    ]
+    assert list(cli.BACKENDS) == list(BACKENDS)
 
 
 # ----------------------------------------------------------------------
