@@ -163,12 +163,12 @@ class PreMergeBackend(ShuffleBackend):
             yield context.sim.all_of(flows)
         # Relocate only after the flows finished: reducers are not
         # launched until this process returns, so no read can observe a
-        # half-merged layout.
-        tracker = context.map_output_tracker
+        # half-merged layout.  The shards are the planned status's: a
+        # source host lost mid-merge takes its record with it, not the
+        # payload its flow already carried to the merger.
         for status, merger in moves:
             self.relocate_map_output(
-                shuffle_id, status.map_index, merger,
-                tracker.map_status(shuffle_id, status.map_index).shards,
+                shuffle_id, status.map_index, merger, status.shards
             )
 
     # ------------------------------------------------------------------

@@ -103,6 +103,26 @@ def test_fault_free_hashes_cover_every_column():
     assert all(hashes.values())
 
 
+def test_pre_merge_survives_a_source_host_lost_mid_merge():
+    """dc-a-w1 dies while its merge flow to dc-a's merger is in flight.
+    The merge relocates the shards it planned with, so the job completes
+    with the fault-free hash instead of failing for the lost record."""
+    hashes = fault_free_hashes(("pre_merge",), ("baseline",), seed=0)
+    outcome = run_cell(
+        CampaignCell(
+            index=0,
+            schedule_specs=("host:dc-a-w1@3.112750999973894",),
+            backend="pre_merge",
+            policy="baseline",
+            seed=0,
+            expected_hash=hashes[("pre_merge", "baseline")],
+            max_wall_seconds=30.0,
+        )
+    )
+    assert outcome.job_failed == ""
+    assert outcome.violations == ()
+
+
 def test_unknown_policy_rejected():
     with pytest.raises(ConfigurationError):
         run_cell(
