@@ -13,8 +13,8 @@ and DAG scheduler assert, *while the simulation runs*:
 * **time monotonicity** — the kernel's batch clock never goes backwards
   and never goes NaN;
 * **ledger==monitor reconciliation** — at every stage boundary, the
-  admission-time :class:`~repro.metrics.tenants.TenantLedger` charges of
-  all *landed* flows equal the completion-time
+  landed charges of the admission-time
+  :class:`~repro.metrics.tenants.TenantLedger` equal the completion-time
   :class:`~repro.network.traffic_monitor.TrafficMonitor` records
   bit-for-bit, per tenant, for both total and WAN bytes;
 * **read-only shared records** — every hit of a dataset's
@@ -40,15 +40,7 @@ import math
 import os
 from contextlib import contextmanager
 from math import fsum
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-)
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.tenants import TenantLedger
@@ -153,42 +145,13 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # Ledger: admission charges == completion records, bit for bit
     # ------------------------------------------------------------------
-    def check_ledger(
-        self,
-        ledger: TenantLedger,
-        monitor: TrafficMonitor,
-        active_flow_ids: Iterator[int],
-    ) -> None:
-        """Settled ledger charges must equal monitor records exactly.
-
-        ``active_flow_ids`` names the in-flight flows, whose admission
-        charges the monitor has not seen yet; everything else has landed
-        and both sides hold the identical multiset of floats, so fsum
-        reconciliation is exact — the stage-boundary version of the
-        end-of-run property test.
-        """
+    def check_ledger(self, ledger: TenantLedger, monitor: TrafficMonitor) -> None:
+        """Landed ledger charges must equal monitor records exactly —
+        the stage-boundary version of the end-of-run property test."""
         self.checks["ledger"] += 1
-        active = set(active_flow_ids)
-        settled = ledger.settled_by_tenant(exclude=active)
-        settled_wan = ledger.settled_by_tenant(exclude=active, wan_only=True)
-        recorded = monitor.by_tenant
-        recorded_wan = monitor.cross_dc_by_tenant
-        for tenant in sorted(set(settled) | set(recorded)):
-            lhs = settled.get(tenant, 0.0)
-            rhs = recorded.get(tenant, 0.0)
-            if lhs != rhs:
-                raise InvariantViolation(
-                    f"tenant {tenant!r}: ledger settled bytes {lhs!r} != "
-                    f"monitor recorded bytes {rhs!r} at stage boundary"
-                )
-        for tenant in sorted(set(settled_wan) | set(recorded_wan)):
-            lhs = settled_wan.get(tenant, 0.0)
-            rhs = recorded_wan.get(tenant, 0.0)
-            if lhs != rhs:
-                raise InvariantViolation(
-                    f"tenant {tenant!r}: ledger settled WAN bytes {lhs!r} "
-                    f"!= monitor recorded WAN bytes {rhs!r} at stage boundary"
-                )
+        mismatches = _ledger_mismatches(ledger, monitor)
+        if mismatches:
+            raise InvariantViolation(f"{mismatches[0]} at stage boundary")
 
     # ------------------------------------------------------------------
     # Reporting
@@ -213,6 +176,30 @@ def _mismatch(lhs: float, rhs: float) -> bool:
     return abs(lhs - rhs) > _RECONCILE_REL * max(abs(lhs), abs(rhs)) + _RECONCILE_ABS
 
 
+def _ledger_mismatches(ledger: TenantLedger, monitor: TrafficMonitor) -> List[str]:
+    """Every tenant whose landed ledger charges differ from the monitor's
+    records, total or WAN.  Both sides hold the exact sum of the same
+    floats, so any difference at all is one."""
+    found: List[str] = []
+    for what, landed, recorded in (
+        ("bytes", ledger.landed_by_tenant(), monitor.by_tenant),
+        (
+            "WAN bytes",
+            ledger.landed_by_tenant(wan_only=True),
+            monitor.cross_dc_by_tenant,
+        ),
+    ):
+        for tenant in sorted(set(landed) | set(recorded)):
+            lhs = landed.get(tenant, 0.0)
+            rhs = recorded.get(tenant, 0.0)
+            if lhs != rhs:
+                found.append(
+                    f"tenant {tenant!r}: ledger landed {what} {lhs!r} != "
+                    f"monitor recorded {what} {rhs!r}"
+                )
+    return found
+
+
 def reconcile_run(context) -> List[str]:
     """Cross-check one finished run's three accounting spines.
 
@@ -222,13 +209,14 @@ def reconcile_run(context) -> List[str]:
     * backend **counters** == traffic **monitor** over the backend's
       declared flow tags (total, cross-DC, and per-shuffle attribution),
       within the solver accuracy bound;
-    * tenant **ledger** settled charges == monitor completion records,
+    * tenant **ledger** landed charges == monitor completion records,
       bit for bit per tenant, for total and WAN bytes.
 
     Flows still in flight when the run stopped (abandoned attempts whose
     awaiting process died — a speculative loser's fetch, a relaunched
-    task's half-finished read) are excluded from every comparison: they
-    were charged at issue but the monitor only records completions.
+    task's half-finished read) are left out of every comparison: they
+    were charged at issue but the monitor only records completions, and
+    the ledger keeps them apart until they land.
 
     Returns a list of human-readable violation strings — empty means the
     run reconciles.  Never raises: the campaign wants every violation,
@@ -246,8 +234,8 @@ def reconcile_run(context) -> List[str]:
     # e.g. a speculative loser whose fetch was orphaned by the job
     # completing first — were counter-charged in full at issue but never
     # reached the monitor, which records at completion (or delivered
-    # bytes at cancellation).  Exclude them from the counter side, the
-    # same treatment the ledger comparison below applies by flow id.
+    # bytes at cancellation).  Exclude them from the counter side; the
+    # ledger keeps its in-flight charges apart by itself.
     topology = context.topology
     in_flight = in_flight_wan = in_flight_shuffle = 0.0
     for flow in context.fabric.active_flows():
@@ -283,29 +271,7 @@ def reconcile_run(context) -> List[str]:
             f"monitor shuffle-path total {shuffle_total!r}"
         )
 
-    ledger = context.fabric.tenant_ledger
-    if ledger is not None:
-        active = set(context.fabric.active_flow_ids())
-        settled = ledger.settled_by_tenant(exclude=active)
-        settled_wan = ledger.settled_by_tenant(exclude=active, wan_only=True)
-        recorded = monitor.by_tenant
-        recorded_wan = monitor.cross_dc_by_tenant
-        for tenant in sorted(set(settled) | set(recorded)):
-            lhs = settled.get(tenant, 0.0)
-            rhs = recorded.get(tenant, 0.0)
-            if lhs != rhs:
-                violations.append(
-                    f"tenant {tenant!r}: ledger settled {lhs!r} != "
-                    f"monitor recorded {rhs!r}"
-                )
-        for tenant in sorted(set(settled_wan) | set(recorded_wan)):
-            lhs = settled_wan.get(tenant, 0.0)
-            rhs = recorded_wan.get(tenant, 0.0)
-            if lhs != rhs:
-                violations.append(
-                    f"tenant {tenant!r}: ledger settled WAN {lhs!r} != "
-                    f"monitor recorded WAN {rhs!r}"
-                )
+    violations.extend(_ledger_mismatches(context.fabric.tenant_ledger, monitor))
     return violations
 
 

@@ -87,6 +87,11 @@ def _parse_arrival(text: str):
         )
         for label, token in zip(labels, parts[1:])
     ]
+    if not values[1].is_integer():
+        raise SystemExit(
+            f"--arrival: job count token {parts[2]!r} in {text!r} "
+            "is not a whole number"
+        )
     shape = dict(zip(("burst_factor", "burst_fraction"), values[2:]))
     return _validated(
         ArrivalSpec(

@@ -4,12 +4,37 @@ Fig. 7 reports a 10 %-trimmed mean over 10 runs ("the maximum and the
 minimum values are invalidated before we compute the average") with
 error bars showing the interquartile range and the median.  The same
 treatment is applied per stage in Fig. 9.
+
+:func:`add_exact` keeps a running sum exactly, for the per-tenant byte
+accounts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+
+def add_exact(partials: List[float], value: float) -> None:
+    """Fold ``value`` into ``partials``, the exact running sum.
+
+    Shewchuk's non-overlapping partials, as :func:`math.fsum` keeps them
+    internally: their exact sum is the exact sum of every value folded
+    in, so ``fsum(partials)`` equals ``fsum`` of the whole list of
+    values bit for bit, in any order, from a few floats instead of one
+    per value.
+    """
+    kept = 0
+    for partial in partials:
+        if abs(value) < abs(partial):
+            value, partial = partial, value
+        high = value + partial
+        low = partial - (high - value)
+        if low:
+            partials[kept] = low
+            kept += 1
+        value = high
+    partials[kept:] = [value]
 
 
 def trimmed_mean(values: Sequence[float], trim_fraction: float = 0.1) -> float:

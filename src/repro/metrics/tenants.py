@@ -3,12 +3,11 @@
 Two complementary pieces:
 
 * :class:`TenantLedger` — byte attribution, charged by the fabric at
-  flow *admission* and refunded when a flow is cancelled before
-  draining.  Once every flow has landed, the ledger's per-tenant totals
-  must reconcile exactly with the traffic monitor's completion-time
-  ``by_tenant`` records — the multi-tenant extension of the
-  counter-vs-monitor byte-equality invariant (property-tested,
-  including under chaos/retry refunds).
+  flow *admission* and landed when the flow drains or is cancelled.
+  Its landed totals equal the traffic monitor's completion-time
+  ``by_tenant`` records bit for bit at every instant — the multi-tenant
+  extension of the counter-vs-monitor byte-equality invariant
+  (property-tested, including under chaos/retry cancels).
 * :class:`TenantCounters` — job-stream outcomes: per-tenant job
   completion times (JCT p50/p95/p99 via :mod:`repro.metrics.stats`),
   makespan, and job counts, merged with the ledger into the per-tenant
@@ -19,81 +18,72 @@ from __future__ import annotations
 
 from collections import defaultdict
 from math import fsum
-from typing import Collection, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.metrics.stats import percentile
+from repro.metrics.stats import add_exact, percentile
 
 
 class TenantLedger:
     """Admission-time per-tenant byte accounting with cancel refunds.
 
-    Charges are kept **per flow** and totals reduced with
-    :func:`math.fsum`, so they are independent of accumulation order:
-    the ledger charges at admission while the traffic monitor records at
-    completion, and a running float sum would drift by an ulp whenever
-    overlapping flows land in a different order than they were admitted.
-    With per-flow entries both sides sum the identical multiset of
-    values — a cancelled flow's refund *replaces* its admission charge
-    with the bytes actually delivered — so reconciliation is exact, not
-    merely close.
+    A charge is *in flight* from admission until the fabric lands it:
+    at the flow's size when it drains, at the bytes actually delivered
+    when it is cancelled — the float the traffic monitor records, at
+    the moment it records it.  Landed bytes fold into per-tenant exact
+    partials (:func:`~repro.metrics.stats.add_exact`), as the monitor's
+    records do, so both sides hold the exact sum of the identical
+    multiset of floats: ``fsum`` of either is bit-equal whatever order
+    flows land in, a stage-boundary comparison costs O(tenants), and
+    nothing is kept per landed flow.
     """
 
     def __init__(self) -> None:
         # flow key -> (tenant, charged bytes, crossed a WAN boundary)
-        self._charges: Dict[int, tuple] = {}
+        self._in_flight: Dict[int, Tuple[str, float, bool]] = {}
+        # tenant -> exact partials of its landed bytes (all, and WAN
+        # only); keyed at the tenant's first charge.
+        self._landed: Dict[str, List[float]] = {}
+        self._landed_wan: Dict[str, List[float]] = {}
 
     def account(
         self, tenant: str, flow_key: int, size_bytes: float, wan: bool = False
     ) -> None:
         """Charge ``size_bytes`` to ``tenant`` at flow admission."""
-        self._charges[flow_key] = (tenant, size_bytes, wan)
+        self._in_flight[flow_key] = (tenant, size_bytes, wan)
+        self._landed.setdefault(tenant, [])
+        if wan:
+            self._landed_wan.setdefault(tenant, [])
 
-    def settle(self, flow_key: int, delivered: float) -> None:
-        """A cancelled flow's refund: keep only what actually crossed.
-
-        The charge becomes the *same float* the traffic monitor records
-        for the cancelled flow, keeping the two multisets identical.
-        """
-        entry = self._charges.get(flow_key)
-        if entry is None:
-            return
-        tenant, _charged, wan = entry
-        self._charges[flow_key] = (tenant, delivered, wan)
+    def land(self, flow_key: int, delivered: float) -> None:
+        """The flow stopped moving: ``delivered`` bytes crossed (its
+        full size, or less when it was cancelled)."""
+        tenant, _charged, wan = self._in_flight.pop(flow_key)
+        add_exact(self._landed[tenant], delivered)
+        if wan:
+            add_exact(self._landed_wan[tenant], delivered)
 
     @property
     def bytes_by_tenant(self) -> Dict[str, float]:
-        return self._reduce(wan_only=False)
+        """Landed plus in-flight charges per tenant."""
+        return self._with_in_flight(wan_only=False)
 
     @property
     def wan_bytes_by_tenant(self) -> Dict[str, float]:
-        return self._reduce(wan_only=True)
+        return self._with_in_flight(wan_only=True)
 
-    def settled_by_tenant(
-        self, exclude: Collection[int] = (), wan_only: bool = False
-    ) -> Dict[str, float]:
-        """Per-tenant totals over the *landed* charges only.
+    def landed_by_tenant(self, wan_only: bool = False) -> Dict[str, float]:
+        """Per-tenant totals of the landed charges only: what the
+        traffic monitor has recorded."""
+        partials = self._landed_wan if wan_only else self._landed
+        return {tenant: fsum(terms) for tenant, terms in partials.items()}
 
-        ``exclude`` names the still-in-flight flow keys: their admission
-        charges have no traffic-monitor record yet.  What remains is the
-        identical multiset of floats the monitor holds, so the runtime
-        sanitizer compares the two fsum reductions for exact equality at
-        stage boundaries.
-        """
-        excluded = set(exclude)
-        grouped: Dict[str, List[float]] = defaultdict(list)
-        for flow_key, (tenant, charged, wan) in self._charges.items():
-            if flow_key in excluded or (wan_only and not wan):
-                continue
-            grouped[tenant].append(charged)
-        return {tenant: fsum(values) for tenant, values in grouped.items()}
-
-    def _reduce(self, wan_only: bool) -> Dict[str, float]:
-        grouped: Dict[str, List[float]] = defaultdict(list)
-        for tenant, charged, wan in self._charges.values():
-            if wan_only and not wan:
-                continue
-            grouped[tenant].append(charged)
-        return {tenant: fsum(values) for tenant, values in grouped.items()}
+    def _with_in_flight(self, wan_only: bool) -> Dict[str, float]:
+        partials = self._landed_wan if wan_only else self._landed
+        terms = {tenant: list(landed) for tenant, landed in partials.items()}
+        for tenant, charged, wan in self._in_flight.values():
+            if wan or not wan_only:
+                terms[tenant].append(charged)
+        return {tenant: fsum(values) for tenant, values in terms.items()}
 
 
 class TenantCounters:

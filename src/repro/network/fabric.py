@@ -164,8 +164,8 @@ class NetworkFabric:
         # the solvers stay on the bit-identical unweighted path.
         self.tenant_weights: Dict[str, float] = {}
         # Creation-time per-tenant byte accounting (admission charges,
-        # cancel refunds); reconciles exactly with the traffic monitor's
-        # per-tenant totals once all flows have landed.
+        # landed where the monitor records); its landed totals equal the
+        # traffic monitor's per-tenant totals exactly.
         self.tenant_ledger = TenantLedger()
         self.drive = drive
         # link name -> health-advised capacity ceiling (circuit-breaker
@@ -264,11 +264,6 @@ class NetworkFabric:
     @property
     def active_flow_count(self) -> int:
         return len(self._flows)
-
-    def active_flow_ids(self) -> Tuple[int, ...]:
-        """The in-flight flow ids (sanitizer reconciliation excludes
-        them: their admission charges have no monitor record yet)."""
-        return tuple(self._flows)
 
     def active_flows(self) -> List[Flow]:
         """The in-flight flows, with ``remaining`` charged up to now
@@ -400,10 +395,8 @@ class NetworkFabric:
         dst_dc = self.topology.datacenter_of(flow.dst_host)
         if flow.tenant:
             # Refund the bytes that never crossed the links: the charge
-            # becomes exactly the delivered value the monitor records,
-            # so admission-time totals reconcile with completion-time
-            # records to the last bit.
-            self.tenant_ledger.settle(flow.flow_id, delivered)
+            # lands as exactly the delivered value the monitor records.
+            self.tenant_ledger.land(flow.flow_id, delivered)
         if delivered > 0:
             self.monitor.record(
                 src_dc, dst_dc, delivered, flow.tag, tenant=flow.tenant
@@ -484,6 +477,8 @@ class NetworkFabric:
             self.monitor.record(
                 src_dc, dst_dc, flow.size_bytes, flow.tag, tenant=flow.tenant
             )
+            if flow.tenant:
+                self.tenant_ledger.land(flow.flow_id, flow.size_bytes)
         self.completed_flows.append(flow)
         completion = flow.completion
         flow.completion = None

@@ -11,6 +11,8 @@ from collections import defaultdict
 from math import fsum
 from typing import Dict, List, Tuple
 
+from repro.metrics.stats import add_exact
+
 MB = 1_000_000.0
 
 
@@ -23,13 +25,13 @@ class TrafficMonitor:
         self.by_pair: Dict[Tuple[str, str], float] = defaultdict(float)
         self.by_tag: Dict[str, float] = defaultdict(float)
         self.cross_dc_by_tag: Dict[str, float] = defaultdict(float)
-        # Per-tenant records are kept as per-flow entries and reduced
-        # with math.fsum on read: exact and accumulation-order-free, so
-        # they reconcile bit-for-bit with the admission-time
-        # TenantLedger (which sums the identical multiset).  Untenanted
+        # Per-tenant records are exact partials (add_exact), reduced
+        # with math.fsum on read: accumulation-order-free, so they
+        # reconcile bit-for-bit with the TenantLedger's landed charges
+        # (the identical multiset, folded the same way).  Untenanted
         # runs never touch these.
-        self._tenant_entries: Dict[str, List[float]] = defaultdict(list)
-        self._tenant_wan_entries: Dict[str, List[float]] = defaultdict(list)
+        self._tenant_partials: Dict[str, List[float]] = defaultdict(list)
+        self._tenant_wan_partials: Dict[str, List[float]] = defaultdict(list)
         self.flow_count = 0
 
     def record(
@@ -48,28 +50,28 @@ class TrafficMonitor:
         if tag:
             self.by_tag[tag] += size_bytes
         if tenant:
-            self._tenant_entries[tenant].append(size_bytes)
+            add_exact(self._tenant_partials[tenant], size_bytes)
         if src_dc != dst_dc:
             self.cross_dc_bytes += size_bytes
             if tag:
                 self.cross_dc_by_tag[tag] += size_bytes
             if tenant:
-                self._tenant_wan_entries[tenant].append(size_bytes)
+                add_exact(self._tenant_wan_partials[tenant], size_bytes)
 
     @property
     def by_tenant(self) -> Dict[str, float]:
         """Delivered bytes per tenant (exact, order-independent sum)."""
         return {
-            tenant: fsum(entries)
-            for tenant, entries in self._tenant_entries.items()
+            tenant: fsum(partials)
+            for tenant, partials in self._tenant_partials.items()
         }
 
     @property
     def cross_dc_by_tenant(self) -> Dict[str, float]:
         """Cross-datacenter delivered bytes per tenant."""
         return {
-            tenant: fsum(entries)
-            for tenant, entries in self._tenant_wan_entries.items()
+            tenant: fsum(partials)
+            for tenant, partials in self._tenant_wan_partials.items()
         }
 
     # ------------------------------------------------------------------

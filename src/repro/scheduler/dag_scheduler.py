@@ -188,13 +188,10 @@ class DAGScheduler:
         self.metrics.on_stage_end(stage, self.sim.now)
         sanitizer = context.fabric.sanitizer
         if sanitizer is not None:
-            # Stage boundary: every landed flow's admission-time ledger
-            # charge must reconcile bit-for-bit with the monitor's
-            # completion-time record (in-flight flows excluded).
+            # Stage boundary: the ledger's landed charges must reconcile
+            # bit-for-bit with the monitor's completion-time records.
             sanitizer.check_ledger(
-                context.fabric.tenant_ledger,
-                context.fabric.monitor,
-                iter(context.fabric.active_flow_ids()),
+                context.fabric.tenant_ledger, context.fabric.monitor
             )
         return gathered
 

@@ -150,7 +150,7 @@ class Timeout(Event):
     def __init__(
         self, sim: Simulator, delay: float, value: Any = None, name: str = ""
     ) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay}")
         # Event.__init__ and the kernel's scheduling, spelled out: a
         # stream round sleeps tens of thousands of times.

@@ -222,7 +222,7 @@ class Simulator:
         Cancellation is lazy — a cancelled handle is dropped when it
         comes due, costing O(1) instead of a delivered no-op.
         """
-        if time < self._now:
+        if not time >= self._now:  # written so that a NaN time fails too
             raise SimulationError(
                 f"call_at({time}) is in the past (now={self._now})"
             )
@@ -235,7 +235,7 @@ class Simulator:
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
         """Run ``fn()`` after ``delay`` time units (cancellable)."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timer delay: {delay}")
         return self.call_at(self._now + delay, fn)
 
@@ -288,7 +288,7 @@ class Simulator:
 
         Returns the final simulated time.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError(
                 f"run(until={until}) is in the past (now={self._now})"
             )

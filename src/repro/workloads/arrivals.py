@@ -28,6 +28,7 @@ while still moving tenant-attributed bytes through the fabric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
@@ -66,14 +67,13 @@ class TenantSpec:
     def validate(self) -> None:
         if not self.name:
             raise WorkloadError("tenant name must be non-empty")
-        if self.weight <= 0:
-            raise WorkloadError(
-                f"tenant {self.name!r}: weight must be > 0, got {self.weight}"
-            )
-        if self.share <= 0:
-            raise WorkloadError(
-                f"tenant {self.name!r}: share must be > 0, got {self.share}"
-            )
+        for field_name in ("weight", "share"):
+            value = getattr(self, field_name)
+            if not (math.isfinite(value) and value > 0):
+                raise WorkloadError(
+                    f"tenant {self.name!r}: {field_name} must be finite "
+                    f"and > 0, got {value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -97,17 +97,18 @@ class ArrivalSpec:
                 f"unknown arrival process {self.process!r} "
                 f"(choose from: {', '.join(ARRIVAL_PROCESSES)})"
             )
-        if self.rate_per_minute <= 0:
+        if not (math.isfinite(self.rate_per_minute) and self.rate_per_minute > 0):
             raise WorkloadError(
-                f"arrival rate must be > 0 jobs/min, got {self.rate_per_minute}"
+                "arrival rate must be finite and > 0 jobs/min, "
+                f"got {self.rate_per_minute}"
             )
         if self.num_jobs < 1:
             raise WorkloadError(
                 f"num_jobs must be >= 1, got {self.num_jobs}"
             )
-        if self.burst_factor < 1.0:
+        if not (math.isfinite(self.burst_factor) and self.burst_factor >= 1.0):
             raise WorkloadError(
-                f"burst_factor must be >= 1, got {self.burst_factor}"
+                f"burst_factor must be finite and >= 1, got {self.burst_factor}"
             )
         if not 0.0 <= self.burst_fraction <= 1.0:
             raise WorkloadError(

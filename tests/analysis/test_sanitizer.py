@@ -95,8 +95,9 @@ def test_check_ledger_reconciles_settled_charges():
     monitor = TrafficMonitor()
     ledger.account("prod", 1, 100.0, wan=True)
     ledger.account("prod", 2, 25.0, wan=False)  # still in flight
+    ledger.land(1, 100.0)
     monitor.record("dc-a", "dc-b", 100.0, tenant="prod")
-    sanitizer.check_ledger(ledger, monitor, iter([2]))
+    sanitizer.check_ledger(ledger, monitor)
     assert sanitizer.checks["ledger"] == 1
 
 
@@ -126,9 +127,10 @@ def test_check_ledger_rejects_mismatched_bytes():
     ledger = TenantLedger()
     monitor = TrafficMonitor()
     ledger.account("prod", 1, 100.0, wan=True)
+    ledger.land(1, 100.0)
     monitor.record("dc-a", "dc-b", 99.0, tenant="prod")
     with pytest.raises(InvariantViolation, match="ledger"):
-        sanitizer.check_ledger(ledger, monitor, iter([]))
+        sanitizer.check_ledger(ledger, monitor)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,41 @@ def push_context():
     return make_context(push=True)
 
 
+def run_two_tenant_stream(scheme, jobs: int, seed: int) -> ClusterContext:
+    """A saturating two-tenant stream, run to its end; returns the
+    context (which holds the fabric)."""
+    from repro.experiments.runner import ExperimentPlan
+    from repro.experiments.schemes import config_for_scheme
+    from repro.scheduler.job_scheduler import run_stream
+    from repro.simulation.random_source import RandomSource
+    from repro.workloads import workload_by_name
+    from repro.workloads.arrivals import (
+        ArrivalSpec,
+        StreamSpec,
+        TenantSpec,
+        generate_arrivals,
+    )
+
+    cluster = ExperimentPlan().cluster
+    spec = StreamSpec(
+        arrival=ArrivalSpec("poisson", 600.0, jobs),
+        tenants=(TenantSpec("prod", weight=2.0), TenantSpec("batch", weight=1.0)),
+        policy="fair",
+        max_concurrent=4,
+    )
+    arrivals = generate_arrivals(
+        spec, cluster.datacenters, RandomSource(seed).child("stream")
+    )
+    config = config_for_scheme(
+        scheme, workload_by_name("wordcount").spec, seed, SimulationConfig()
+    )
+    context = ClusterContext(cluster, config)
+    result = run_stream(context, spec, arrivals)
+    context.shutdown()
+    assert result.jobs_completed == jobs
+    return context
+
+
 def count_inserted_transfers(final_rdd) -> int:
     """How many shuffle parents in ``final_rdd``'s lineage are
     ``TransferredRDD``s."""

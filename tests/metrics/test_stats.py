@@ -1,9 +1,12 @@
 """Statistics used by the figures: trimmed mean, median, IQR."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.metrics.stats import (
+    add_exact,
     interquartile_range,
     percentile,
     reduction_percent,
@@ -145,3 +148,23 @@ def test_percentile_is_bounded_and_monotone(values, q):
     result = percentile(values, q)
     assert ordered[0] <= result <= ordered[-1]
     assert percentile(values, 0) <= result <= percentile(values, 100)
+
+
+# Byte counts as the per-tenant accounts see them: whole-byte flow
+# sizes, the fractional bytes a cancelled flow delivered, and the 0.0 a
+# flow cancelled before it moved lands — from 1 B to 1e12 B.
+byte_counts = st.one_of(
+    st.just(0.0),
+    st.integers(1, 10**12).map(float),
+    st.floats(1.0, 1e12),
+)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(byte_counts, max_size=300))
+def test_add_exact_partials_fsum_to_the_fsum_of_every_value(values):
+    partials: list = []
+    for value in values:
+        add_exact(partials, value)
+    assert math.fsum(partials).hex() == math.fsum(values).hex()

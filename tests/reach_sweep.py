@@ -92,7 +92,6 @@ UNCALLED_DEFS: Dict[str, str] = {
     "repro.failures.health:BlacklistTracker.note_task_failure": _FAILURE,
     "repro.failures.health:LinkHealthMonitor.state": _FAILURE,
     "repro.metrics.collectors:MetricsCollector.on_task_attempt_failed": _FAILURE,
-    "repro.metrics.tenants:TenantLedger.settle": _FAILURE,
     "repro.rdd.memo:DataMemo._name": _FAILURE,
     "repro.simulation.event:Event.error": _FAILURE,
     "repro.simulation.event:Timeout.fail": _FAILURE,

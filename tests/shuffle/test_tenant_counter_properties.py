@@ -14,9 +14,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.sanitizer import InvariantViolation, Sanitizer
+from repro.experiments.schemes import Scheme
 from repro.network.fabric import NetworkFabric
 from repro.network.topology import GBPS, MBPS, Topology
 from repro.simulation import Simulator
+from tests.conftest import run_two_tenant_stream
 
 TENANTS = ("gold", "bronze", "")  # "" = untenanted control traffic
 HOSTS = ("a1", "a2", "b1", "b2")
@@ -72,11 +75,10 @@ def _flow_plans(draw):
     return drive, weights, flows
 
 
-@given(_flow_plans())
-@settings(max_examples=60, deadline=None)
-def test_ledger_reconciles_with_monitor_under_cancels(plan):
+def _play(plan, make_fabric=_fabric):
+    """Run ``plan``'s flows and cancels to the end; returns the fabric."""
     drive, weights, flows = plan
-    sim, fabric = _fabric(drive)
+    sim, fabric = make_fabric(drive)
     for tenant, weight in weights.items():
         fabric.set_tenant_weight(tenant, weight)
     for src, dst, size, tenant, cancel_at in flows:
@@ -86,7 +88,66 @@ def test_ledger_reconciles_with_monitor_under_cancels(plan):
                 cancel_at, lambda event=event: fabric.cancel(event)
             )
     sim.run()
+    return fabric
+
+
+@given(_flow_plans())
+@settings(max_examples=60, deadline=None)
+def test_ledger_reconciles_with_monitor_under_cancels(plan):
+    fabric = _play(plan)
     assert fabric.active_flow_count == 0
+    _assert_ledger_reconciles(fabric)
+
+
+def _fabric_landing_cancels_in_full(drive):
+    """Planted fault: every flow lands at the bytes it was charged, so a
+    cancelled one lands at its full size, not at what it delivered."""
+    sim, fabric = _fabric(drive)
+    ledger = fabric.tenant_ledger
+    land = ledger.land
+    ledger.land = lambda key, _delivered: land(key, ledger._in_flight[key][1])
+    return sim, fabric
+
+
+def test_both_ledger_checks_catch_a_cancel_landed_in_full():
+    """Two flows share the 100 Mbps WAN link; the gold one is cancelled
+    half-way.  The end-of-run comparison and the sanitizer's check both
+    pass on the real fabric and both fail on the planted one."""
+    plan = (
+        "vector",
+        {"gold": 1.0, "bronze": 1.0},
+        [("a1", "b1", 1e7, "gold", 0.5), ("a2", "b2", 2e7, "bronze", None)],
+    )
+    fabric = _play(plan)
+    _assert_ledger_reconciles(fabric)
+    Sanitizer().check_ledger(fabric.tenant_ledger, fabric.monitor)
+
+    planted = _play(plan, _fabric_landing_cancels_in_full)
+    assert planted.monitor.by_tenant["gold"] < 1e7
+    with pytest.raises(AssertionError):
+        _assert_ledger_reconciles(planted)
+    with pytest.raises(InvariantViolation, match="'gold'"):
+        Sanitizer().check_ledger(planted.tenant_ledger, planted.monitor)
+
+
+@pytest.mark.parametrize("jobs", [100, 400])
+def test_stream_leaves_no_per_flow_state(jobs):
+    """After a two-tenant stream, the idle fabric's ledger holds no
+    in-flight charge, and the ledger and the monitor keep a few exact
+    partials per tenant — nothing per flow."""
+    context = run_two_tenant_stream(Scheme.SPARK, jobs, 0)
+    fabric = context.fabric
+    ledger = fabric.tenant_ledger
+    assert fabric.active_flow_count == 0
+    assert ledger._in_flight == {}
+    held = (
+        (ledger._landed, ledger._landed_wan),
+        (fabric.monitor._tenant_partials, fabric.monitor._tenant_wan_partials),
+    )
+    for totals, wan in held:
+        assert set(totals) == {"prod", "batch"}
+        for tenant in totals:
+            assert len(totals[tenant]) + len(wan.get(tenant, ())) <= 8
     _assert_ledger_reconciles(fabric)
 
 

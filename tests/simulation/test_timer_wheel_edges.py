@@ -3,6 +3,8 @@
 scheduling.  ``test_agenda.py`` holds the ordering contract as a
 property; these are the named cases beside it."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -113,6 +115,32 @@ def test_call_at_in_the_past_raises():
     assert sim.now == 1.0
     with pytest.raises(SimulationError, match="past"):
         sim.call_at(0.5, lambda: None)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda sim: sim.call_at(math.nan, lambda: None),
+        lambda sim: sim.run(until=math.nan),
+    ],
+    ids=["call_at", "run_until"],
+)
+def test_nan_time_is_in_the_past(schedule):
+    """Every comparison with NaN is False; the guard must still refuse
+    it, or a NaN key sits in the agenda and breaks its ordering."""
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="past"):
+        schedule(sim)
+    assert sim.run() == 0.0
+
+
+def test_nan_delay_is_negative():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="negative"):
+        sim.call_later(math.nan, lambda: None)
+    with pytest.raises(ValueError, match="negative"):
+        sim.timeout(math.nan)
+    assert sim.run() == 0.0
 
 
 def test_negative_delay_raises():

@@ -150,6 +150,28 @@ def test_stream_bad_tenant_weight_names_token(capsys):
     assert "'heavy'" in message
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--tenants", "prod:nan", "weight"),
+        ("--tenants", "prod:inf", "weight"),
+        ("--tenants", "a:1:nan", "share"),
+        ("--arrival", "poisson:nan:10", "rate"),
+        ("--arrival", "bursty:60:10:nan", "burst_factor"),
+        ("--arrival", "poisson:60:2.5", "'2.5'"),
+    ],
+)
+def test_stream_non_finite_or_fractional_spec_is_one_usage_line(
+    flag, value, named
+):
+    """Each once ended in a traceback (an empty-deque pop in the kernel,
+    ``random.choices`` refusing NaN weights) or silently ran 2 jobs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["stream", flag, value])
+    message = str(excinfo.value)
+    assert "\n" not in message and named in message, message
+
+
 def test_stream_unknown_policy_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["stream", "--policy", "lottery"])

@@ -27,52 +27,18 @@ import gc
 from pathlib import Path
 
 from benchmarks.e2e.workloads import fabric_plans, run_fabric_plan
-from repro.cluster.context import ClusterContext
-from repro.config import SimulationConfig
-from repro.experiments.runner import ExperimentPlan
-from repro.experiments.schemes import Scheme, config_for_scheme
-from repro.scheduler.job_scheduler import run_stream
-from repro.simulation.random_source import RandomSource
-from repro.workloads import workload_by_name
-from repro.workloads.arrivals import (
-    ArrivalSpec,
-    StreamSpec,
-    TenantSpec,
-    generate_arrivals,
-)
+from repro.experiments.schemes import Scheme
+from tests.conftest import run_two_tenant_stream
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-
-
-def _stream(scheme: Scheme, jobs: int, seed: int) -> ClusterContext:
-    """A saturating two-tenant stream, run to its end; returns the
-    context (which holds the fabric)."""
-    cluster = ExperimentPlan().cluster
-    spec = StreamSpec(
-        arrival=ArrivalSpec("poisson", 600.0, jobs),
-        tenants=(TenantSpec("prod", weight=2.0), TenantSpec("batch", weight=1.0)),
-        policy="fair",
-        max_concurrent=4,
-    )
-    arrivals = generate_arrivals(
-        spec, cluster.datacenters, RandomSource(seed).child("stream")
-    )
-    config = config_for_scheme(
-        scheme, workload_by_name("wordcount").spec, seed, SimulationConfig()
-    )
-    context = ClusterContext(cluster, config)
-    result = run_stream(context, spec, arrivals)
-    context.shutdown()
-    assert result.jobs_completed == jobs
-    return context
 
 
 def _play_everything(seed: int) -> list:
     """Run every scenario; returns what must stay alive (contexts and
     fabrics)."""
     kept: list = [
-        _stream(Scheme.SPARK, 40, seed),
-        _stream(Scheme.AGGSHUFFLE, 40, seed),
+        run_two_tenant_stream(Scheme.SPARK, 40, seed),
+        run_two_tenant_stream(Scheme.AGGSHUFFLE, 40, seed),
     ]
     for plan in fabric_plans(seed, 0.1):
         sim, fabric = run_fabric_plan(plan, "vector")
