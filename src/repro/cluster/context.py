@@ -71,7 +71,6 @@ class ClusterContext:
         self.dfs = DistributedFileSystem(
             self.topology.all_host_names(),
             replication=self.config.dfs_replication,
-            disk=self.config.disk,
         )
         self.estimator = SizeEstimator(scale_factor=self.config.scale_factor)
         self.cache = CacheManager()
@@ -142,7 +141,6 @@ class ClusterContext:
             self.chaos_injector.start()
 
         self._jitter: Optional[BandwidthJitter] = None
-        self._gateway_jitter: Optional[BandwidthJitter] = None
         if self.config.jitter is not None:
             self._jitter = BandwidthJitter(
                 self.sim,
@@ -301,9 +299,7 @@ class ClusterContext:
         self.shuffle_service.on_host_failure(host)
         cached_before = self.cache.entry_count
         self.cache.evict_host(host)
-        lost_blocks = self.dfs.namenode.remove_host_replicas(host)
-        for block_id in self.dfs.datanodes[host].block_ids():
-            self.dfs.datanodes[host].remove(block_id)
+        lost_blocks = self.dfs.remove_host(host)
         return {
             "map_outputs_lost": lost_outputs,
             "cached_partitions_lost": cached_before - self.cache.entry_count,
@@ -317,8 +313,6 @@ class ClusterContext:
         """Stop background processes (jitter); the context stays readable."""
         if self._jitter is not None:
             self._jitter.stop()
-        if self._gateway_jitter is not None:
-            self._gateway_jitter.stop()
 
 
 class JobHandle:

@@ -75,16 +75,14 @@ def stage_input_bytes_by_datacenter(
                 continue  # cached data is this branch's effective input
         if isinstance(rdd, HadoopRDD):
             for partition in range(rdd.num_partitions):
-                block_id = rdd.block_id(partition)
-                locations = context.dfs.block_locations(block_id)
-                if not locations:
+                block = context.dfs.block(rdd.block_id(partition))
+                if not block.hosts:
                     # Every replica died (re-election after an outage
                     # sizes against live state); the read path raises
                     # its own BlockNotFoundError if it is truly needed.
                     continue
-                size = context.dfs.block_size(block_id)
-                dc = topology.datacenter_of(locations[0])
-                by_dc[dc] = by_dc.get(dc, 0.0) + size
+                dc = topology.datacenter_of(block.hosts[0])
+                by_dc[dc] = by_dc.get(dc, 0.0) + block.size_bytes
             continue
         for dep in reversed(rdd.dependencies):
             stack.append(

@@ -45,7 +45,7 @@ class StorageError(ReproError):
 
 
 class BlockNotFoundError(StorageError):
-    """Raised when a requested block id is not known to the namenode."""
+    """Raised when a requested block id is not known to the DFS."""
 
 
 class FileNotFoundInDFSError(StorageError):

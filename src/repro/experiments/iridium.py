@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.cluster.context import ClusterContext
+from repro.experiments.centralize import move_blocks
 
 
 def datacenter_bandwidth_scores(context: ClusterContext) -> Dict[str, float]:
@@ -54,16 +55,16 @@ def plan_redistribution(
     scores = datacenter_bandwidth_scores(context)
     total_score = sum(scores.values()) or 1.0
 
-    block_ids = dfs.file_blocks(path)
-    sizes = {block_id: dfs.block_size(block_id) for block_id in block_ids}
+    blocks = [dfs.read_block(block_id) for block_id in dfs.file_blocks(path)]
+    sizes = {block.block_id: block.size_bytes for block in blocks}
     total_bytes = sum(sizes.values())
 
     held: Dict[str, float] = {name: 0.0 for name in scores}
     blocks_by_dc: Dict[str, List[str]] = {name: [] for name in scores}
-    for block_id in block_ids:
-        dc = topology.datacenter_of(dfs.block_locations(block_id)[0])
-        held[dc] += sizes[block_id]
-        blocks_by_dc[dc].append(block_id)
+    for block in blocks:
+        dc = topology.datacenter_of(block.hosts[0])
+        held[dc] += block.size_bytes
+        blocks_by_dc[dc].append(block.block_id)
 
     targets = {
         name: total_bytes * scores[name] / total_score for name in scores
@@ -98,35 +99,4 @@ def iridium_redistribute(context: ClusterContext, path: str) -> float:
     moves = plan_redistribution(context, path)
     if not moves:
         return 0.0
-    start = context.sim.now
-    process = context.sim.spawn(
-        _redistribute_process(context, path, moves),
-        name=f"iridium:{path}",
-    )
-    context.sim.run_until_event(process)
-    return context.sim.now - start
-
-
-def _redistribute_process(context, path, moves):
-    dfs = context.dfs
-    destinations = dict(moves)
-    block_ids = dfs.file_blocks(path)
-    new_partitions, new_sizes, new_hosts, flows = [], [], [], []
-    for block_id in block_ids:
-        block = dfs.read_block(block_id)
-        source = dfs.block_locations(block_id)[0]
-        target = destinations.get(block_id, source)
-        if target != source:
-            flows.append(
-                context.fabric.transfer(
-                    source, target, block.size_bytes, tag="redistribute"
-                )
-            )
-        new_partitions.append(block.records)
-        new_sizes.append(block.size_bytes)
-        new_hosts.append(target)
-    if flows:
-        yield context.sim.all_of(flows)
-    dfs.delete_file(path)
-    dfs.write_file(path, new_partitions, new_sizes, placement_hosts=new_hosts)
-    return len(flows)
+    return move_blocks(context, path, dict(moves), "redistribute")

@@ -51,9 +51,6 @@ class JobMetrics:
     finished_at: Optional[float] = None
     stages: List[StageSpan] = field(default_factory=list)
     injected_failures: int = 0
-    # Filled in by the experiment harness from the traffic monitor.
-    cross_dc_bytes: float = 0.0
-    total_bytes: float = 0.0
 
     @property
     def duration(self) -> float:

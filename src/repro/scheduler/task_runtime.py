@@ -80,10 +80,9 @@ class TaskRuntime:
     # ------------------------------------------------------------------
     def read_input_block(self, block_id: str):
         """Read a DFS block, preferring local then same-DC replicas."""
-        dfs = self.context.dfs
         topology = self.context.topology
-        locations = dfs.block_locations(block_id)
-        block = dfs.read_block(block_id, from_host=self.host)
+        block = self.context.dfs.read_block(block_id)
+        locations = block.hosts
         if self.host in locations:
             yield self.sim.timeout(
                 self.context.config.disk.read_time(block.size_bytes)

@@ -52,11 +52,10 @@ def test_jobs_continue_on_surviving_hosts(fetch_context):
     assert result == {"a": 1, "b": 2}
 
 
-def test_lost_map_output_recomputed_partially(fetch_context):
+def test_lost_map_output_recomputed_partially():
     """Only the failed host's partitions re-run on the next job."""
-    context = fetch_context
     # Input on dc-a hosts; replication 2 so input survives the failure.
-    context.dfs.namenode.replication = 2
+    context = make_context(dfs_replication=2)
     context.write_input_file(
         "/in",
         [[("a", 1)], [("b", 2)], [("c", 3)], [("d", 4)]],
@@ -111,9 +110,8 @@ def test_lost_receiver_host_recovers_by_repush():
     context.shutdown()
 
 
-def test_cached_partitions_on_failed_host_recompute(fetch_context):
-    context = fetch_context
-    context.dfs.namenode.replication = 2
+def test_cached_partitions_on_failed_host_recompute():
+    context = make_context(dfs_replication=2)
     context.write_input_file(
         "/in", [[1], [2]], placement_hosts=["dc-a-w0", "dc-a-w1"]
     )
@@ -135,9 +133,8 @@ def test_unreplicated_input_loss_surfaces(fetch_context):
         context.text_file("/in").collect()
 
 
-def test_replicated_input_survives(fetch_context):
-    context = fetch_context
-    context.dfs.namenode.replication = 2
+def test_replicated_input_survives():
+    context = make_context(dfs_replication=2)
     context.write_input_file(
         "/in", [[7]], placement_hosts=["dc-a-w0", "dc-b-w0"]
     )

@@ -5,6 +5,7 @@ import pytest
 from repro.scheduler.task import Task
 from repro.scheduler.task_runtime import TaskRuntime
 from repro.scheduler.stage import build_stages
+from tests.conftest import make_context
 
 
 def runtime_for(context, rdd, host="dc-a-w0", partition=0):
@@ -49,10 +50,9 @@ def test_remote_block_read_uses_network(fetch_context):
     assert runtime.bytes_transferred_in > 0
 
 
-def test_same_dc_replica_preferred_over_remote(fetch_context):
-    context = fetch_context
+def test_same_dc_replica_preferred_over_remote():
     # Two replicas: one in dc-a, one in dc-b; reader is in dc-a.
-    context.dfs.namenode.replication = 2
+    context = make_context(dfs_replication=2)
     context.write_input_file(
         "/in", [["z" * 100]], placement_hosts=["dc-a-w1", "dc-b-w0"]
     )

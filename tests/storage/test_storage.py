@@ -1,4 +1,5 @@
-"""Storage substrate: blocks, namenode metadata, datanodes, disk model."""
+"""Storage substrate: blocks, the DFS's namespace (HDFS's namenode role)
+and replicas (its datanode role), disk model."""
 
 import pytest
 
@@ -7,7 +8,17 @@ from repro.errors import (
     FileExistsInDFSError,
     FileNotFoundInDFSError,
 )
-from repro.storage import Block, DataNode, DiskModel, NameNode
+from repro.storage import Block, DiskModel, DistributedFileSystem
+
+
+def make_dfs(replication=1):
+    return DistributedFileSystem(
+        ["h0", "h1", "h2", "only"], replication=replication
+    )
+
+
+def locations(dfs, path):
+    return [dfs.block_locations(b) for b in dfs.file_blocks(path)]
 
 
 # ----------------------------------------------------------------------
@@ -19,105 +30,104 @@ def test_block_record_count_and_repr():
 
 
 # ----------------------------------------------------------------------
-# DataNode
+# Replicas: a host named in the block's record
 # ----------------------------------------------------------------------
 def test_datanode_put_get_remove():
-    node = DataNode("host1")
-    block = Block("b1", records=["x"], size_bytes=10.0)
-    node.put(block)
-    assert node.has("b1")
-    assert node.get("b1") is block
-    assert node.bytes_written == 10.0
-    node.remove("b1")
-    assert not node.has("b1")
-    # bytes_written is cumulative: removing a block leaves it alone.
-    assert node.bytes_written == 10.0
-    assert node.block_ids() == []
+    dfs = make_dfs()
+    (block_id,) = dfs.write_file("/f", [["x"]], [10.0], ["h1"])
+    assert dfs.block_locations(block_id) == ["h1"]
+    block = dfs.read_block(block_id)
+    assert (block.records, block.size_bytes) == (["x"], 10.0)
+    assert dfs.remove_host("h1") == [block_id]
+    assert dfs.block_locations(block_id) == []
+    # Losing a host that holds nothing loses nothing.
+    assert dfs.remove_host("h1") == []
 
 
 def test_datanode_missing_block_raises():
-    node = DataNode("host1")
+    dfs = make_dfs()
     with pytest.raises(BlockNotFoundError):
-        node.get("nope")
+        dfs.read_block("nope")
+    with pytest.raises(BlockNotFoundError):
+        dfs.block_locations("nope")
 
 
 def test_datanode_block_ids():
-    node = DataNode("host1")
-    node.put(Block("a"))
-    node.put(Block("b"))
-    assert sorted(node.block_ids()) == ["a", "b"]
+    dfs = make_dfs()
+    a = dfs.write_file("/a", [[1]], [1.0], ["h1"])
+    b = dfs.write_file("/b", [[2], [3]], [1.0, 1.0], ["h1", "h2"])
+    assert dfs.remove_host("h1") == [a[0], b[0]]
+    assert locations(dfs, "/b") == [[], ["h2"]]
 
 
 # ----------------------------------------------------------------------
-# NameNode
+# Namespace
 # ----------------------------------------------------------------------
 def test_namenode_file_lifecycle():
-    namenode = NameNode()
-    namenode.create_file("/f")
-    assert namenode.file_blocks("/f") == []
-    namenode.append_block("/f", "b0", ["h1"])
-    namenode.append_block("/f", "b1", ["h2"])
-    assert namenode.file_blocks("/f") == ["b0", "b1"]
-    assert namenode.block_locations("b0") == ["h1"]
-    removed = namenode.delete_file("/f")
-    assert removed == ["b0", "b1"]
+    dfs = make_dfs()
+    block_ids = dfs.write_file("/f", [[1], [2]], [1.0, 1.0], ["h1", "h2"])
+    assert dfs.file_blocks("/f") == block_ids
+    assert locations(dfs, "/f") == [["h1"], ["h2"]]
+    dfs.delete_file("/f")
     with pytest.raises(FileNotFoundInDFSError):
-        namenode.file_blocks("/f")
+        dfs.file_blocks("/f")
     with pytest.raises(BlockNotFoundError):
-        namenode.block_locations("b0")
+        dfs.block_locations(block_ids[0])
 
 
 def test_namenode_duplicate_create_raises():
-    namenode = NameNode()
-    namenode.create_file("/f")
+    dfs = make_dfs()
+    block_ids = dfs.write_file("/f", [[1]], [1.0], ["h0"])
     with pytest.raises(FileExistsInDFSError):
-        namenode.create_file("/f")
+        dfs.write_file("/f", [[2]], [1.0], ["h1"])
+    assert dfs.file_blocks("/f") == block_ids
+    assert dfs.read_block(block_ids[0]).records == [1]
 
 
 def test_namenode_missing_file_raises():
-    namenode = NameNode()
+    dfs = make_dfs()
     with pytest.raises(FileNotFoundInDFSError):
-        namenode.file_blocks("/missing")
+        dfs.file_blocks("/missing")
     with pytest.raises(FileNotFoundInDFSError):
-        namenode.delete_file("/missing")
-    with pytest.raises(FileNotFoundInDFSError):
-        namenode.append_block("/missing", "b", ["h"])
+        dfs.delete_file("/missing")
 
 
 def test_namenode_block_needs_replica():
-    namenode = NameNode()
-    namenode.create_file("/f")
+    dfs = make_dfs()
     with pytest.raises(ValueError):
-        namenode.append_block("/f", "b", [])
+        dfs.write_file("/f", [[1]], [1.0], [])
+    with pytest.raises(FileNotFoundInDFSError):
+        dfs.file_blocks("/f")
+    # A file with no blocks needs no host.
+    assert dfs.write_file("/f", [], [], []) == []
+    assert dfs.file_blocks("/f") == []
 
 
 def test_replica_placement_round_robin():
-    namenode = NameNode(replication=2)
-    hosts = ["h0", "h1", "h2"]
-    assert namenode.choose_replica_hosts(hosts, 0) == ["h0", "h1"]
-    assert namenode.choose_replica_hosts(hosts, 1) == ["h1", "h2"]
-    assert namenode.choose_replica_hosts(hosts, 2) == ["h2", "h0"]
+    dfs = make_dfs(replication=2)
+    dfs.write_file("/f", [[0], [1], [2]], [1.0] * 3, ["h0", "h1", "h2"])
+    assert locations(dfs, "/f") == [["h0", "h1"], ["h1", "h2"], ["h2", "h0"]]
 
 
 def test_replication_capped_by_candidates():
-    namenode = NameNode(replication=5)
-    assert namenode.choose_replica_hosts(["only"], 3) == ["only"]
+    dfs = make_dfs(replication=5)
+    dfs.write_file("/f", [[i] for i in range(4)], [1.0] * 4, ["only"])
+    assert locations(dfs, "/f")[3] == ["only"]
 
 
 def test_replicas_are_distinct_when_candidates_repeat():
     """A repeated candidate keeps its slot as a block's first replica
     (per-block placement lists rely on it) but is never chosen twice."""
-    namenode = NameNode(replication=2)
-    hosts = ["h0", "h0", "h1"]
-    assert namenode.choose_replica_hosts(hosts, 0) == ["h0", "h1"]
-    assert namenode.choose_replica_hosts(hosts, 1) == ["h0", "h1"]
-    assert namenode.choose_replica_hosts(hosts, 2) == ["h1", "h0"]
-    assert namenode.choose_replica_hosts(["h0", "h0"], 0) == ["h0"]
+    dfs = make_dfs(replication=2)
+    dfs.write_file("/f", [[0], [1], [2]], [1.0] * 3, ["h0", "h0", "h1"])
+    assert locations(dfs, "/f") == [["h0", "h1"], ["h0", "h1"], ["h1", "h0"]]
+    dfs.write_file("/g", [[0]], [1.0], ["h0", "h0"])
+    assert locations(dfs, "/g") == [["h0"]]
 
 
 def test_replication_must_be_positive():
     with pytest.raises(ValueError):
-        NameNode(replication=0)
+        DistributedFileSystem(["h0"], replication=0)
 
 
 # ----------------------------------------------------------------------
