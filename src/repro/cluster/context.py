@@ -274,15 +274,17 @@ class ClusterContext:
     def fail_host(self, host: str) -> Dict[str, int]:
         """Take a worker host down, losing everything it stored.
 
-        Removes the executor (and transfer-service slots), its shuffle
-        output (the owning shuffles become incomplete, so dependent
-        reads raise FetchFailed and the DAG scheduler recomputes exactly
-        the missing partitions from lineage), staged transfer
-        partitions, cached RDD partitions, and DFS replicas.  Safe
-        mid-job: running attempts on the host are relaunched elsewhere.
-        Returns a summary of what was lost.  Input blocks whose last
-        replica lived here are gone for good — reading them raises,
-        like HDFS with dead datanodes.
+        Removes the executor (and transfer-service slots), its copies
+        of shuffle output (an output left with no copy makes its shuffle
+        incomplete, so dependent reads raise FetchFailed and the DAG
+        scheduler recomputes exactly the missing partitions from
+        lineage), staged transfer partitions, cached RDD partitions, and
+        DFS replicas.  Safe mid-job: running attempts on the host are
+        relaunched elsewhere.  Returns a summary of what was lost: map
+        outputs left with no copy, not those a replica or a durable copy
+        still serves.  Input blocks whose last replica lived here are
+        gone for good — reading them raises, like HDFS with dead
+        datanodes.
         """
         if host not in self.executors:
             raise ConfigurationError(f"unknown worker host {host!r}")
@@ -294,14 +296,14 @@ class ClusterContext:
         relaunched += self.transfer_scheduler.remove_executor(host)
         self.recovery.hosts_lost += 1
         self.recovery.tasks_relaunched += relaunched
-        lost_outputs = self.map_output_tracker.unregister_host(host)
+        loss = self.map_output_tracker.unregister_host(host)
         self.transfer_tracker.remove_host(host)
-        self.shuffle_service.on_host_failure(host)
+        self.shuffle_service.on_host_failure(host, loss)
         cached_before = self.cache.entry_count
         self.cache.evict_host(host)
         lost_blocks = self.dfs.remove_host(host)
         return {
-            "map_outputs_lost": lost_outputs,
+            "map_outputs_lost": len(loss.lost),
             "cached_partitions_lost": cached_before - self.cache.entry_count,
             "blocks_without_replicas": len(lost_blocks),
         }

@@ -6,9 +6,10 @@ region, and reducers GET it back with coalesced per-region flows.  The
 trade the backend exists to expose (ROADMAP item 2):
 
 * **durability by construction** — the object store survives any
-  executor loss, including every map-side executor at once.  Failure
-  handling is pure metadata repair (re-register the durable objects at
-  their endpoints), zero stage resubmissions, zero recomputation;
+  executor loss, including every map-side executor at once.  A PUT
+  output's record names its durable copy's endpoint, and on a host loss
+  the tracker serves the output from there: no failure handling here at
+  all, zero stage resubmissions, zero recomputation;
 * **dollars for latency** — every request is metered (PUT per map
   output, GET per map output read) and priced by
   :class:`~repro.metrics.billing.BlobPricing` on top of the egress
@@ -94,13 +95,11 @@ class BlobShuffleBackend(ShuffleBackend):
         # planned statuses keep their shards across the yields: a map
         # host dying mid-PUT must not lose payloads the flows carry.
         flows = []
-        moves: List[Tuple[MapStatus, str, str]] = []
+        moves: List[Tuple[MapStatus, str]] = []
         latency = 0.0
         regions_touched: List[str] = []
         for status in statuses:
-            key = (shuffle_id, status.map_index)
-            existing = store.get_object(key)
-            if recovery and existing is not None:
+            if recovery and status.durable_host is not None:
                 continue  # still durable; nothing to re-write
             region = topology.datacenter_of(status.host)
             endpoint = store.endpoint_host(region)
@@ -114,7 +113,7 @@ class BlobShuffleBackend(ShuffleBackend):
                         "blob_put", tenant, shuffle_id, recovery,
                     )
                 )
-            moves.append((status, region, endpoint))
+            moves.append((status, endpoint))
         for region in regions_touched:
             yield from self._wait_out_outage(region)
         if latency > 0:
@@ -124,11 +123,7 @@ class BlobShuffleBackend(ShuffleBackend):
         # Commit objects and relocate metadata only after every PUT
         # landed; reducers launch after this process returns.
         tracker = context.map_output_tracker
-        for status, region, endpoint in moves:
-            store.put(
-                region, (shuffle_id, status.map_index),
-                status.shards, status.total_size,
-            )
+        for status, endpoint in moves:
             self.counters.blob_puts += 1
             if status.host != endpoint or not tracker.has_map_output(
                 shuffle_id, status.map_index
@@ -138,6 +133,7 @@ class BlobShuffleBackend(ShuffleBackend):
                 self.relocate_map_output(
                     shuffle_id, status.map_index, endpoint, status.shards
                 )
+            tracker.mark_durable(shuffle_id, status.map_index, endpoint)
 
     # ------------------------------------------------------------------
     # Reduce-side GETs: what a request costs before its bytes move
@@ -148,7 +144,6 @@ class BlobShuffleBackend(ShuffleBackend):
         outage windows at any touched endpoint region delay (never
         fail) it."""
         store = self._ensure_store()
-        store.note_get(requests)
         self.counters.blob_gets += requests
         latency = 0.0
         for source, _ in remote:
@@ -157,35 +152,3 @@ class BlobShuffleBackend(ShuffleBackend):
             latency = max(latency, store.request_latency("get"))
         if latency > 0:
             yield self.context.sim.timeout(latency)
-
-    # ------------------------------------------------------------------
-    # Failure handling: metadata repair from durable objects
-    # ------------------------------------------------------------------
-    def on_host_failure(self, host: str) -> None:
-        """The object store outlives any executor.  ``fail_host``
-        dropped the tracker records registered at ``host``; every
-        durable object re-registers at its endpoint synchronously, so
-        reads continue with zero stage resubmissions — recovery cost is
-        the re-read traffic the relaunched tasks pay, in dollars."""
-        if self._store is None:
-            return
-        context = self.context
-        tracker = context.map_output_tracker
-        for obj in self._store.objects():
-            shuffle_id, map_index = obj.key
-            if not tracker.is_registered(shuffle_id):
-                continue
-            if tracker.has_map_output(shuffle_id, map_index):
-                continue
-            endpoint = self._store.endpoint_host(obj.region)
-            self.relocate_map_output(
-                shuffle_id, map_index, endpoint, obj.shards
-            )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def remove_shuffle(self, shuffle_id: int) -> None:
-        super().remove_shuffle(shuffle_id)
-        if self._store is not None:
-            self._store.drop_shuffle(shuffle_id)

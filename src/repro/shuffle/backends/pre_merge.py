@@ -30,7 +30,7 @@ from repro.shuffle.service import ShuffleBackend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdd.dependencies import ShuffleDependency
-    from repro.shuffle.map_output_tracker import MapStatus
+    from repro.shuffle.map_output_tracker import HostLoss, MapStatus
 
 
 class PreMergeBackend(ShuffleBackend):
@@ -178,7 +178,7 @@ class PreMergeBackend(ShuffleBackend):
         super().remove_shuffle(shuffle_id)
         self._fallback.discard(shuffle_id)
 
-    def on_host_failure(self, host: str) -> None:
+    def on_host_failure(self, host: str, loss: HostLoss) -> None:
         """Re-run partitions register at new hosts; allow a re-merge so
         the recovered outputs are consolidated again before the next
         consuming stage."""

@@ -10,13 +10,20 @@ any WAN circuit breaker is open or any datacenter is blacklist-excluded
 — the LinkHealthMonitor EWMA and BlacklistTracker signals from the
 health layer.
 
+Each handed-off output's one record, its
+:class:`~repro.shuffle.map_output_tracker.MapStatus`, names the serving
+worker (``host``) and the replica workers (``replicas``); the pool holds
+only workers and their load.
+
 Failure semantics — the point of this backend:
 
-* a shuffle-worker loss promotes a surviving replica to primary
-  *synchronously inside the failure handler*, so the map-output tracker
-  never stays incomplete: reducers keep reading with **zero stage
-  resubmissions**;
-* a background re-replication flow then restores ``r`` (recovery-tagged
+* the tracker applies a shuffle-worker loss to those records
+  *synchronously inside* ``fail_host``: a lost replica is dropped and a
+  lost serving copy is replaced by the first surviving replica
+  (promotion), so the tracker never stays incomplete and reducers keep
+  reading with **zero stage resubmissions**;
+* ``on_host_failure`` counts the promotions and spawns background
+  re-replication flows that restore ``r`` (recovery-tagged
   ``shuffle_replicate`` traffic, drained at the next stage barrier);
 * only when the *last* copy dies does the tracker stay incomplete and
   the DAG scheduler fall back to lineage recovery, after which
@@ -29,7 +36,7 @@ suite).  Every flow is accounted at issue with an exact cancel refund,
 so counter==monitor reconciliation holds at every quiescent point.
 
 Own code: the worker pool, replication factor, hand-off plan
-(``_stage``), promotion and re-replication; the rest is
+(``_stage``) and re-replication; the rest is
 :class:`~repro.shuffle.service.ShuffleBackend`'s data path.
 """
 
@@ -42,7 +49,9 @@ from repro.shuffle.worker_pool import ShuffleWorker, ShuffleWorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rdd.dependencies import ShuffleDependency
-    from repro.shuffle.map_output_tracker import MapStatus, ShuffleShard
+    from repro.shuffle.map_output_tracker import (
+        HostLoss, MapStatus, OutputKey, ShuffleShard,
+    )
 
 # Base replica count of the shuffle-worker pool (adaptively raised —
 # capped at 3 — while WAN breakers are open or datacenters are
@@ -146,8 +155,7 @@ class RemoteShuffleBackend(ShuffleBackend):
         upload_flows = []
         spilled = 0.0
         for status in statuses:
-            key = (shuffle_id, status.map_index)
-            if recovery and pool.primary(key) == status.host:
+            if recovery and status.handed_off:
                 continue  # this copy survived; nothing to re-upload
             worker = pool.assign(topology.datacenter_of(status.host))
             if worker is None:
@@ -195,84 +203,68 @@ class RemoteShuffleBackend(ShuffleBackend):
         # Relocate only after every flow landed: reducers launch after
         # this process returns, so no read can observe a half-made
         # hand-off.  The planned statuses keep their shards, so a map
-        # host dying mid-upload loses nothing the flows carry.
+        # host dying mid-upload loses nothing the flows carry.  Copies
+        # a previous hand-off made elsewhere stay replicas.
         tracker = context.map_output_tracker
         for status, worker, targets in replica_plan:
             key = (shuffle_id, status.map_index)
-            if not (
-                tracker.has_map_output(*key)
-                and tracker.map_status(*key).host == worker.host
-            ):
-                self.relocate_map_output(
-                    shuffle_id, status.map_index, worker.host, status.shards
-                )
-            pool.record_primary(key, worker.host)
-            for target in targets:
-                pool.record_replica(key, target.host, status.shards)
+            replicas = {target.host for target in targets}
+            if tracker.has_map_output(*key):
+                replicas.update(tracker.map_status(*key).replicas)
+            self.relocate_map_output(
+                shuffle_id, status.map_index, worker.host, status.shards,
+                replicas, handed_off=True,
+            )
 
     # ------------------------------------------------------------------
-    # Failure handling: promote, then re-replicate in the background
+    # Failure handling: count promotions, re-replicate in the background
     # ------------------------------------------------------------------
-    def on_host_failure(self, host: str) -> None:
-        """Called from ``fail_host`` *after* the tracker dropped the
-        dead host's records — promotion below re-registers
-        surviving replicas synchronously, so the tracker is complete
-        again before any other simulation event can observe the gap."""
+    def on_host_failure(self, host: str, loss: HostLoss) -> None:
+        """Called from ``fail_host`` *after* the tracker applied the
+        loss — a record whose serving worker died already names its
+        first surviving replica, so the tracker never lacks an output a
+        replica could serve.  Here: count the promotions, un-stage a
+        shuffle whose handed-off output lost its last copy (the next
+        read escalates to lineage recovery), and restore the replication
+        factor of every promoted or degraded output in the background."""
         if self._pool is None:
             return
-        pool = self._pool
         context = self.context
-        datacenter = context.topology.datacenter_of(host)
-        was_worker = pool.is_worker(host)
-        orphaned, degraded = pool.on_worker_lost(host)
-        repair_keys: List[Tuple[int, int]] = []
-        for key in orphaned:
-            survivors = pool.replica_hosts(key)
-            if not survivors:
-                # Last copy died: the tracker stays incomplete and the
-                # next read escalates to lineage recovery.
-                self._staged.discard(key[0])
-                continue
-            new_primary = survivors[0]
-            self.relocate_map_output(
-                key[0], key[1], new_primary,
-                pool.replica_shards(key, new_primary),
-            )
-            self.counters.replica_promotions += 1
-            pool.record_primary(key, new_primary)
-            repair_keys.append(key)
-        repair_keys.extend(degraded)
-        if was_worker:
-            self._provision(datacenter)
+        if self._pool.on_worker_lost(host):
+            self._provision(context.topology.datacenter_of(host))
+        for (shuffle_id, _), status in loss.lost:
+            if status.handed_off:
+                self._staged.discard(shuffle_id)
+        self.counters.replica_promotions += len(loss.promoted)
         factor = self._replication_factor()
         tracker = context.map_output_tracker
-        for key in sorted(set(repair_keys)):
-            primary = pool.primary(key)
-            if primary is None:
+        for key in sorted(loss.promoted + loss.degraded):
+            status = tracker.map_status(*key)
+            missing = factor - 1 - len(status.replicas)
+            if missing <= 0:
                 continue
-            missing = factor - pool.copy_count(key)
-            if missing <= 0 or not tracker.has_map_output(*key):
-                continue
-            shards = tracker.map_status(*key).shards
-            exclude = tuple(pool.replica_hosts(key))
-            for target in pool.replica_targets(primary, missing, exclude):
+            targets = self._pool.replica_targets(
+                status.host, missing, status.replicas
+            )
+            for target in targets:
                 self._repairs.append(
                     context.sim.spawn(
-                        self._re_replicate(key, primary, target, shards),
+                        self._re_replicate(
+                            key, status.host, target, status.shards
+                        ),
                         name=f"re-replicate:s{key[0]}m{key[1]}@{target.host}",
                     )
                 )
 
     def _re_replicate(
         self,
-        key: Tuple[int, int],
+        key: OutputKey,
         src_host: str,
         target: ShuffleWorker,
         shards: List[ShuffleShard],
     ):
         """Background copy restoring the replication factor (recovery-
         tagged; accounted at issue with the usual exactness)."""
-        pool = self._pool
         size = sum(shard.size_bytes for shard in shards)
         if size > 0:
             flow = self._move(
@@ -283,20 +275,16 @@ class RemoteShuffleBackend(ShuffleBackend):
             self.counters.rereplication_bytes += size
             yield flow
         # The copy only exists once it fully arrived — and only if both
-        # the target worker and the shuffle are still alive.
-        if pool is None or pool.primary(key) is None:
+        # the target worker and the handed-off output are still alive.
+        tracker = self.context.map_output_tracker
+        if not (
+            tracker.has_map_output(*key)
+            and tracker.map_status(*key).handed_off
+        ):
             return
-        if not pool.is_worker(target.host):
+        if not self._pool.is_worker(target.host):
             return
         spill = target.accept(size)
         if spill > 0:
             self.counters.spill_bytes += spill
-        pool.record_replica(key, target.host, shards)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def remove_shuffle(self, shuffle_id: int) -> None:
-        super().remove_shuffle(shuffle_id)
-        if self._pool is not None:
-            self._pool.drop_shuffle(shuffle_id)
+        tracker.add_replica(*key, target.host)

@@ -23,22 +23,25 @@ issued and accounted), **read** (``shuffle_read``), **stage once** (the
 ``_stage`` hook's lifecycle) and **relocate** (``relocate_map_output``).
 A map output has one record, its
 :class:`~repro.shuffle.map_output_tracker.MapStatus` in the
-:class:`~repro.shuffle.map_output_tracker.MapOutputTracker` (host and
-shards); staged transfer partitions have theirs in the
+:class:`~repro.shuffle.map_output_tracker.MapOutputTracker` (the host of
+every copy, replicas and durable copy included, and the shards); staged
+transfer partitions have theirs in the
 :class:`~repro.shuffle.stores.TransferTracker`.  Backends reorganise
 *where* data lives, never what it is.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
+)
 
 from repro.errors import FetchFailedError
 from repro.failures.health import transfer_with_retry
 from repro.metrics.perf import ShuffleCounters
 from repro.rdd.shuffled import gather
 from repro.rdd.size_estimator import view
-from repro.shuffle.map_output_tracker import MapStatus, ShuffleShard
+from repro.shuffle.map_output_tracker import HostLoss, MapStatus, ShuffleShard
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.context import ClusterContext
@@ -124,11 +127,17 @@ class ShuffleBackend:
         map_index: int,
         host: str,
         shards: List[ShuffleShard],
+        replicas: Iterable[str] = (),
+        handed_off: bool = False,
     ) -> None:
         """(Re-)register an existing map output at ``host`` — a merge,
-        hand-off, promotion or restore — without counting a new one."""
+        hand-off, PUT or restore — without counting a new one.  The new
+        record names every copy: ``host``, the other hosts in
+        ``replicas``, and the marks :class:`MapStatus` documents."""
+        others = sorted(set(replicas) - {host})
         self.context.map_output_tracker.register_map_output(
-            shuffle_id, MapStatus(map_index, host, shards)
+            shuffle_id,
+            MapStatus(map_index, host, shards, others, handed_off),
         )
 
     def remove_shuffle(self, shuffle_id: int) -> None:
@@ -136,8 +145,10 @@ class ShuffleBackend:
         self.context.map_output_tracker.unregister_shuffle(shuffle_id)
         self._staged.discard(shuffle_id)
 
-    def on_host_failure(self, host: str) -> None:
-        """Invalidate backend state referring to ``host`` (no-op here)."""
+    def on_host_failure(self, host: str, loss: HostLoss) -> None:
+        """Invalidate backend state referring to ``host`` (no-op here).
+        ``loss`` is what the tracker's ``unregister_host`` already did
+        to the map outputs."""
 
     def on_blocks_lost(self, dep: ShuffleDependency, tenant: str = ""):
         """Simulation process run by the DAG scheduler after the lost

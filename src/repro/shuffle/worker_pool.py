@@ -7,20 +7,20 @@ becomes a storage-durability non-event — surviving replicas keep
 serving reads with zero stage resubmission, and a background copy
 restores the replication factor.
 
-This module is the pure state machine of that tier; the ``remote``
-backend (:mod:`repro.shuffle.backends.remote`) drives it and issues the
-actual network flows.  The pool tracks:
+This module is the placement half of that tier; the ``remote`` backend
+(:mod:`repro.shuffle.backends.remote`) drives it and issues the actual
+network flows.  The pool tracks only its workers:
 
 * which physical hosts act as shuffle workers, per datacenter
   (placement is deterministic: the lexicographically first live hosts);
 * per-worker load (assigned bytes) for least-loaded shard assignment
   and per-worker memory buffers (bytes past the buffer are *spilled* —
-  charged disk time and counted, never silently dropped);
-* the replica map: for every (shuffle_id, map_index) the primary
-  serving host plus the extra copies (the
-  :class:`~repro.shuffle.map_output_tracker.MapOutputTracker` records
-  exactly one copy, the primary, so replica payloads live here until
-  promotion re-registers them).
+  charged disk time and counted, never silently dropped).
+
+Where each output's copies live — the serving worker and the replica
+workers — is part of the output's one record, its
+:class:`~repro.shuffle.map_output_tracker.MapStatus`; the tracker, not
+the pool, applies a worker loss to it.
 
 Every iteration is over sorted keys, so pool decisions depend only on
 the byte distribution — never on dict order — and replay identically
@@ -29,14 +29,10 @@ under ``REPRO_SANITIZE``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.topology import Topology
-    from repro.shuffle.map_output_tracker import ShuffleShard
-
-# (shuffle_id, map_index): the unit of replication.
-OutputKey = Tuple[int, int]
 
 # Workers pinned per datacenter, and the per-worker memory buffer before
 # accepted bytes spill to local disk.
@@ -71,18 +67,15 @@ class ShuffleWorker:
 
 
 class ShuffleWorkerPool:
-    """Placement, load-aware assignment, and replica bookkeeping."""
+    """Worker placement and load-aware assignment."""
 
-    __slots__ = ("topology", "_workers", "_primary", "_replicas")
+    __slots__ = ("topology", "_workers")
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         # host -> ShuffleWorker (insertion order is provision order, but
         # every selection below sorts explicitly).
         self._workers: Dict[str, ShuffleWorker] = {}
-        self._primary: Dict[OutputKey, str] = {}
-        # key -> {replica host -> shard payloads}; primary excluded.
-        self._replicas: Dict[OutputKey, Dict[str, List[ShuffleShard]]] = {}
 
     # ------------------------------------------------------------------
     # Placement
@@ -130,7 +123,7 @@ class ShuffleWorkerPool:
         return min(candidates, key=lambda w: (w.assigned_bytes, w.host))
 
     def replica_targets(
-        self, primary_host: str, count: int, exclude: Tuple[str, ...] = ()
+        self, primary_host: str, count: int, exclude: Iterable[str] = ()
     ) -> List[ShuffleWorker]:
         """Up to ``count`` replica workers for a primary at
         ``primary_host``: other-datacenter workers first (so a whole-DC
@@ -152,68 +145,8 @@ class ShuffleWorkerPool:
         return (remote + local)[:count]
 
     # ------------------------------------------------------------------
-    # Replica bookkeeping
-    # ------------------------------------------------------------------
-    def record_primary(self, key: OutputKey, host: str) -> None:
-        self._primary[key] = host
-        replicas = self._replicas.get(key)
-        if replicas is not None:
-            replicas.pop(host, None)
-
-    def record_replica(
-        self, key: OutputKey, host: str, shards: List[ShuffleShard]
-    ) -> None:
-        self._replicas.setdefault(key, {})[host] = shards
-
-    def primary(self, key: OutputKey) -> Optional[str]:
-        return self._primary.get(key)
-
-    def replica_hosts(self, key: OutputKey) -> List[str]:
-        return sorted(self._replicas.get(key, {}))
-
-    def replica_shards(
-        self, key: OutputKey, host: str
-    ) -> List[ShuffleShard]:
-        return self._replicas[key][host]
-
-    def copy_count(self, key: OutputKey) -> int:
-        """Live copies of ``key``: the primary plus its replicas."""
-        return (1 if key in self._primary else 0) + len(
-            self._replicas.get(key, {})
-        )
-
-    def drop_shuffle(self, shuffle_id: int) -> None:
-        for key in [k for k in self._primary if k[0] == shuffle_id]:
-            del self._primary[key]
-        for key in [k for k in self._replicas if k[0] == shuffle_id]:
-            del self._replicas[key]
-
-    # ------------------------------------------------------------------
     # Worker loss
     # ------------------------------------------------------------------
-    def on_worker_lost(
-        self, host: str
-    ) -> Tuple[List[OutputKey], List[OutputKey]]:
-        """Forget ``host`` and report the damage.
-
-        Returns ``(orphaned, degraded)``: keys whose *primary* copy was
-        on the host (a surviving replica must be promoted, or the key
-        falls back to lineage) and keys that merely lost one replica
-        (re-replication restores the factor).  Both lists are sorted.
-        """
-        self._workers.pop(host, None)
-        orphaned = sorted(
-            key for key, primary in self._primary.items() if primary == host
-        )
-        for key in orphaned:
-            del self._primary[key]
-        degraded = []
-        for key in sorted(self._replicas):
-            replicas = self._replicas[key]
-            if host in replicas:
-                del replicas[host]
-                if key not in orphaned:
-                    degraded.append(key)
-            if not replicas:
-                del self._replicas[key]
-        return orphaned, degraded
+    def on_worker_lost(self, host: str) -> bool:
+        """Forget ``host``; True if it was a worker."""
+        return self._workers.pop(host, None) is not None

@@ -14,7 +14,7 @@ blob shuffle backend writes to lives beside it in ``blob``.
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "repro.storage.blob": ("BlobObject", "BlobStore"),
+    "repro.storage.blob": ("BlobStore",),
     "repro.storage.disk": ("DiskModel",),
     "repro.storage.hdfs": ("Block", "BlockId", "DistributedFileSystem"),
 })

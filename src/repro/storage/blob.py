@@ -1,4 +1,4 @@
-"""BlobStore: a per-region object store for shuffle payloads.
+"""BlobStore: the regional object-store service the blob backend PUTs to.
 
 The BlobShuffle design point (PAPERS.md): map output is written to a
 regional object store and is then *durable by construction* — executor
@@ -9,59 +9,36 @@ never recomputation.  The store itself is deliberately simple:
   the datacenter in the **topology** (not the executor fleet), so the
   front-end keeps serving flows even after every executor in the region
   died (`fail_host` shrinks the executor dict, never the topology);
-* durable object copies keyed ``(shuffle_id, map_index)``, held per
-  region with their shard payloads, surviving any host loss;
-* request metering (PUT/GET counts, priced per-request by
-  :class:`repro.metrics.billing.BlobPricing`) and per-request latency
-  draws from a dedicated :class:`~repro.simulation.random_source.
-  RandomSource` stream (identical across plain/sanitized runs);
+* per-request latency draws from a dedicated
+  :class:`~repro.simulation.random_source.RandomSource` stream
+  (identical across plain/sanitized runs);
 * transient-error windows: a ``blob_outage`` chaos event opens a timed
   regional outage, and requests issued inside the window retry until it
   closes (counted in ``transient_retries``).
 
-The store never issues flows itself — the ``blob`` backend drives it
-and accounts every byte.
+The store holds no per-output state: a PUT output's one record is its
+:class:`~repro.shuffle.map_output_tracker.MapStatus`, which names the
+endpoint as its durable copy, and its requests are metered in the
+backend's ``ShuffleCounters`` (``blob_puts`` / ``blob_gets``, priced
+per request by :class:`repro.metrics.billing.BlobPricing`).  The store
+never issues flows itself — the ``blob`` backend drives it and accounts
+every byte.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.topology import Topology
-    from repro.shuffle.map_output_tracker import ShuffleShard
     from repro.simulation.random_source import RandomSource
-
-ObjectKey = Tuple[int, int]
-
-
-class BlobObject:
-    """One durable object: a map output's shard payloads in one region."""
-
-    __slots__ = ("key", "region", "size_bytes", "shards")
-
-    def __init__(
-        self,
-        key: ObjectKey,
-        region: str,
-        size_bytes: float,
-        shards: List[ShuffleShard],
-    ) -> None:
-        self.key = key
-        self.region = region
-        self.size_bytes = size_bytes
-        self.shards = shards
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BlobObject({self.key}, {self.region}, {self.size_bytes:.0f}B)"
 
 
 class BlobStore:
-    """Per-region durable objects, request metering, outage windows."""
+    """Per-region endpoints, request latency and outage windows."""
 
     __slots__ = ("topology", "randomness", "base_latency", "latency_jitter",
-                 "retry_backoff", "_objects", "_outage_until", "puts", "gets",
-                 "transient_retries")
+                 "retry_backoff", "_outage_until", "transient_retries")
 
     def __init__(
         self,
@@ -76,10 +53,7 @@ class BlobStore:
         self.base_latency = base_latency
         self.latency_jitter = latency_jitter
         self.retry_backoff = retry_backoff
-        self._objects: Dict[ObjectKey, BlobObject] = {}
         self._outage_until: Dict[str, float] = {}
-        self.puts = 0
-        self.gets = 0
         self.transient_retries = 0
 
     # ------------------------------------------------------------------
@@ -89,33 +63,6 @@ class BlobStore:
         """The region's front-end host — a topology member, so it routes
         flows whether or not its executor is still alive."""
         return sorted(self.topology.hosts_in(region))[0]
-
-    # ------------------------------------------------------------------
-    # Objects
-    # ------------------------------------------------------------------
-    def put(
-        self,
-        region: str,
-        key: ObjectKey,
-        shards: List[ShuffleShard],
-        size_bytes: float,
-    ) -> None:
-        self._objects[key] = BlobObject(key, region, size_bytes, shards)
-        self.puts += 1
-
-    def note_get(self, count: int = 1) -> None:
-        self.gets += count
-
-    def get_object(self, key: ObjectKey) -> Optional[BlobObject]:
-        return self._objects.get(key)
-
-    def objects(self) -> List[BlobObject]:
-        """Every durable object, in sorted key order (deterministic)."""
-        return [self._objects[key] for key in sorted(self._objects)]
-
-    def drop_shuffle(self, shuffle_id: int) -> None:
-        for key in [k for k in self._objects if k[0] == shuffle_id]:
-            del self._objects[key]
 
     # ------------------------------------------------------------------
     # Latency and outages

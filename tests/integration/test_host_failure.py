@@ -77,6 +77,38 @@ def test_lost_map_output_recomputed_partially():
     assert len(map_spans[0].tasks) == 2
 
 
+@pytest.mark.parametrize("backend", ("remote", "blob"))
+def test_outputs_a_copy_still_serves_are_not_reported_lost(backend):
+    """``map_outputs_lost`` counts outputs left with no copy.  On
+    ``remote`` the dead worker's two outputs are promoted to their
+    replicas; on ``blob`` the dead host is dc-b's store endpoint, whose
+    two durable outputs no host loss drops.  Either way the shuffle stays
+    complete and the next job re-runs no map task."""
+    context = make_context(backend=backend, dfs_replication=2)
+    context.write_input_file(
+        "/in", [[("a", 1)], [("b", 2)], [("c", 3)], [("d", 4)]]
+    )
+    reduced = context.text_file("/in").reduce_by_key(lambda a, b: a + b)
+    first = dict(reduced.collect())
+    tracker = context.map_output_tracker
+    shuffle_id = reduced.shuffle_dependency.shuffle_id
+    hosts = [s.host for s in tracker.map_statuses(shuffle_id)]
+    assert hosts.count("dc-b-w0") == 2
+    stages_before = len(context.metrics.job.stages)
+
+    report = context.fail_host("dc-b-w0")
+    assert report["map_outputs_lost"] == 0
+    assert tracker.is_complete(shuffle_id)
+    promotions = context.shuffle_service.counters.replica_promotions
+    assert promotions == (2 if backend == "remote" else 0)
+
+    assert dict(reduced.map(lambda kv: kv).collect()) == first
+    new_spans = context.metrics.job.stages[stages_before:]
+    assert [s.kind for s in new_spans] == ["result"]
+    assert context.recovery.stages_resubmitted == 0
+    context.shutdown()
+
+
 def test_lost_receiver_host_recovers_by_repush():
     """Push mode: losing an aggregator host re-pushes staged data
     without re-running any map task (the producers still hold it)."""

@@ -120,14 +120,10 @@ UNCALLED_DEFS: Dict[str, str] = {
     "repro.core.analysis:shard_matrix": "gains a reader in ROADMAP item 10",
     "repro.failures.grammar:ChaosUniverse.from_context":
         "ROADMAP item 3(f) draws schedules from a live context",
-    "repro.shuffle.backends.blob:BlobShuffleBackend.remove_shuffle": _RELEASE,
     "repro.shuffle.backends.pre_merge:PreMergeBackend.remove_shuffle": _RELEASE,
-    "repro.shuffle.backends.remote:RemoteShuffleBackend.remove_shuffle": _RELEASE,
     "repro.shuffle.map_output_tracker:MapOutputTracker.unregister_shuffle": _RELEASE,
     "repro.shuffle.service:ShuffleBackend.remove_shuffle": _RELEASE,
     "repro.shuffle.stores:TransferTracker.remove_transfer": _RELEASE,
-    "repro.shuffle.worker_pool:ShuffleWorkerPool.drop_shuffle": _RELEASE,
-    "repro.storage.blob:BlobStore.drop_shuffle": _RELEASE,
 }
 
 # Called by the interpreter on a path no sweep drives (a debugger's
