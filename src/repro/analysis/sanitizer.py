@@ -16,7 +16,9 @@ and DAG scheduler assert, *while the simulation runs*:
   landed charges of the admission-time
   :class:`~repro.metrics.tenants.TenantLedger` equal the completion-time
   :class:`~repro.network.traffic_monitor.TrafficMonitor` records
-  bit-for-bit, per tenant, for both total and WAN bytes;
+  bit-for-bit, per tenant, for both total and WAN bytes, and the active
+  shuffle backend's counters equal the monitor's records over its flow
+  tags within the solver accuracy bound;
 * **read-only shared records** — every hit of a dataset's
   :class:`~repro.rdd.memo.DataMemo` is recomputed from its arguments and
   compared with the stored partition (records, byte totals, count), so a
@@ -72,6 +74,7 @@ class Sanitizer:
             "capacity": 0,
             "time": 0,
             "ledger": 0,
+            "counters": 0,
             "memo": 0,
         }
 
@@ -153,6 +156,16 @@ class Sanitizer:
         if mismatches:
             raise InvariantViolation(f"{mismatches[0]} at stage boundary")
 
+    def check_counters(self, backend, monitor: TrafficMonitor) -> None:
+        """The backend's counters must equal the monitor's records over
+        its flow tags (within the solver accuracy bound) — the
+        stage-boundary version of :func:`reconcile_run`'s counter
+        comparisons."""
+        self.checks["counters"] += 1
+        mismatches = _counter_mismatches(backend, monitor)
+        if mismatches:
+            raise InvariantViolation(f"{mismatches[0]} at stage boundary")
+
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -162,7 +175,7 @@ class Sanitizer:
 
 
 # ---------------------------------------------------------------------------
-# Post-run reconciliation oracle (chaos campaign adapter)
+# Reconciliation: stage-boundary checks and the post-run oracle
 # ---------------------------------------------------------------------------
 
 # Counter-vs-monitor comparisons use the solvers' accuracy bound (the
@@ -200,6 +213,41 @@ def _ledger_mismatches(ledger: TenantLedger, monitor: TrafficMonitor) -> List[st
     return found
 
 
+def _counter_mismatches(backend, monitor: TrafficMonitor) -> List[str]:
+    """Every way the backend's counters differ from the monitor's
+    records over the backend's declared flow tags — total, cross-DC and
+    per-shuffle attribution — beyond the solver accuracy bound.  Both
+    sides take a flow's bytes at the instant it lands, so this holds at
+    any instant, flows still in flight included (they are on neither)."""
+    counters = backend.counters
+
+    def tag_total(table: Mapping[str, float], tags: Sequence[str]) -> float:
+        return fsum(table.get(tag, 0.0) for tag in tags)
+
+    found: List[str] = []
+    total = tag_total(monitor.by_tag, backend.flow_tags)
+    if _mismatch(counters.network_bytes, total):
+        found.append(
+            f"counters: wan+intra {counters.network_bytes!r} != "
+            f"monitor total {total!r}"
+        )
+    cross = tag_total(monitor.cross_dc_by_tag, backend.flow_tags)
+    if _mismatch(counters.wan_bytes, cross):
+        found.append(
+            f"counters: wan_bytes {counters.wan_bytes!r} != "
+            f"monitor cross-DC total {cross!r}"
+        )
+    shuffle_tags = tuple(tag for tag in backend.flow_tags if tag != "transfer_to")
+    by_shuffle = fsum(counters.network_bytes_by_shuffle.values())
+    shuffle_total = tag_total(monitor.by_tag, shuffle_tags)
+    if _mismatch(by_shuffle, shuffle_total):
+        found.append(
+            f"counters: per-shuffle attribution {by_shuffle!r} != "
+            f"monitor shuffle-path total {shuffle_total!r}"
+        )
+    return found
+
+
 def reconcile_run(context) -> List[str]:
     """Cross-check one finished run's three accounting spines.
 
@@ -208,71 +256,24 @@ def reconcile_run(context) -> List[str]:
 
     * backend **counters** == traffic **monitor** over the backend's
       declared flow tags (total, cross-DC, and per-shuffle attribution),
-      within the solver accuracy bound;
+      within the solver accuracy bound — the comparisons
+      :meth:`Sanitizer.check_counters` makes at every stage boundary;
     * tenant **ledger** landed charges == monitor completion records,
       bit for bit per tenant, for total and WAN bytes.
 
-    Flows still in flight when the run stopped (abandoned attempts whose
-    awaiting process died — a speculative loser's fetch, a relaunched
-    task's half-finished read) are left out of every comparison: they
-    were charged at issue but the monitor only records completions, and
-    the ledger keeps them apart until they land.
+    All three take a flow's bytes when it lands, so a flow still in
+    flight when the run stopped (an abandoned attempt whose awaiting
+    process died — a speculative loser's fetch, a relaunched task's
+    half-finished read) is on no side.
 
     Returns a list of human-readable violation strings — empty means the
     run reconciles.  Never raises: the campaign wants every violation,
     not the first one.
     """
-    violations: List[str] = []
-    backend = context.shuffle_service
-    counters = backend.counters
     monitor = context.traffic
-
-    def tag_total(table: Mapping[str, float], tags: Sequence[str]) -> float:
-        return fsum(table.get(tag, 0.0) for tag in tags)
-
-    # Flows still in flight when the run stopped — abandoned attempts,
-    # e.g. a speculative loser whose fetch was orphaned by the job
-    # completing first — were counter-charged in full at issue but never
-    # reached the monitor, which records at completion (or delivered
-    # bytes at cancellation).  Exclude them from the counter side; the
-    # ledger keeps its in-flight charges apart by itself.
-    topology = context.topology
-    in_flight = in_flight_wan = in_flight_shuffle = 0.0
-    for flow in context.fabric.active_flows():
-        if flow.tag not in backend.flow_tags:
-            continue
-        in_flight += flow.size_bytes
-        if topology.datacenter_of(flow.src_host) != topology.datacenter_of(
-            flow.dst_host
-        ):
-            in_flight_wan += flow.size_bytes
-        if flow.tag != "transfer_to":
-            in_flight_shuffle += flow.size_bytes
-
-    total = tag_total(monitor.by_tag, backend.flow_tags)
-    claimed = counters.wan_bytes + counters.intra_dc_bytes - in_flight
-    if _mismatch(claimed, total):
-        violations.append(
-            f"counters: wan+intra {claimed!r} != monitor total {total!r}"
-        )
-    cross = tag_total(monitor.cross_dc_by_tag, backend.flow_tags)
-    claimed_wan = counters.wan_bytes - in_flight_wan
-    if _mismatch(claimed_wan, cross):
-        violations.append(
-            f"counters: wan_bytes {claimed_wan!r} != "
-            f"monitor cross-DC total {cross!r}"
-        )
-    shuffle_tags = tuple(tag for tag in backend.flow_tags if tag != "transfer_to")
-    by_shuffle = fsum(counters.network_bytes_by_shuffle.values()) - in_flight_shuffle
-    shuffle_total = tag_total(monitor.by_tag, shuffle_tags)
-    if _mismatch(by_shuffle, shuffle_total):
-        violations.append(
-            f"counters: per-shuffle attribution {by_shuffle!r} != "
-            f"monitor shuffle-path total {shuffle_total!r}"
-        )
-
-    violations.extend(_ledger_mismatches(context.fabric.tenant_ledger, monitor))
-    return violations
+    return _counter_mismatches(
+        context.shuffle_service, monitor
+    ) + _ledger_mismatches(context.fabric.tenant_ledger, monitor)
 
 
 # ---------------------------------------------------------------------------

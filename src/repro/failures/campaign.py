@@ -12,9 +12,10 @@ The campaign loop (``repro fuzz``):
    oracle**:
 
    * the runtime sanitizer's invariants (rates, capacity conservation,
-     clock monotonicity, stage-boundary ledger reconciliation);
-   * post-run bit-exact counter==monitor==ledger reconciliation
-     (:func:`repro.analysis.sanitizer.reconcile_run`);
+     clock monotonicity, stage-boundary ledger and counter
+     reconciliation);
+   * post-run counter==monitor==ledger reconciliation, bit-exact for
+     the ledger (:func:`repro.analysis.sanitizer.reconcile_run`);
    * fault-free **result-hash equality**: recovery may re-execute work
      but must never change the answer;
    * a wall-clock-bounded **liveness** check (the kernel watchdog) that

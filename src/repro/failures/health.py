@@ -18,25 +18,27 @@ in the shuffle layer, layered below lineage):
   observed rates on the sick path) into the fair-share fabric while the
   breaker is open.  ``flow_retry_enabled`` arms it: flow retry's
   deadline misses are all it learns from.
-* :func:`transfer_with_retry` — the flow-level retry loop used by the
-  shuffle backends and the DFS input reader: race each flow against a
-  per-flow deadline, cancel and re-issue on a miss (possibly from
-  another replica, honoring ``dfs_replication``), with exponential
-  backoff.  The final attempt runs without a deadline, so slowness
-  alone never escalates; genuinely missing data raises
-  ``FetchFailedError`` through the caller-supplied ``check`` hook.
+* :func:`transfer_with_retry` — the one read path of the shuffle
+  backends and the DFS input reader (:func:`read_flow` gives a reader's
+  concurrent reads their events): with flow retry on, race each flow
+  against a per-flow deadline, cancel and re-issue on a miss (possibly
+  from another replica, honoring ``dfs_replication``), with exponential
+  backoff.  The final attempt — the only one with retry off — runs
+  without a deadline, so slowness alone never escalates; genuinely
+  missing data raises ``FetchFailedError`` through the caller-supplied
+  ``check`` hook.
 
 Everything rides the deterministic simulation clock (all state
-transitions are functions of ``sim.now``), and every byte an abandoned
-flow delivered is reconciled exactly between the backend counters and
-the traffic monitor (see ``NetworkFabric.cancel``), so the
+transitions are functions of ``sim.now``), and the bytes an abandoned
+flow delivered land on the traffic monitor and on the caller's counters
+at the same instant (see ``NetworkFabric.cancel``), so the
 counter-vs-monitor equality invariant holds under any chaos schedule
 with retries enabled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.config import HealthConfig
@@ -426,16 +428,6 @@ class LinkHealthMonitor:
 # ---------------------------------------------------------------------------
 # Flow-level retry
 # ---------------------------------------------------------------------------
-@dataclass
-class _RetryScope:
-    """Per-call bookkeeping shared by the retry loop's helpers."""
-
-    sources: List[str]
-    deferrals: int = 0
-    probe: bool = False
-    issued: List[str] = field(default_factory=list)
-
-
 def flow_deadline(context, src_host: str, dst_host: str, size_bytes: float) -> float:
     """The per-flow deadline: configured slack plus a multiple of the
     ideal transfer time at the route's *base* (undegraded) capacities —
@@ -459,29 +451,26 @@ def transfer_with_retry(
     size_bytes: float,
     tag: str,
     tenant: str = "",
-    on_issue: Optional[Callable[[str], None]] = None,
-    on_cancel: Optional[Callable[[str, float], None]] = None,
+    on_land: Optional[Callable[[str, str, float], None]] = None,
     check: Optional[Callable[[], None]] = None,
 ):
     """Deliver ``size_bytes`` to ``dst_host`` from one of ``sources``.
 
-    A simulation sub-process (generator).  Each attempt races a flow
-    against its deadline; a miss cancels the flow (the fabric records
-    the bytes it actually delivered, see ``NetworkFabric.cancel``),
-    waits an exponentially growing backoff, and re-issues — rotating
-    over ``sources``, so a replica on a healthy path is tried before
-    the sick one is retried.  After ``max_flow_retries`` misses the
-    final flow runs without a deadline: slowness alone never fails a
-    read.  ``check`` runs before every re-issue and should raise
-    (``FetchFailedError``) when the data itself is gone — that is the
-    escalation to lineage recovery.
+    A simulation sub-process (generator).  With flow retry off it is one
+    plain flow from ``sources[0]``.  With it on, each attempt races a
+    flow against its deadline; a miss cancels the flow (the fabric
+    records the bytes it actually delivered, see
+    ``NetworkFabric.cancel``), waits an exponentially growing backoff,
+    and re-issues — rotating over ``sources``, so a replica on a healthy
+    path is tried before the sick one is retried.  After
+    ``max_flow_retries`` misses the final flow runs without a deadline:
+    slowness alone never fails a read.  ``check`` runs before every
+    re-issue and should raise (``FetchFailedError``) when the data
+    itself is gone — that is the escalation to lineage recovery.
 
-    ``on_issue(src)`` / ``on_cancel(src, undelivered)`` let the caller
-    keep its byte counters in lockstep with the traffic monitor: the
-    caller accounts the full size per issued flow and refunds exactly
-    the undelivered remainder per cancelled one.
-
-    Returns the source host that completed the transfer.
+    Every flow issued carries ``on_land`` (see
+    ``NetworkFabric.transfer``), so the caller's counters see exactly
+    the bytes each attempt delivered, when the traffic monitor does.
     """
     config = context.config.health
     health = context.link_health
@@ -489,36 +478,34 @@ def transfer_with_retry(
     sim = context.sim
     fabric = context.fabric
     topology = context.topology
+    retries = config.max_flow_retries if health.enabled else 0
     dst_dc = topology.datacenter_of(dst_host)
-    scope = _RetryScope(sources=list(sources))
+    deferrals = 0
     attempt = 0
     while True:
         # Pick a source, preferring paths the breaker admits; rotation
         # starts at the attempt index so a retry naturally moves to the
         # next replica before revisiting the one that just missed.
-        start = attempt % len(scope.sources)
-        ordered = scope.sources[start:] + scope.sources[:start]
+        start = attempt % len(sources)
+        ordered = sources[start:] + sources[:start]
         chosen: Optional[str] = None
-        scope.probe = False
+        probe = False
         best_wait = None
         for candidate in ordered:
             verdict, wait = health.admission(
                 topology.datacenter_of(candidate), dst_dc
             )
-            if verdict == ALLOW:
+            if verdict != DEFER:
                 chosen = candidate
-                break
-            if verdict == PROBE:
-                chosen = candidate
-                scope.probe = True
+                probe = verdict == PROBE
                 break
             best_wait = wait if best_wait is None else min(best_wait, wait)
         if chosen is None:
             # Every path is open-circuited.  Wait for the earliest
             # cooldown, bounded: a capped number of deferrals, then
             # force the flow through (progress beats protection).
-            if scope.deferrals < config.max_flow_retries:
-                scope.deferrals += 1
+            if deferrals < config.max_flow_retries:
+                deferrals += 1
                 yield sim.timeout(max(best_wait or 0.0, 1e-3))
                 if check is not None:
                     check()
@@ -527,53 +514,69 @@ def transfer_with_retry(
         src_dc = topology.datacenter_of(chosen)
         started = sim.now
         flow = fabric.transfer(
-            chosen, dst_host, size_bytes, tag=tag, tenant=tenant
+            chosen, dst_host, size_bytes, tag=tag, tenant=tenant,
+            on_land=on_land,
         )
-        if on_issue is not None:
-            on_issue(chosen)
-        scope.issued.append(chosen)
-        if attempt >= config.max_flow_retries:
+        if attempt >= retries:
             # Final attempt: no deadline.
             yield flow
-            elapsed = max(sim.now - started, 1e-9)
-            health.record_success(
-                src_dc, dst_dc, probe=scope.probe,
-                observed_rate=size_bytes / elapsed,
-            )
-            return chosen
-        deadline = flow_deadline(context, chosen, dst_host, size_bytes)
-        timer = sim.timeout(deadline, name=f"flow-deadline@{sim.now:.3f}")
-        yield sim.any_of([flow, timer])
-        if flow.triggered:
-            elapsed = max(sim.now - started, 1e-9)
-            health.record_success(
-                src_dc, dst_dc, probe=scope.probe,
-                observed_rate=size_bytes / elapsed,
-            )
-            return chosen
-        # Deadline miss: cancel, refund, report, back off, re-issue.
-        observed_rate = fabric.current_rate(flow)
-        delivered = fabric.cancel(flow)
-        if delivered is None:
-            # The flow departed between the deadline firing and now
-            # (only its propagation-latency tail remains): await it.
-            yield flow
-            elapsed = max(sim.now - started, 1e-9)
-            health.record_success(
-                src_dc, dst_dc, probe=scope.probe,
-                observed_rate=size_bytes / elapsed,
-            )
-            return chosen
-        if on_cancel is not None:
-            on_cancel(chosen, size_bytes - delivered)
-        counters.flow_retries += 1
-        counters.retry_wasted_bytes += delivered
-        health.record_failure(
-            src_dc, dst_dc, probe=scope.probe, observed_rate=observed_rate
+        else:
+            deadline = flow_deadline(context, chosen, dst_host, size_bytes)
+            timer = sim.timeout(deadline, name=f"flow-deadline@{sim.now:.3f}")
+            yield sim.any_of([flow, timer])
+            if not flow.triggered:
+                # Deadline miss: cancel, report, back off, re-issue.
+                observed_rate = fabric.current_rate(flow)
+                delivered = fabric.cancel(flow)
+                if delivered is not None:
+                    counters.flow_retries += 1
+                    counters.retry_wasted_bytes += delivered
+                    health.record_failure(
+                        src_dc, dst_dc, probe=probe,
+                        observed_rate=observed_rate,
+                    )
+                    backoff = config.flow_retry_backoff * (2 ** attempt)
+                    if backoff > 0:
+                        yield sim.timeout(backoff)
+                    if check is not None:
+                        check()
+                    attempt += 1
+                    continue
+                # The flow departed between the deadline firing and now
+                # (only its propagation-latency tail remains): await it.
+                yield flow
+        elapsed = max(sim.now - started, 1e-9)
+        health.record_success(
+            src_dc, dst_dc, probe=probe, observed_rate=size_bytes / elapsed
         )
-        backoff = config.flow_retry_backoff * (2 ** attempt)
-        if backoff > 0:
-            yield sim.timeout(backoff)
-        if check is not None:
-            check()
-        attempt += 1
+        return
+
+
+def read_flow(
+    context,
+    src_host: str,
+    dst_host: str,
+    size_bytes: float,
+    tag: str,
+    tenant: str = "",
+    on_land: Optional[Callable[[str, str, float], None]] = None,
+    check: Optional[Callable[[], None]] = None,
+    name: str = "",
+):
+    """The event one of a reader's concurrent reads awaits: with flow
+    retry off the plain flow :func:`transfer_with_retry` would issue,
+    with it on that retry loop spawned as a process called ``name`` (a
+    ``FetchFailedError`` it raises fails the reader's ``all_of`` like an
+    inline raise)."""
+    if not context.link_health.enabled:
+        return context.fabric.transfer(
+            src_host, dst_host, size_bytes, tag=tag, tenant=tenant,
+            on_land=on_land,
+        )
+    return context.sim.spawn(
+        transfer_with_retry(
+            context, [src_host], dst_host, size_bytes, tag, tenant,
+            on_land, check,
+        ),
+        name=name,
+    )

@@ -80,10 +80,12 @@ class ShuffleCounters:
 
     Owned and incremented by the active
     :class:`repro.shuffle.service.ShuffleBackend`; every byte it moves
-    over the network is accounted here, split WAN vs. intra-datacenter, so
-    the invariant *counter bytes == traffic-monitor bytes for the
-    backend's flow tags* is checkable (and checked, by the property
-    suite in ``tests/shuffle``).
+    over the network is counted here, split WAN vs. intra-datacenter, at
+    the instant the fabric lands it with the traffic monitor (a cancelled
+    flow's delivered part; nothing while in flight), so the invariant
+    *counter bytes == traffic-monitor bytes for the backend's flow tags*
+    holds at every instant (checked at every stage boundary under the
+    sanitizer and by the property suite in ``tests/shuffle``).
 
     * ``shuffles_registered``     — shuffles whose lifecycle the service
       opened (idempotent re-registration is not re-counted);
@@ -163,7 +165,7 @@ class ShuffleCounters:
         shuffle_id: int | None = None,
         recovery: bool = False,
     ) -> None:
-        """Account one network flow issued by the backend."""
+        """Count the bytes one backend flow delivered (its ``on_land``)."""
         if src_dc != dst_dc:
             self.wan_bytes += size_bytes
             if recovery:

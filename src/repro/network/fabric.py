@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import time
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.metrics.perf import FabricPerfCounters
@@ -83,6 +83,7 @@ class Flow:
         "rate",
         "started_at",
         "finished_at",
+        "on_land",
     )
 
     def __init__(
@@ -98,6 +99,7 @@ class Flow:
         started_at: float,
         tenant: str = "",
         weight: float = 1.0,
+        on_land: Optional[Callable[[str, str, float], None]] = None,
     ) -> None:
         self.flow_id = flow_id
         self.src_host = src_host
@@ -118,6 +120,9 @@ class Flow:
         self.rate = 0.0
         self.started_at = started_at
         self.finished_at: Optional[float] = None
+        # Called once with (src dc, dst dc, bytes) when the flow lands,
+        # then dropped: ``completed_flows`` keeps every landed flow.
+        self.on_land = on_land
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -204,6 +209,7 @@ class NetworkFabric:
         size_bytes: float,
         tag: str = "",
         tenant: str = "",
+        on_land: Optional[Callable[[str, str, float], None]] = None,
     ) -> Event:
         """Start moving ``size_bytes`` from src to dst.
 
@@ -211,7 +217,10 @@ class NetworkFabric:
         (including propagation latency) completes.  Same-host transfers and
         empty payloads complete after the route latency alone.  ``tenant``
         attributes the bytes to a tenant and picks up that tenant's
-        fair-share weight from :attr:`tenant_weights`.
+        fair-share weight from :attr:`tenant_weights`.  ``on_land(src_dc,
+        dst_dc, bytes)`` is called when the traffic monitor records the
+        flow: with its full size when it finishes, with the bytes it
+        delivered when it is cancelled, never while it is in flight.
         """
         if size_bytes < 0:
             raise ValueError(f"negative transfer size: {size_bytes}")
@@ -233,11 +242,12 @@ class NetworkFabric:
             started_at=self.sim.now,
             tenant=tenant,
             weight=weight,
+            on_land=on_land,
         )
         if tenant and size_bytes > 0:
-            # Admission-time tenant accounting (mirrors the shuffle
-            # counters: charged here, refunded on cancel) — must
-            # reconcile with the monitor's completion-time records.
+            # Admission-time tenant accounting: charged here, landed as
+            # the bytes the monitor records (the full size, or what a
+            # cancel delivered).
             self.tenant_ledger.account(
                 tenant,
                 flow_id,
@@ -356,9 +366,10 @@ class NetworkFabric:
     def cancel(self, flow_event: Event) -> Optional[float]:
         """Abort the in-flight flow owning ``flow_event``.
 
-        Returns the bytes it had delivered by now (recorded with the
-        traffic monitor under the flow's tag, so monitor totals keep
-        matching what actually crossed the links), or ``None`` when the
+        Returns the bytes it had delivered by now (landed like a finished
+        flow's: with the traffic monitor under the flow's tag, the tenant
+        ledger and ``on_land``, so every record keeps matching what
+        actually crossed the links), or ``None`` when the
         flow already departed — its completion event is pending (only
         propagation latency remains) and the caller should await it
         instead.  The completion event of a cancelled flow never fires.
@@ -391,16 +402,7 @@ class NetworkFabric:
         delivered = flow.size_bytes - flow.remaining
         if delivered < 0:
             delivered = 0.0
-        src_dc = self.topology.datacenter_of(flow.src_host)
-        dst_dc = self.topology.datacenter_of(flow.dst_host)
-        if flow.tenant:
-            # Refund the bytes that never crossed the links: the charge
-            # lands as exactly the delivered value the monitor records.
-            self.tenant_ledger.land(flow.flow_id, delivered)
-        if delivered > 0:
-            self.monitor.record(
-                src_dc, dst_dc, delivered, flow.tag, tenant=flow.tenant
-            )
+        self._land(flow, delivered)
         return delivered
 
     def set_tenant_weight(self, tenant: str, weight: float) -> None:
@@ -469,16 +471,7 @@ class NetworkFabric:
             # exercised even on runs with no mid-plan perturbations.
             self.sanitizer.check_remaining(flow.flow_id, flow.remaining)
         flow.finished_at = self.sim.now + extra_delay
-        if flow.size_bytes > 0:
-            # Zero-byte transfers are control-plane no-ops; recording
-            # them would pollute the traffic matrices with empty entries.
-            src_dc = self.topology.datacenter_of(flow.src_host)
-            dst_dc = self.topology.datacenter_of(flow.dst_host)
-            self.monitor.record(
-                src_dc, dst_dc, flow.size_bytes, flow.tag, tenant=flow.tenant
-            )
-            if flow.tenant:
-                self.tenant_ledger.land(flow.flow_id, flow.size_bytes)
+        self._land(flow, flow.size_bytes)
         self.completed_flows.append(flow)
         completion = flow.completion
         flow.completion = None
@@ -486,6 +479,24 @@ class NetworkFabric:
             self.sim.call_later(extra_delay, partial(completion.succeed, flow))
         else:
             completion.succeed(flow)
+
+    def _land(self, flow: Flow, delivered: float) -> None:
+        """Record the bytes ``flow`` delivered — its full size when it
+        finishes, fewer when it is cancelled — with the tenant ledger,
+        the traffic monitor and the flow's ``on_land``, then drop it."""
+        if flow.tenant and flow.size_bytes > 0:
+            self.tenant_ledger.land(flow.flow_id, delivered)
+        if delivered > 0:
+            # Zero-byte transfers are control-plane no-ops; recording
+            # them would pollute the traffic matrices with empty entries.
+            src_dc = self.topology.datacenter_of(flow.src_host)
+            dst_dc = self.topology.datacenter_of(flow.dst_host)
+            self.monitor.record(
+                src_dc, dst_dc, delivered, flow.tag, tenant=flow.tenant
+            )
+            if flow.on_land is not None:
+                flow.on_land(src_dc, dst_dc, delivered)
+        flow.on_land = None
 
     # ------------------------------------------------------------------
     # Vector drive (cascade plans)

@@ -188,11 +188,12 @@ class DAGScheduler:
         self.metrics.on_stage_end(stage, self.sim.now)
         sanitizer = context.fabric.sanitizer
         if sanitizer is not None:
-            # Stage boundary: the ledger's landed charges must reconcile
-            # bit-for-bit with the monitor's completion-time records.
-            sanitizer.check_ledger(
-                context.fabric.tenant_ledger, context.fabric.monitor
-            )
+            # Stage boundary: the ledger's landed charges and the
+            # backend's counters must reconcile with the monitor's
+            # records (see reconcile_run).
+            monitor = context.fabric.monitor
+            sanitizer.check_ledger(context.fabric.tenant_ledger, monitor)
+            sanitizer.check_counters(context.shuffle_service, monitor)
         return gathered
 
     def _task_flow(

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, List, TYPE_CHECKING
 
 from repro.errors import RDDError
+from repro.failures.health import transfer_with_retry
 from repro.rdd.dependencies import ShuffleDependency, TransferDependency
 from repro.rdd.rdd import RDD
 from repro.rdd.size_estimator import view
@@ -95,26 +96,14 @@ class TaskRuntime:
             if topology.datacenter_of(host) == my_dc
         ]
         self.bytes_transferred_in += block.size_bytes
-        if self.context.config.health.flow_retry_enabled:
-            # Replica-rotating retry: a deadline miss re-issues the read
-            # from the next replica (same-DC replicas first), so a
-            # degraded path is sidestepped whenever dfs_replication left
-            # a copy elsewhere.
-            from repro.failures.health import transfer_with_retry
-
-            sources = same_dc + [
-                host for host in locations if host not in same_dc
-            ]
-            yield from transfer_with_retry(
-                self.context, sources, self.host, block.size_bytes,
-                tag="input", tenant=self.tenant,
-            )
-        else:
-            source = same_dc[0] if same_dc else locations[0]
-            yield self.context.fabric.transfer(
-                source, self.host, block.size_bytes, tag="input",
-                tenant=self.tenant,
-            )
+        # Same-DC replicas first.  With flow retry on, a deadline miss
+        # re-issues the read from the next replica, so a degraded path
+        # is sidestepped whenever dfs_replication left a copy elsewhere.
+        sources = same_dc + [host for host in locations if host not in same_dc]
+        yield from transfer_with_retry(
+            self.context, sources, self.host, block.size_bytes,
+            tag="input", tenant=self.tenant,
+        )
         return view(block.records)
 
     def read_driver_data(self, records: List[Any]):

@@ -32,8 +32,8 @@ Failure semantics — the point of this backend:
 Correctness: hand-off and promotion relocate shards without touching
 records, and reads concatenate in global map-index order — reduce input
 stays byte-identical to the fetch baseline (pinned by the equivalence
-suite).  Every flow is accounted at issue with an exact cancel refund,
-so counter==monitor reconciliation holds at every quiescent point.
+suite).  Every flow is counted where it lands, at the instant the
+traffic monitor records it, so counter==monitor holds at every instant.
 
 Own code: the worker pool, replication factor, hand-off plan
 (``_stage``) and re-replication; the rest is
@@ -264,7 +264,7 @@ class RemoteShuffleBackend(ShuffleBackend):
         shards: List[ShuffleShard],
     ):
         """Background copy restoring the replication factor (recovery-
-        tagged; accounted at issue with the usual exactness)."""
+        tagged; counted where it lands, like every move)."""
         size = sum(shard.size_bytes for shard in shards)
         if size > 0:
             flow = self._move(

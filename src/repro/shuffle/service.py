@@ -18,9 +18,11 @@ its ``shuffle_service``; the scheduler, the task runtime and the task
 runner call it directly.
 
 The base class owns the one data path every backend composes (DESIGN.md
-§8): **move** (``_move`` / ``_move_read``, the only place a flow is
-issued and accounted), **read** (``shuffle_read``), **stage once** (the
-``_stage`` hook's lifecycle) and **relocate** (``relocate_map_output``).
+§8): **move** (``_move`` / ``_move_read``, and the reduce read's
+:func:`~repro.failures.health.read_flow`: the only places a flow is
+issued, each counted where it lands), **read** (``shuffle_read``),
+**stage once** (the ``_stage`` hook's lifecycle) and **relocate**
+(``relocate_map_output``).
 A map output has one record, its
 :class:`~repro.shuffle.map_output_tracker.MapStatus` in the
 :class:`~repro.shuffle.map_output_tracker.MapOutputTracker` (the host of
@@ -32,12 +34,13 @@ transfer partitions have theirs in the
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
 )
 
 from repro.errors import FetchFailedError
-from repro.failures.health import transfer_with_retry
+from repro.failures.health import read_flow, transfer_with_retry
 from repro.metrics.perf import ShuffleCounters
 from repro.rdd.shuffled import gather
 from repro.rdd.size_estimator import view
@@ -265,29 +268,21 @@ class ShuffleBackend:
                 raise FetchFailedError(shuffle_id=shuffle_id)
 
         tag = self._read_tag
-        retry_enabled = context.config.health.flow_retry_enabled
         flows = []
         for source, size in remote:
             # Bytes and blocks are counted once per logical block,
             # whatever number of flow attempts delivers it.
             runtime.shuffle_bytes_fetched += size
             self.counters.blocks_fetched += 1
-            move = (
-                source, runtime.host, size, tag,
-                runtime.tenant, shuffle_id, runtime.task.recovery,
-            )
-            if retry_enabled:
-                # A sub-process per source: a FetchFailedError raised by
-                # one (data gone mid-retry) fails the all_of below and
-                # propagates to this reducer like an inline raise.
-                flows.append(
-                    context.sim.spawn(
-                        self._move_read(check, *move),
-                        name=f"{tag}-retry:s{shuffle_id}r{reduce_index}@{source}",
-                    )
+            flows.append(
+                read_flow(
+                    context, source, runtime.host, size, tag,
+                    runtime.tenant,
+                    self._counted(shuffle_id, runtime.task.recovery),
+                    check,
+                    name=f"{tag}-retry:s{shuffle_id}r{reduce_index}@{source}",
                 )
-            else:
-                flows.append(self._move(*move))
+            )
         if local_bytes > 0:
             yield context.sim.timeout(
                 context.config.disk.read_time(local_bytes)
@@ -350,7 +345,7 @@ class ShuffleBackend:
         return view(staged.records)
 
     # ------------------------------------------------------------------
-    # Move: the one place a flow is issued and accounted
+    # Move: where flows are issued and counted
     # ------------------------------------------------------------------
     def _move(
         self,
@@ -362,18 +357,12 @@ class ShuffleBackend:
         shuffle_id: int | None = None,
         recovery: bool = False,
     ):
-        """Issue one flow and return its completion event.
-
-        Accounted at flow creation, not completion: if the issuing
-        attempt is interrupted (executor crash) the fabric still carries
-        the flow to completion, and the counters must agree with the
-        traffic monitor byte-for-byte.
-        """
-        flow = self.context.fabric.transfer(
-            src, dst, size_bytes, tag=tag, tenant=tenant
+        """Issue one flow and return its completion event.  Its bytes
+        reach the counters where they land (see :meth:`_counted`)."""
+        return self.context.fabric.transfer(
+            src, dst, size_bytes, tag=tag, tenant=tenant,
+            on_land=self._counted(shuffle_id, recovery),
         )
-        self._account_flow(src, dst, size_bytes, shuffle_id, recovery)
-        return flow
 
     def _move_read(
         self,
@@ -386,47 +375,22 @@ class ShuffleBackend:
         shuffle_id: int | None = None,
         recovery: bool = False,
     ):
-        """A *read's* move, as a simulation process: one plain flow, or —
-        with ``health.flow_retry_enabled`` — a deadline-raced, re-issued
-        one (see :func:`repro.failures.health.transfer_with_retry`).
-        ``check`` raises ``FetchFailedError`` when the data itself is
-        gone.  Counters stay in lockstep with the traffic monitor: each
-        issued flow is accounted in full, each cancelled one refunds
-        exactly its undelivered remainder."""
-        if not self.context.config.health.flow_retry_enabled:
-            yield self._move(
-                src, dst, size_bytes, tag, tenant, shuffle_id, recovery
-            )
-            return
+        """A *read's* move, as a simulation process: the flow-retry loop
+        (:func:`repro.failures.health.transfer_with_retry`; one plain
+        flow while flow retry is off), every attempt counted where it
+        lands.  ``check`` raises ``FetchFailedError`` when the data
+        itself is gone."""
         yield from transfer_with_retry(
-            self.context,
-            [src],
-            dst,
-            size_bytes,
-            tag=tag,
-            tenant=tenant,
-            on_issue=lambda source: self._account_flow(
-                source, dst, size_bytes, shuffle_id, recovery
-            ),
-            on_cancel=lambda source, undelivered: self._account_flow(
-                source, dst, -undelivered, shuffle_id, recovery
-            ),
-            check=check,
+            self.context, [src], dst, size_bytes, tag, tenant,
+            self._counted(shuffle_id, recovery), check,
         )
 
-    def _account_flow(
-        self,
-        src: str,
-        dst: str,
-        size_bytes: float,
-        shuffle_id: int | None = None,
-        recovery: bool = False,
-    ) -> None:
-        topology = self.context.topology
-        self.counters.note_flow(
-            topology.datacenter_of(src),
-            topology.datacenter_of(dst),
-            size_bytes,
-            shuffle_id=shuffle_id,
-            recovery=recovery,
+    def _counted(self, shuffle_id: int | None, recovery: bool):
+        """The ``on_land`` of a backend flow: the fabric hands the
+        counters the bytes a flow delivered at the instant it records
+        them with the traffic monitor — the full size when it finishes,
+        the delivered part when it is cancelled, nothing while it is in
+        flight — so counters == monitor holds at every instant."""
+        return partial(
+            self.counters.note_flow, shuffle_id=shuffle_id, recovery=recovery
         )

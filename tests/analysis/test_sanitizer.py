@@ -103,23 +103,60 @@ def test_check_ledger_reconciles_settled_charges():
 
 def test_reconcile_excludes_flows_still_in_flight_at_run_end():
     """Campaign finding (seed 0, schedule #98): a speculative loser's
-    fetch stays active when the winning attempt completes the job — the
-    flow was counter-charged at issue but the monitor only records
-    completions.  reconcile_run must exclude still-active flows; a
-    *cancelled* flow whose charge was never refunded is a real leak."""
+    fetch stays active when the winning attempt completes the job.  A
+    flow in flight has landed nowhere, so it is on no side: counters,
+    monitor and ledger all take its bytes only when it lands."""
     from repro.analysis.sanitizer import reconcile_run
     from tests.conftest import make_context
 
     context = make_context()
     backend = context.shuffle_service
-    flow = context.fabric.transfer("dc-a-w0", "dc-b-w0", 1000.0, tag="shuffle")
-    backend._account_flow("dc-a-w0", "dc-b-w0", 1000.0, shuffle_id=0)
+    backend._move("dc-a-w0", "dc-b-w0", 1e9, "shuffle", "prod", shuffle_id=0)
+    context.sim.run(until=1.0)
+    assert context.fabric.active_flow_count == 1
+    assert backend.counters.network_bytes == 0.0
+    assert backend.counters.network_bytes_by_shuffle == {}
+    assert context.traffic.by_tag.get("shuffle", 0.0) == 0.0
+    assert context.fabric.tenant_ledger.landed_by_tenant() == {"prod": 0.0}
     assert reconcile_run(context) == []
-    # Cancelling removes the flow from the active set without refunding
-    # the issue-time charge — now it IS an accounting violation.
-    context.fabric.cancel(flow)
-    violations = reconcile_run(context)
-    assert any("wan_bytes" in violation for violation in violations)
+
+
+def test_a_cancel_lands_its_delivered_bytes_on_every_record():
+    from repro.analysis.sanitizer import reconcile_run
+    from tests.conftest import make_context
+
+    context = make_context()
+    backend = context.shuffle_service
+    flow = backend._move(
+        "dc-a-w0", "dc-b-w0", 1e9, "shuffle", "prod", shuffle_id=0
+    )
+    context.sim.run(until=1.0)
+    delivered = context.fabric.cancel(flow)
+    assert 0.0 < delivered < 1e9
+    assert backend.counters.wan_bytes == delivered
+    assert backend.counters.network_bytes_by_shuffle == {0: delivered}
+    assert context.traffic.cross_dc_by_tag["shuffle"] == delivered
+    ledger = context.fabric.tenant_ledger
+    assert ledger.landed_by_tenant(wan_only=True) == {"prod": delivered}
+    assert reconcile_run(context) == []
+
+
+def test_a_shuffle_flow_bypassing_the_move_primitive_is_reported():
+    """A ``shuffle`` flow issued straight through ``fabric.transfer``
+    lands on the monitor but on no counter: ``reconcile_run`` reports
+    it, and under the sanitizer so does the next stage boundary."""
+    from repro.analysis.sanitizer import reconcile_run
+    from tests.conftest import make_context
+
+    with sanitized() as sanitizer:
+        context = make_context()
+        context.fabric.transfer("dc-a-w0", "dc-b-w0", 1000.0, tag="shuffle")
+        context.sim.run(until=1.0)
+        assert any("wan_bytes" in v for v in reconcile_run(context))
+        rdd = context.parallelize([(i % 3, i) for i in range(12)], 3)
+        with pytest.raises(InvariantViolation, match="counters: .* at stage"):
+            rdd.reduce_by_key(lambda a, b: a + b).collect()
+    assert sanitizer.checks["counters"] == 1
 
 
 def test_check_ledger_rejects_mismatched_bytes():
@@ -206,3 +243,4 @@ def test_sanitized_stream_is_byte_identical_and_checks_run():
     assert sanitizer.checks["capacity"] > 0
     assert sanitizer.checks["time"] > 0
     assert sanitizer.checks["ledger"] > 0
+    assert sanitizer.checks["counters"] == sanitizer.checks["ledger"]

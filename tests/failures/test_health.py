@@ -8,7 +8,7 @@ by flow-level retries (zero stage resubmissions, byte-identical output)
 and a sustained outage of the elected aggregation datacenter survived by
 destination re-election.  A hypothesis sweep checks that retries never
 break the counter-vs-traffic-monitor byte equality: every cancelled
-flow's delivered bytes are refunded exactly once.
+flow's delivered bytes are counted exactly once, where they land.
 
 ``REPRO_SEEDS`` widens the seed sweep (CI runs the suite at 2).
 """
@@ -495,3 +495,25 @@ def test_flow_retries_never_double_count_bytes(backend, factor, at, seed):
     assert result == _expected_skewed_result()
     _assert_counters_match_monitor(context)
     context.shutdown()
+
+
+def test_whether_a_read_retries_is_decided_in_the_health_layer_only():
+    """Every read takes the one retry path (``transfer_with_retry``, or
+    its event from ``read_flow``); only the config and the health layer
+    read ``flow_retry_enabled``, so no caller forks on it."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    package = Path(repro.__file__).parent
+    readers = sorted(
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if any(
+            isinstance(node, ast.Attribute)
+            and node.attr == "flow_retry_enabled"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert readers == ["config.py", "failures/health.py"]

@@ -69,6 +69,10 @@ UNCALLED_DEFS: Dict[str, str] = {
     "repro.analysis.engine:_parse_lint_section_fallback":
         "reads [tool.repro-lint] on Python 3.10, which has no tomllib",
     # Oracles the tests compare the engine with.
+    "repro.network.fabric:NetworkFabric.active_flows":
+        "the in-flight set, charged up to now: the tests compare its rates "
+        "with the solvers' and find orphaned flows (tests/network, "
+        "tests/shuffle)",
     "repro.network.fabric:NetworkFabric.solver_inputs": _ORACLE,
     "repro.network.fair_share:_weighted_max_min_fair_rates": _ORACLE,
     "repro.network.fair_share:verify_allocation": _ORACLE,

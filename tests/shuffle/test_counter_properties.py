@@ -23,11 +23,49 @@ from tests.conftest import make_context, small_spec
 
 def _assert_counters_match_monitor(context) -> None:
     """The three equalities above (and ledger == monitor), as the
-    campaign's own oracle states them: flows still in flight when the
-    job returned — a crashed attempt's fetch that nothing cancels —
-    were charged at issue but reach the monitor only on completion, so
-    ``reconcile_run`` leaves them out of both sides."""
+    campaign's own oracle states them.  Counters, monitor and ledger all
+    take a flow's bytes when it lands, so a flow still in flight when
+    the job returned — a crashed attempt's fetch that nothing cancels —
+    is on no side."""
     assert reconcile_run(context) == []
+
+
+def test_counters_hold_no_undelivered_bytes_of_an_orphaned_flow():
+    """Campaign seed 0, schedule #98 (the corpus's
+    ``speculative-orphan-pre-merge``): the job completes while a
+    speculative loser's fetch is still in flight.  The counters must not
+    hold its undelivered bytes: ``wan_bytes`` equals the monitor's
+    cross-DC total over the backend's tags as it stands."""
+    from math import fsum
+    from pathlib import Path
+
+    from repro.cluster.context import ClusterContext
+    from repro.failures import campaign
+
+    artifact = (
+        Path(__file__).resolve().parent.parent
+        / "failures" / "corpus" / "speculative-orphan-pre-merge.json"
+    )
+    config = campaign._policy_config("speculate", "pre_merge", 0).with_chaos(
+        campaign.load_artifact_schedule(str(artifact))
+    )
+    context = ClusterContext(campaign.fuzz_cluster_spec(), config)
+    rdd = context.parallelize(campaign._fuzz_records(), campaign._FUZZ_SLICES)
+    rdd.reduce_by_key(
+        campaign._merge, num_partitions=campaign._FUZZ_REDUCERS
+    ).collect()
+    backend = context.shuffle_service
+    assert any(
+        flow.tag in backend.flow_tags
+        for flow in context.fabric.active_flows()
+    )
+    cross = fsum(
+        context.traffic.cross_dc_by_tag.get(tag, 0.0)
+        for tag in backend.flow_tags
+    )
+    assert backend.perf_snapshot()["wan_bytes"] == cross
+    _assert_counters_match_monitor(context)
+    context.shutdown()
 
 
 @settings(max_examples=12, deadline=None)

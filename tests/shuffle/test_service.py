@@ -164,6 +164,7 @@ def test_backends_compose_the_shared_data_path():
 
     assert occurrences("fabric.transfer(") == {"service.py": 1}
     assert occurrences("transfer_with_retry(") == {"service.py": 1}
+    assert occurrences("read_flow(") == {"service.py": 1}
     assert occurrences("MapStatus(") == {"service.py": 1}
     assert occurrences("map_outputs_registered -= 1") == {}
     assert not any(
