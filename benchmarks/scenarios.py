@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.network.cascade as cascade
 from benchmarks.e2e.workloads import fabric_plans, run_fabric_plan
+from repro.analysis.sanitizer import reconcile_run
 from repro.cluster.builder import ClusterSpec, build_topology, ec2_six_region_spec
 from repro.cluster.context import ClusterContext
 from repro.config import HealthConfig, ShuffleConfig, SimulationConfig
@@ -307,23 +308,6 @@ def _reduce_spans(context, kind="result") -> List:
     ]
 
 
-def _reconciled(context) -> bool:
-    """The backend's byte counters equal the traffic monitor's records of
-    its flow tags, and recovery bytes are a subset of them."""
-    backend = context.shuffle_service
-    counters, monitor = backend.counters, context.traffic
-    total = sum(monitor.by_tag.get(tag, 0.0) for tag in backend.flow_tags)
-    cross = sum(
-        monitor.cross_dc_by_tag.get(tag, 0.0) for tag in backend.flow_tags
-    )
-    return (
-        abs(counters.wan_bytes + counters.intra_dc_bytes - total) < 1e-6
-        and abs(counters.wan_bytes - cross) < 1e-6
-        and counters.recovery_wan_bytes <= counters.wan_bytes + 1e-9
-        and counters.recovery_intra_dc_bytes <= counters.intra_dc_bytes + 1e-9
-    )
-
-
 def _shared_crash_event(cleans: Dict[str, ClusterContext]) -> ChaosEvent:
     """One (host, time) inside *every* backend's reduce window.
 
@@ -366,19 +350,20 @@ def _shared_crash_event(cleans: Dict[str, ClusterContext]) -> ChaosEvent:
 
 def _chaos_row(clean: ClusterContext, context: ClusterContext, same: bool) -> Dict:
     counters = context.shuffle_service.counters
+    landed = counters.landed()
     return {
         "clean_jct": clean.metrics.job.duration,
         "chaos_jct": context.metrics.job.duration,
         "same_output": same,
-        "reconciled": _reconciled(context),
+        "reconciled": reconcile_run(context) == [],
         "relaunched": context.recovery.tasks_relaunched,
         "resubmitted": context.recovery.stages_resubmitted,
         "recomputed": context.recovery.tasks_recomputed,
         "crashes": context.recovery.executor_crashes,
         "merger_losses": context.recovery.merger_losses,
         "worker_losses": context.recovery.shuffle_worker_losses,
-        "recovery_wan_mb": counters.recovery_wan_bytes / 1e6,
-        "recovery_intra_mb": counters.recovery_intra_dc_bytes / 1e6,
+        "recovery_wan_mb": landed["recovery_wan_bytes"] / 1e6,
+        "recovery_intra_mb": landed["recovery_intra_dc_bytes"] / 1e6,
         "promotions": counters.replica_promotions,
         "rereplication_mb": counters.rereplication_bytes / 1e6,
         "blob_gets": counters.blob_gets,

@@ -1,7 +1,7 @@
 """Static analysis and runtime sanitizing for the repro's invariants.
 
 Two enforcement layers for the conventions every headline guarantee
-rests on (byte-identical runs, bit-exact ledger reconciliation, 1e-9
+rests on (byte-identical runs, one exact record of landed bytes, 1e-9
 solver equivalence):
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — the
@@ -10,9 +10,11 @@ solver equivalence):
   ``[tool.repro-lint]`` configuration;
 * :mod:`repro.analysis.sanitizer` — the opt-in runtime invariant
   sanitizer (``REPRO_SANITIZE=1`` / ``--sanitize``): zero-cost-when-off
-  hooks in the fabric, kernel, and tenant ledger asserting capacity
-  conservation, finite non-negative rates, time monotonicity, and
-  ledger==monitor reconciliation at stage boundaries.
+  hooks in the fabric, kernel, and DAG scheduler asserting capacity
+  conservation, finite non-negative rates, time monotonicity, and, at
+  stage boundaries, that every landed byte is on the views reading the
+  traffic monitor (keyed for the shuffle counters, tenanted in a
+  multi-tenant run).
 """
 
 from repro import lazy_exports

@@ -12,13 +12,12 @@ and DAG scheduler assert, *while the simulation runs*:
   negative ``remaining`` bytes;
 * **time monotonicity** — the kernel's batch clock never goes backwards
   and never goes NaN;
-* **ledger==monitor reconciliation** — at every stage boundary, the
-  landed charges of the admission-time
-  :class:`~repro.metrics.tenants.TenantLedger` equal the completion-time
-  :class:`~repro.network.traffic_monitor.TrafficMonitor` records
-  bit-for-bit, per tenant, for both total and WAN bytes, and the active
-  shuffle backend's counters equal the monitor's records over its flow
-  tags within the solver accuracy bound;
+* **every landed byte on its views** — at every stage boundary (see
+  :func:`reconcile_run`), no byte under the active shuffle backend's
+  flow tags landed on the
+  :class:`~repro.network.traffic_monitor.TrafficMonitor` without the
+  key its byte counters read, and, once the run carries tenanted
+  traffic, no byte landed without a tenant;
 * **read-only shared records** — every hit of a dataset's
   :class:`~repro.rdd.memo.DataMemo` is recomputed from its arguments and
   compared with the stored partition (records, byte totals, count), so a
@@ -45,7 +44,6 @@ from math import fsum
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.metrics.tenants import TenantLedger
     from repro.network.traffic_monitor import TrafficMonitor
 
 # Relative slack for capacity conservation: the solvers guarantee 1e-9
@@ -73,8 +71,7 @@ class Sanitizer:
             "rates": 0,
             "capacity": 0,
             "time": 0,
-            "ledger": 0,
-            "counters": 0,
+            "landed": 0,
             "memo": 0,
         }
 
@@ -146,23 +143,13 @@ class Sanitizer:
             )
 
     # ------------------------------------------------------------------
-    # Ledger: admission charges == completion records, bit for bit
+    # Stage boundary: the one record of landed bytes
     # ------------------------------------------------------------------
-    def check_ledger(self, ledger: TenantLedger, monitor: TrafficMonitor) -> None:
-        """Landed ledger charges must equal monitor records exactly —
-        the stage-boundary version of the end-of-run property test."""
-        self.checks["ledger"] += 1
-        mismatches = _ledger_mismatches(ledger, monitor)
-        if mismatches:
-            raise InvariantViolation(f"{mismatches[0]} at stage boundary")
-
-    def check_counters(self, backend, monitor: TrafficMonitor) -> None:
-        """The backend's counters must equal the monitor's records over
-        its flow tags (within the solver accuracy bound) — the
-        stage-boundary version of :func:`reconcile_run`'s counter
-        comparisons."""
-        self.checks["counters"] += 1
-        mismatches = _counter_mismatches(backend, monitor)
+    def check_landed(self, context) -> None:
+        """Every byte landed so far is on the views that read it — the
+        stage-boundary version of :func:`reconcile_run`."""
+        self.checks["landed"] += 1
+        mismatches = reconcile_run(context)
         if mismatches:
             raise InvariantViolation(f"{mismatches[0]} at stage boundary")
 
@@ -178,9 +165,10 @@ class Sanitizer:
 # Reconciliation: stage-boundary checks and the post-run oracle
 # ---------------------------------------------------------------------------
 
-# Counter-vs-monitor comparisons use the solvers' accuracy bound (the
-# same slack the end-of-run property tests use); ledger-vs-monitor is
-# bit-exact because both sides hold the identical multiset of floats.
+# The views and the per-tenant sums add the landed bytes in another
+# order than the monitor's running totals, so the comparisons allow the
+# solvers' accuracy bound (the same slack the end-of-run property tests
+# use).
 _RECONCILE_REL = 1e-9
 _RECONCILE_ABS = 1e-6
 
@@ -189,52 +177,29 @@ def _mismatch(lhs: float, rhs: float) -> bool:
     return abs(lhs - rhs) > _RECONCILE_REL * max(abs(lhs), abs(rhs)) + _RECONCILE_ABS
 
 
-def _ledger_mismatches(ledger: TenantLedger, monitor: TrafficMonitor) -> List[str]:
-    """Every tenant whose landed ledger charges differ from the monitor's
-    records, total or WAN.  Both sides hold the exact sum of the same
-    floats, so any difference at all is one."""
-    found: List[str] = []
-    for what, landed, recorded in (
-        ("bytes", ledger.landed_by_tenant(), monitor.by_tenant),
-        (
-            "WAN bytes",
-            ledger.landed_by_tenant(wan_only=True),
-            monitor.cross_dc_by_tenant,
-        ),
-    ):
-        for tenant in sorted(set(landed) | set(recorded)):
-            lhs = landed.get(tenant, 0.0)
-            rhs = recorded.get(tenant, 0.0)
-            if lhs != rhs:
-                found.append(
-                    f"tenant {tenant!r}: ledger landed {what} {lhs!r} != "
-                    f"monitor recorded {what} {rhs!r}"
-                )
-    return found
-
-
 def _counter_mismatches(backend, monitor: TrafficMonitor) -> List[str]:
-    """Every way the backend's counters differ from the monitor's
-    records over the backend's declared flow tags — total, cross-DC and
-    per-shuffle attribution — beyond the solver accuracy bound.  Both
-    sides take a flow's bytes at the instant it lands, so this holds at
-    any instant, flows still in flight included (they are on neither)."""
+    """Every way the backend's byte counters — views of the monitor's
+    keyed table — miss bytes the monitor landed under the backend's
+    flow tags (total, cross-DC, per-shuffle): a backend-tagged flow
+    issued without a key.  Both sides read the one record, so this
+    holds at any instant."""
     counters = backend.counters
 
     def tag_total(table: Mapping[str, float], tags: Sequence[str]) -> float:
         return fsum(table.get(tag, 0.0) for tag in tags)
 
     found: List[str] = []
+    landed = counters.landed()
     total = tag_total(monitor.by_tag, backend.flow_tags)
-    if _mismatch(counters.network_bytes, total):
+    if _mismatch(landed["network_bytes"], total):
         found.append(
-            f"counters: wan+intra {counters.network_bytes!r} != "
+            f"counters: wan+intra {landed['network_bytes']!r} != "
             f"monitor total {total!r}"
         )
     cross = tag_total(monitor.cross_dc_by_tag, backend.flow_tags)
-    if _mismatch(counters.wan_bytes, cross):
+    if _mismatch(landed["wan_bytes"], cross):
         found.append(
-            f"counters: wan_bytes {counters.wan_bytes!r} != "
+            f"counters: wan_bytes {landed['wan_bytes']!r} != "
             f"monitor cross-DC total {cross!r}"
         )
     shuffle_tags = tuple(tag for tag in backend.flow_tags if tag != "transfer_to")
@@ -248,23 +213,46 @@ def _counter_mismatches(backend, monitor: TrafficMonitor) -> List[str]:
     return found
 
 
+def _tenant_mismatches(monitor: TrafficMonitor) -> List[str]:
+    """Once any landed byte has a tenant, every one must: the bytes
+    attributed to tenants equal the monitor's totals, all and WAN."""
+    by_tenant = monitor.by_tenant
+    if not by_tenant:
+        return []
+    found: List[str] = []
+    for what, landed, attributed in (
+        ("bytes", monitor.total_bytes, fsum(by_tenant.values())),
+        (
+            "WAN bytes",
+            monitor.cross_dc_bytes,
+            fsum(monitor.cross_dc_by_tenant.values()),
+        ),
+    ):
+        if _mismatch(attributed, landed):
+            found.append(
+                f"tenants: {attributed!r} {what} attributed != "
+                f"{landed!r} landed"
+            )
+    return found
+
+
 def reconcile_run(context) -> List[str]:
-    """Cross-check one finished run's three accounting spines.
+    """Check that every byte landed on a context's traffic monitor, the
+    one record of landed bytes, is on the views that read it.
 
-    The chaos campaign's composite-oracle adapter: given a cluster
-    context whose jobs have completed, verify
+    The chaos campaign's composite-oracle adapter, also run at every
+    stage boundary under the sanitizer (:meth:`Sanitizer.check_landed`):
 
-    * backend **counters** == traffic **monitor** over the backend's
-      declared flow tags (total, cross-DC, and per-shuffle attribution),
-      within the solver accuracy bound — the comparisons
-      :meth:`Sanitizer.check_counters` makes at every stage boundary;
-    * tenant **ledger** landed charges == monitor completion records,
-      bit for bit per tenant, for total and WAN bytes.
+    * the shuffle backend's byte **counters** equal the monitor's
+      records over the backend's declared flow tags (total, cross-DC,
+      and per-shuffle attribution), within the solver accuracy bound —
+      no backend-tagged byte landed without a key;
+    * when the run carries tenanted traffic, the per-tenant bytes sum
+      to the monitor's totals — no byte landed without a tenant.
 
-    All three take a flow's bytes when it lands, so a flow still in
-    flight when the run stopped (an abandoned attempt whose awaiting
-    process died — a speculative loser's fetch, a relaunched task's
-    half-finished read) is on no side.
+    A flow still in flight (an abandoned attempt whose awaiting process
+    died — a speculative loser's fetch, a relaunched task's
+    half-finished read) has landed nowhere, so it is on no side.
 
     Returns a list of human-readable violation strings — empty means the
     run reconciles.  Never raises: the campaign wants every violation,
@@ -273,7 +261,7 @@ def reconcile_run(context) -> List[str]:
     monitor = context.traffic
     return _counter_mismatches(
         context.shuffle_service, monitor
-    ) + _ledger_mismatches(context.fabric.tenant_ledger, monitor)
+    ) + _tenant_mismatches(monitor)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ def add_arguments(commands) -> None:
     run.add_argument(
         "--sanitize", action="store_true",
         help="enable the runtime invariant sanitizer (capacity "
-        "conservation, rate sanity, clock monotonicity, ledger/monitor "
-        "reconciliation); equivalent to REPRO_SANITIZE=1 (DESIGN.md §13)",
+        "conservation, rate sanity, clock monotonicity, every landed "
+        "byte keyed and tenanted); equivalent to REPRO_SANITIZE=1 (DESIGN.md §13)",
     )
     run.set_defaults(func=cmd_run)
 

@@ -260,14 +260,6 @@ def _run_stream_cell(
     stream_result = run_stream(context, stream_spec, arrivals)
     duration = context.sim.now - started
     context.shutdown()
-    # Reconciliation surface: the ledger's admission-time attribution
-    # ("bytes"/"wan_bytes") next to the monitor's completion-time records
-    # — equal once every flow has landed (property-tested, benchmarked).
-    for name, row in stream_result.tenants.items():
-        row["monitor_bytes"] = context.traffic.by_tenant.get(name, 0.0)
-        row["monitor_wan_bytes"] = context.traffic.cross_dc_by_tenant.get(
-            name, 0.0
-        )
     return RunResult(
         workload=f"stream:{stream_spec.policy}",
         scheme=scheme,

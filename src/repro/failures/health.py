@@ -30,16 +30,15 @@ in the shuffle layer, layered below lineage):
 
 Everything rides the deterministic simulation clock (all state
 transitions are functions of ``sim.now``), and the bytes an abandoned
-flow delivered land on the traffic monitor and on the caller's counters
-at the same instant (see ``NetworkFabric.cancel``), so the
-counter-vs-monitor equality invariant holds under any chaos schedule
-with retries enabled.
+flow delivered land on the traffic monitor, under the caller's key,
+when it is cancelled (see ``NetworkFabric.cancel``): the one record of
+landed bytes stays exact under any chaos schedule with retries enabled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.config import HealthConfig
 
@@ -451,7 +450,7 @@ def transfer_with_retry(
     size_bytes: float,
     tag: str,
     tenant: str = "",
-    on_land: Optional[Callable[[str, str, float], None]] = None,
+    key: Optional[Hashable] = None,
     check: Optional[Callable[[], None]] = None,
 ):
     """Deliver ``size_bytes`` to ``dst_host`` from one of ``sources``.
@@ -468,9 +467,9 @@ def transfer_with_retry(
     re-issue and should raise (``FetchFailedError``) when the data
     itself is gone — that is the escalation to lineage recovery.
 
-    Every flow issued carries ``on_land`` (see
-    ``NetworkFabric.transfer``), so the caller's counters see exactly
-    the bytes each attempt delivered, when the traffic monitor does.
+    Every flow issued carries ``key`` (see ``NetworkFabric.transfer``),
+    so the traffic monitor files exactly the bytes each attempt
+    delivered under the caller's key.
     """
     config = context.config.health
     health = context.link_health
@@ -514,8 +513,7 @@ def transfer_with_retry(
         src_dc = topology.datacenter_of(chosen)
         started = sim.now
         flow = fabric.transfer(
-            chosen, dst_host, size_bytes, tag=tag, tenant=tenant,
-            on_land=on_land,
+            chosen, dst_host, size_bytes, tag=tag, tenant=tenant, key=key,
         )
         if attempt >= retries:
             # Final attempt: no deadline.
@@ -559,7 +557,7 @@ def read_flow(
     size_bytes: float,
     tag: str,
     tenant: str = "",
-    on_land: Optional[Callable[[str, str, float], None]] = None,
+    key: Optional[Hashable] = None,
     check: Optional[Callable[[], None]] = None,
     name: str = "",
 ):
@@ -570,13 +568,11 @@ def read_flow(
     inline raise)."""
     if not context.link_health.enabled:
         return context.fabric.transfer(
-            src_host, dst_host, size_bytes, tag=tag, tenant=tenant,
-            on_land=on_land,
+            src_host, dst_host, size_bytes, tag=tag, tenant=tenant, key=key,
         )
     return context.sim.spawn(
         transfer_with_retry(
-            context, [src_host], dst_host, size_bytes, tag, tenant,
-            on_land, check,
+            context, [src_host], dst_host, size_bytes, tag, tenant, key, check,
         ),
         name=name,
     )

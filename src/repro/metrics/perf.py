@@ -32,8 +32,10 @@ incremented from the solver event loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict
+from dataclasses import dataclass, fields
+from math import fsum
+from types import MappingProxyType
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 
 @dataclass
@@ -78,14 +80,14 @@ class FabricPerfCounters:
 class ShuffleCounters:
     """Per-backend counters of the shuffle data path.
 
-    Owned and incremented by the active
-    :class:`repro.shuffle.service.ShuffleBackend`; every byte it moves
-    over the network is counted here, split WAN vs. intra-datacenter, at
-    the instant the fabric lands it with the traffic monitor (a cancelled
-    flow's delivered part; nothing while in flight), so the invariant
-    *counter bytes == traffic-monitor bytes for the backend's flow tags*
-    holds at every instant (checked at every stage boundary under the
-    sanitizer and by the property suite in ``tests/shuffle``).
+    Owned by the active :class:`repro.shuffle.service.ShuffleBackend`,
+    which increments the operation counts.  The network byte fields are
+    not stored: they are read-only views of the traffic monitor's keyed
+    table (:attr:`~repro.network.traffic_monitor.TrafficMonitor.by_key`)
+    over the backend's flow tags, where every backend flow lands under
+    its ``(shuffle id, recovery)`` key — a cancelled flow's delivered
+    part, nothing while in flight.  The sanitizer checks at every stage
+    boundary that no backend-tagged byte lands without a key.
 
     * ``shuffles_registered``     — shuffles whose lifecycle the service
       opened (idempotent re-registration is not re-counted);
@@ -100,13 +102,16 @@ class ShuffleCounters:
       operations executed by the pre-merge backend;
     * ``merge_fan_in``            — total map outputs consolidated across
       all merge rounds (``mean_merge_fan_in`` derives the average);
-    * ``wan_bytes`` / ``intra_dc_bytes`` — network bytes moved by the
-      backend, split by whether the flow crossed a datacenter boundary;
-    * ``recovery_wan_bytes`` / ``recovery_intra_dc_bytes`` — the subset
-      of the above moved by *recovery* work (retried attempts, tasks
-      relaunched after an executor loss, lineage-recomputed parents, and
-      pre-merge re-consolidation) — always <= the matching total, so
-      the counter/monitor equivalence invariant is unchanged;
+    * ``wan_bytes`` / ``intra_dc_bytes`` (views, :meth:`landed`) —
+      network bytes moved by the backend, split by whether the flow
+      crossed a datacenter boundary; ``network_bytes`` is their sum;
+    * ``recovery_wan_bytes`` / ``recovery_intra_dc_bytes`` (views,
+      :meth:`landed`) — the subset of the above moved by *recovery*
+      work (retried attempts, tasks relaunched after an executor loss,
+      lineage-recomputed parents, and pre-merge re-consolidation);
+    * ``network_bytes_by_shuffle`` (view) — network bytes per shuffle id
+      (reduce fetches and staging; ``transfer_to`` flows are keyed by no
+      shuffle and appear only in the totals);
     * ``local_bytes``             — shuffle input served from local disk
       (no network flow);
     * ``replication_bytes``       — bytes copied to additional replicas
@@ -132,10 +137,6 @@ class ShuffleCounters:
     blocks_pushed: int = 0
     merge_rounds: int = 0
     merge_fan_in: int = 0
-    wan_bytes: float = 0.0
-    intra_dc_bytes: float = 0.0
-    recovery_wan_bytes: float = 0.0
-    recovery_intra_dc_bytes: float = 0.0
     local_bytes: float = 0.0
     replication_bytes: float = 0.0
     rereplication_bytes: float = 0.0
@@ -143,53 +144,65 @@ class ShuffleCounters:
     spill_bytes: float = 0.0
     blob_puts: int = 0
     blob_gets: int = 0
-    # Network bytes attributable to one shuffle id (reduce fetches and
-    # pre-merge consolidation; transfer_to flows are keyed by transfer,
-    # not shuffle, and appear only in the totals above).
-    network_bytes_by_shuffle: Dict[int, float] = field(default_factory=dict)
+    # What the byte views read (see ``bind``; class attributes, not
+    # fields: they are not counts).  Unbound, every view reads 0.0.
+    _by_key = MappingProxyType({})
+    _flow_tags = ()
+
+    def bind(
+        self,
+        by_key: Mapping[Tuple[str, Hashable, bool], float],
+        flow_tags: Tuple[str, ...],
+    ) -> None:
+        """Point the byte views at a traffic monitor's keyed table
+        (:attr:`TrafficMonitor.by_key`), restricted to ``flow_tags``."""
+        self._by_key = by_key
+        self._flow_tags = flow_tags
 
     # ------------------------------------------------------------------
+    def landed(self) -> Dict[str, float]:
+        """The network byte views, from one pass over the keyed table:
+        ``wan_bytes``, ``intra_dc_bytes``, their ``recovery_`` subsets
+        and ``network_bytes``."""
+        terms: Dict[str, List[float]] = {
+            "wan_bytes": [], "intra_dc_bytes": [],
+            "recovery_wan_bytes": [], "recovery_intra_dc_bytes": [],
+        }
+        tags = self._flow_tags
+        for (tag, key, crossed), size in self._by_key.items():
+            if tag in tags:
+                name = "wan_bytes" if crossed else "intra_dc_bytes"
+                terms[name].append(size)
+                _shuffle_id, recovery = key
+                if recovery:
+                    terms["recovery_" + name].append(size)
+        views = {name: fsum(sizes) for name, sizes in terms.items()}
+        views["network_bytes"] = views["wan_bytes"] + views["intra_dc_bytes"]
+        return views
+
     @property
-    def network_bytes(self) -> float:
-        return self.wan_bytes + self.intra_dc_bytes
+    def network_bytes_by_shuffle(self) -> Dict[int, float]:
+        by_shuffle: Dict[int, float] = {}
+        tags = self._flow_tags
+        for (tag, key, _crossed), size in self._by_key.items():
+            if tag in tags:
+                shuffle_id, _recovery = key
+                if shuffle_id is not None:
+                    by_shuffle[shuffle_id] = by_shuffle.get(shuffle_id, 0.0) + size
+        return by_shuffle
 
     @property
     def mean_merge_fan_in(self) -> float:
         return self.merge_fan_in / self.merge_rounds if self.merge_rounds else 0.0
 
-    def note_flow(
-        self,
-        src_dc: str,
-        dst_dc: str,
-        size_bytes: float,
-        shuffle_id: int | None = None,
-        recovery: bool = False,
-    ) -> None:
-        """Count the bytes one backend flow delivered (its ``on_land``)."""
-        if src_dc != dst_dc:
-            self.wan_bytes += size_bytes
-            if recovery:
-                self.recovery_wan_bytes += size_bytes
-        else:
-            self.intra_dc_bytes += size_bytes
-            if recovery:
-                self.recovery_intra_dc_bytes += size_bytes
-        if shuffle_id is not None:
-            self.network_bytes_by_shuffle[shuffle_id] = (
-                self.network_bytes_by_shuffle.get(shuffle_id, 0.0) + size_bytes
-            )
-
     def note_local_read(self, size_bytes: float) -> None:
         self.local_bytes += size_bytes
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat float summary (per-shuffle breakdown omitted)."""
-        summary = {
-            f.name: float(getattr(self, f.name))
-            for f in fields(self)
-            if f.name != "network_bytes_by_shuffle"
-        }
-        summary["network_bytes"] = self.network_bytes
+        """Flat float summary: the counts and the byte views
+        (per-shuffle breakdown omitted)."""
+        summary = {f.name: float(getattr(self, f.name)) for f in fields(self)}
+        summary.update(self.landed())
         summary["mean_merge_fan_in"] = self.mean_merge_fan_in
         return summary
 
@@ -256,9 +269,9 @@ class RecoveryCounters:
     (``context.recovery``) and incremented by the chaos injector, the
     task scheduler (executor-loss relaunches), and the DAG scheduler
     (FetchFailed handling, lineage resubmission, speculation).  Recovery
-    *byte* totals live in :class:`ShuffleCounters`
-    (``recovery_wan_bytes`` / ``recovery_intra_dc_bytes``) because bytes
-    are moved, and therefore accounted, by the shuffle backend.
+    *byte* totals are views in :class:`ShuffleCounters`
+    (``recovery_wan_bytes`` / ``recovery_intra_dc_bytes``): the shuffle
+    backend moves those bytes, under recovery-marked keys.
 
     * ``executor_crashes``    — executor processes crashed (slots and
       running attempts lost; stored blocks survive, as with Spark's

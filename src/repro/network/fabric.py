@@ -40,11 +40,10 @@ from __future__ import annotations
 import itertools
 import time
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.sanitizer import get_sanitizer
 from repro.metrics.perf import FabricPerfCounters
-from repro.metrics.tenants import TenantLedger
 from repro.network.cascade import CascadePlan, build_plan
 from repro.network.fair_share import max_min_fair_rates
 from repro.network.incremental import IncrementalFairShare
@@ -83,7 +82,7 @@ class Flow:
         "rate",
         "started_at",
         "finished_at",
-        "on_land",
+        "key",
     )
 
     def __init__(
@@ -99,7 +98,7 @@ class Flow:
         started_at: float,
         tenant: str = "",
         weight: float = 1.0,
-        on_land: Optional[Callable[[str, str, float], None]] = None,
+        key: Optional[Hashable] = None,
     ) -> None:
         self.flow_id = flow_id
         self.src_host = src_host
@@ -120,9 +119,9 @@ class Flow:
         self.rate = 0.0
         self.started_at = started_at
         self.finished_at: Optional[float] = None
-        # Called once with (src dc, dst dc, bytes) when the flow lands,
-        # then dropped: ``completed_flows`` keeps every landed flow.
-        self.on_land = on_land
+        # Handed to the traffic monitor when the flow lands, then
+        # dropped: ``completed_flows`` keeps every landed flow.
+        self.key = key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -168,10 +167,6 @@ class NetworkFabric:
         # inter-job scheduler; untouched (empty) for single-job runs so
         # the solvers stay on the bit-identical unweighted path.
         self.tenant_weights: Dict[str, float] = {}
-        # Creation-time per-tenant byte accounting (admission charges,
-        # landed where the monitor records); its landed totals equal the
-        # traffic monitor's per-tenant totals exactly.
-        self.tenant_ledger = TenantLedger()
         self.drive = drive
         # link name -> health-advised capacity ceiling (circuit-breaker
         # hints); shared by reference with the component index so a
@@ -209,7 +204,7 @@ class NetworkFabric:
         size_bytes: float,
         tag: str = "",
         tenant: str = "",
-        on_land: Optional[Callable[[str, str, float], None]] = None,
+        key: Optional[Hashable] = None,
     ) -> Event:
         """Start moving ``size_bytes`` from src to dst.
 
@@ -217,10 +212,11 @@ class NetworkFabric:
         (including propagation latency) completes.  Same-host transfers and
         empty payloads complete after the route latency alone.  ``tenant``
         attributes the bytes to a tenant and picks up that tenant's
-        fair-share weight from :attr:`tenant_weights`.  ``on_land(src_dc,
-        dst_dc, bytes)`` is called when the traffic monitor records the
-        flow: with its full size when it finishes, with the bytes it
-        delivered when it is cancelled, never while it is in flight.
+        fair-share weight from :attr:`tenant_weights`.  ``key`` is an
+        opaque hashable the traffic monitor files the flow's bytes under
+        (:attr:`TrafficMonitor.by_key`) when it lands: its full size
+        when it finishes, the bytes it delivered when it is cancelled,
+        nothing while it is in flight.
         """
         if size_bytes < 0:
             raise ValueError(f"negative transfer size: {size_bytes}")
@@ -242,19 +238,8 @@ class NetworkFabric:
             started_at=self.sim.now,
             tenant=tenant,
             weight=weight,
-            on_land=on_land,
+            key=key,
         )
-        if tenant and size_bytes > 0:
-            # Admission-time tenant accounting: charged here, landed as
-            # the bytes the monitor records (the full size, or what a
-            # cancel delivered).
-            self.tenant_ledger.account(
-                tenant,
-                flow_id,
-                size_bytes,
-                wan=self.topology.datacenter_of(src_host)
-                != self.topology.datacenter_of(dst_host),
-            )
         if not route or size_bytes <= _DRAIN_FLOOR:
             self._finish_flow(flow, extra_delay=latency)
             return completion
@@ -367,9 +352,9 @@ class NetworkFabric:
         """Abort the in-flight flow owning ``flow_event``.
 
         Returns the bytes it had delivered by now (landed like a finished
-        flow's: with the traffic monitor under the flow's tag, the tenant
-        ledger and ``on_land``, so every record keeps matching what
-        actually crossed the links), or ``None`` when the
+        flow's, with the traffic monitor under the flow's tag, tenant and
+        key, so the record keeps matching what actually crossed the
+        links), or ``None`` when the
         flow already departed — its completion event is pending (only
         propagation latency remains) and the caller should await it
         instead.  The completion event of a cancelled flow never fires.
@@ -482,21 +467,17 @@ class NetworkFabric:
 
     def _land(self, flow: Flow, delivered: float) -> None:
         """Record the bytes ``flow`` delivered — its full size when it
-        finishes, fewer when it is cancelled — with the tenant ledger,
-        the traffic monitor and the flow's ``on_land``, then drop it."""
-        if flow.tenant and flow.size_bytes > 0:
-            self.tenant_ledger.land(flow.flow_id, delivered)
+        finishes, fewer when it is cancelled — with the traffic monitor,
+        then drop its key."""
         if delivered > 0:
             # Zero-byte transfers are control-plane no-ops; recording
             # them would pollute the traffic matrices with empty entries.
             src_dc = self.topology.datacenter_of(flow.src_host)
             dst_dc = self.topology.datacenter_of(flow.dst_host)
             self.monitor.record(
-                src_dc, dst_dc, delivered, flow.tag, tenant=flow.tenant
+                src_dc, dst_dc, delivered, flow.tag, flow.tenant, flow.key
             )
-            if flow.on_land is not None:
-                flow.on_land(src_dc, dst_dc, delivered)
-        flow.on_land = None
+        flow.key = None
 
     # ------------------------------------------------------------------
     # Vector drive (cascade plans)

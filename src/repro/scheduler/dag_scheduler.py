@@ -188,12 +188,9 @@ class DAGScheduler:
         self.metrics.on_stage_end(stage, self.sim.now)
         sanitizer = context.fabric.sanitizer
         if sanitizer is not None:
-            # Stage boundary: the ledger's landed charges and the
-            # backend's counters must reconcile with the monitor's
-            # records (see reconcile_run).
-            monitor = context.fabric.monitor
-            sanitizer.check_ledger(context.fabric.tenant_ledger, monitor)
-            sanitizer.check_counters(context.shuffle_service, monitor)
+            # Stage boundary: every landed byte is on the views that
+            # read it (see reconcile_run).
+            sanitizer.check_landed(context)
         return gathered
 
     def _task_flow(

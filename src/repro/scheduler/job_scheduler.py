@@ -221,9 +221,7 @@ class JobStreamScheduler:
             jobs_completed=len(arrivals) - self._failed,
             jobs_failed=self._failed,
             duration=self._last_done_at - self._started_at,
-            tenants=self.counters.report(
-                ledger=self.context.fabric.tenant_ledger
-            ),
+            tenants=self.counters.report(self.context.traffic),
         )
 
     def _on_arrival(self, arrival: JobArrival) -> None:

@@ -32,8 +32,8 @@ Failure semantics — the point of this backend:
 Correctness: hand-off and promotion relocate shards without touching
 records, and reads concatenate in global map-index order — reduce input
 stays byte-identical to the fetch baseline (pinned by the equivalence
-suite).  Every flow is counted where it lands, at the instant the
-traffic monitor records it, so counter==monitor holds at every instant.
+suite).  Every flow lands in the traffic monitor under its shuffle's
+key, which is all the byte counters read.
 
 Own code: the worker pool, replication factor, hand-off plan
 (``_stage``) and re-replication; the rest is
@@ -42,7 +42,7 @@ Own code: the worker pool, replication factor, hand-off plan
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.shuffle.service import ShuffleBackend
 from repro.shuffle.worker_pool import ShuffleWorker, ShuffleWorkerPool
@@ -75,6 +75,9 @@ class RemoteShuffleBackend(ShuffleBackend):
         # at the next stage barrier so the backend is quiescent whenever
         # the scheduler observes it.
         self._repairs: List[Any] = []
+        # shuffle id -> the tenant whose job staged it, which its
+        # background repair flows are attributed to.
+        self._tenants: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -142,6 +145,7 @@ class RemoteShuffleBackend(ShuffleBackend):
         recomputed outputs, sitting at scattered executor hosts, go
         back to the pool, recovery-tagged."""
         shuffle_id = dep.shuffle_id
+        self._tenants[shuffle_id] = tenant
         context = self.context
         topology = context.topology
         pool = self._ensure_pool()
@@ -264,12 +268,13 @@ class RemoteShuffleBackend(ShuffleBackend):
         shards: List[ShuffleShard],
     ):
         """Background copy restoring the replication factor (recovery-
-        tagged; counted where it lands, like every move)."""
+        keyed, attributed to the tenant that staged the shuffle; its
+        bytes land in the monitor like every move's)."""
         size = sum(shard.size_bytes for shard in shards)
         if size > 0:
             flow = self._move(
                 src_host, target.host, size, "shuffle_replicate",
-                shuffle_id=key[0], recovery=True,
+                self._tenants.get(key[0], ""), key[0], recovery=True,
             )
             self.counters.replication_bytes += size
             self.counters.rereplication_bytes += size

@@ -11,8 +11,9 @@ rewrite the job lineage (``prepare_job``), open per-shuffle lifecycle
 (``register_shuffle``), publish map output (``register_map_output``),
 optionally reorganise map output before reducers start
 (``prepare_shuffle_input``), serve reduce reads (``shuffle_read``) and
-receiver pulls (``transfer_read``), and account every byte it moves in
-its :class:`~repro.metrics.perf.ShuffleCounters`.  The cluster context
+receiver pulls (``transfer_read``), and count its operations in its
+:class:`~repro.metrics.perf.ShuffleCounters` (whose byte fields are
+views of the traffic monitor).  The cluster context
 binds exactly one backend, chosen by ``ShuffleConfig.backend``, as
 its ``shuffle_service``; the scheduler, the task runtime and the task
 runner call it directly.
@@ -20,7 +21,8 @@ runner call it directly.
 The base class owns the one data path every backend composes (DESIGN.md
 §8): **move** (``_move`` / ``_move_read``, and the reduce read's
 :func:`~repro.failures.health.read_flow`: the only places a flow is
-issued, each counted where it lands), **read** (``shuffle_read``),
+issued, each under a ``(shuffle id, recovery)`` key the traffic
+monitor files its landed bytes by), **read** (``shuffle_read``),
 **stage once** (the ``_stage`` hook's lifecycle) and **relocate**
 (``relocate_map_output``).
 A map output has one record, its
@@ -34,7 +36,6 @@ transfer partitions have theirs in the
 
 from __future__ import annotations
 
-from functools import partial
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
 )
@@ -90,6 +91,7 @@ class ShuffleBackend:
     def bind(self, context: ClusterContext) -> None:
         """Attach to one cluster context (called once by the context)."""
         self.context = context
+        self.counters.bind(context.traffic.by_key, self.flow_tags)
 
     def perf_snapshot(self) -> Dict[str, float]:
         """Flat counter summary for ``RunResult.shuffle_perf``."""
@@ -278,7 +280,7 @@ class ShuffleBackend:
                 read_flow(
                     context, source, runtime.host, size, tag,
                     runtime.tenant,
-                    self._counted(shuffle_id, runtime.task.recovery),
+                    (shuffle_id, runtime.task.recovery),
                     check,
                     name=f"{tag}-retry:s{shuffle_id}r{reduce_index}@{source}",
                 )
@@ -345,7 +347,7 @@ class ShuffleBackend:
         return view(staged.records)
 
     # ------------------------------------------------------------------
-    # Move: where flows are issued and counted
+    # Move: where flows are issued, keyed for the byte views
     # ------------------------------------------------------------------
     def _move(
         self,
@@ -358,10 +360,12 @@ class ShuffleBackend:
         recovery: bool = False,
     ):
         """Issue one flow and return its completion event.  Its bytes
-        reach the counters where they land (see :meth:`_counted`)."""
+        land in the traffic monitor under the key ``(shuffle_id,
+        recovery)``, which the counters' byte views read (see
+        :class:`~repro.metrics.perf.ShuffleCounters`)."""
         return self.context.fabric.transfer(
             src, dst, size_bytes, tag=tag, tenant=tenant,
-            on_land=self._counted(shuffle_id, recovery),
+            key=(shuffle_id, recovery),
         )
 
     def _move_read(
@@ -377,20 +381,10 @@ class ShuffleBackend:
     ):
         """A *read's* move, as a simulation process: the flow-retry loop
         (:func:`repro.failures.health.transfer_with_retry`; one plain
-        flow while flow retry is off), every attempt counted where it
-        lands.  ``check`` raises ``FetchFailedError`` when the data
-        itself is gone."""
+        flow while flow retry is off), every attempt keyed like
+        :meth:`_move`'s.  ``check`` raises ``FetchFailedError`` when the
+        data itself is gone."""
         yield from transfer_with_retry(
             self.context, [src], dst, size_bytes, tag, tenant,
-            self._counted(shuffle_id, recovery), check,
-        )
-
-    def _counted(self, shuffle_id: int | None, recovery: bool):
-        """The ``on_land`` of a backend flow: the fabric hands the
-        counters the bytes a flow delivered at the instant it records
-        them with the traffic monitor — the full size when it finishes,
-        the delivered part when it is cancelled, nothing while it is in
-        flight — so counters == monitor holds at every instant."""
-        return partial(
-            self.counters.note_flow, shuffle_id=shuffle_id, recovery=recovery
+            (shuffle_id, recovery), check,
         )

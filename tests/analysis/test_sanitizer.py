@@ -7,6 +7,7 @@ executes (a silently-dead hook cannot pass).
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,8 +21,8 @@ from repro.analysis.sanitizer import (
 )
 from repro.experiments.runner import ExperimentPlan, clear_data_cache, run_matrix
 from repro.experiments.schemes import Scheme
-from repro.metrics.tenants import TenantLedger
 from repro.network.traffic_monitor import TrafficMonitor
+from repro.shuffle.backends import BACKENDS
 from repro.workloads import workload_by_name
 from repro.workloads.arrivals import ArrivalSpec, StreamSpec, TenantSpec
 from tests.conftest import small_spec
@@ -89,23 +90,32 @@ def test_check_time_rejects_backwards_clock():
         sanitizer.check_time(0.0, float("nan"))
 
 
-def test_check_ledger_reconciles_settled_charges():
+def _landed_context(*flows):
+    """A stand-in context whose traffic monitor landed ``flows`` (the
+    ``record`` arguments) and whose fetch backend's counters read it."""
+    context = SimpleNamespace(
+        traffic=TrafficMonitor(), shuffle_service=BACKENDS["fetch"]()
+    )
+    context.shuffle_service.bind(context)
+    for flow in flows:
+        context.traffic.record(*flow)
+    return context
+
+
+def test_check_landed_accepts_keyed_tenanted_bytes():
     sanitizer = Sanitizer()
-    ledger = TenantLedger()
-    monitor = TrafficMonitor()
-    ledger.account("prod", 1, 100.0, wan=True)
-    ledger.account("prod", 2, 25.0, wan=False)  # still in flight
-    ledger.land(1, 100.0)
-    monitor.record("dc-a", "dc-b", 100.0, tenant="prod")
-    sanitizer.check_ledger(ledger, monitor)
-    assert sanitizer.checks["ledger"] == 1
+    sanitizer.check_landed(_landed_context(
+        ("dc-a", "dc-b", 100.0, "shuffle", "prod", (0, False)),
+        ("dc-a", "dc-a", 25.0, "input", "batch"),
+    ))
+    assert sanitizer.checks["landed"] == 1
 
 
 def test_reconcile_excludes_flows_still_in_flight_at_run_end():
     """Campaign finding (seed 0, schedule #98): a speculative loser's
     fetch stays active when the winning attempt completes the job.  A
     flow in flight has landed nowhere, so it is on no side: counters,
-    monitor and ledger all take its bytes only when it lands."""
+    monitor and its views all take its bytes only when it lands."""
     from repro.analysis.sanitizer import reconcile_run
     from tests.conftest import make_context
 
@@ -114,14 +124,16 @@ def test_reconcile_excludes_flows_still_in_flight_at_run_end():
     backend._move("dc-a-w0", "dc-b-w0", 1e9, "shuffle", "prod", shuffle_id=0)
     context.sim.run(until=1.0)
     assert context.fabric.active_flow_count == 1
-    assert backend.counters.network_bytes == 0.0
+    assert backend.counters.landed()["network_bytes"] == 0.0
     assert backend.counters.network_bytes_by_shuffle == {}
     assert context.traffic.by_tag.get("shuffle", 0.0) == 0.0
-    assert context.fabric.tenant_ledger.landed_by_tenant() == {"prod": 0.0}
+    assert context.traffic.by_tenant == {}
     assert reconcile_run(context) == []
 
 
 def test_a_cancel_lands_its_delivered_bytes_on_every_record():
+    """The monitor files a cancelled flow's delivered bytes once, and
+    the counters' and the tenant report's views all read them."""
     from repro.analysis.sanitizer import reconcile_run
     from tests.conftest import make_context
 
@@ -133,18 +145,18 @@ def test_a_cancel_lands_its_delivered_bytes_on_every_record():
     context.sim.run(until=1.0)
     delivered = context.fabric.cancel(flow)
     assert 0.0 < delivered < 1e9
-    assert backend.counters.wan_bytes == delivered
+    assert backend.counters.landed()["wan_bytes"] == delivered
     assert backend.counters.network_bytes_by_shuffle == {0: delivered}
     assert context.traffic.cross_dc_by_tag["shuffle"] == delivered
-    ledger = context.fabric.tenant_ledger
-    assert ledger.landed_by_tenant(wan_only=True) == {"prod": delivered}
+    assert context.traffic.cross_dc_by_tenant == {"prod": delivered}
     assert reconcile_run(context) == []
 
 
 def test_a_shuffle_flow_bypassing_the_move_primitive_is_reported():
     """A ``shuffle`` flow issued straight through ``fabric.transfer``
-    lands on the monitor but on no counter: ``reconcile_run`` reports
-    it, and under the sanitizer so does the next stage boundary."""
+    lands on the monitor without a key, so on no counter:
+    ``reconcile_run`` reports it, and under the sanitizer so does the
+    next stage boundary."""
     from repro.analysis.sanitizer import reconcile_run
     from tests.conftest import make_context
 
@@ -156,18 +168,20 @@ def test_a_shuffle_flow_bypassing_the_move_primitive_is_reported():
         rdd = context.parallelize([(i % 3, i) for i in range(12)], 3)
         with pytest.raises(InvariantViolation, match="counters: .* at stage"):
             rdd.reduce_by_key(lambda a, b: a + b).collect()
-    assert sanitizer.checks["counters"] == 1
+    assert sanitizer.checks["landed"] == 1
 
 
-def test_check_ledger_rejects_mismatched_bytes():
-    sanitizer = Sanitizer()
-    ledger = TenantLedger()
-    monitor = TrafficMonitor()
-    ledger.account("prod", 1, 100.0, wan=True)
-    ledger.land(1, 100.0)
-    monitor.record("dc-a", "dc-b", 99.0, tenant="prod")
-    with pytest.raises(InvariantViolation, match="ledger"):
-        sanitizer.check_ledger(ledger, monitor)
+def test_check_landed_rejects_an_untenanted_byte():
+    """Once a run carries tenanted traffic, a byte landed without a
+    tenant is on no tenant's row."""
+    context = _landed_context(
+        ("dc-a", "dc-b", 100.0, "shuffle", "prod", (0, False)),
+        ("dc-a", "dc-b", 1.0, "input", ""),
+    )
+    with pytest.raises(InvariantViolation, match="tenants: .* at stage"):
+        Sanitizer().check_landed(context)
+    # Untenanted runs are not checked for tenants.
+    Sanitizer().check_landed(_landed_context(("dc-a", "dc-b", 1.0, "input")))
 
 
 # ---------------------------------------------------------------------------
@@ -242,5 +256,4 @@ def test_sanitized_stream_is_byte_identical_and_checks_run():
     assert sanitizer.checks["rates"] > 0
     assert sanitizer.checks["capacity"] > 0
     assert sanitizer.checks["time"] > 0
-    assert sanitizer.checks["ledger"] > 0
-    assert sanitizer.checks["counters"] == sanitizer.checks["ledger"]
+    assert sanitizer.checks["landed"] > 0

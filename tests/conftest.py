@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import fsum
+
 import pytest
 
 from repro.cluster.builder import ClusterSpec
@@ -100,6 +102,17 @@ def run_two_tenant_stream(scheme, jobs: int, seed: int) -> ClusterContext:
     context.shutdown()
     assert result.jobs_completed == jobs
     return context
+
+
+def assert_every_byte_tenanted(result) -> None:
+    """The sanitizer's tenant check on a stream cell's ``RunResult``:
+    the tenants' rows sum to every byte the cell landed, all and WAN."""
+    for column, landed_mb in (
+        ("bytes", result.total_megabytes),
+        ("wan_bytes", result.cross_dc_megabytes),
+    ):
+        attributed = fsum(row[column] for row in result.tenants.values())
+        assert attributed == pytest.approx(landed_mb * 1e6, rel=1e-9), column
 
 
 def count_inserted_transfers(final_rdd) -> int:

@@ -22,7 +22,7 @@ from repro.workloads.arrivals import (
     generate_arrivals,
 )
 from repro.simulation.random_source import RandomSource
-from tests.conftest import small_spec
+from tests.conftest import assert_every_byte_tenanted, small_spec
 
 
 @pytest.fixture(autouse=True)
@@ -91,8 +91,6 @@ def test_stream_cells_identical_across_runners():
     for result in serial:
         assert result.stream["jobs_completed"] == 6
         assert set(result.tenants) == {"prod", "batch"}
-        for row in result.tenants.values():
-            assert row["bytes"] == row["monitor_bytes"]
-            assert row["wan_bytes"] == row["monitor_wan_bytes"]
+        assert_every_byte_tenanted(result)
     # Different seeds draw different schedules -> different outcomes.
     assert _comparable(serial[0]) != _comparable(serial[1])

@@ -349,8 +349,8 @@ def test_build_artifact_carries_the_reproducer():
 
 # ---------------------------------------------------------------------------
 # Speculation under chaos (satellite): a speculative duplicate racing a
-# host kill settles counters consistently and never double-charges the
-# tenant ledger.
+# host kill settles counters consistently: every landed byte is on the
+# views that read the traffic monitor.
 # ---------------------------------------------------------------------------
 class OneSlowTask:
     def __init__(self, factor: float = 8.0) -> None:
@@ -408,7 +408,7 @@ def test_speculative_duplicate_races_host_kill_without_double_charge(
             ("k0", 4),
             ("k1", 4),
         ]
-        # ...nor the books: counter == monitor == ledger, bit-exact.
+        # ...nor the books: every landed byte is on its views.
         assert reconcile_run(context) == []
         context.shutdown()
 

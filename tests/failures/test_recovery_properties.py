@@ -100,8 +100,8 @@ def test_retries_never_double_count_bytes(backend, seed, crash_at):
     context, result = _run_job(backend, seed, chaos=chaos, failures=failures)
     assert result == clean_result
     _assert_counters_match_monitor(context)
-    counters = context.shuffle_service.counters
-    assert counters.recovery_wan_bytes <= counters.wan_bytes
-    assert counters.recovery_intra_dc_bytes <= counters.intra_dc_bytes
+    landed = context.shuffle_service.counters.landed()
+    assert landed["recovery_wan_bytes"] <= landed["wan_bytes"]
+    assert landed["recovery_intra_dc_bytes"] <= landed["intra_dc_bytes"]
     assert context.failure_injector.total_injected > 0
     context.shutdown()

@@ -22,11 +22,11 @@ from tests.conftest import make_context, small_spec
 
 
 def _assert_counters_match_monitor(context) -> None:
-    """The three equalities above (and ledger == monitor), as the
-    campaign's own oracle states them.  Counters, monitor and ledger all
-    take a flow's bytes when it lands, so a flow still in flight when
-    the job returned — a crashed attempt's fetch that nothing cancels —
-    is on no side."""
+    """The three equalities above, as the campaign's own oracle states
+    them.  The counters are views of the monitor, which takes a flow's
+    bytes when it lands, so a flow still in flight when the job
+    returned — a crashed attempt's fetch that nothing cancels — is on
+    no side."""
     assert reconcile_run(context) == []
 
 

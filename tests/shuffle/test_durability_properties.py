@@ -12,9 +12,9 @@ families are pinned here:
 * **recovery** — losing a shuffle worker with a surviving replica, or
   any number of map-side executors under the object store, completes
   the job with **zero stage resubmissions** and byte-correct results;
-* **tenancy** — multi-tenant streams on the durable backends reconcile
-  the admission-time ledger against the completion-time monitor exactly
-  (background repair traffic is untenanted and must not leak).
+* **tenancy** — on multi-tenant runs of the durable backends every
+  landed byte has a tenant, background repair traffic included (it is
+  attributed to the tenant that staged the shuffle).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.failures.chaos import ChaosEvent, ChaosSchedule
-from tests.conftest import make_context, small_spec
+from tests.conftest import assert_every_byte_tenanted, make_context, small_spec
 from tests.shuffle.test_counter_properties import (
     _assert_counters_match_monitor,
 )
@@ -119,6 +119,34 @@ def test_remote_worker_loss_recovers_without_resubmission():
     context.shutdown()
 
 
+def test_remote_repair_traffic_lands_on_the_shuffles_tenant():
+    """A tenanted job's background re-replication after a worker loss is
+    attributed to the tenant that staged the shuffle, so every landed
+    byte has a tenant."""
+    from repro.analysis.sanitizer import reconcile_run
+
+    context = make_context(
+        backend="remote",
+        chaos=ChaosSchedule(
+            (ChaosEvent(at=5.5, kind="shuffle_worker", target="dc-a"),)
+        ),
+        dfs_replication=2,
+        scale_factor=1e5,
+    )
+    records = [(f"k{i % 7}", i) for i in range(40)]
+    context.write_input_file("/in", [records[i::4] for i in range(4)])
+    rdd = context.text_file("/in").reduce_by_key(
+        lambda a, b: a + b, num_partitions=8
+    )
+    handle = context.submit_job(rdd, "collect", tenant="gold")
+    context.sim.run()
+    assert handle.process.ok
+    assert context.shuffle_service.counters.rereplication_bytes > 0
+    assert context.traffic.by_tenant == {"gold": context.traffic.total_bytes}
+    assert reconcile_run(context) == []
+    context.shutdown()
+
+
 def test_remote_replication_bytes_flow_even_without_chaos():
     """r=2 means every byte uploaded to a worker is also replicated —
     the replication counter is live traffic, not recovery-only."""
@@ -198,14 +226,13 @@ def test_blob_reads_are_tagged_blob_get_with_and_without_flow_retry(retry):
 
 
 # ---------------------------------------------------------------------------
-# Per-tenant ledger reconciliation on multi-tenant streams
+# Every landed byte has a tenant on multi-tenant runs
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ("remote", "blob"))
 def test_stream_cells_reconcile_per_tenant(backend):
     """Weighted two-tenant stream on a durable backend under WAN chaos
-    with flow retries: admission-time ledger rows equal the monitor's
-    completion-time rows exactly, and background repair traffic (which
-    is untenanted) leaks into neither."""
+    with flow retries: the tenants' rows sum to every byte the cell
+    landed."""
     from repro.config import HealthConfig, SimulationConfig
     from repro.experiments.runner import ExperimentPlan, run_workload_once
     from repro.experiments.schemes import SCHEME_REGISTRY
@@ -250,7 +277,5 @@ def test_stream_cells_reconcile_per_tenant(backend):
     )
     result = run_workload_once(all_workloads()[0], scheme, 0, plan)
     assert result.stream["jobs_completed"] == 6
-    for tenant, row in result.tenants.items():
-        assert row["bytes"] == row["monitor_bytes"], tenant
-        assert row["wan_bytes"] == row["monitor_wan_bytes"], tenant
+    assert_every_byte_tenanted(result)
     assert set(result.tenants) == {"gold", "bronze"}

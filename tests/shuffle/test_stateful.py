@@ -25,6 +25,7 @@ from hypothesis.stateful import (
 import hypothesis.strategies as st
 
 from repro.errors import MapOutputMissingError
+from repro.network.traffic_monitor import TrafficMonitor
 from repro.shuffle.map_output_tracker import MapOutputTracker, ShuffleShard
 from repro.shuffle.service import ShuffleBackend
 
@@ -47,7 +48,9 @@ class MapOutputTrackerMachine(RuleBasedStateMachine):
         super().__init__()
         self.tracker = self.tracker_class()
         self.backend = ShuffleBackend()
-        self.backend.bind(SimpleNamespace(map_output_tracker=self.tracker))
+        self.backend.bind(SimpleNamespace(
+            map_output_tracker=self.tracker, traffic=TrafficMonitor()
+        ))
         self.model = {}
         self.writes = 0
 
